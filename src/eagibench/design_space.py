@@ -14,11 +14,12 @@ the Kv choice trades off against thrust margin; see ``propulsion``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .propulsion import (
     Design,
     Environment,
+    PerformanceReport,
     RequirementSet,
     evaluate_design,
     prop_key,
@@ -65,30 +66,31 @@ class DesignGrid:
 
 def enumerate_designs(grid: DesignGrid, mtow: float) -> list[Design]:
     """Cartesian product of the grid axes, in lexicographic axis order."""
+    props = []
+    for diameter in grid.prop_diameters:
+        for pitch in grid.prop_pitches:
+            override = grid.ct_overrides.get(prop_key(diameter, pitch))
+            ct = {} if override is None else {"thrust_coefficient_ct": float(override)}
+            props.append((diameter, pitch, ct))
     designs = []
     for kv in grid.kv_values:
-        for diameter in grid.prop_diameters:
-            for pitch in grid.prop_pitches:
-                for battery in grid.battery_options:
-                    for n_motors in grid.n_motors_options:
-                        kwargs = {}
-                        override = grid.ct_overrides.get(prop_key(diameter, pitch))
-                        if override is not None:
-                            kwargs["thrust_coefficient_ct"] = float(override)
-                        designs.append(
-                            Design(
-                                kv=kv,
-                                current_limit_per_motor=grid.current_limit_per_motor,
-                                battery_cells=battery.cells,
-                                battery_voltage_nominal=battery.voltage,
-                                battery_capacity=battery.capacity,
-                                prop_diameter=diameter,
-                                prop_pitch=pitch,
-                                n_motors=n_motors,
-                                mtow=mtow,
-                                **kwargs,
-                            )
+        for diameter, pitch, ct in props:
+            for battery in grid.battery_options:
+                for n_motors in grid.n_motors_options:
+                    designs.append(
+                        Design(
+                            kv=kv,
+                            current_limit_per_motor=grid.current_limit_per_motor,
+                            battery_cells=battery.cells,
+                            battery_voltage_nominal=battery.voltage,
+                            battery_capacity=battery.capacity,
+                            prop_diameter=diameter,
+                            prop_pitch=pitch,
+                            n_motors=n_motors,
+                            mtow=mtow,
+                            **ct,
                         )
+                    )
     return designs
 
 
@@ -101,6 +103,19 @@ class ObjectiveVector:
     endurance: float
 
 
+#: Objective fields, each with the sign that makes larger better.
+OBJECTIVE_AXES = (("hover_current_per_motor", -1.0), ("thrust_margin", 1.0), ("endurance", 1.0))
+
+
+def report_objectives(report: PerformanceReport) -> ObjectiveVector:
+    """Objective vector of an evaluated design."""
+    return ObjectiveVector(
+        hover_current_per_motor=report.hover_torque_current_per_motor,
+        thrust_margin=report.static_thrust_per_motor - report.required_thrust_per_motor,
+        endurance=report.endurance,
+    )
+
+
 def objective_vector(
     design: Design,
     env: Environment,
@@ -108,12 +123,7 @@ def objective_vector(
     eta: float = HOVER_EFFICIENCY_DEFAULT,
     eta_batt: float = BATTERY_EFFICIENCY_DEFAULT,
 ) -> ObjectiveVector:
-    report = evaluate_design(design, env, (), eta=eta, eta_batt=eta_batt)
-    return ObjectiveVector(
-        hover_current_per_motor=report.hover_torque_current_per_motor,
-        thrust_margin=report.static_thrust_per_motor - report.required_thrust_per_motor,
-        endurance=report.endurance,
-    )
+    return report_objectives(evaluate_design(design, env, (), eta=eta, eta_batt=eta_batt))
 
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
@@ -148,6 +158,27 @@ def feasible_set(
     return out
 
 
+def front_indices(vectors: Sequence[ObjectiveVector]) -> list[int]:
+    """Indices of the non-dominated vectors, in input order.
+
+    Sorted sweep for the maxima of a vector set (Kung, Luccio & Preparata,
+    J. ACM 22(4), 1975): in (current up, margin down, endurance down) order
+    every dominator of a vector precedes it, and by transitivity one of
+    them is on the front, so a vector is kept iff no kept vector dominates
+    it.  Equal vectors never dominate each other.
+    """
+
+    def sweep_key(i: int) -> tuple[float, float, float]:
+        v = vectors[i]
+        return (v.hover_current_per_motor, -v.thrust_margin, -v.endurance)
+
+    kept: list[int] = []
+    for i in sorted(range(len(vectors)), key=sweep_key):
+        if not any(dominates(vectors[k], vectors[i]) for k in kept):
+            kept.append(i)
+    return sorted(kept)
+
+
 def pareto_front(
     designs: Sequence[Design],
     env: Environment,
@@ -159,20 +190,34 @@ def pareto_front(
     if not designs:
         raise ValueError("pareto_front requires a non-empty design list")
     vectors = [objective_vector(d, env, eta=eta, eta_batt=eta_batt) for d in designs]
-    return [
-        d
-        for i, d in enumerate(designs)
-        if not any(j != i and dominates(vectors[j], vectors[i]) for j in range(len(designs)))
-    ]
+    return [designs[i] for i in front_indices(vectors)]
 
 
-def pareto_front_vectors(vectors: Sequence[ObjectiveVector]) -> list[int]:
-    """Indices of the non-dominated vectors, order preserved."""
-    return [
-        i
-        for i in range(len(vectors))
-        if not any(j != i and dominates(vectors[j], vectors[i]) for j in range(len(vectors)))
-    ]
+@dataclass(frozen=True)
+class ReferenceFront:
+    """Pareto front of a feasible set, and each objective's range (max - min)
+    over the whole feasible set, keyed by ``OBJECTIVE_AXES`` name."""
+
+    front: tuple[ObjectiveVector, ...]
+    ranges: Mapping[str, float]
+
+    @classmethod
+    def from_vectors(cls, feasible: Sequence[ObjectiveVector]) -> ReferenceFront:
+        ranges = {}
+        for name, _ in OBJECTIVE_AXES:
+            values = [getattr(v, name) for v in feasible]
+            ranges[name] = max(values) - min(values) if values else 0.0
+        return cls(tuple(feasible[i] for i in front_indices(feasible)), ranges)
+
+
+def reference_front(
+    grid: DesignGrid, mtow: float, env: Environment, requirements: RequirementSet | Sequence = ()
+) -> ReferenceFront:
+    """Evaluate each grid design once; the reference over those passing every requirement."""
+    reports = (evaluate_design(d, env, requirements) for d in enumerate_designs(grid, mtow))
+    return ReferenceFront.from_vectors(
+        [report_objectives(r) for r in reports if r.all_requirements_pass]
+    )
 
 
 def grid_from_dict(raw: Mapping) -> DesignGrid:

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 M_PER_IN = 0.0254
 GRAVITY_DEFAULT = 9.81
@@ -48,7 +48,7 @@ class PhysicsDomainError(ValueError):
 
 def _require_positive(**values: float) -> None:
     for name, value in values.items():
-        if not (value > 0) or math.isinf(value) or math.isnan(value):
+        if not 0 < value < math.inf:
             raise PhysicsDomainError(f"{name} must be positive and finite, got {value!r}")
 
 
@@ -313,6 +313,13 @@ def _measure(report_values: dict, design: Design, req: Requirement) -> tuple[flo
     raise PhysicsDomainError(f"unknown requirement kind: {kind!r}")
 
 
+def _step(label: str, fn, *args):
+    try:
+        return fn(*args)
+    except PhysicsDomainError as exc:
+        raise PhysicsDomainError(f"{label}: {exc}") from exc
+
+
 def evaluate_design(
     design: Design,
     env: Environment,
@@ -329,62 +336,29 @@ def evaluate_design(
     """
     if not isinstance(requirements, RequirementSet):
         requirements = RequirementSet(tuple(requirements))
-    design.validate()
-
-    def _step(label: str, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except PhysicsDomainError as exc:
-            raise PhysicsDomainError(f"{label}: {exc}") from exc
-
-    nlr = _step("no_load_rpm", no_load_rpm, design.kv, design.battery_voltage_nominal)
-    kt = _step("torque_constant", torque_constant, design.kv)
-    mtq = _step("max_torque", max_torque, design.kv, design.current_limit_per_motor)
+    # No re-validation: a frozen Design validates itself on construction.
+    kv, volts, n_motors = design.kv, design.battery_voltage_nominal, design.n_motors
+    ct, diameter, rho = design.thrust_coefficient_ct, design.prop_diameter, env.air_density
+    nlr = _step("no_load_rpm", no_load_rpm, kv, volts)
+    kt = _step("torque_constant", torque_constant, kv)
+    mtq = _step("max_torque", max_torque, kv, design.current_limit_per_motor)
     operating_rpm = loaded_rpm if loaded_rpm is not None else nlr
-    thrust = _step(
-        "static_thrust",
-        static_thrust,
-        design.thrust_coefficient_ct,
-        env.air_density,
-        operating_rpm,
-        design.prop_diameter,
-    )
+    thrust = _step("static_thrust", static_thrust, ct, rho, operating_rpm, diameter)
     required = _step(
-        "required_thrust_per_motor",
-        required_thrust_per_motor,
-        design.mtow,
-        design.n_motors,
-        env.gravity,
+        "required_thrust_per_motor", required_thrust_per_motor, design.mtow, n_motors, env.gravity
     )
-    area = _step("disk_area_total", disk_area_total, design.prop_diameter, design.n_motors)
+    area = _step("disk_area_total", disk_area_total, diameter, n_motors)
     hover_power = _step(
-        "ideal_hover_power",
-        ideal_hover_power,
-        design.mtow * env.gravity,
-        env.air_density,
-        area,
-        eta,
+        "ideal_hover_power", ideal_hover_power, design.mtow * env.gravity, rho, area, eta
     )
-    bus_current = hover_power / (design.n_motors * design.battery_voltage_nominal)
-    hover_rpm = _step(
-        "hover_rpm",
-        rpm_for_thrust,
-        required,
-        design.thrust_coefficient_ct,
-        env.air_density,
-        design.prop_diameter,
-    )
+    bus_current = hover_power / (n_motors * volts)
+    hover_rpm = _step("hover_rpm", rpm_for_thrust, required, ct, rho, diameter)
     # Shaft torque at the hover operating point, converted to motor current
     # through Kt.  This is the current a per-motor limit constrains.
     omega = 2.0 * math.pi * hover_rpm / 60.0
-    torque_current = (hover_power / design.n_motors) / omega / kt
+    torque_current = (hover_power / n_motors) / omega / kt
     endurance = _step(
-        "hover_endurance",
-        hover_endurance,
-        design.battery_capacity,
-        design.battery_voltage_nominal,
-        eta_batt,
-        hover_power,
+        "hover_endurance", hover_endurance, design.battery_capacity, volts, eta_batt, hover_power
     )
 
     values = {

@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 from .bank import (
     AnswerSpec,
@@ -52,14 +51,15 @@ from .bank import (
     answer_kind,
     design_from_bank,
 )
-from .design_space import ObjectiveVector, dominates, enumerate_designs, objective_vector
-from .propulsion import (
-    Design,
-    M_PER_IN,
-    PhysicsDomainError,
-    apply_patch,
-    evaluate_design,
+from .design_space import (
+    OBJECTIVE_AXES,
+    ObjectiveVector,
+    ReferenceFront,
+    dominates,
+    reference_front,
+    report_objectives,
 )
+from .propulsion import apply_patch, evaluate_design
 
 # L5 grade weights: constraint satisfaction vs Pareto proximity.
 DESIGN_CONSTRAINT_WEIGHT = 0.7
@@ -448,8 +448,6 @@ def score_diagnosis(answer_text: str, spec: DiagnosisSpec) -> Score:
 def _patch_to_si(patch: Mapping) -> dict:
     si: dict = {}
     for key, value in patch.items():
-        if key not in DESIGN_FIELD_MAP:
-            raise KeyError(key)
         target, scale = DESIGN_FIELD_MAP[key]
         if key in ("battery_cells", "n_motors"):
             si[target] = int(value)
@@ -468,7 +466,7 @@ def score_fix(answer_text: str, spec: FixSpec) -> Score:
             return unscorable(f"patch references unknown field {key!r}")
     try:
         patched = apply_patch(spec.base_design, _patch_to_si(patch), spec.ct_overrides)
-    except (PhysicsDomainError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         return unscorable(f"patched design is invalid: {exc}")
 
     before = evaluate_design(
@@ -502,9 +500,7 @@ def score_fix(answer_text: str, spec: FixSpec) -> Score:
     return Score(1.0 if ok else 0.0, Verdict.Pass if ok else Verdict.Fail, tuple(evidence))
 
 
-def _dominance_gap(
-    candidate: ObjectiveVector, feasible: Sequence[ObjectiveVector]
-) -> float:
+def _dominance_gap(candidate: ObjectiveVector, reference: ReferenceFront) -> float:
     """Normalized distance from the candidate to the reference Pareto front.
 
     0 means on (or beyond) the front, 1 means maximally dominated on some
@@ -512,37 +508,20 @@ def _dominance_gap(
     min over front members of the worst per-axis shortfall, each axis
     normalized by its range over the feasible set.
     """
-    if not feasible:
+    if not any(dominates(f, candidate) for f in reference.front):
         return 0.0
-    if not any(dominates(f, candidate) for f in feasible):
-        return 0.0
-    front = [
-        f
-        for i, f in enumerate(feasible)
-        if not any(j != i and dominates(feasible[j], f) for j in range(len(feasible)))
-    ]
-
-    axes = [
-        ("hover_current_per_motor", -1.0),  # minimized
-        ("thrust_margin", 1.0),
-        ("endurance", 1.0),
-    ]
-    ranges = {}
-    for name, _ in axes:
-        values = [getattr(f, name) for f in feasible]
-        ranges[name] = max(values) - min(values)
 
     def shortfall(f: ObjectiveVector) -> float:
         worst = 0.0
-        for name, sign in axes:
+        for name, sign in OBJECTIVE_AXES:
             delta = sign * (getattr(f, name) - getattr(candidate, name))
             if delta <= 0:
                 continue
-            span = ranges[name]
+            span = reference.ranges[name]
             worst = max(worst, 1.0 if span <= 0 else min(1.0, delta / span))
         return worst
 
-    return min(shortfall(f) for f in front)
+    return min(shortfall(f) for f in reference.front)
 
 
 def score_design(answer_text: str, spec: DesignSynthesisSpec) -> Score:
@@ -553,7 +532,7 @@ def score_design(answer_text: str, spec: DesignSynthesisSpec) -> Score:
         design = design_from_bank(ans.envelope["design"], spec.defaults)
     except KeyError as exc:
         return unscorable(f"design references unknown field {exc.args[0]!r}")
-    except (ValueError, PhysicsDomainError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         return unscorable(f"design violates invariants: {exc}")
 
     report = evaluate_design(design, spec.environment, spec.requirements)
@@ -570,15 +549,10 @@ def score_design(answer_text: str, spec: DesignSynthesisSpec) -> Score:
     satisfied = sum(c.passed for c in report.requirement_checks)
     fraction = satisfied / total if total else 1.0
 
-    grid_designs = enumerate_designs(spec.grid, spec.mtow)
-    reference_reqs = spec.reference_requirements or spec.requirements
-    feasible_vectors = []
-    for grid_design in grid_designs:
-        grid_report = evaluate_design(grid_design, spec.environment, reference_reqs)
-        if grid_report.all_requirements_pass:
-            feasible_vectors.append(objective_vector(grid_design, spec.environment))
-    candidate_vector = objective_vector(design, spec.environment)
-    gap = _dominance_gap(candidate_vector, feasible_vectors)
+    reference = reference_front(
+        spec.grid, spec.mtow, spec.environment, spec.reference_requirements or spec.requirements
+    )
+    gap = _dominance_gap(report_objectives(report), reference)
     pareto_component = 1.0 - gap
     if gap == 0.0:
         evidence.append(

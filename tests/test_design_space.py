@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eagibench.design_space import (
     BatteryOption,
@@ -11,6 +11,7 @@ from eagibench.design_space import (
     dominates,
     enumerate_designs,
     feasible_set,
+    front_indices,
     grid_from_dict,
     objective_vector,
     pareto_front,
@@ -218,6 +219,39 @@ _vectors = st.builds(
     thrust_margin=st.floats(-50, 50, allow_nan=False),
     endurance=st.floats(0, 60, allow_nan=False),
 )
+
+
+# Coordinates drawn from small sets, so exact ties and duplicate vectors
+# are common; 0.0 and -0.0 compare equal.
+_CURRENTS = (1.0, 2.0, 2.5, 4.0)
+_MARGINS = (-1.0, -0.0, 0.0, 1.0, 3.0)
+_ENDURANCES = (5.0, 6.0, 7.5)
+_tied_vectors = st.builds(
+    ObjectiveVector,
+    st.sampled_from(_CURRENTS),
+    st.sampled_from(_MARGINS),
+    st.sampled_from(_ENDURANCES),
+)
+
+
+def _seeded_tied_vectors(seed: int, n: int) -> list:
+    rng = random.Random(seed)
+    return [
+        ObjectiveVector(rng.choice(_CURRENTS), rng.choice(_MARGINS), rng.choice(_ENDURANCES))
+        for _ in range(n)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@example(_seeded_tied_vectors(1, 2000))
+@given(
+    st.one_of(
+        st.lists(_tied_vectors, max_size=60),
+        st.builds(_seeded_tied_vectors, st.integers(0, 2**32), st.integers(0, 2000)),
+    )
+)
+def test_sorted_front_matches_brute_force(vectors):
+    assert front_indices(vectors) == _brute_force_front(vectors)
 
 
 @given(_vectors)

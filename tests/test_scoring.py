@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eagibench.bank import (
     DiagnosisSpec,
@@ -11,6 +12,9 @@ from eagibench.bank import (
     RubricSpec,
     StructuredSpec,
 )
+from eagibench import design_space, scoring
+from eagibench.design_space import ObjectiveVector, ReferenceFront, dominates
+from eagibench.propulsion import evaluate_design
 from eagibench.scoring import (
     Evidence,
     Score,
@@ -220,6 +224,12 @@ class TestScoreFix:
         score = score_fix("Increase the diameter to 19 inches if structurally feasible.", spec)
         assert score.verdict is Verdict.Pass
 
+    @pytest.mark.parametrize("value", [None, [19], 10**400])
+    def test_malformed_patch_value_unscorable(self, instances, value):
+        spec = instances["l4-thrust-fix"].answer_spec
+        score = score_fix(_fence({"patch": {"prop_diameter_in": value}}), spec)
+        assert score.verdict is Verdict.Unscorable
+
     def test_regression_detected(self, instances):
         # Dropping Kv on the climb item regresses nothing already passing;
         # craft a patch that fixes thrust but blows the current cap instead.
@@ -255,6 +265,25 @@ class TestScoreDesign:
             _fence({"design": {"kv_rpm_per_volt": -5, "prop_diameter_in": 20}}), spec
         )
         assert score.verdict is Verdict.Unscorable
+
+    @pytest.mark.parametrize("value", [[340], 10**400])
+    def test_malformed_design_value_unscorable(self, instances, value):
+        spec = instances["l5-quad-14kg"].answer_spec
+        score = score_design(_fence({"design": {"kv_rpm_per_volt": value}}), spec)
+        assert score.verdict is Verdict.Unscorable
+
+    def test_one_oracle_call_per_grid_design(self, instances, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return evaluate_design(*args, **kwargs)
+
+        monkeypatch.setattr(design_space, "evaluate_design", counting)
+        monkeypatch.setattr(scoring, "evaluate_design", counting)
+        spec = instances["l5-quad-14kg"].answer_spec
+        score_design(_fence({"design": {"kv_rpm_per_volt": 420, "prop_diameter_in": 16}}), spec)
+        assert len(calls) == spec.grid.size + 1
 
     def test_plain_text_design(self, instances):
         spec = instances["l5-quad-14kg"].answer_spec
@@ -304,6 +333,52 @@ class TestScoreDesign:
             ),
         )
         assert score_design(answer, violated).value <= base_score.value + 1e-12
+
+
+def _quadratic_gap(candidate, feasible):
+    """The dominance gap as first written: O(F^2) front over the feasible list."""
+    if not feasible:
+        return 0.0
+    if not any(dominates(f, candidate) for f in feasible):
+        return 0.0
+    front = [
+        f
+        for i, f in enumerate(feasible)
+        if not any(j != i and dominates(feasible[j], f) for j in range(len(feasible)))
+    ]
+    axes = [("hover_current_per_motor", -1.0), ("thrust_margin", 1.0), ("endurance", 1.0)]
+    ranges = {}
+    for name, _ in axes:
+        values = [getattr(f, name) for f in feasible]
+        ranges[name] = max(values) - min(values)
+
+    def shortfall(f):
+        worst = 0.0
+        for name, sign in axes:
+            delta = sign * (getattr(f, name) - getattr(candidate, name))
+            if delta <= 0:
+                continue
+            span = ranges[name]
+            worst = max(worst, 1.0 if span <= 0 else min(1.0, delta / span))
+        return worst
+
+    return min(shortfall(f) for f in front)
+
+
+# Small coordinate sets give ties, duplicates and zero-width axes.
+_gap_vectors = st.builds(
+    ObjectiveVector,
+    st.sampled_from((1.0, 2.0, 2.5, 4.0, 7.25)),
+    st.sampled_from((-1.0, 0.0, 0.5, 3.0)),
+    st.sampled_from((5.0, 6.0, 7.5, 9.0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gap_vectors, st.lists(_gap_vectors, max_size=40))
+def test_dominance_gap_matches_quadratic_reference(candidate, feasible):
+    reference = ReferenceFront.from_vectors(feasible)
+    assert scoring._dominance_gap(candidate, reference) == _quadratic_gap(candidate, feasible)
 
 
 RUBRIC = RubricSpec(
