@@ -96,20 +96,28 @@ class SampleMode(enum.Enum):
         raise ValueError(f"unknown sample mode: {value!r}")
 
 
+def fields_to_si(raw: Mapping) -> dict:
+    """Bank-file design keys and values -> Design field names and SI values.
+
+    Raises KeyError naming the first unknown key before converting any
+    value; a value that does not convert raises TypeError, ValueError or
+    OverflowError.
+    """
+    unknown = [k for k in raw if k not in DESIGN_FIELD_MAP]
+    if unknown:
+        raise KeyError(unknown[0])
+    si = {}
+    for key, value in raw.items():
+        target, scale = DESIGN_FIELD_MAP[key]
+        si[target] = int(value) if key in _INT_DESIGN_FIELDS else float(value) * scale
+    return si
+
+
 def design_from_bank(raw: Mapping, defaults: Optional[Mapping] = None) -> Design:
     """Build a Design from bank-file keys, completing from defaults."""
     merged: dict = dict(defaults or {})
     merged.update({k: v for k, v in raw.items() if v is not None})
-    unknown = [k for k in merged if k not in DESIGN_FIELD_MAP]
-    if unknown:
-        raise KeyError(unknown[0])
-    kwargs = {}
-    for key, value in merged.items():
-        target, scale = DESIGN_FIELD_MAP[key]
-        if key in _INT_DESIGN_FIELDS:
-            kwargs[target] = int(value)
-        else:
-            kwargs[target] = float(value) * scale
+    kwargs = fields_to_si(merged)
     missing = [
         k
         for k in (
@@ -299,9 +307,7 @@ class DesignContext:
     id: str
     summary: str
     design: Optional[Design]
-    design_raw: Optional[Mapping]
     environment: Environment
-    environment_raw: Mapping
 
 
 @dataclass(frozen=True)
@@ -334,7 +340,6 @@ class QuestionInstance:
 class QuestionBank:
     schema_version: int
     contexts: Mapping[str, DesignContext]
-    grids_raw: Mapping[str, Mapping]
     grids: Mapping[str, DesignGrid]
     cause_vocabulary: Mapping[str, tuple[str, ...]]
     ct_overrides: Mapping[str, float]
@@ -690,14 +695,11 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
             id=ctx_id,
             summary=str(raw.get("summary", "")),
             design=design,
-            design_raw=raw.get("design"),
             environment=env,
-            environment_raw=raw.get("environment", {}),
         )
 
-    grids_raw = dict(document.get("grids", {}))
     grids: dict[str, DesignGrid] = {}
-    for grid_id, raw in grids_raw.items():
+    for grid_id, raw in dict(document.get("grids", {})).items():
         try:
             grids[grid_id] = grid_from_dict(raw)
         except (KeyError, ValueError, TypeError) as exc:
@@ -749,7 +751,6 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
     bank = QuestionBank(
         schema_version=int(version),
         contexts=contexts,
-        grids_raw=grids_raw,
         grids=grids,
         cause_vocabulary=vocabulary,
         ct_overrides=ct_overrides,

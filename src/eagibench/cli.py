@@ -30,19 +30,16 @@ from .bank import (
     shipped_bank_path,
 )
 from .harness import (
-    EvaluationReport,
     OracleAgent,
     RemoteAgent,
     ReplayAgent,
     RunConfig,
     TransportError,
-    assign_competence_level,
     bank_fingerprint,
     emit_report,
-    level_pass_rates,
+    grade,
     report_from_json,
     run_evaluation,
-    score_instances,
 )
 from .taxonomy import TagFilter
 
@@ -77,6 +74,19 @@ def _load_bank_arg(raw: Optional[str]) -> tuple[QuestionBank, Path]:
     return load_bank(path), path
 
 
+def _read_json_object(path: str, what: str) -> dict:
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise UsageError(f"{what} {path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _sampling(args, flt: TagFilter) -> dict:
+    """The record of how instances were drawn, as generate and run write it."""
+    mode = SampleMode.parse(args.mode).value
+    return {"filter": flt.to_dict(), "mode": mode, "n": args.n, "seed": args.seed}
+
+
 def _write_out(text: str, out: Optional[str]) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -91,7 +101,7 @@ def _make_agent(descriptor: str, config: RunConfig, instances) -> object:
         path = descriptor.split(":", 1)[1]
         if not Path(path).exists():
             raise UsageError(f"replay file not found: {path}")
-        return ReplayAgent(path)
+        return ReplayAgent(_read_json_object(path, "replay file"))
     if descriptor == "remote":
         try:
             return RemoteAgent(config=config)
@@ -108,10 +118,7 @@ def _cmd_generate(args) -> int:
         "schema_version": 1,
         "bank": str(path),
         "bank_fingerprint": bank_fingerprint(path),
-        "filter": flt.to_dict(),
-        "mode": SampleMode.parse(args.mode).value,
-        "n": args.n,
-        "seed": args.seed,
+        **_sampling(args, flt),
         "instances": [
             {
                 "id": inst.id,
@@ -130,31 +137,27 @@ def _cmd_generate(args) -> int:
 
 def _cmd_score(args) -> int:
     bank, bank_path = _load_bank_arg(args.bank)
-    instances_doc = json.loads(Path(args.instances).read_text(encoding="utf-8"))
-    answers = json.loads(Path(args.answers).read_text(encoding="utf-8"))
+    instances_doc = _read_json_object(args.instances, "instances file")
+    answers = _read_json_object(args.answers, "answers file")
     recorded = instances_doc.get("bank_fingerprint")
     if recorded and recorded != bank_fingerprint(bank_path):
         print(
             "warning: bank file differs from the one the instances were generated from",
             file=sys.stderr,
         )
-    ordered = []
-    for record in instances_doc["instances"]:
-        template = bank.template(record["provenance"]["template_id"])
-        ordered.append(instantiate(template, bank))
-    items = score_instances(ordered, {str(k): str(v) for k, v in answers.items()})
-    rates = level_pass_rates(items)
-    report = EvaluationReport(
-        run_id="offline",
-        started_at="",
-        duration_s=0.0,
-        config={"mode": instances_doc.get("mode"), "seed": instances_doc.get("seed"),
-                "agent": "replay-file", "threshold": args.threshold},
-        items=tuple(items),
-        level_pass_rates=rates,
-        competence_level=assign_competence_level(rates, args.threshold),
-    )
-    _write_out(emit_report(report, "json"), args.out)
+    records = instances_doc.get("instances")
+    if not isinstance(records, list):
+        raise UsageError(f'instances file {args.instances}: no "instances" list')
+    try:
+        templates = [bank.template(record["provenance"]["template_id"]) for record in records]
+    except (KeyError, TypeError) as exc:
+        raise UsageError(f"instances file {args.instances}: bad instance record ({exc!r})") from None
+    instances = [instantiate(template, bank) for template in templates]
+    config = RunConfig(threshold=args.threshold)
+    record = {"mode": instances_doc.get("mode"), "seed": instances_doc.get("seed"),
+              "agent": "replay-file", "threshold": args.threshold}
+    answered = [str(answers.get(inst.id, "")) for inst in instances]
+    _write_out(emit_report(grade(instances, answered, config, record), "json"), args.out)
     return EXIT_OK
 
 
@@ -164,13 +167,17 @@ def _cmd_run(args) -> int:
     config = RunConfig(threshold=args.threshold, fail_fast=args.fail_fast)
     instances = sample(bank, flt, args.n, args.mode, args.seed)
     agent = _make_agent(args.agent, config, instances)
-    report = run_evaluation(bank, flt, args.mode, args.n, args.seed, agent, config)
+    report = run_evaluation(instances, agent, config, _sampling(args, flt))
     _write_out(emit_report(report, "json"), args.out)
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    report = report_from_json(Path(args.input).read_text(encoding="utf-8"))
+    document = _read_json_object(args.input, "report file")
+    try:
+        report = report_from_json(document)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise UsageError(f"report file {args.input}: malformed report ({exc!r})") from None
     _write_out(emit_report(report, "markdown"), args.out)
     return EXIT_OK
 

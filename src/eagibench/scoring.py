@@ -50,6 +50,7 @@ from .bank import (
     StructuredSpec,
     answer_kind,
     design_from_bank,
+    fields_to_si,
 )
 from .design_space import (
     OBJECTIVE_AXES,
@@ -445,17 +446,6 @@ def score_diagnosis(answer_text: str, spec: DiagnosisSpec) -> Score:
     )
 
 
-def _patch_to_si(patch: Mapping) -> dict:
-    si: dict = {}
-    for key, value in patch.items():
-        target, scale = DESIGN_FIELD_MAP[key]
-        if key in ("battery_cells", "n_motors"):
-            si[target] = int(value)
-        else:
-            si[target] = float(value) * scale
-    return si
-
-
 def score_fix(answer_text: str, spec: FixSpec) -> Score:
     ans = extract(answer_text, "fix")
     if ans.envelope is None or not isinstance(ans.envelope.get("patch"), Mapping):
@@ -465,7 +455,7 @@ def score_fix(answer_text: str, spec: FixSpec) -> Score:
         if key not in DESIGN_FIELD_MAP or key not in spec.patchable_fields:
             return unscorable(f"patch references unknown field {key!r}")
     try:
-        patched = apply_patch(spec.base_design, _patch_to_si(patch), spec.ct_overrides)
+        patched = apply_patch(spec.base_design, fields_to_si(patch), spec.ct_overrides)
     except (TypeError, ValueError, OverflowError) as exc:
         return unscorable(f"patched design is invalid: {exc}")
 
@@ -550,7 +540,7 @@ def score_design(answer_text: str, spec: DesignSynthesisSpec) -> Score:
     fraction = satisfied / total if total else 1.0
 
     reference = reference_front(
-        spec.grid, spec.mtow, spec.environment, spec.reference_requirements or spec.requirements
+        spec.grid, spec.mtow, spec.environment, spec.reference_requirements
     )
     gap = _dominance_gap(report_objectives(report), reference)
     pareto_component = 1.0 - gap

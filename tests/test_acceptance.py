@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from eagibench.bank import SampleMode
+from eagibench.bank import SampleMode, sample
 from eagibench.design_space import (
     BatteryOption,
     DesignGrid,
@@ -87,7 +87,7 @@ def test_criterion_2_oracle_agent_self_consistency(bank, instances):
         start = time.perf_counter()
         agent = OracleAgent(list(instances.values()))
         report = run_evaluation(
-            bank, TagFilter.empty(), SampleMode.Curriculum, len(bank), 0, agent
+            sample(bank, TagFilter.empty(), len(bank), SampleMode.Curriculum, 0), agent
         )
         by_id = {item.instance_id: item for item in report.items}
         for item in report.items:
@@ -182,7 +182,7 @@ def test_criterion_5_run_determinism(bank, instances, tmp_path):
 
         def run():
             return run_evaluation(
-                bank, TagFilter.empty(), SampleMode.Targeted, 16, 2024, ReplayAgent(path)
+                sample(bank, TagFilter.empty(), 16, SampleMode.Targeted, 2024), ReplayAgent(path)
             )
 
         a, b = run(), run()

@@ -123,3 +123,97 @@ def test_transport_exhaustion_exit_3(monkeypatch, tmp_path):
     finally:
         server.shutdown()
         thread.join(timeout=2)
+
+
+def _write(path, payload):
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "instances-without-key",
+        "instances-list",
+        "unknown-template",
+        "answers-list",
+        "replay-list",
+        "report-without-items",
+    ],
+)
+def test_malformed_input_files_exit_1_without_traceback(tmp_path, capsys, case):
+    good = tmp_path / "instances.json"
+    assert main(["generate", "--n", "2", "--out", str(good)]) == EXIT_OK
+    answers = _write(tmp_path / "answers.json", {})
+    bad = tmp_path / "bad.json"
+    argv = {
+        "instances-without-key": lambda: [
+            "score", "--instances", _write(bad, {"schema_version": 1}), "--answers", answers],
+        "instances-list": lambda: [
+            "score", "--instances", _write(bad, []), "--answers", answers],
+        "unknown-template": lambda: [
+            "score", "--instances",
+            _write(bad, {"instances": [{"provenance": {"template_id": "no-such"}}]}),
+            "--answers", answers],
+        "answers-list": lambda: [
+            "score", "--instances", str(good), "--answers", _write(bad, ["x"])],
+        "replay-list": lambda: [
+            "run", "--n", "2", "--agent", f"replay:{_write(bad, ['x'])}"],
+        "report-without-items": lambda: [
+            "report", "--input", _write(bad, {"schema_version": 1})],
+    }[case]()
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_bad_run_config_exits_before_any_agent_call(tmp_path, monkeypatch):
+    from eagibench.harness import ReplayAgent
+
+    calls = []
+    monkeypatch.setattr(ReplayAgent, "answer", lambda self, *a: calls.append(a) or "")
+    answers = _write(tmp_path / "answers.json", {})
+    code = main(["run", "--n", "24", "--threshold", "0", "--agent", f"replay:{answers}"])
+    assert code == EXIT_USAGE
+    assert calls == []
+
+
+def test_run_instantiates_each_item_once(tmp_path, monkeypatch, bank):
+    import eagibench.bank as bank_module
+
+    real = bank_module.instantiate
+    calls = []
+
+    def counting(template, bank):
+        calls.append(template.id)
+        return real(template, bank)
+
+    monkeypatch.setattr(bank_module, "instantiate", counting)
+    code = main(["run", "--n", "24", "--agent", "oracle", "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_OK
+    # one load-time dry run per template, then one per sampled item
+    assert len(calls) == len(bank) + 24 == 48
+
+
+def test_score_and_replay_run_grade_alike(tmp_path, instances):
+    agent = OracleAgent(list(instances.values()))
+    answers = {
+        i.id: agent.answer(i.prompt, {"instance_id": i.id}) for i in instances.values()
+    }
+    answers["l3-no-load-rpm"] = "about 5000 RPM"
+    answers["l5-quad-14kg"] = '```json\n{"design": {"kv_rpm_per_volt": 100}}\n```'
+    for missing in ("l1-kv-meaning", "l4-thrust-fix", "l6-hvac-vrf-review"):
+        del answers[missing]
+    ans_path = _write(tmp_path / "answers.json", answers)
+    inst_path = tmp_path / "instances.json"
+    common = ["--n", "24", "--mode", "Stratified", "--seed", "3"]
+    assert main(["generate", *common, "--out", str(inst_path)]) == EXIT_OK
+    scored, ran = tmp_path / "scored.json", tmp_path / "ran.json"
+    assert main(["score", "--instances", str(inst_path), "--answers", ans_path,
+                 "--out", str(scored)]) == EXIT_OK
+    assert main(["run", *common, "--agent", f"replay:{ans_path}", "--out", str(ran)]) == EXIT_OK
+    items = json.loads(scored.read_text(encoding="utf-8"))["items"]
+    assert items == json.loads(ran.read_text(encoding="utf-8"))["items"]
+    verdicts = {item["verdict"] for item in items}
+    assert {"Pass", "Fail", "Unscorable"} <= verdicts

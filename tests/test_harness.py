@@ -56,8 +56,17 @@ class TestCompetenceAssignment:
 
 
 class TestRunEvaluation:
+    @pytest.mark.parametrize(
+        "kwargs", [{"threshold": 0.0}, {"threshold": 1.5}, {"max_in_flight": 0}]
+    )
+    def test_config_rejects_out_of_domain_values(self, kwargs):
+        with pytest.raises(ValueError):
+            RunConfig(**kwargs)
+
     def test_oracle_agent_full_bank_all_pass(self, bank, instances, oracle_agent):
-        report = run_evaluation(bank, EMPTY, SampleMode.Curriculum, len(bank), 0, oracle_agent)
+        report = run_evaluation(
+            sample(bank, EMPTY, len(bank), SampleMode.Curriculum, 0), oracle_agent
+        )
         assert all(item.score.verdict is Verdict.Pass for item in report.items)
         assert report.competence_level >= 4
         for level in range(1, 5):
@@ -67,7 +76,7 @@ class TestRunEvaluation:
         wrong = dict(oracle_answers)
         wrong["l3-no-load-rpm"] = "about 5000 RPM"
         report = run_evaluation(
-            bank, EMPTY, SampleMode.Curriculum, 24, 0, ReplayAgent(wrong)
+            sample(bank, EMPTY, 24, SampleMode.Curriculum, 0), ReplayAgent(wrong)
         )
         by_id = {item.instance_id: item for item in report.items}
         assert by_id["l3-no-load-rpm"].score.verdict is Verdict.Fail
@@ -75,14 +84,14 @@ class TestRunEvaluation:
         assert all(i.score.verdict is Verdict.Pass for i in others)
 
     def test_empty_run_reports_zero_competence(self, bank, oracle_agent):
-        report = run_evaluation(bank, EMPTY, SampleMode.Targeted, 0, 0, oracle_agent)
+        report = run_evaluation(sample(bank, EMPTY, 0, SampleMode.Targeted, 0), oracle_agent)
         assert report.items == ()
         assert report.competence_level == 0
 
     def test_replay_determinism(self, bank, oracle_answers):
         def run():
             return run_evaluation(
-                bank, EMPTY, SampleMode.Targeted, 12, 99, ReplayAgent(oracle_answers)
+                sample(bank, EMPTY, 12, SampleMode.Targeted, 99), ReplayAgent(oracle_answers)
             )
 
         a, b = run(), run()
@@ -97,23 +106,23 @@ class TestRunEvaluation:
 
 class TestReports:
     def test_json_round_trip(self, bank, oracle_agent):
-        report = run_evaluation(bank, EMPTY, SampleMode.Curriculum, 6, 0, oracle_agent)
+        report = run_evaluation(sample(bank, EMPTY, 6, SampleMode.Curriculum, 0), oracle_agent)
         assert report_from_json(emit_report(report, "json")) == report
 
     def test_markdown_has_one_row_per_level(self, bank, oracle_agent):
-        report = run_evaluation(bank, EMPTY, SampleMode.Curriculum, 24, 0, oracle_agent)
+        report = run_evaluation(sample(bank, EMPTY, 24, SampleMode.Curriculum, 0), oracle_agent)
         md = emit_report(report, "markdown")
         for level in range(1, 7):
             assert f"| {level} (" in md
 
     def test_empty_report_valid_documents(self, bank, oracle_agent):
-        report = run_evaluation(bank, EMPTY, SampleMode.Targeted, 0, 0, oracle_agent)
+        report = run_evaluation(sample(bank, EMPTY, 0, SampleMode.Targeted, 0), oracle_agent)
         parsed = json.loads(emit_report(report, "json"))
         assert parsed["items"] == []
         assert "competence level: 0" in emit_report(report, "markdown")
 
     def test_unknown_format_rejected(self, bank, oracle_agent):
-        report = run_evaluation(bank, EMPTY, SampleMode.Targeted, 0, 0, oracle_agent)
+        report = run_evaluation(sample(bank, EMPTY, 0, SampleMode.Targeted, 0), oracle_agent)
         with pytest.raises(ValueError):
             emit_report(report, "xml")
 
@@ -173,7 +182,7 @@ class TestRemoteAgent:
         config = RunConfig(remote_retries=0)
         agent = RemoteAgent(url=url, token="secret", config=config)
         flt = TagFilter.from_dict({"levels": [3, 3]})
-        report = run_evaluation(bank, flt, SampleMode.Curriculum, 4, 0, agent, config)
+        report = run_evaluation(sample(bank, flt, 4, SampleMode.Curriculum, 0), agent, config)
         by_id = {i.instance_id: i for i in report.items}
         assert by_id["l3-no-load-rpm"].score.verdict is Verdict.Pass
         # unanswered items are scored, not crashed
@@ -193,7 +202,7 @@ class TestRemoteAgent:
         handler.behavior = "always-500"
         config = RunConfig(remote_retries=1, remote_backoff_s=0.01)
         agent = RemoteAgent(url=url, config=config)
-        report = run_evaluation(bank, EMPTY, SampleMode.Curriculum, 3, 0, agent, config)
+        report = run_evaluation(sample(bank, EMPTY, 3, SampleMode.Curriculum, 0), agent, config)
         assert len(report.items) == 3
         assert all(i.score.verdict is Verdict.Unscorable for i in report.items)
 
@@ -203,7 +212,7 @@ class TestRemoteAgent:
         config = RunConfig(remote_retries=0, fail_fast=True, remote_backoff_s=0.01)
         agent = RemoteAgent(url=url, config=config)
         with pytest.raises(TransportError):
-            run_evaluation(bank, EMPTY, SampleMode.Curriculum, 2, 0, agent, config)
+            run_evaluation(sample(bank, EMPTY, 2, SampleMode.Curriculum, 0), agent, config)
 
     def test_env_configuration(self, monkeypatch, chat_server):
         url, handler = chat_server
@@ -231,11 +240,13 @@ class TestAdapters:
                 seen.update(metadata)
                 return ""
 
-        run_evaluation(bank, EMPTY, SampleMode.Curriculum, 1, 0, Probe())
+        run_evaluation(sample(bank, EMPTY, 1, SampleMode.Curriculum, 0), Probe())
         assert set(seen) == {"instance_id", "level", "tags"}
 
     def test_replay_agent_from_file(self, tmp_path, bank, oracle_answers):
         path = tmp_path / "answers.json"
         path.write_text(json.dumps(oracle_answers), encoding="utf-8")
-        report = run_evaluation(bank, EMPTY, SampleMode.Curriculum, 24, 0, ReplayAgent(path))
+        report = run_evaluation(
+            sample(bank, EMPTY, 24, SampleMode.Curriculum, 0), ReplayAgent(path)
+        )
         assert all(i.score.verdict is Verdict.Pass for i in report.items)
