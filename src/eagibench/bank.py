@@ -17,6 +17,7 @@ always give identical output.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import random
@@ -118,21 +119,8 @@ def design_from_bank(raw: Mapping, defaults: Optional[Mapping] = None) -> Design
     merged: dict = dict(defaults or {})
     merged.update({k: v for k, v in raw.items() if v is not None})
     kwargs = fields_to_si(merged)
-    missing = [
-        k
-        for k in (
-            "kv",
-            "current_limit_per_motor",
-            "battery_cells",
-            "battery_voltage_nominal",
-            "battery_capacity",
-            "prop_diameter",
-            "prop_pitch",
-            "n_motors",
-            "mtow",
-        )
-        if k not in kwargs
-    ]
+    required = (f.name for f in dataclasses.fields(Design) if f.default is dataclasses.MISSING)
+    missing = [k for k in required if k not in kwargs]
     if missing:
         raise ValueError(f"design is missing required field(s): {', '.join(missing)}")
     return Design(**kwargs)
@@ -140,20 +128,11 @@ def design_from_bank(raw: Mapping, defaults: Optional[Mapping] = None) -> Design
 
 def design_to_bank(design: Design) -> dict:
     """Inverse of :func:`design_from_bank` (values back in bank units)."""
-    out = {
-        "kv_rpm_per_volt": design.kv,
-        "current_limit_a": design.current_limit_per_motor,
-        "battery_cells": design.battery_cells,
-        "battery_voltage_v": design.battery_voltage_nominal,
-        "battery_capacity_ah": design.battery_capacity,
-        "prop_diameter_in": design.prop_diameter / M_PER_IN,
-        "prop_pitch_in": design.prop_pitch / M_PER_IN,
-        "n_motors": design.n_motors,
-        "mtow_kg": design.mtow,
-        "thrust_coefficient_ct": design.thrust_coefficient_ct,
-    }
-    if design.footprint is not None:
-        out["footprint_m"] = design.footprint
+    out = {}
+    for key, (target, scale) in DESIGN_FIELD_MAP.items():
+        value = getattr(design, target)
+        if value is not None:
+            out[key] = value if scale == 1.0 else value / scale
     return out
 
 
@@ -344,6 +323,8 @@ class QuestionBank:
     cause_vocabulary: Mapping[str, tuple[str, ...]]
     ct_overrides: Mapping[str, float]
     templates: tuple[QuestionTemplate, ...]
+    #: Each template grounded once at load, keyed by template id.
+    instances: Mapping[str, QuestionInstance]
 
     def template(self, template_id: str) -> QuestionTemplate:
         for t in self.templates:
@@ -650,8 +631,9 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
     """Parse and validate a bank document; reject the whole file on first error.
 
     ``source`` may be a path, a JSON string, or an already-parsed mapping.
-    Every template is dry-run instantiated so that unknown tags, unbound
-    placeholders, and oracle binding errors are caught at load time.
+    Every template is instantiated here, once, into ``bank.instances``, so
+    unknown tags, unbound placeholders, and oracle binding errors are
+    caught at load time.
     """
     path: Optional[str] = None
     raw_text: Optional[str] = None
@@ -676,11 +658,13 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
     version = document.get("schema_version")
     if version is None:
         fail("missing mandatory schema_version")
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         fail(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
 
     contexts: dict[str, DesignContext] = {}
     for ctx_id, raw in dict(document.get("contexts", {})).items():
+        if not isinstance(raw, Mapping):
+            fail(f"context {ctx_id!r}: must be a JSON object", ctx_id)
         env = None
         try:
             env = environment_from_bank(raw.get("environment"))
@@ -709,11 +693,16 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
         str(k): tuple(str(p) for p in v)
         for k, v in dict(document.get("cause_vocabulary", {})).items()
     }
-    ct_overrides = {str(k): float(v) for k, v in dict(document.get("ct_overrides", {})).items()}
+    try:
+        ct_overrides = {str(k): float(v) for k, v in dict(document.get("ct_overrides", {})).items()}
+    except (TypeError, ValueError) as exc:
+        fail(f"ct_overrides: {exc}", "ct_overrides")
 
     templates: list[QuestionTemplate] = []
     seen_ids: set[str] = set()
     for index, raw in enumerate(document.get("templates", [])):
+        if not isinstance(raw, Mapping):
+            fail(f"templates[{index}]: must be a JSON object")
         tid = raw.get("id")
         where = f"templates[{index}]" + (f" (id {tid!r})" if tid else "")
         if not tid:
@@ -748,6 +737,7 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
             )
         )
 
+    instances: dict[str, QuestionInstance] = {}
     bank = QuestionBank(
         schema_version=int(version),
         contexts=contexts,
@@ -755,12 +745,13 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
         cause_vocabulary=vocabulary,
         ct_overrides=ct_overrides,
         templates=tuple(templates),
+        instances=instances,
     )
 
-    # Dry-run instantiation: the whole file is rejected on the first error.
+    # The whole file is rejected on the first template that fails to ground.
     for template in bank.templates:
         try:
-            instantiate(template, bank)
+            instances[template.id] = instantiate(template, bank)
         except BankError as exc:
             fail(str(exc), template.id)
     return bank
@@ -820,7 +811,7 @@ def sample(
     mode: SampleMode | str,
     seed: int,
 ) -> list[QuestionInstance]:
-    """Select and instantiate ``n`` questions matching the filter.
+    """Select ``n`` of the bank's instances matching the filter.
 
     Targeted: uniform without replacement, seeded.  Stratified: per-level
     quotas as equal as possible among matching levels, seeded within each
@@ -831,25 +822,22 @@ def sample(
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     candidates = sorted(
-        (t for t in bank.templates if matches(t.tags, t.level, flt)), key=lambda t: t.id
+        (i for i in bank.instances.values() if matches(i.tags, i.level, flt)), key=lambda i: i.id
     )
     if n > len(candidates):
         raise SampleError(n, len(candidates))
 
+    if mode is SampleMode.Curriculum:
+        return sorted(candidates, key=lambda i: (int(i.level), i.id))[:n]
+    rng = random.Random(seed)
     if mode is SampleMode.Targeted:
-        rng = random.Random(seed)
-        chosen = _fisher_yates(candidates, rng)[:n]
-    elif mode is SampleMode.Stratified:
-        rng = random.Random(seed)
-        by_level: dict[int, list[QuestionTemplate]] = {}
-        for t in candidates:
-            by_level.setdefault(int(t.level), []).append(t)
-        levels = sorted(by_level)
-        quotas = _stratified_quotas(levels, {lvl: len(by_level[lvl]) for lvl in levels}, n)
-        chosen = []
-        for lvl in levels:
-            chosen.extend(_fisher_yates(by_level[lvl], rng)[: quotas[lvl]])
-    else:  # Curriculum
-        chosen = sorted(candidates, key=lambda t: (int(t.level), t.id))[:n]
-
-    return [instantiate(t, bank) for t in chosen]
+        return _fisher_yates(candidates, rng)[:n]
+    by_level: dict[int, list[QuestionInstance]] = {}
+    for inst in candidates:
+        by_level.setdefault(int(inst.level), []).append(inst)
+    levels = sorted(by_level)
+    quotas = _stratified_quotas(levels, {lvl: len(by_level[lvl]) for lvl in levels}, n)
+    chosen = []
+    for lvl in levels:
+        chosen.extend(_fisher_yates(by_level[lvl], rng)[: quotas[lvl]])
+    return chosen

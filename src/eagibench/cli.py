@@ -24,7 +24,6 @@ from .bank import (
     QuestionBank,
     SampleError,
     SampleMode,
-    instantiate,
     load_bank,
     sample,
     shipped_bank_path,
@@ -101,7 +100,7 @@ def _make_agent(descriptor: str, config: RunConfig, instances) -> object:
         path = descriptor.split(":", 1)[1]
         if not Path(path).exists():
             raise UsageError(f"replay file not found: {path}")
-        return ReplayAgent(_read_json_object(path, "replay file"))
+        return ReplayAgent(path)
     if descriptor == "remote":
         try:
             return RemoteAgent(config=config)
@@ -116,7 +115,7 @@ def _cmd_generate(args) -> int:
     instances = sample(bank, flt, args.n, args.mode, args.seed)
     payload = {
         "schema_version": 1,
-        "bank": str(path),
+        "bank": args.bank,
         "bank_fingerprint": bank_fingerprint(path),
         **_sampling(args, flt),
         "instances": [
@@ -149,10 +148,9 @@ def _cmd_score(args) -> int:
     if not isinstance(records, list):
         raise UsageError(f'instances file {args.instances}: no "instances" list')
     try:
-        templates = [bank.template(record["provenance"]["template_id"]) for record in records]
+        instances = [bank.instances[record["provenance"]["template_id"]] for record in records]
     except (KeyError, TypeError) as exc:
         raise UsageError(f"instances file {args.instances}: bad instance record ({exc!r})") from None
-    instances = [instantiate(template, bank) for template in templates]
     config = RunConfig(threshold=args.threshold)
     record = {"mode": instances_doc.get("mode"), "seed": instances_doc.get("seed"),
               "agent": "replay-file", "threshold": args.threshold}
@@ -173,11 +171,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    document = _read_json_object(args.input, "report file")
-    try:
-        report = report_from_json(document)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise UsageError(f"report file {args.input}: malformed report ({exc!r})") from None
+    report = report_from_json(_read_json_object(args.input, "report file"))
     _write_out(emit_report(report, "markdown"), args.out)
     return EXIT_OK
 

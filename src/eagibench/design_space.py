@@ -23,8 +23,6 @@ from .propulsion import (
     RequirementSet,
     evaluate_design,
     prop_key,
-    BATTERY_EFFICIENCY_DEFAULT,
-    HOVER_EFFICIENCY_DEFAULT,
     M_PER_IN,
 )
 
@@ -116,14 +114,8 @@ def report_objectives(report: PerformanceReport) -> ObjectiveVector:
     )
 
 
-def objective_vector(
-    design: Design,
-    env: Environment,
-    *,
-    eta: float = HOVER_EFFICIENCY_DEFAULT,
-    eta_batt: float = BATTERY_EFFICIENCY_DEFAULT,
-) -> ObjectiveVector:
-    return report_objectives(evaluate_design(design, env, (), eta=eta, eta_batt=eta_batt))
+def objective_vector(design: Design, env: Environment) -> ObjectiveVector:
+    return report_objectives(evaluate_design(design, env))
 
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
@@ -145,14 +137,11 @@ def feasible_set(
     designs: Sequence[Design],
     env: Environment,
     requirements: RequirementSet | Sequence = (),
-    *,
-    eta: float = HOVER_EFFICIENCY_DEFAULT,
-    eta_batt: float = BATTERY_EFFICIENCY_DEFAULT,
 ) -> list[Design]:
     """Designs whose evaluation passes every requirement, order preserved."""
     out = []
     for design in designs:
-        report = evaluate_design(design, env, requirements, eta=eta, eta_batt=eta_batt)
+        report = evaluate_design(design, env, requirements)
         if report.all_requirements_pass:
             out.append(design)
     return out
@@ -179,17 +168,11 @@ def front_indices(vectors: Sequence[ObjectiveVector]) -> list[int]:
     return sorted(kept)
 
 
-def pareto_front(
-    designs: Sequence[Design],
-    env: Environment,
-    *,
-    eta: float = HOVER_EFFICIENCY_DEFAULT,
-    eta_batt: float = BATTERY_EFFICIENCY_DEFAULT,
-) -> list[Design]:
+def pareto_front(designs: Sequence[Design], env: Environment) -> list[Design]:
     """Non-dominated subset under the objective vector, order preserved."""
     if not designs:
         raise ValueError("pareto_front requires a non-empty design list")
-    vectors = [objective_vector(d, env, eta=eta, eta_batt=eta_batt) for d in designs]
+    vectors = [objective_vector(d, env) for d in designs]
     return [designs[i] for i in front_indices(vectors)]
 
 

@@ -25,8 +25,8 @@ from typing import Mapping, Optional, Protocol, Sequence
 
 import requests
 
-from .bank import QuestionInstance, answer_kind, design_to_bank
-from .scoring import Evidence, Score, Verdict, score_answer, unscorable
+from .bank import QuestionInstance
+from .scoring import Evidence, Score, Verdict, reference_answer, score_answer, unscorable
 from .taxonomy import CognitionLevel
 
 REMOTE_URL_ENV = "EAGI_REMOTE_URL"
@@ -63,40 +63,6 @@ class AgentAdapter(Protocol):
     def answer(self, prompt: str, metadata: Mapping) -> str: ...
 
 
-def _fence(payload: Mapping) -> str:
-    return "```json\n" + json.dumps(payload) + "\n```"
-
-
-class OracleAgent:
-    """Answers every item from its ground truth (self-consistency fixture)."""
-
-    name = "oracle"
-
-    def __init__(self, instances: Sequence[QuestionInstance]):
-        self._specs = {inst.id: inst.answer_spec for inst in instances}
-
-    def answer(self, prompt: str, metadata: Mapping) -> str:
-        spec = self._specs.get(metadata["instance_id"])
-        if spec is None:
-            return ""
-        kind = answer_kind(spec)
-        if kind == "numeric":
-            return _fence({"value": spec.value, "unit": spec.unit})
-        if kind == "fact":
-            return _fence({"text": spec.canonical})
-        if kind == "structured":
-            return _fence({"fields": {f.name: f.expected for f in spec.fields}})
-        if kind == "diagnosis":
-            return _fence({"cause": spec.accepted_causes[0]})
-        if kind == "fix":
-            return _fence({"patch": dict(spec.reference_patch)})
-        if kind == "design":
-            return _fence({"design": design_to_bank(spec.reference_design)})
-        if kind == "rubric":
-            return " ".join(criterion.phrases[0] for criterion in spec.criteria)
-        return ""
-
-
 class ReplayAgent:
     """Answers from a keyed file: {"<instance id>": "<answer text>", ...}."""
 
@@ -105,10 +71,21 @@ class ReplayAgent:
     def __init__(self, answers: Mapping[str, str] | str | Path):
         if isinstance(answers, (str, Path)):
             answers = json.loads(Path(answers).read_text(encoding="utf-8"))
+        if not isinstance(answers, Mapping):
+            raise ValueError(f"replay answers must be a JSON object, got {type(answers).__name__}")
         self._answers = {str(k): str(v) for k, v in answers.items()}
 
     def answer(self, prompt: str, metadata: Mapping) -> str:
         return self._answers.get(metadata["instance_id"], "")
+
+
+class OracleAgent(ReplayAgent):
+    """Answers every item from its ground truth (self-consistency fixture)."""
+
+    name = "oracle"
+
+    def __init__(self, instances: Sequence[QuestionInstance]):
+        super().__init__({inst.id: reference_answer(inst.answer_spec) for inst in instances})
 
 
 class RemoteAgent:
@@ -322,34 +299,42 @@ def emit_report(report: EvaluationReport, fmt: str = "json") -> str:
 
 
 def report_from_json(document: str | Mapping) -> EvaluationReport:
-    """Inverse of the json emitter (lossless round trip)."""
-    raw = json.loads(document) if isinstance(document, str) else dict(document)
+    """Inverse of the json emitter (lossless round trip).
+
+    Raises ValueError for a document that is not a report.
+    """
+    raw = json.loads(document) if isinstance(document, str) else document
+    if not isinstance(raw, Mapping):
+        raise ValueError(f"a report must be a JSON object, got {type(raw).__name__}")
     if raw.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema_version {raw.get('schema_version')!r}")
-    items = tuple(
-        ItemResult(
-            instance_id=item["instance_id"],
-            level=int(item["level"]),
-            kind=item["kind"],
-            score=Score(
-                value=float(item["value"]),
-                verdict=Verdict(item["verdict"]),
-                evidence=tuple(
-                    Evidence(e["check_id"], e["outcome"], e["detail"]) for e in item["evidence"]
+    try:
+        items = tuple(
+            ItemResult(
+                instance_id=item["instance_id"],
+                level=int(item["level"]),
+                kind=item["kind"],
+                score=Score(
+                    value=float(item["value"]),
+                    verdict=Verdict(item["verdict"]),
+                    evidence=tuple(
+                        Evidence(e["check_id"], e["outcome"], e["detail"]) for e in item["evidence"]
+                    ),
                 ),
-            ),
+            )
+            for item in raw["items"]
         )
-        for item in raw["items"]
-    )
-    return EvaluationReport(
-        run_id=raw["run_id"],
-        started_at=raw["started_at"],
-        duration_s=float(raw["duration_s"]),
-        config=raw["config"],
-        items=items,
-        level_pass_rates={int(k): float(v) for k, v in raw["level_pass_rates"].items()},
-        competence_level=int(raw["competence_level"]),
-    )
+        return EvaluationReport(
+            run_id=raw["run_id"],
+            started_at=raw["started_at"],
+            duration_s=float(raw["duration_s"]),
+            config=raw["config"],
+            items=items,
+            level_pass_rates={int(k): float(v) for k, v in raw["level_pass_rates"].items()},
+            competence_level=int(raw["competence_level"]),
+        )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed report: {exc!r}") from None
 
 
 def _markdown_report(report: EvaluationReport) -> str:

@@ -326,8 +326,6 @@ def evaluate_design(
     requirements: RequirementSet | Sequence[Requirement] = (),
     *,
     loaded_rpm: Optional[float] = None,
-    eta: float = HOVER_EFFICIENCY_DEFAULT,
-    eta_batt: float = BATTERY_EFFICIENCY_DEFAULT,
 ) -> PerformanceReport:
     """Evaluate a design: pure function of its inputs.
 
@@ -349,7 +347,8 @@ def evaluate_design(
     )
     area = _step("disk_area_total", disk_area_total, diameter, n_motors)
     hover_power = _step(
-        "ideal_hover_power", ideal_hover_power, design.mtow * env.gravity, rho, area, eta
+        "ideal_hover_power", ideal_hover_power, design.mtow * env.gravity, rho, area,
+        HOVER_EFFICIENCY_DEFAULT,
     )
     bus_current = hover_power / (n_motors * volts)
     hover_rpm = _step("hover_rpm", rpm_for_thrust, required, ct, rho, diameter)
@@ -358,7 +357,8 @@ def evaluate_design(
     omega = 2.0 * math.pi * hover_rpm / 60.0
     torque_current = (hover_power / n_motors) / omega / kt
     endurance = _step(
-        "hover_endurance", hover_endurance, design.battery_capacity, volts, eta_batt, hover_power
+        "hover_endurance", hover_endurance, design.battery_capacity, volts,
+        BATTERY_EFFICIENCY_DEFAULT, hover_power,
     )
 
     values = {

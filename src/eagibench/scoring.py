@@ -50,6 +50,7 @@ from .bank import (
     StructuredSpec,
     answer_kind,
     design_from_bank,
+    design_to_bank,
     fields_to_si,
 )
 from .design_space import (
@@ -200,6 +201,29 @@ _ENVELOPE_KEYS = {
     "design": "design",
     "rubric": "text",
 }
+
+
+def _fence(payload: Mapping) -> str:
+    return "```json\n" + json.dumps(payload) + "\n```"
+
+
+# The envelope payload that states each kind's ground truth.
+_REFERENCE_PAYLOADS = {
+    "numeric": lambda spec: {"value": spec.value, "unit": spec.unit},
+    "fact": lambda spec: {"text": spec.canonical},
+    "structured": lambda spec: {"fields": {f.name: f.expected for f in spec.fields}},
+    "diagnosis": lambda spec: {"cause": spec.accepted_causes[0]},
+    "fix": lambda spec: {"patch": dict(spec.reference_patch)},
+    "design": lambda spec: {"design": design_to_bank(spec.reference_design)},
+}
+
+
+def reference_answer(spec: AnswerSpec) -> str:
+    """The ground-truth reply: an envelope, or for a rubric the first phrase of each criterion."""
+    kind = answer_kind(spec)
+    if kind == "rubric":
+        return " ".join(criterion.phrases[0] for criterion in spec.criteria)
+    return _fence(_REFERENCE_PAYLOADS[kind](spec))
 
 
 def extract(answer_text: str, expected_form: str, spec: Optional[AnswerSpec] = None) -> AgentAnswer:

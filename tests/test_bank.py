@@ -3,12 +3,15 @@ import json
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from eagibench.bank import (
     BankError,
     NumericSpec,
     SampleError,
     SampleMode,
+    design_from_bank,
+    design_to_bank,
     instantiate,
     load_bank,
     sample,
@@ -82,6 +85,58 @@ class TestLoadBank:
         path.write_text('{"schema_version": 1,\n  "templates": [,]}', encoding="utf-8")
         with pytest.raises(BankError, match="broken.json:2"):
             load_bank(path)
+
+    @pytest.mark.parametrize(
+        "mutate, location",
+        [
+            (lambda doc: doc.update(schema_version=True), "schema_version"),
+            (lambda doc: doc.update(ct_overrides={"18x6": "steep"}), "ct_overrides"),
+            (lambda doc: doc["templates"].insert(2, "l1-kv-meaning"), r"templates\[2\]"),
+            (lambda doc: doc["contexts"].update(broken=[1]), "context 'broken'"),
+        ],
+        ids=["schema-version-true", "ct-override-not-a-number", "template-not-an-object",
+             "context-not-an-object"],
+    )
+    def test_malformed_document_raises_bank_error_with_location(self, raw_bank, mutate, location):
+        mutate(raw_bank)
+        with pytest.raises(BankError, match=location):
+            load_bank(raw_bank)
+
+
+def _positive(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _bank_designs(draw):
+    cells = draw(st.integers(1, 14))
+    raw = {
+        "kv_rpm_per_volt": draw(_positive(10.0, 5000.0)),
+        "current_limit_a": draw(_positive(1.0, 200.0)),
+        "battery_cells": cells,
+        "battery_voltage_v": 3.7 * cells * draw(_positive(0.96, 1.04)),
+        "battery_capacity_ah": draw(_positive(0.1, 100.0)),
+        "prop_diameter_in": draw(_positive(1.0, 60.0)),
+        "prop_pitch_in": draw(_positive(1.0, 30.0)),
+        "n_motors": draw(st.integers(1, 12)),
+        "mtow_kg": draw(_positive(0.1, 100.0)),
+        "thrust_coefficient_ct": draw(_positive(0.01, 1.0)),
+    }
+    footprint = draw(st.none() | _positive(0.1, 10.0))
+    if footprint is not None:
+        raw["footprint_m"] = footprint
+    return raw
+
+
+@given(_bank_designs())
+def test_design_bank_round_trip(raw):
+    back = design_to_bank(design_from_bank(raw))
+    assert list(back) == list(raw)
+    for key, value in raw.items():
+        if key in ("battery_cells", "n_motors"):
+            assert type(back[key]) is int and back[key] == value
+        else:
+            assert math.isclose(back[key], value, rel_tol=1e-12), key
 
 
 class TestInstantiate:

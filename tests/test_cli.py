@@ -25,6 +25,18 @@ def test_generate_writes_instances(tmp_path, capsys):
     assert all("prompt" in inst for inst in doc["instances"])
 
 
+def test_generate_records_the_bank_argument_as_given(tmp_path, monkeypatch):
+    from eagibench.bank import shipped_bank_path
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b.json").write_bytes(shipped_bank_path().read_bytes())
+    for bank_args, recorded in (([], None), (["--bank", "./b.json"], "./b.json")):
+        assert main(["generate", *bank_args, "--n", "2", "--out", "i.json"]) == EXIT_OK
+        doc = json.loads((tmp_path / "i.json").read_text(encoding="utf-8"))
+        assert doc["bank"] == recorded
+        assert doc["bank_fingerprint"]
+
+
 def test_generate_score_round_trip(tmp_path, bank, instances):
     inst_path = tmp_path / "instances.json"
     assert main(["generate", "--n", "24", "--mode", "Curriculum", "--seed", "0",
@@ -192,8 +204,17 @@ def test_run_instantiates_each_item_once(tmp_path, monkeypatch, bank):
     monkeypatch.setattr(bank_module, "instantiate", counting)
     code = main(["run", "--n", "24", "--agent", "oracle", "--out", str(tmp_path / "r.json")])
     assert code == EXIT_OK
-    # one load-time dry run per template, then one per sampled item
-    assert len(calls) == len(bank) + 24 == 48
+    # one per template at load; sampling reuses the loaded instances
+    assert len(calls) == len(bank) == 24
+
+    instances = tmp_path / "instances.json"
+    assert main(["generate", "--n", "24", "--out", str(instances)]) == EXIT_OK
+    answers = _write(tmp_path / "answers.json", {})
+    calls.clear()
+    assert main(["score", "--instances", str(instances), "--answers", answers,
+                 "--out", str(tmp_path / "s.json")]) == EXIT_OK
+    # score looks its records up in the loaded bank: every call is the load's
+    assert len(calls) == len(bank)
 
 
 def test_score_and_replay_run_grade_alike(tmp_path, instances):

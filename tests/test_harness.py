@@ -126,6 +126,20 @@ class TestReports:
         with pytest.raises(ValueError):
             emit_report(report, "xml")
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            '{"schema_version": 1}',
+            "[1]",
+            '{"schema_version": 1, "items": [1]}',
+            '{"schema_version": 1, "items": [], "run_id": "r", "started_at": "", '
+            '"duration_s": 0, "config": {}, "level_pass_rates": [], "competence_level": 0}',
+        ],
+    )
+    def test_malformed_report_raises_value_error(self, document):
+        with pytest.raises(ValueError, match="report"):
+            report_from_json(document)
+
 
 class _ChatHandler(BaseHTTPRequestHandler):
     behavior = "echo-canned"
@@ -250,3 +264,9 @@ class TestAdapters:
             sample(bank, EMPTY, 24, SampleMode.Curriculum, 0), ReplayAgent(path)
         )
         assert all(i.score.verdict is Verdict.Pass for i in report.items)
+
+    def test_replay_file_that_is_not_an_object_raises_value_error(self, tmp_path):
+        path = tmp_path / "answers.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        with pytest.raises(ValueError, match="JSON object"):
+            ReplayAgent(path)
