@@ -21,6 +21,7 @@ import dataclasses
 import enum
 import json
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
@@ -32,7 +33,6 @@ from .propulsion import (
     Design,
     Environment,
     M_PER_IN,
-    PhysicsDomainError,
     Requirement,
     RequirementKind,
     RequirementSet,
@@ -401,11 +401,7 @@ def _derive(ns: dict) -> None:
 def _namespace(template: QuestionTemplate, bank: QuestionBank) -> dict:
     ns: dict = {"rho": propulsion.AIR_DENSITY_SEA_LEVEL, "g": propulsion.GRAVITY_DEFAULT}
     if template.context_ref is not None:
-        context = bank.contexts.get(template.context_ref)
-        if context is None:
-            raise BankError(
-                f"template {template.id!r} references unknown context {template.context_ref!r}"
-            )
+        context = bank.contexts[template.context_ref]
         ns.update(_context_namespace(context))
         ns["context_summary"] = context.summary
     for key, value in template.params.items():
@@ -417,12 +413,12 @@ def _namespace(template: QuestionTemplate, bank: QuestionBank) -> dict:
     return ns
 
 
-def _resolve(value: Any, ns: Mapping, where: str) -> Any:
+def _resolve(value: Any, ns: Mapping) -> Any:
     """Resolve "$name" references against the binding namespace."""
     if isinstance(value, str) and value.startswith("$"):
         key = value[1:]
         if key not in ns:
-            raise BankError(f"{where}: unbound reference ${key}")
+            raise BankError(f"unbound reference ${key}")
         return ns[key]
     return value
 
@@ -435,169 +431,119 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _render(pattern: str, ns: Mapping, where: str) -> str:
-    rendered = {k: _fmt(v) for k, v in ns.items()}
-    try:
-        return pattern.format(**rendered)
-    except KeyError as exc:
-        raise BankError(f"{where}: unbound placeholder {{{exc.args[0]}}} in pattern") from None
-    except (IndexError, ValueError) as exc:
-        raise BankError(f"{where}: malformed pattern: {exc}") from None
+def _requirements_from_raw(raw_reqs: Sequence[Mapping], ns: Mapping) -> RequirementSet:
+    reqs = (
+        Requirement(
+            id=str(raw["id"]),
+            kind=RequirementKind(raw["kind"]),
+            bound=float(_resolve(raw["bound"], ns)),
+        )
+        for raw in raw_reqs
+    )
+    return RequirementSet(tuple(reqs))
 
 
-def _requirements_from_raw(raw_reqs: Sequence[Mapping], ns: Mapping, where: str) -> RequirementSet:
-    reqs = []
-    for raw in raw_reqs:
-        try:
-            kind = RequirementKind(raw["kind"])
-        except ValueError:
-            raise BankError(f"{where}: unknown requirement kind {raw.get('kind')!r}") from None
-        except KeyError:
-            raise BankError(f"{where}: requirement missing 'kind'") from None
-        bound = _resolve(raw.get("bound"), ns, where)
-        if bound is None:
-            raise BankError(f"{where}: requirement {raw.get('id')!r} missing 'bound'")
-        reqs.append(Requirement(id=str(raw["id"]), kind=kind, bound=float(bound)))
-    try:
-        return RequirementSet(tuple(reqs))
-    except ValueError as exc:
-        raise BankError(f"{where}: {exc}") from None
-
-
-def _instantiate_answer(
-    template: QuestionTemplate, bank: QuestionBank, ns: dict, where: str
-) -> AnswerSpec:
+def _instantiate_answer(template: QuestionTemplate, bank: QuestionBank, ns: dict) -> AnswerSpec:
     raw = template.answer_raw
     kind = raw.get("kind")
-    try:
-        if kind == "fact":
-            return FactSpec(
-                canonical=str(raw["canonical"]),
-                accepted_aliases=tuple(str(a) for a in raw.get("accepted_aliases", ())),
-            )
-        if kind == "numeric":
-            oracle = raw["oracle"]
-            fn_name = oracle["fn"]
-            if fn_name not in _ORACLE_FUNCTIONS:
-                raise BankError(f"{where}: unknown oracle function {fn_name!r}")
-            fn, arg_names = _ORACLE_FUNCTIONS[fn_name]
-            args = {}
-            for name in arg_names:
-                if name in oracle.get("args", {}):
-                    args[name] = float(_resolve(oracle["args"][name], ns, where))
-            try:
-                value = fn(**args)
-            except TypeError:
-                missing = [a for a in arg_names if a not in args]
-                raise BankError(
-                    f"{where}: oracle {fn_name} missing argument(s): {', '.join(missing)}"
-                ) from None
-            except PhysicsDomainError as exc:
-                raise BankError(f"{where}: oracle {fn_name}: {exc}") from None
-            return NumericSpec(
-                value=float(value), unit=str(raw["unit"]), rel_tol=float(raw.get("rel_tol", 0.02))
-            )
-        if kind == "structured":
-            fields = []
-            for f in raw["fields"]:
-                fields.append(
-                    FieldExpectation(
-                        name=str(f["name"]),
-                        kind=str(f.get("kind", "text")),
-                        expected=_resolve(f["expected"], ns, where),
-                        unit=f.get("unit"),
-                        rel_tol=float(f.get("rel_tol", 0.02)),
-                        aliases=tuple(str(a) for a in f.get("aliases", ())),
-                        match=str(f.get("match", "contains")),
-                    )
+    if kind == "fact":
+        return FactSpec(
+            canonical=str(raw["canonical"]),
+            accepted_aliases=tuple(str(a) for a in raw.get("accepted_aliases", ())),
+        )
+    if kind == "numeric":
+        oracle = raw["oracle"]
+        fn, arg_names = _ORACLE_FUNCTIONS[oracle["fn"]]
+        bindings = oracle.get("args", {})
+        args = {name: float(_resolve(bindings[name], ns)) for name in arg_names if name in bindings}
+        return NumericSpec(
+            value=float(fn(**args)), unit=str(raw["unit"]), rel_tol=float(raw.get("rel_tol", 0.02))
+        )
+    if kind == "structured":
+        fields = []
+        for f in raw["fields"]:
+            fields.append(
+                FieldExpectation(
+                    name=str(f["name"]),
+                    kind=str(f.get("kind", "text")),
+                    expected=_resolve(f["expected"], ns),
+                    unit=f.get("unit"),
+                    rel_tol=float(f.get("rel_tol", 0.02)),
+                    aliases=tuple(str(a) for a in f.get("aliases", ())),
+                    match=str(f.get("match", "contains")),
                 )
-            return StructuredSpec(fields=tuple(fields))
-        if kind == "diagnosis":
-            accepted = tuple(str(c) for c in raw["accepted_causes"])
-            vocabulary = {k: tuple(v) for k, v in bank.cause_vocabulary.items()}
-            extra = raw.get("extra_causes", {})
-            vocabulary.update({str(k): tuple(str(p) for p in v) for k, v in extra.items()})
-            return DiagnosisSpec(accepted_causes=accepted, vocabulary=vocabulary)
-        if kind == "fix":
-            context = bank.contexts.get(template.context_ref or "")
-            if context is None or context.design is None:
-                raise BankError(f"{where}: fix answers need a context with a base design")
-            requirements = _requirements_from_raw(raw["requirements"], ns, where)
-            patchable = tuple(raw.get("patchable_fields", tuple(DESIGN_FIELD_MAP)))
-            for key in patchable:
-                if key not in DESIGN_FIELD_MAP:
-                    raise BankError(f"{where}: unknown patchable field {key!r}")
-            loaded_rpm = raw.get("loaded_rpm")
-            if loaded_rpm is not None:
-                loaded_rpm = float(_resolve(loaded_rpm, ns, where))
-            return FixSpec(
-                base_design=context.design,
-                environment=context.environment,
-                requirements=requirements,
-                failing_requirement_id=str(raw["failing_requirement"]),
-                patchable_fields=patchable,
-                reference_patch=dict(raw["reference_patch"]),
-                ct_overrides=dict(bank.ct_overrides),
-                loaded_rpm=loaded_rpm,
             )
-        if kind == "design":
-            grid_id = str(raw["grid"])
-            if grid_id not in bank.grids:
-                raise BankError(f"{where}: unknown grid {grid_id!r}")
-            requirements = _requirements_from_raw(raw["requirements"], ns, where)
-            defaults = dict(raw.get("defaults", {}))
-            mtow = raw.get("mtow_kg")
-            if mtow is None:
-                mtow = defaults.get("mtow_kg")
-            if mtow is None:
-                raise BankError(f"{where}: design answers need mtow_kg (top-level or default)")
-            mtow = float(_resolve(mtow, ns, where))
-            defaults.setdefault("mtow_kg", mtow)
-            env_raw = raw.get("environment")
-            if env_raw is not None:
-                environment = environment_from_bank(env_raw)
-            elif template.context_ref is not None:
-                environment = bank.contexts[template.context_ref].environment
-            else:
-                environment = Environment()
-            try:
-                reference = design_from_bank(raw["reference_design"], defaults)
-            except (KeyError, ValueError, PhysicsDomainError) as exc:
-                raise BankError(f"{where}: bad reference design: {exc}") from None
-            return DesignSynthesisSpec(
-                requirements=requirements,
-                grid_id=grid_id,
-                grid=bank.grids[grid_id],
-                environment=environment,
-                defaults=defaults,
-                reference_design=reference,
-                mtow=mtow,
-            )
-        if kind == "rubric":
-            criteria = tuple(
-                RubricCriterion(key=str(c["key"]), phrases=tuple(str(p) for p in c["phrases"]))
-                for c in raw["criteria"]
-            )
-            return RubricSpec(criteria=criteria, pass_threshold=float(raw["pass_threshold"]))
-    except BankError:
-        raise
-    except KeyError as exc:
-        raise BankError(f"{where}: answer spec missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise BankError(f"{where}: invalid answer spec: {exc}") from None
-    raise BankError(f"{where}: unknown answer kind {kind!r}")
+        return StructuredSpec(fields=tuple(fields))
+    if kind == "diagnosis":
+        accepted = tuple(str(c) for c in raw["accepted_causes"])
+        vocabulary = {k: tuple(v) for k, v in bank.cause_vocabulary.items()}
+        extra = raw.get("extra_causes", {})
+        vocabulary.update({str(k): tuple(str(p) for p in v) for k, v in extra.items()})
+        return DiagnosisSpec(accepted_causes=accepted, vocabulary=vocabulary)
+    if kind == "fix":
+        context = bank.contexts.get(template.context_ref or "")
+        if context is None or context.design is None:
+            raise BankError("fix answers need a context with a base design")
+        patchable = tuple(raw.get("patchable_fields", tuple(DESIGN_FIELD_MAP)))
+        for key in patchable:
+            if key not in DESIGN_FIELD_MAP:
+                raise BankError(f"unknown patchable field {key!r}")
+        loaded_rpm = raw.get("loaded_rpm")
+        return FixSpec(
+            base_design=context.design,
+            environment=context.environment,
+            requirements=_requirements_from_raw(raw["requirements"], ns),
+            failing_requirement_id=str(raw["failing_requirement"]),
+            patchable_fields=patchable,
+            reference_patch=dict(raw["reference_patch"]),
+            ct_overrides=dict(bank.ct_overrides),
+            loaded_rpm=None if loaded_rpm is None else float(_resolve(loaded_rpm, ns)),
+        )
+    if kind == "design":
+        grid_id = str(raw["grid"])
+        if grid_id not in bank.grids:
+            raise BankError(f"unknown grid {grid_id!r}")
+        requirements = _requirements_from_raw(raw["requirements"], ns)
+        defaults = dict(raw.get("defaults", {}))
+        mtow = raw.get("mtow_kg")
+        mtow = float(_resolve(defaults["mtow_kg"] if mtow is None else mtow, ns))
+        defaults.setdefault("mtow_kg", mtow)
+        env_raw = raw.get("environment")
+        if env_raw is not None:
+            environment = environment_from_bank(env_raw)
+        elif template.context_ref is not None:
+            environment = bank.contexts[template.context_ref].environment
+        else:
+            environment = Environment()
+        return DesignSynthesisSpec(
+            requirements=requirements,
+            grid_id=grid_id,
+            grid=bank.grids[grid_id],
+            environment=environment,
+            defaults=defaults,
+            reference_design=design_from_bank(raw["reference_design"], defaults),
+            mtow=mtow,
+        )
+    if kind == "rubric":
+        criteria = tuple(
+            RubricCriterion(key=str(c["key"]), phrases=tuple(str(p) for p in c["phrases"]))
+            for c in raw["criteria"]
+        )
+        return RubricSpec(criteria=criteria, pass_threshold=float(raw["pass_threshold"]))
+    raise BankError(f"unknown answer kind {kind!r}")
 
 
 def instantiate(template: QuestionTemplate, bank: QuestionBank) -> QuestionInstance:
     """Ground a template: render the prompt and compute the answer spec.
 
     Numeric ground truths are computed through the physics oracle here,
-    never copied from the bank file.
+    never copied from the bank file.  A template that does not ground
+    raises; :func:`load_bank` reports that as a ``BankError`` naming the
+    template.
     """
-    where = f"template {template.id!r}"
     ns = _namespace(template, bank)
-    prompt = _render(template.pattern, ns, where)
-    spec = _instantiate_answer(template, bank, ns, where)
+    prompt = template.pattern.format(**{k: _fmt(v) for k, v in ns.items()})
+    spec = _instantiate_answer(template, bank, ns)
     provenance = {
         "template_id": template.id,
         "context": template.context_ref,
@@ -617,8 +563,8 @@ def instantiate(template: QuestionTemplate, bank: QuestionBank) -> QuestionInsta
 # Loading
 
 
-def _line_of(raw_text: Optional[str], token: str) -> Optional[int]:
-    if raw_text is None:
+def _line_of(raw_text: Optional[str], token: Any) -> Optional[int]:
+    if raw_text is None or not token:
         return None
     needle = f'"{token}"'
     for lineno, line in enumerate(raw_text.splitlines(), start=1):
@@ -627,115 +573,109 @@ def _line_of(raw_text: Optional[str], token: str) -> Optional[int]:
     return None
 
 
+#: What reading a malformed bank record raises; PhysicsDomainError is a ValueError.
+_RECORD_ERRORS = (LookupError, TypeError, ValueError, AttributeError, OverflowError)
+
+
 def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
     """Parse and validate a bank document; reject the whole file on first error.
 
-    ``source`` may be a path, a JSON string, or an already-parsed mapping.
-    Every template is instantiated here, once, into ``bank.instances``, so
-    unknown tags, unbound placeholders, and oracle binding errors are
-    caught at load time.
+    ``source`` is the path of a UTF-8 JSON file or an already-parsed
+    mapping.  Every template is instantiated here, once, into
+    ``bank.instances``, so unknown tags, unbound placeholders, and oracle
+    binding errors are caught at load time.  Every rejection is a
+    ``BankError`` whose message names the failing record.
     """
     path: Optional[str] = None
     raw_text: Optional[str] = None
     if isinstance(source, Mapping):
         document = source
     else:
-        if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source and Path(source).exists()):
-            path = str(source)
-            raw_text = Path(source).read_text(encoding="utf-8")
-        else:
-            raw_text = str(source)
+        path = str(source)
         try:
+            raw_text = Path(source).read_text(encoding="utf-8")
             document = json.loads(raw_text)
         except json.JSONDecodeError as exc:
             raise BankError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
+        except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8
+            raise BankError(f"cannot read bank file: {exc}", path=path) from None
 
-    def fail(message: str, token: Optional[str] = None):
-        raise BankError(message, path=path, line=_line_of(raw_text, token) if token else None)
+    @contextmanager
+    def record(where: str, token: Any = None):
+        """The error boundary of one bank record: whatever reading it raises,
+        a BankError from an explicit check included, becomes one BankError
+        prefixed with the record and its line.  Boundaries do not nest, so
+        the prefix appears once."""
+        try:
+            yield
+        except _RECORD_ERRORS as exc:
+            reason = f"missing or unknown key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+            raise BankError(f"{where}: {reason}", path=path, line=_line_of(raw_text, token)) from None
+
+    def section(key: str, kind: type):
+        with record(key, key):
+            return kind(document.get(key, kind()))
 
     if not isinstance(document, Mapping):
-        fail("bank document must be a JSON object")
+        raise BankError("bank document must be a JSON object", path=path)
     version = document.get("schema_version")
     if version is None:
-        fail("missing mandatory schema_version")
+        raise BankError("missing mandatory schema_version", path=path)
     if isinstance(version, bool) or version != SCHEMA_VERSION:
-        fail(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
-
-    contexts: dict[str, DesignContext] = {}
-    for ctx_id, raw in dict(document.get("contexts", {})).items():
-        if not isinstance(raw, Mapping):
-            fail(f"context {ctx_id!r}: must be a JSON object", ctx_id)
-        env = None
-        try:
-            env = environment_from_bank(raw.get("environment"))
-            design = None
-            if raw.get("design") is not None:
-                design = design_from_bank(raw["design"])
-        except KeyError as exc:
-            fail(f"context {ctx_id!r}: unknown design field {exc.args[0]!r}", ctx_id)
-        except (ValueError, PhysicsDomainError) as exc:
-            fail(f"context {ctx_id!r}: {exc}", ctx_id)
-        contexts[ctx_id] = DesignContext(
-            id=ctx_id,
-            summary=str(raw.get("summary", "")),
-            design=design,
-            environment=env,
+        raise BankError(
+            f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})", path=path
         )
 
-    grids: dict[str, DesignGrid] = {}
-    for grid_id, raw in dict(document.get("grids", {})).items():
-        try:
-            grids[grid_id] = grid_from_dict(raw)
-        except (KeyError, ValueError, TypeError) as exc:
-            fail(f"grid {grid_id!r}: {exc}", grid_id)
+    contexts: dict[str, DesignContext] = {}
+    for ctx_id, raw in section("contexts", dict).items():
+        with record(f"context {ctx_id!r}", ctx_id):
+            design = raw.get("design")
+            contexts[ctx_id] = DesignContext(
+                id=ctx_id,
+                summary=str(raw.get("summary", "")),
+                environment=environment_from_bank(raw.get("environment")),
+                design=None if design is None else design_from_bank(design),
+            )
 
-    vocabulary = {
-        str(k): tuple(str(p) for p in v)
-        for k, v in dict(document.get("cause_vocabulary", {})).items()
-    }
-    try:
+    grids: dict[str, DesignGrid] = {}
+    for grid_id, raw in section("grids", dict).items():
+        with record(f"grid {grid_id!r}", grid_id):
+            grids[grid_id] = grid_from_dict(raw)
+
+    with record("cause_vocabulary", "cause_vocabulary"):
+        vocabulary = {
+            str(k): tuple(str(p) for p in v)
+            for k, v in dict(document.get("cause_vocabulary", {})).items()
+        }
+    with record("ct_overrides", "ct_overrides"):
         ct_overrides = {str(k): float(v) for k, v in dict(document.get("ct_overrides", {})).items()}
-    except (TypeError, ValueError) as exc:
-        fail(f"ct_overrides: {exc}", "ct_overrides")
 
     templates: list[QuestionTemplate] = []
     seen_ids: set[str] = set()
-    for index, raw in enumerate(document.get("templates", [])):
+    for index, raw in enumerate(section("templates", list)):
         if not isinstance(raw, Mapping):
-            fail(f"templates[{index}]: must be a JSON object")
+            raise BankError(f"templates[{index}]: must be a JSON object", path=path)
         tid = raw.get("id")
-        where = f"templates[{index}]" + (f" (id {tid!r})" if tid else "")
-        if not tid:
-            fail(f"{where}: missing id")
-        if tid in seen_ids:
-            fail(f"{where}: duplicate id", tid)
-        seen_ids.add(tid)
-        try:
-            level = CognitionLevel.parse(raw["level"])
-        except (KeyError, ValueError) as exc:
-            fail(f"{where}: {exc}", tid)
-        try:
-            tags = TagSet.from_dict(raw["tags"])
-        except KeyError as exc:
-            fail(f"{where}: tags missing {exc.args[0]!r}", tid)
-        except ValueError as exc:
-            fail(f"{where}: {exc}", tid)
-        if "pattern" not in raw:
-            fail(f"{where}: missing pattern", tid)
-        if not isinstance(raw.get("answer"), Mapping):
-            fail(f"{where}: missing answer object", tid)
-        templates.append(
-            QuestionTemplate(
-                id=str(tid),
-                level=level,
-                tags=tags,
-                pattern=str(raw["pattern"]),
-                answer_raw=dict(raw["answer"]),
-                params=dict(raw.get("params", {})),
-                context_ref=raw.get("context"),
-                notes=str(raw.get("notes", "")),
+        with record(f"templates[{index}]" + (f" (id {tid!r})" if tid else ""), tid):
+            if not tid:
+                raise BankError("missing id")
+            if tid in seen_ids:
+                raise BankError("duplicate id")
+            seen_ids.add(tid)
+            if not isinstance(raw.get("answer"), Mapping):
+                raise BankError("missing answer object")
+            templates.append(
+                QuestionTemplate(
+                    id=str(tid),
+                    level=CognitionLevel.parse(raw["level"]),
+                    tags=TagSet.from_dict(raw["tags"]),
+                    pattern=str(raw["pattern"]),
+                    answer_raw=dict(raw["answer"]),
+                    params=dict(raw.get("params", {})),
+                    context_ref=raw.get("context"),
+                    notes=str(raw.get("notes", "")),
+                )
             )
-        )
 
     instances: dict[str, QuestionInstance] = {}
     bank = QuestionBank(
@@ -750,10 +690,8 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
 
     # The whole file is rejected on the first template that fails to ground.
     for template in bank.templates:
-        try:
+        with record(f"template {template.id!r}", template.id):
             instances[template.id] = instantiate(template, bank)
-        except BankError as exc:
-            fail(str(exc), template.id)
     return bank
 
 

@@ -22,7 +22,6 @@ from typing import Optional
 from .bank import (
     BankError,
     QuestionBank,
-    SampleError,
     SampleMode,
     load_bank,
     sample,
@@ -62,14 +61,12 @@ def _parse_filter(raw: Optional[str]) -> TagFilter:
         return TagFilter.empty()
     try:
         return TagFilter.from_dict(json.loads(raw))
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError(f"bad --filter: {exc}") from None
 
 
 def _load_bank_arg(raw: Optional[str]) -> tuple[QuestionBank, Path]:
     path = Path(raw) if raw else shipped_bank_path()
-    if not path.exists():
-        raise BankError(f"bank file not found: {path}")
     return load_bank(path), path
 
 
@@ -220,13 +217,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SampleError, ValueError) as exc:
-        if isinstance(exc, BankError):
-            print(f"bank error: {exc}", file=sys.stderr)
-            return EXIT_BANK
+    except BankError as exc:
+        print(f"bank error: {exc}", file=sys.stderr)
+        return EXIT_BANK
+    except ValueError as exc:  # UsageError, SampleError, and bad values in the inputs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TransportError as exc:

@@ -21,6 +21,9 @@ from .propulsion import (
     Environment,
     PerformanceReport,
     RequirementSet,
+    _require_count,
+    _require_pack,
+    _require_positive,
     evaluate_design,
     prop_key,
     M_PER_IN,
@@ -47,9 +50,19 @@ class DesignGrid:
     ct_overrides: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        """Reject an axis value no design on the grid could take, at O(sum of axis lengths)."""
         for name in ("kv_values", "prop_diameters", "prop_pitches", "battery_options", "n_motors_options"):
             if not getattr(self, name):
                 raise ValueError(f"DesignGrid.{name} must be non-empty")
+        for name in ("kv_values", "prop_diameters", "prop_pitches"):
+            _require_positive(**{f"{name}[{i}]": v for i, v in enumerate(getattr(self, name))})
+        _require_positive(current_limit_per_motor=self.current_limit_per_motor)
+        _require_positive(**{f"ct_overrides[{k!r}]": v for k, v in self.ct_overrides.items()})
+        _require_count(**{f"n_motors_options[{i}]": n for i, n in enumerate(self.n_motors_options)})
+        for battery in self.battery_options:
+            _require_positive(battery_voltage=battery.voltage, battery_capacity=battery.capacity)
+            _require_count(battery_cells=battery.cells)
+            _require_pack(battery.cells, battery.voltage)
 
     @property
     def size(self) -> int:
@@ -220,5 +233,5 @@ def grid_from_dict(raw: Mapping) -> DesignGrid:
         battery_options=batteries,
         n_motors_options=tuple(int(v) for v in raw["n_motors"]),
         current_limit_per_motor=float(raw.get("current_limit_a", 25.0)),
-        ct_overrides=dict(raw.get("ct_overrides", {})),
+        ct_overrides={str(k): float(v) for k, v in raw.get("ct_overrides", {}).items()},
     )

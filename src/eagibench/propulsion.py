@@ -52,6 +52,22 @@ def _require_positive(**values: float) -> None:
             raise PhysicsDomainError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _require_count(**values: int) -> None:
+    for name, value in values.items():
+        if value < 1:
+            raise PhysicsDomainError(f"{name} must be >= 1, got {value}")
+
+
+def _require_pack(cells: int, voltage: float) -> None:
+    """Nominal voltage of a series pack within 5% of 3.7 V per cell."""
+    nominal = CELL_VOLTAGE_NOMINAL * cells
+    if abs(voltage - nominal) > 0.05 * nominal:
+        raise PhysicsDomainError(
+            f"battery_voltage_nominal {voltage} V is not within 5% of "
+            f"{nominal:.1f} V for a {cells}S pack"
+        )
+
+
 def no_load_rpm(kv: float, voltage: float) -> float:
     """No-load motor speed in RPM for a Kv rating at a bus voltage."""
     _require_positive(kv=kv, voltage=voltage)
@@ -180,16 +196,8 @@ class Design:
             mtow=self.mtow,
             thrust_coefficient_ct=self.thrust_coefficient_ct,
         )
-        if self.n_motors < 1:
-            raise PhysicsDomainError(f"n_motors must be >= 1, got {self.n_motors}")
-        if self.battery_cells < 1:
-            raise PhysicsDomainError(f"battery_cells must be >= 1, got {self.battery_cells}")
-        nominal = CELL_VOLTAGE_NOMINAL * self.battery_cells
-        if abs(self.battery_voltage_nominal - nominal) > 0.05 * nominal:
-            raise PhysicsDomainError(
-                f"battery_voltage_nominal {self.battery_voltage_nominal} V is not within 5% of "
-                f"{nominal:.1f} V for a {self.battery_cells}S pack"
-            )
+        _require_count(n_motors=self.n_motors, battery_cells=self.battery_cells)
+        _require_pack(self.battery_cells, self.battery_voltage_nominal)
         if self.footprint is not None:
             _require_positive(footprint=self.footprint)
 

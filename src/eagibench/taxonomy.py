@@ -212,6 +212,9 @@ class TagFilter:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "TagFilter":
+        if not isinstance(raw, Mapping):
+            raise ValueError(f"a tag filter is a JSON object, got {type(raw).__name__}")
+
         def many(key, enum_cls, what):
             vals = raw.get(key)
             if vals is None:

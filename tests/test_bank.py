@@ -1,9 +1,10 @@
 import copy
 import json
 import math
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eagibench.bank import (
     BankError,
@@ -101,6 +102,69 @@ class TestLoadBank:
         mutate(raw_bank)
         with pytest.raises(BankError, match=location):
             load_bank(raw_bank)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"n_motors": [0]},
+            {"kv_rpm_per_volt": [0]},
+            {"battery_options": [{"cells": 6, "voltage_v": 30, "capacity_ah": 12}]},
+            {"ct_overrides": {"18x6": "x"}},
+            {"ct_overrides": {"18x6": 0}},
+        ],
+        ids=["no-motors", "zero-kv", "6s-at-30v", "ct-override-text", "ct-override-zero"],
+    )
+    def test_grid_value_outside_the_oracle_domain_rejected_at_load(self, raw_bank, edit):
+        raw_bank["grids"]["quad-14kg"].update(edit)
+        with pytest.raises(BankError, match="grid 'quad-14kg'"):
+            load_bank(raw_bank)
+
+    @pytest.mark.parametrize("name", ["missing.json", ".", "latin1.json"])
+    def test_unreadable_file_raises_bank_error_with_path(self, tmp_path, name):
+        (tmp_path / "latin1.json").write_bytes('{"schema_version": 1, "x": "\xe9"}'.encode("latin-1"))
+        path = tmp_path / name
+        with pytest.raises(BankError, match=re.escape(str(path))):
+            load_bank(path)
+        with pytest.raises(BankError, match=re.escape(str(path))):
+            load_bank(str(path))
+
+
+def _nodes(node, prefix=()):
+    """Every path below the root of a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _nodes(child, prefix + (key,))
+
+
+_SHIPPED = json.loads(shipped_bank_path().read_text(encoding="utf-8"))
+_RECORD = re.compile(
+    r"(context '[^']*'|grid '[^']*'|templates\[\d+\]( \(id [^)]*\))?|template '[^']*'"
+    r"|contexts|grids|templates|cause_vocabulary|ct_overrides): "
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(list(_nodes(_SHIPPED))),
+    st.sampled_from([None, 0, -1, "", "x", [], {}, [1], True, 1e308]),
+)
+def test_single_node_replacement_loads_or_names_its_record(path, value):
+    doc = copy.deepcopy(_SHIPPED)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = copy.deepcopy(value)
+    try:
+        load_bank(doc)
+    except BankError as exc:
+        message = str(exc)
+        if path == ("schema_version",):
+            assert "schema_version" in message
+            return
+        record = _RECORD.match(message)
+        assert record, message
+        assert not _RECORD.match(message[record.end():]), message
 
 
 def _positive(low, high):

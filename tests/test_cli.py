@@ -1,6 +1,9 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from eagibench.cli import EXIT_BANK, EXIT_OK, EXIT_TRANSPORT, EXIT_USAGE, main
 from eagibench.harness import OracleAgent
@@ -100,6 +103,7 @@ def test_usage_errors_exit_1(capsys):
     assert main(["run", "--n", "2", "--mode", "Targeted", "--agent", "bogus"]) == EXIT_USAGE
     assert main(["generate", "--n", "999", "--mode", "Targeted"]) == EXIT_USAGE
     assert main(["generate", "--n", "1", "--filter", "{not json"]) == EXIT_USAGE
+    assert main(["generate", "--n", "1", "--filter", "[1]"]) == EXIT_USAGE
 
 
 def test_bank_errors_exit_2(tmp_path):
@@ -108,6 +112,34 @@ def test_bank_errors_exit_2(tmp_path):
     assert main(["generate", "--n", "1", "--bank", str(bad)]) == EXIT_BANK
     missing = tmp_path / "missing.json"
     assert main(["generate", "--n", "1", "--bank", str(missing)]) == EXIT_BANK
+    assert main(["generate", "--n", "1", "--bank", str(tmp_path)]) == EXIT_BANK
+
+
+_KEYS = st.sampled_from(
+    ["schema_version", "contexts", "grids", "ct_overrides", "cause_vocabulary", "templates",
+     "id", "level", "tags", "pattern", "answer", "kind", "levels", "system_type", "domains",
+     "standards"]
+) | st.text(max_size=8)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_KEYS, children, max_size=5),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON, _JSON)
+@example([], {"levels": [float("inf")]})
+def test_any_json_bank_or_filter_ends_in_an_exit_code(bank_document, filter_document):
+    with tempfile.TemporaryDirectory() as scratch:
+        bank = os.path.join(scratch, "bank.json")
+        out = os.path.join(scratch, "out.json")
+        with open(bank, "w", encoding="utf-8") as f:
+            json.dump(bank_document, f)
+        assert main(["generate", "--n", "1", "--bank", bank, "--out", out]) in range(4)
+        flt = json.dumps(filter_document)
+        assert main(["generate", "--n", "1", "--filter", flt, "--out", out]) in range(4)
 
 
 def test_transport_exhaustion_exit_3(monkeypatch, tmp_path):
