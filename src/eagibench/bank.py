@@ -30,6 +30,7 @@ from . import propulsion
 from .design_space import DesignGrid, grid_from_dict
 from .propulsion import (
     CT_DEFAULT,
+    _as_count,
     Design,
     Environment,
     M_PER_IN,
@@ -101,8 +102,8 @@ def fields_to_si(raw: Mapping) -> dict:
     """Bank-file design keys and values -> Design field names and SI values.
 
     Raises KeyError naming the first unknown key before converting any
-    value; a value that does not convert raises TypeError, ValueError or
-    OverflowError.
+    value; a value that does not convert, or a fractional count, raises
+    TypeError, ValueError or OverflowError.
     """
     unknown = [k for k in raw if k not in DESIGN_FIELD_MAP]
     if unknown:
@@ -110,7 +111,7 @@ def fields_to_si(raw: Mapping) -> dict:
     si = {}
     for key, value in raw.items():
         target, scale = DESIGN_FIELD_MAP[key]
-        si[target] = int(value) if key in _INT_DESIGN_FIELDS else float(value) * scale
+        si[target] = _as_count(key, value) if key in _INT_DESIGN_FIELDS else float(value) * scale
     return si
 
 
@@ -390,12 +391,13 @@ def _derive(ns: dict) -> None:
     if "mtow_kg" in ns and "n_motors" in ns:
         ns.setdefault(
             "required_thrust_n",
-            propulsion.required_thrust_per_motor(ns["mtow_kg"], int(ns["n_motors"]), ns["g"]),
+            propulsion.required_thrust_per_motor(
+                ns["mtow_kg"], _as_count("n_motors", ns["n_motors"]), ns["g"]
+            ),
         )
     if "diameter_m" in ns and "n_motors" in ns:
-        ns.setdefault(
-            "disk_area_m2", propulsion.disk_area_total(ns["diameter_m"], int(ns["n_motors"]))
-        )
+        n_motors = _as_count("n_motors", ns["n_motors"])
+        ns.setdefault("disk_area_m2", propulsion.disk_area_total(ns["diameter_m"], n_motors))
 
 
 def _namespace(template: QuestionTemplate, bank: QuestionBank) -> dict:
@@ -424,11 +426,7 @@ def _resolve(value: Any, ns: Mapping) -> Any:
 
 
 def _fmt(value: Any) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:g}"
-    return str(value)
+    return f"{value:g}" if isinstance(value, float) else str(value)
 
 
 def _requirements_from_raw(raw_reqs: Sequence[Mapping], ns: Mapping) -> RequirementSet:
@@ -597,7 +595,7 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
             document = json.loads(raw_text)
         except json.JSONDecodeError as exc:
             raise BankError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
-        except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8
+        except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, too deep
             raise BankError(f"cannot read bank file: {exc}", path=path) from None
 
     @contextmanager
@@ -649,6 +647,7 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
         }
     with record("ct_overrides", "ct_overrides"):
         ct_overrides = {str(k): float(v) for k, v in dict(document.get("ct_overrides", {})).items()}
+        propulsion._require_positive(**{f"ct_overrides[{k!r}]": v for k, v in ct_overrides.items()})
 
     templates: list[QuestionTemplate] = []
     seen_ids: set[str] = set()

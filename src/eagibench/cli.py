@@ -94,15 +94,9 @@ def _make_agent(descriptor: str, config: RunConfig, instances) -> object:
     if descriptor == "oracle":
         return OracleAgent(instances)
     if descriptor.startswith("replay:"):
-        path = descriptor.split(":", 1)[1]
-        if not Path(path).exists():
-            raise UsageError(f"replay file not found: {path}")
-        return ReplayAgent(path)
+        return ReplayAgent(descriptor.split(":", 1)[1])
     if descriptor == "remote":
-        try:
-            return RemoteAgent(config=config)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        return RemoteAgent(config=config)
     raise UsageError(f"unknown agent {descriptor!r} (expected oracle, replay:PATH, or remote)")
 
 
@@ -220,15 +214,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BankError as exc:
         print(f"bank error: {exc}", file=sys.stderr)
         return EXIT_BANK
-    except ValueError as exc:  # UsageError, SampleError, and bad values in the inputs
+    # UsageError, SampleError, bad values in the inputs, an input path that
+    # is missing, a directory or unreadable, and JSON nested too deep to parse.
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TransportError as exc:
         print(f"transport exhausted: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

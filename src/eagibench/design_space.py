@@ -21,6 +21,7 @@ from .propulsion import (
     Environment,
     PerformanceReport,
     RequirementSet,
+    _as_count,
     _require_count,
     _require_pack,
     _require_positive,
@@ -152,12 +153,7 @@ def feasible_set(
     requirements: RequirementSet | Sequence = (),
 ) -> list[Design]:
     """Designs whose evaluation passes every requirement, order preserved."""
-    out = []
-    for design in designs:
-        report = evaluate_design(design, env, requirements)
-        if report.all_requirements_pass:
-            out.append(design)
-    return out
+    return [d for d in designs if evaluate_design(d, env, requirements).all_requirements_pass]
 
 
 def front_indices(vectors: Sequence[ObjectiveVector]) -> list[int]:
@@ -220,7 +216,7 @@ def grid_from_dict(raw: Mapping) -> DesignGrid:
     """Build a grid from its bank-file form (lengths in inches)."""
     batteries = tuple(
         BatteryOption(
-            cells=int(b["cells"]),
+            cells=_as_count("cells", b["cells"]),
             voltage=float(b["voltage_v"]),
             capacity=float(b["capacity_ah"]),
         )
@@ -231,7 +227,7 @@ def grid_from_dict(raw: Mapping) -> DesignGrid:
         prop_diameters=tuple(float(v) * M_PER_IN for v in raw["prop_diameter_in"]),
         prop_pitches=tuple(float(v) * M_PER_IN for v in raw["prop_pitch_in"]),
         battery_options=batteries,
-        n_motors_options=tuple(int(v) for v in raw["n_motors"]),
+        n_motors_options=tuple(_as_count("n_motors", v) for v in raw["n_motors"]),
         current_limit_per_motor=float(raw.get("current_limit_a", 25.0)),
         ct_overrides={str(k): float(v) for k, v in raw.get("ct_overrides", {}).items()},
     )

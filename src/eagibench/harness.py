@@ -14,16 +14,18 @@ reproducible for a fixed seed and replay file.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import time
+import urllib.error
+import urllib.request
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Protocol, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .bank import QuestionInstance
 from .scoring import Evidence, Score, Verdict, reference_answer, score_answer, unscorable
@@ -94,51 +96,57 @@ class RemoteAgent:
     Sends ``{"model": ..., "messages": [{"role": "user", "content": ...}]}``
     and reads the first choice's message content.  Endpoint and bearer
     token come from EAGI_REMOTE_URL / EAGI_REMOTE_TOKEN unless given
-    explicitly; timeout and retry counts come from the run config.
+    explicitly; timeout and retry counts come from the run config.  Each
+    attempt opens its own connection, so concurrent calls share no state.
     """
 
     name = "remote"
 
     def __init__(
-        self,
-        url: Optional[str] = None,
-        token: Optional[str] = None,
-        config: RunConfig = RunConfig(),
-        session: Optional[requests.Session] = None,
+        self, url: Optional[str] = None, token: Optional[str] = None, config: RunConfig = RunConfig()
     ):
         self.url = url or os.environ.get(REMOTE_URL_ENV)
         if not self.url:
             raise ValueError(f"remote agent needs a URL ({REMOTE_URL_ENV} or explicit)")
+        # urlopen would also read file:, ftp: and data: URLs.
+        if urlsplit(self.url).scheme not in ("http", "https"):
+            raise ValueError(f"remote agent URL must be http or https, got {self.url!r}")
         self.token = token if token is not None else os.environ.get(REMOTE_TOKEN_ENV)
         self.config = config
-        self._session = session or requests.Session()
 
     def answer(self, prompt: str, metadata: Mapping) -> str:
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
-        payload = {
-            "model": self.config.model,
-            "messages": [{"role": "user", "content": prompt}],
-        }
-        last_error: Optional[Exception] = None
+        payload = {"model": self.config.model, "messages": [{"role": "user", "content": prompt}]}
+        request = urllib.request.Request(self.url, json.dumps(payload).encode(), headers)  # a POST
+        last_error: object = None
         for attempt in range(self.config.remote_retries + 1):
+            status = None
             try:
-                response = self._session.post(
-                    self.url, json=payload, headers=headers, timeout=self.config.remote_timeout_s
-                )
-                response.raise_for_status()
-                body = response.json()
-                choice = body["choices"][0]
-                message = choice.get("message")
-                if message is not None:
-                    return str(message["content"])
-                return str(choice["text"])
-            except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
-                last_error = exc
+                with urllib.request.urlopen(request, timeout=self.config.remote_timeout_s) as reply:
+                    status = reply.status
+                    return _chat_content(json.loads(reply.read().decode("utf-8")))
+            # OSError: URLError, HTTPError (it names its status), timeouts.  HTTPException: a bad
+            # status line, a short body.  ValueError, RecursionError: not UTF-8 JSON, not a chat
+            # reply, JSON nested too deep to parse.
+            except (OSError, http.client.HTTPException, ValueError, RecursionError) as exc:
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()  # an error reply holds its connection until closed
+                last_error = exc if status is None else f"HTTP {status}: {exc}"
                 if attempt < self.config.remote_retries:
                     time.sleep(self.config.remote_backoff_s * (attempt + 1))
         raise TransportError(f"remote agent failed after retries: {last_error}")
+
+
+def _chat_content(body: object) -> str:
+    """The first choice's message content (or completion text) of a chat reply."""
+    try:
+        choice = body["choices"][0]
+        message = choice.get("message")
+        return str(choice["text"] if message is None else message["content"])
+    except (LookupError, TypeError, AttributeError):
+        raise ValueError(f"not a chat completion: {body!r:.200}") from None
 
 
 @dataclass(frozen=True)

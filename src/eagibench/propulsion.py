@@ -58,6 +58,14 @@ def _require_count(**values: int) -> None:
             raise PhysicsDomainError(f"{name} must be >= 1, got {value}")
 
 
+def _as_count(name: str, value) -> int:
+    """A count from a bank or an answer: 4 and 4.0 give 4, 4.7 raises (no truncation)."""
+    count = int(value)
+    if count != float(value):
+        raise PhysicsDomainError(f"{name} must be a whole number, got {value!r}")
+    return count
+
+
 def _require_pack(cells: int, voltage: float) -> None:
     """Nominal voltage of a series pack within 5% of 3.7 V per cell."""
     nominal = CELL_VOLTAGE_NOMINAL * cells
@@ -376,16 +384,7 @@ def evaluate_design(
     }
     checks = []
     for req in requirements:
-        measured, passed = _measure(values, design, req)
-        checks.append(
-            RequirementCheck(
-                requirement_id=req.id,
-                kind=req.kind,
-                bound=req.bound,
-                measured=measured,
-                passed=passed,
-            )
-        )
+        checks.append(RequirementCheck(req.id, req.kind, req.bound, *_measure(values, design, req)))
 
     return PerformanceReport(
         no_load_rpm=nlr,

@@ -185,7 +185,7 @@ def _find_envelope(text: str) -> Optional[Mapping]:
     for block in _FENCE_RE.findall(text):
         try:
             candidate = json.loads(block)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deep
             continue
         if isinstance(candidate, Mapping):
             envelope = candidate
@@ -351,7 +351,7 @@ def score_numeric(answer_text: str, spec: NumericSpec) -> Score:
         return unscorable("no numeric payload found")
     try:
         value = float(ans.envelope["value"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return unscorable(f"envelope value {ans.envelope.get('value')!r} is not a number")
     unit = ans.envelope.get("unit", spec.unit)
     if normalize_unit(str(unit)) != normalize_unit(spec.unit):
@@ -398,7 +398,7 @@ def _match_field(field: FieldExpectation, envelope_fields: Optional[Mapping], te
         if field.kind == "number":
             try:
                 value = float(got)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 return False, f"{field.name}: {got!r} is not a number"
             expected = float(field.expected)
             ok = abs(value - expected) <= field.rel_tol * abs(expected)
@@ -480,13 +480,15 @@ def score_fix(answer_text: str, spec: FixSpec) -> Score:
             return unscorable(f"patch references unknown field {key!r}")
     try:
         patched = apply_patch(spec.base_design, fields_to_si(patch), spec.ct_overrides)
-    except (TypeError, ValueError, OverflowError) as exc:
+        after = evaluate_design(
+            patched, spec.environment, spec.requirements, loaded_rpm=spec.loaded_rpm
+        )
+    except (TypeError, ValueError, ArithmeticError) as exc:
         return unscorable(f"patched design is invalid: {exc}")
 
     before = evaluate_design(
         spec.base_design, spec.environment, spec.requirements, loaded_rpm=spec.loaded_rpm
     )
-    after = evaluate_design(patched, spec.environment, spec.requirements, loaded_rpm=spec.loaded_rpm)
 
     evidence = []
     flipped = False
@@ -543,13 +545,16 @@ def score_design(answer_text: str, spec: DesignSynthesisSpec) -> Score:
     if ans.envelope is None or not isinstance(ans.envelope.get("design"), Mapping):
         return unscorable("no design found in answer")
     try:
-        design = design_from_bank(ans.envelope["design"], spec.defaults)
+        report = evaluate_design(
+            design_from_bank(ans.envelope["design"], spec.defaults),
+            spec.environment,
+            spec.requirements,
+        )
     except KeyError as exc:
         return unscorable(f"design references unknown field {exc.args[0]!r}")
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         return unscorable(f"design violates invariants: {exc}")
 
-    report = evaluate_design(design, spec.environment, spec.requirements)
     evidence = []
     for check in report.requirement_checks:
         evidence.append(

@@ -94,9 +94,10 @@ class TestLoadBank:
             (lambda doc: doc.update(ct_overrides={"18x6": "steep"}), "ct_overrides"),
             (lambda doc: doc["templates"].insert(2, "l1-kv-meaning"), r"templates\[2\]"),
             (lambda doc: doc["contexts"].update(broken=[1]), "context 'broken'"),
+            (lambda doc: doc.update(ct_overrides={"18x7": 0}), "ct_overrides"),
         ],
         ids=["schema-version-true", "ct-override-not-a-number", "template-not-an-object",
-             "context-not-an-object"],
+             "context-not-an-object", "ct-override-zero"],
     )
     def test_malformed_document_raises_bank_error_with_location(self, raw_bank, mutate, location):
         mutate(raw_bank)
@@ -118,6 +119,29 @@ class TestLoadBank:
         raw_bank["grids"]["quad-14kg"].update(edit)
         with pytest.raises(BankError, match="grid 'quad-14kg'"):
             load_bank(raw_bank)
+
+    @pytest.mark.parametrize(
+        "section, key, count, cells",
+        [("contexts", "urban-logistics-quad", 4.7, 6), ("grids", "quad-14kg", [4.9], 6),
+         ("grids", "quad-14kg", [4], 6.5)],
+        ids=["context-n-motors", "grid-n-motors", "grid-cells"],
+    )
+    def test_fractional_count_rejected_at_load(self, raw_bank, section, key, count, cells):
+        record = raw_bank[section][key]
+        if section == "contexts":
+            record["design"].update(n_motors=count, battery_cells=cells)
+        else:
+            record.update(n_motors=count)
+            record["battery_options"][0]["cells"] = cells
+        with pytest.raises(BankError, match="whole number"):
+            load_bank(raw_bank)
+
+    def test_whole_float_count_loads(self, raw_bank):
+        raw_bank["contexts"]["urban-logistics-quad"]["design"]["n_motors"] = 4.0
+        raw_bank["grids"]["quad-14kg"]["n_motors"] = [4.0]
+        bank = load_bank(raw_bank)
+        assert bank.contexts["urban-logistics-quad"].design.n_motors == 4
+        assert bank.grids["quad-14kg"].n_motors_options == (4,)
 
     @pytest.mark.parametrize("name", ["missing.json", ".", "latin1.json"])
     def test_unreadable_file_raises_bank_error_with_path(self, tmp_path, name):

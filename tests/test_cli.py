@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import eagibench
 from eagibench.cli import EXIT_BANK, EXIT_OK, EXIT_TRANSPORT, EXIT_USAGE, main
 from eagibench.harness import OracleAgent
 
@@ -104,6 +108,15 @@ def test_usage_errors_exit_1(capsys):
     assert main(["generate", "--n", "999", "--mode", "Targeted"]) == EXIT_USAGE
     assert main(["generate", "--n", "1", "--filter", "{not json"]) == EXIT_USAGE
     assert main(["generate", "--n", "1", "--filter", "[1]"]) == EXIT_USAGE
+    directory = tempfile.gettempdir()
+    assert main(["score", "--instances", directory, "--answers", directory]) == EXIT_USAGE
+    assert main(["report", "--input", directory]) == EXIT_USAGE
+    with tempfile.TemporaryDirectory() as scratch:
+        deep = os.path.join(scratch, "deep.json")
+        with open(deep, "w", encoding="utf-8") as f:
+            f.write("[" * 100_000 + "]" * 100_000)
+        assert main(["report", "--input", deep]) == EXIT_USAGE
+    assert capsys.readouterr().err.count("error:") == 7
 
 
 def test_bank_errors_exit_2(tmp_path):
@@ -113,6 +126,9 @@ def test_bank_errors_exit_2(tmp_path):
     missing = tmp_path / "missing.json"
     assert main(["generate", "--n", "1", "--bank", str(missing)]) == EXIT_BANK
     assert main(["generate", "--n", "1", "--bank", str(tmp_path)]) == EXIT_BANK
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["generate", "--n", "1", "--bank", str(deep)]) == EXIT_BANK
 
 
 _KEYS = st.sampled_from(
@@ -167,6 +183,22 @@ def test_transport_exhaustion_exit_3(monkeypatch, tmp_path):
     finally:
         server.shutdown()
         thread.join(timeout=2)
+
+
+def test_remote_url_must_be_http_or_https(monkeypatch, capsys):
+    monkeypatch.setenv("EAGI_REMOTE_URL", "file:///etc/passwd")
+    assert main(["run", "--n", "1", "--agent", "remote"]) == EXIT_USAGE
+    assert "http or https" in capsys.readouterr().err
+
+
+def test_cli_imports_no_third_party_http_client():
+    src = str(Path(eagibench.__file__).resolve().parents[1])
+    code = "import sys, eagibench.cli; print([m for m in ('requests', 'urllib3') if m in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def _write(path, payload):

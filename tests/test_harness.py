@@ -159,15 +159,22 @@ class _ChatHandler(BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
+        if cls.behavior == "bad-status-line":
+            self.wfile.write(b"NOT-HTTP 200 OK\r\n\r\n")
+            return
         reply = None
         for key, text in cls.canned.items():
             if key in prompt:
                 reply = text
                 break
         body = json.dumps({"choices": [{"message": {"content": reply or "no idea"}}]}).encode()
+        if cls.behavior.startswith("body:"):
+            body = cls.behavior.removeprefix("body:").encode("latin-1")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        # A truncated reply promises more bytes than it sends, then closes.
+        extra = 10 if cls.behavior == "truncated" else 0
+        self.send_header("Content-Length", str(len(body) + extra))
         self.end_headers()
         self.wfile.write(body)
 
@@ -179,10 +186,13 @@ class _ChatHandler(BaseHTTPRequestHandler):
 def chat_server():
     handler = type("Handler", (_ChatHandler,), {})
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", handler
     server.shutdown()
+    server.server_close()
     thread.join(timeout=2)
 
 
@@ -241,6 +251,41 @@ class TestRemoteAgent:
         monkeypatch.delenv("EAGI_REMOTE_URL", raising=False)
         with pytest.raises(ValueError):
             RemoteAgent()
+
+    @pytest.mark.parametrize(
+        "url", ["file:///etc/passwd", "ftp://127.0.0.1/chat", "data:,x", "127.0.0.1:8000/chat"]
+    )
+    def test_non_http_url_rejected(self, url):
+        with pytest.raises(ValueError, match="http or https"):
+            RemoteAgent(url=url)
+
+    @pytest.mark.parametrize(
+        "behavior",
+        ["bad-status-line", "truncated", "body:[]", 'body:{"choices": "x"}',
+         'body:{"choices": [1]}', 'body:{"choices": []}', "body:not json", "body:\xff\xfe",
+         "body:" + "[" * 100_000],
+        ids=["bad-status-line", "truncated", "list", "choices-text", "choices-number",
+             "choices-empty", "not-json", "not-utf8", "nested-too-deep"],
+    )
+    def test_malformed_reply_is_a_failed_attempt_not_a_crash(self, bank, chat_server, behavior):
+        url, handler = chat_server
+        handler.behavior = behavior
+        config = RunConfig(remote_retries=1, remote_backoff_s=0.01)
+        agent = RemoteAgent(url=url, config=config)
+        with pytest.raises(TransportError):
+            agent.answer("whatever", {})
+        assert handler.calls == 2
+        report = run_evaluation(sample(bank, EMPTY, 3, SampleMode.Curriculum, 0), agent, config)
+        assert len(report.items) == 3
+        assert all(i.score.verdict is Verdict.Unscorable for i in report.items)
+
+    @pytest.mark.parametrize("behavior, status", [("always-500", "500"), ("body:[]", "200")])
+    def test_transport_error_names_the_http_status(self, chat_server, behavior, status):
+        url, handler = chat_server
+        handler.behavior = behavior
+        agent = RemoteAgent(url=url, config=RunConfig(remote_retries=0))
+        with pytest.raises(TransportError, match=f"HTTP.*{status}"):
+            agent.answer("whatever", {})
 
 
 class TestAdapters:

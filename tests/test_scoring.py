@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eagibench.bank import (
+    ANSWER_KINDS,
+    DESIGN_FIELD_MAP,
     DiagnosisSpec,
     FactSpec,
     FieldExpectation,
@@ -11,6 +13,7 @@ from eagibench.bank import (
     RubricCriterion,
     RubricSpec,
     StructuredSpec,
+    design_to_bank,
 )
 from eagibench import design_space, scoring
 from eagibench.design_space import ObjectiveVector, ReferenceFront, dominates
@@ -19,6 +22,7 @@ from eagibench.scoring import (
     Evidence,
     Score,
     Verdict,
+    answer_kind,
     extract,
     score_answer,
     score_design,
@@ -60,6 +64,11 @@ class TestExtract:
         assert ans.envelope["value"] == 8436
         assert ans.extraction == "text-unit-number"
 
+    def test_fence_nested_too_deep_falls_back_to_text(self):
+        text = "8436 RPM\n```json\n" + '{"a": ' * 100_000 + "1" + "}" * 100_000 + "\n```"
+        ans = extract(text, "numeric", RPM_SPEC)
+        assert ans.extraction == "text-unit-number"
+
     def test_malformed_fence_falls_back_to_text(self):
         ans = extract("```json\n{not json}\n```\n8436 rpm", "numeric", RPM_SPEC)
         assert ans.envelope["value"] == 8436
@@ -87,6 +96,10 @@ class TestScoreNumeric:
     def test_unit_synonyms_accepted(self):
         score = score_numeric(_fence({"value": 8436, "unit": "rev/min"}), RPM_SPEC)
         assert score.verdict is Verdict.Pass
+
+    def test_integer_beyond_float_range_unscorable(self):
+        score = score_numeric(_fence({"value": 10**400, "unit": "RPM"}), RPM_SPEC)
+        assert score.verdict is Verdict.Unscorable
 
     def test_tolerance_boundary(self):
         spec = NumericSpec(value=100.0, unit="N", rel_tol=0.02)
@@ -152,6 +165,13 @@ class TestScoreStructured:
     def test_nothing_found_fails(self):
         score = score_structured("it has propellers", PROP_FIELDS)
         assert score.verdict is Verdict.Fail
+
+    def test_integer_beyond_float_range_fails_its_field(self):
+        score = score_structured(
+            _fence({"fields": {"diameter": 10**400, "pitch": 6, "type": "fixed"}}), PROP_FIELDS
+        )
+        assert score.verdict is Verdict.Partial
+        assert "not a number" in score.evidence[0].detail
 
 
 DIAG = DiagnosisSpec(
@@ -230,6 +250,14 @@ class TestScoreFix:
         score = score_fix(_fence({"patch": {"prop_diameter_in": value}}), spec)
         assert score.verdict is Verdict.Unscorable
 
+    @pytest.mark.parametrize("diameter", [1e-300, 7.5e-153])
+    def test_patch_outside_the_oracle_domain_unscorable(self, instances, diameter):
+        # The patched design is valid, but the oracle's disk area or
+        # diameter**4 underflows to 0.
+        spec = instances["l4-thrust-fix"].answer_spec
+        score = score_fix(_fence({"patch": {"prop_diameter_in": diameter}}), spec)
+        assert score.verdict is Verdict.Unscorable
+
     def test_regression_detected(self, instances):
         # Dropping Kv on the climb item regresses nothing already passing;
         # craft a patch that fixes thrust but blows the current cap instead.
@@ -270,6 +298,21 @@ class TestScoreDesign:
     def test_malformed_design_value_unscorable(self, instances, value):
         spec = instances["l5-quad-14kg"].answer_spec
         score = score_design(_fence({"design": {"kv_rpm_per_volt": value}}), spec)
+        assert score.verdict is Verdict.Unscorable
+
+    def test_fractional_motor_count_unscorable(self, instances):
+        spec = instances["l5-quad-14kg"].answer_spec
+        design = design_to_bank(spec.reference_design)
+        whole = score_design(_fence({"design": {**design, "n_motors": 4.0}}), spec)
+        assert whole.verdict is Verdict.Pass
+        score = score_design(_fence({"design": {**design, "n_motors": 4.7}}), spec)
+        assert score.verdict is Verdict.Unscorable
+        assert "whole number" in score.evidence[0].detail
+
+    def test_design_overflowing_the_oracle_unscorable(self, instances):
+        spec = instances["l5-quad-14kg"].answer_spec
+        design = {**design_to_bank(spec.reference_design), "prop_diameter_in": 1e300}
+        score = score_design(_fence({"design": design}), spec)
         assert score.verdict is Verdict.Unscorable
 
     def test_one_oracle_call_per_grid_design(self, instances, monkeypatch):
@@ -462,3 +505,34 @@ class TestScoreInvariants:
                 continue
             answer = agent.answer(inst.prompt, {"instance_id": inst.id})
             assert score_answer(inst.answer_spec, answer).verdict is Verdict.Pass, inst.id
+
+
+_NUMBER = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBER | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["value", "unit", "text", "name"]) | st.text(max_size=6),
+                      children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _answers(spec):
+    """Any text, or prose and an envelope: free JSON under the envelope keys,
+    or numbers under the design fields the spec reads."""
+    fields = getattr(spec, "patchable_fields", None) or sorted(DESIGN_FIELD_MAP)
+    design = st.dictionaries(st.sampled_from(fields), _NUMBER, min_size=1, max_size=3)
+    envelope = st.dictionaries(st.sampled_from(sorted(set(scoring._ENVELOPE_KEYS.values()))),
+                               _JSON, max_size=3) | design.map(lambda d: {"patch": d, "design": d})
+    fenced = st.builds(lambda prose, env: prose + _fence(env), st.text(max_size=20), envelope)
+    return st.text() | fenced
+
+
+@pytest.mark.parametrize("kind", sorted(ANSWER_KINDS.values()))
+@settings(deadline=None)
+@given(data=st.data())
+def test_any_answer_scores_in_unit_interval_without_raising(instances, kind, data):
+    specs = [i.answer_spec for i in instances.values() if answer_kind(i.answer_spec) == kind]
+    spec = data.draw(st.sampled_from(specs))
+    score = score_answer(spec, data.draw(_answers(spec)))
+    assert 0.0 <= score.value <= 1.0
