@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from . import propulsion
-from .design_space import DesignGrid, grid_from_dict
+from .design_space import DesignGrid, check_grid, grid_from_dict
 from .propulsion import (
     CT_DEFAULT,
     _as_count,
@@ -35,6 +35,7 @@ from .propulsion import (
     Environment,
     M_PER_IN,
     Requirement,
+    RequirementCheck,
     RequirementKind,
     RequirementSet,
 )
@@ -215,6 +216,35 @@ class FixSpec:
         for key in self.reference_patch:
             if key not in self.patchable_fields:
                 raise ValueError(f"reference patch key {key!r} not in patchable fields")
+
+    def judge(
+        self, patched: Design
+    ) -> tuple[bool, list[tuple[Requirement, RequirementCheck, RequirementCheck, str]]]:
+        """Whether ``patched`` fixes the item, and each requirement with its
+        check on the base design, its check on ``patched`` and an outcome.
+        The failing requirement is "flipped", "still-failing" or
+        "not-failing-before"; another is "regressed" when the patch breaks
+        it, else "pass" or "fail".  The patch fixes the item when it flips
+        the failing requirement and regresses none."""
+        after = propulsion.evaluate_design(
+            patched, self.environment, self.requirements, loaded_rpm=self.loaded_rpm
+        )
+        before = propulsion.evaluate_design(
+            self.base_design, self.environment, self.requirements, loaded_rpm=self.loaded_rpm
+        )
+        rows = []
+        for req in self.requirements:
+            b, a = before.check(req.id), after.check(req.id)
+            if req.id == self.failing_requirement_id:
+                flipped = not b.passed and a.passed
+                outcome = "flipped" if flipped else "still-failing" if not a.passed else "not-failing-before"
+            elif b.passed and not a.passed:
+                outcome = "regressed"
+            else:
+                outcome = "pass" if a.passed else "fail"
+            rows.append((req, b, a, outcome))
+        outcomes = [row[3] for row in rows]
+        return "flipped" in outcomes and "regressed" not in outcomes, rows
 
 
 @dataclass(frozen=True)
@@ -572,7 +602,37 @@ def _line_of(raw_text: Optional[str], token: Any) -> Optional[int]:
 
 
 #: What reading a malformed bank record raises; PhysicsDomainError is a ValueError.
-_RECORD_ERRORS = (LookupError, TypeError, ValueError, AttributeError, OverflowError)
+_RECORD_ERRORS = (LookupError, TypeError, ValueError, AttributeError, ArithmeticError)
+
+
+def _check_reference(spec: AnswerSpec, checked_grids: set) -> None:
+    """Reject an item whose own reference answer would not pass.
+
+    A fix item's reference patch must flip the failing requirement and
+    regress no other (two oracle calls).  A design item's reference design
+    must meet every requirement (one call), and its grid must evaluate at
+    its takeoff weight, so scoring cannot raise (``check_grid``, once per
+    grid, weight and environment, tracked in ``checked_grids``).
+    Membership of the reference front is not checked: that would evaluate
+    the whole grid on every load.
+    """
+    if isinstance(spec, FixSpec):
+        patched = propulsion.apply_patch(
+            spec.base_design, fields_to_si(spec.reference_patch), spec.ct_overrides
+        )
+        fixed, rows = spec.judge(patched)
+        if not fixed:
+            outcomes = ", ".join(f"{req.id} {outcome}" for req, _, _, outcome in rows)
+            raise BankError(f"reference patch does not fix the item ({outcomes})")
+    elif isinstance(spec, DesignSynthesisSpec):
+        key = (spec.grid_id, spec.mtow, spec.environment)
+        if key not in checked_grids:
+            check_grid(spec.grid, spec.mtow, spec.environment)
+            checked_grids.add(key)
+        report = propulsion.evaluate_design(spec.reference_design, spec.environment, spec.requirements)
+        failing = [c.requirement_id for c in report.requirement_checks if not c.passed]
+        if failing:
+            raise BankError(f"reference design fails requirement(s) {', '.join(failing)}")
 
 
 def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
@@ -687,10 +747,13 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
         instances=instances,
     )
 
-    # The whole file is rejected on the first template that fails to ground.
+    # The whole file is rejected on the first template that fails to ground
+    # or whose reference answer fails its own item.
+    checked_grids: set = set()
     for template in bank.templates:
         with record(f"template {template.id!r}", template.id):
             instances[template.id] = instantiate(template, bank)
+            _check_reference(instances[template.id].answer_spec, checked_grids)
     return bank
 
 

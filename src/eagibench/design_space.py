@@ -13,20 +13,28 @@ the Kv choice trades off against thrust margin; see ``propulsion``.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from itertools import groupby
+from typing import Iterator, Mapping, Sequence
 
 from .propulsion import (
+    CT_DEFAULT,
     Design,
     Environment,
     PerformanceReport,
     RequirementSet,
     _as_count,
+    _measure,
     _require_count,
     _require_pack,
     _require_positive,
+    endurance_stage,
     evaluate_design,
+    hover_stage,
     prop_key,
+    thrust_stage,
+    torque_constant,
     M_PER_IN,
 )
 
@@ -75,15 +83,18 @@ class DesignGrid:
             * len(self.n_motors_options)
         )
 
+    def propellers(self) -> list[tuple[float, float, float]]:
+        """(diameter, pitch, Ct) of each propeller, Ct from ``ct_overrides`` or the default."""
+        return [
+            (diameter, pitch, float(self.ct_overrides.get(prop_key(diameter, pitch), CT_DEFAULT)))
+            for diameter in self.prop_diameters
+            for pitch in self.prop_pitches
+        ]
+
 
 def enumerate_designs(grid: DesignGrid, mtow: float) -> list[Design]:
     """Cartesian product of the grid axes, in lexicographic axis order."""
-    props = []
-    for diameter in grid.prop_diameters:
-        for pitch in grid.prop_pitches:
-            override = grid.ct_overrides.get(prop_key(diameter, pitch))
-            ct = {} if override is None else {"thrust_coefficient_ct": float(override)}
-            props.append((diameter, pitch, ct))
+    props = grid.propellers()
     designs = []
     for kv in grid.kv_values:
         for diameter, pitch, ct in props:
@@ -100,7 +111,7 @@ def enumerate_designs(grid: DesignGrid, mtow: float) -> list[Design]:
                             prop_pitch=pitch,
                             n_motors=n_motors,
                             mtow=mtow,
-                            **ct,
+                            thrust_coefficient_ct=ct,
                         )
                     )
     return designs
@@ -159,21 +170,32 @@ def feasible_set(
 def front_indices(vectors: Sequence[ObjectiveVector]) -> list[int]:
     """Indices of the non-dominated vectors, in input order.
 
-    Sorted sweep for the maxima of a vector set (Kung, Luccio & Preparata,
-    J. ACM 22(4), 1975): in (current up, margin down, endurance down) order
-    every dominator of a vector precedes it, and by transitivity one of
-    them is on the front, so a vector is kept iff no kept vector dominates
-    it.  Equal vectors never dominate each other.
+    Staircase sweep for the maxima of a vector set (Kung, Luccio &
+    Preparata, J. ACM 22(4), 1975).  In (current up, margin down, endurance
+    down) order every dominator of a vector precedes it, and by transitivity
+    one of them is on the front.  Any earlier vector with margin and
+    endurance at least as large differs from it, so dominates it.  The kept
+    (margin, endurance) points no other kept point covers form a staircase,
+    margins rising and endurances falling, held in two sorted lists and
+    queried with bisect.  A run of equal vectors is decided once: equal
+    vectors never dominate each other.
     """
-
-    def sweep_key(i: int) -> tuple[float, float, float]:
-        v = vectors[i]
-        return (v.hover_current_per_motor, -v.thrust_margin, -v.endurance)
-
+    swept = sorted(
+        (v.hover_current_per_motor, -v.thrust_margin, -v.endurance, i) for i, v in enumerate(vectors)
+    )
+    margins: list[float] = []  # ascending
+    neg_endurances: list[float] = []  # ascending, so endurance descends
     kept: list[int] = []
-    for i in sorted(range(len(vectors)), key=sweep_key):
-        if not any(dominates(vectors[k], vectors[i]) for k in kept):
-            kept.append(i)
+    for (_, neg_margin, neg_endurance), run in groupby(swept, key=lambda t: t[:3]):
+        margin = -neg_margin
+        j = bisect_left(margins, margin)
+        if j < len(margins) and neg_endurances[j] <= neg_endurance:
+            continue
+        kept.extend(t[3] for t in run)
+        hi = bisect_right(margins, margin)
+        lo = bisect_left(neg_endurances, neg_endurance, 0, hi)
+        margins[lo:hi] = [margin]
+        neg_endurances[lo:hi] = [neg_endurance]
     return sorted(kept)
 
 
@@ -202,14 +224,89 @@ class ReferenceFront:
         return cls(tuple(feasible[i] for i in front_indices(feasible)), ranges)
 
 
+def grid_evaluations(
+    grid: DesignGrid, mtow: float, env: Environment, requirements: RequirementSet | Sequence = ()
+) -> Iterator[tuple[Design, tuple[float, float, float], bool]]:
+    """Each design of ``enumerate_designs(grid, mtow)``, in order, with its
+    objectives (current, margin, endurance, the fields of
+    ``ObjectiveVector``) and whether it passes every requirement.
+
+    The designs are evaluated factor by factor: each stage of
+    ``evaluate_design`` runs once per distinct input it reads (Kt per Kv;
+    thrust per Kv, voltage, diameter and Ct; hover per diameter, Ct and
+    motor count; endurance per battery and hover power), with the same
+    operations in the same order, so every figure equals that of
+    ``evaluate_design`` on the design.  The memo lives for one call.
+    """
+    if not isinstance(requirements, RequirementSet):
+        requirements = RequirementSet(tuple(requirements))
+    rho = env.air_density
+    kts: dict = {}
+    thrusts: dict = {}
+    hovers: dict = {}
+    endurances: dict = {}
+    for design in enumerate_designs(grid, mtow):
+        kv, volts, n_motors = design.kv, design.battery_voltage_nominal, design.n_motors
+        ct, diameter = design.thrust_coefficient_ct, design.prop_diameter
+        kt = kts.get(kv)
+        if kt is None:
+            kt = kts[kv] = torque_constant(kv)
+        key = (kv, volts, diameter, ct)
+        thrust = thrusts.get(key)
+        if thrust is None:
+            thrust = thrusts[key] = thrust_stage(kv, volts, ct, diameter, rho)[2]
+        key = (diameter, ct, n_motors)
+        hover = hovers.get(key)
+        if hover is None:
+            hover = hovers[key] = hover_stage(mtow, n_motors, ct, diameter, env)
+        required, power, _, torque = hover
+        key = (design.battery_capacity, volts, power)
+        endurance = endurances.get(key)
+        if endurance is None:
+            endurance = endurances[key] = endurance_stage(design.battery_capacity, volts, power)
+        current = torque / kt
+        values = {
+            "static_thrust_per_motor": thrust,
+            "hover_torque_current_per_motor": current,
+            "endurance": endurance,
+        }
+        passed = True
+        for req in requirements:
+            if not _measure(values, design, req)[1]:
+                passed = False
+                break
+        yield design, (current, thrust - required, endurance), passed
+
+
 def reference_front(
     grid: DesignGrid, mtow: float, env: Environment, requirements: RequirementSet | Sequence = ()
 ) -> ReferenceFront:
-    """Evaluate each grid design once; the reference over those passing every requirement."""
-    reports = (evaluate_design(d, env, requirements) for d in enumerate_designs(grid, mtow))
+    """The reference over the grid designs that pass every requirement."""
+    evaluations = grid_evaluations(grid, mtow, env, requirements)
     return ReferenceFront.from_vectors(
-        [report_objectives(r) for r in reports if r.all_requirements_pass]
+        [ObjectiveVector(*objectives) for _, objectives, passed in evaluations if passed]
     )
+
+
+def check_grid(grid: DesignGrid, mtow: float, env: Environment) -> None:
+    """Raise what evaluating the grid at ``mtow`` would raise, at
+    O(propellers x motor counts) and without enumerating it.
+
+    The hover and endurance stages run for every (diameter, Ct, motor
+    count), so they raise here whatever they raise there.  The thrust stage
+    runs per propeller at the largest Kv and voltage, where the no-load RPM
+    is largest, and the torque current at the largest Kv, where Kt is
+    smallest.
+    """
+    kv = max(grid.kv_values)
+    battery = max(grid.battery_options, key=lambda b: b.voltage)
+    kt = torque_constant(kv)
+    for diameter, _, ct in grid.propellers():
+        thrust_stage(kv, battery.voltage, ct, diameter, env.air_density)
+        for n_motors in grid.n_motors_options:
+            _, power, _, torque = hover_stage(mtow, n_motors, ct, diameter, env)
+            endurance_stage(battery.capacity, battery.voltage, power)
+            _ = torque / kt  # Kt is 0.0 once 2*pi*Kv overflows
 
 
 def grid_from_dict(raw: Mapping) -> DesignGrid:

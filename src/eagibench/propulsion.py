@@ -336,6 +336,48 @@ def _step(label: str, fn, *args):
         raise PhysicsDomainError(f"{label}: {exc}") from exc
 
 
+# Evaluation stages.  ``evaluate_design`` runs them in this order for one
+# design; ``design_space.grid_evaluations`` runs each once per distinct
+# input over a grid.  Both take every value from here, so a design's
+# figures are the same floats on either path.
+
+
+def thrust_stage(
+    kv: float, volts: float, ct: float, diameter: float, rho: float, loaded_rpm: Optional[float] = None
+) -> tuple[float, float, float]:
+    """No-load RPM, the operating RPM (the loaded RPM when one is given,
+    otherwise the no-load RPM), and the static thrust per motor there."""
+    nlr = _step("no_load_rpm", no_load_rpm, kv, volts)
+    rpm = nlr if loaded_rpm is None else loaded_rpm
+    return nlr, rpm, _step("static_thrust", static_thrust, ct, rho, rpm, diameter)
+
+
+def hover_stage(
+    mtow: float, n_motors: int, ct: float, diameter: float, env: Environment
+) -> tuple[float, float, float, float]:
+    """Hover at a takeoff weight: required thrust per motor, total hover power,
+    hover RPM, and the shaft torque per motor at that RPM."""
+    rho = env.air_density
+    required = _step(
+        "required_thrust_per_motor", required_thrust_per_motor, mtow, n_motors, env.gravity
+    )
+    area = _step("disk_area_total", disk_area_total, diameter, n_motors)
+    hover_power = _step(
+        "ideal_hover_power", ideal_hover_power, mtow * env.gravity, rho, area,
+        HOVER_EFFICIENCY_DEFAULT,
+    )
+    hover_rpm = _step("hover_rpm", rpm_for_thrust, required, ct, rho, diameter)
+    omega = 2.0 * math.pi * hover_rpm / 60.0
+    return required, hover_power, hover_rpm, (hover_power / n_motors) / omega
+
+
+def endurance_stage(capacity: float, volts: float, hover_power: float) -> float:
+    """Hover endurance in minutes of one battery at a total hover power."""
+    return _step(
+        "hover_endurance", hover_endurance, capacity, volts, BATTERY_EFFICIENCY_DEFAULT, hover_power
+    )
+
+
 def evaluate_design(
     design: Design,
     env: Environment,
@@ -352,30 +394,15 @@ def evaluate_design(
         requirements = RequirementSet(tuple(requirements))
     # No re-validation: a frozen Design validates itself on construction.
     kv, volts, n_motors = design.kv, design.battery_voltage_nominal, design.n_motors
-    ct, diameter, rho = design.thrust_coefficient_ct, design.prop_diameter, env.air_density
-    nlr = _step("no_load_rpm", no_load_rpm, kv, volts)
+    ct, diameter = design.thrust_coefficient_ct, design.prop_diameter
+    nlr, operating_rpm, thrust = thrust_stage(kv, volts, ct, diameter, env.air_density, loaded_rpm)
     kt = _step("torque_constant", torque_constant, kv)
     mtq = _step("max_torque", max_torque, kv, design.current_limit_per_motor)
-    operating_rpm = loaded_rpm if loaded_rpm is not None else nlr
-    thrust = _step("static_thrust", static_thrust, ct, rho, operating_rpm, diameter)
-    required = _step(
-        "required_thrust_per_motor", required_thrust_per_motor, design.mtow, n_motors, env.gravity
-    )
-    area = _step("disk_area_total", disk_area_total, diameter, n_motors)
-    hover_power = _step(
-        "ideal_hover_power", ideal_hover_power, design.mtow * env.gravity, rho, area,
-        HOVER_EFFICIENCY_DEFAULT,
-    )
-    bus_current = hover_power / (n_motors * volts)
-    hover_rpm = _step("hover_rpm", rpm_for_thrust, required, ct, rho, diameter)
+    required, hover_power, hover_rpm, torque = hover_stage(design.mtow, n_motors, ct, diameter, env)
     # Shaft torque at the hover operating point, converted to motor current
     # through Kt.  This is the current a per-motor limit constrains.
-    omega = 2.0 * math.pi * hover_rpm / 60.0
-    torque_current = (hover_power / n_motors) / omega / kt
-    endurance = _step(
-        "hover_endurance", hover_endurance, design.battery_capacity, volts,
-        BATTERY_EFFICIENCY_DEFAULT, hover_power,
-    )
+    torque_current = torque / kt
+    endurance = endurance_stage(design.battery_capacity, volts, hover_power)
 
     values = {
         "static_thrust_per_motor": thrust,
@@ -395,7 +422,7 @@ def evaluate_design(
         required_thrust_per_motor=required,
         hover_rpm=hover_rpm,
         hover_power_total=hover_power,
-        hover_current_per_motor=bus_current,
+        hover_current_per_motor=hover_power / (n_motors * volts),
         hover_torque_current_per_motor=torque_current,
         endurance=endurance,
         requirement_checks=tuple(checks),

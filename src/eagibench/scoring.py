@@ -480,40 +480,19 @@ def score_fix(answer_text: str, spec: FixSpec) -> Score:
             return unscorable(f"patch references unknown field {key!r}")
     try:
         patched = apply_patch(spec.base_design, fields_to_si(patch), spec.ct_overrides)
-        after = evaluate_design(
-            patched, spec.environment, spec.requirements, loaded_rpm=spec.loaded_rpm
-        )
+        fixed, rows = spec.judge(patched)
     except (TypeError, ValueError, ArithmeticError) as exc:
         return unscorable(f"patched design is invalid: {exc}")
-
-    before = evaluate_design(
-        spec.base_design, spec.environment, spec.requirements, loaded_rpm=spec.loaded_rpm
-    )
-
-    evidence = []
-    flipped = False
-    regressed = False
-    for req in spec.requirements:
-        b = before.check(req.id)
-        a = after.check(req.id)
-        if req.id == spec.failing_requirement_id:
-            flipped = (not b.passed) and a.passed
-            outcome = "flipped" if flipped else "still-failing" if not a.passed else "not-failing-before"
-        elif b.passed and not a.passed:
-            regressed = True
-            outcome = "regressed"
-        else:
-            outcome = "pass" if a.passed else "fail"
-        evidence.append(
-            Evidence(
-                req.id,
-                outcome,
-                f"{req.kind.value}: before {b.measured:.4g} after {a.measured:.4g} "
-                f"vs bound {req.bound:g} {req.unit}",
-            )
+    evidence = tuple(
+        Evidence(
+            req.id,
+            outcome,
+            f"{req.kind.value}: before {b.measured:.4g} after {a.measured:.4g} "
+            f"vs bound {req.bound:g} {req.unit}",
         )
-    ok = flipped and not regressed
-    return Score(1.0 if ok else 0.0, Verdict.Pass if ok else Verdict.Fail, tuple(evidence))
+        for req, b, a, outcome in rows
+    )
+    return Score(1.0 if fixed else 0.0, Verdict.Pass if fixed else Verdict.Fail, evidence)
 
 
 def _dominance_gap(candidate: ObjectiveVector, reference: ReferenceFront) -> float:

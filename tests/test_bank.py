@@ -136,6 +136,33 @@ class TestLoadBank:
         with pytest.raises(BankError, match="whole number"):
             load_bank(raw_bank)
 
+    @pytest.mark.parametrize(
+        "axis, value",
+        [("prop_diameter_in", 1e-160), ("prop_diameter_in", 1e-80), ("prop_diameter_in", 1e100),
+         ("kv_rpm_per_volt", 1e308)],
+        ids=["disk-area-underflow", "hover-rpm-division-by-zero", "diameter-overflow",
+             "no-load-rpm-overflow"],
+    )
+    def test_grid_the_oracle_cannot_evaluate_rejected_at_load(self, raw_bank, axis, value):
+        # Each value passes the per-axis checks, but evaluating the grid at
+        # the item's takeoff weight raises, so scoring the item would too.
+        raw_bank["grids"]["quad-14kg"][axis].append(value)
+        with pytest.raises(BankError, match="template 'l5-quad-14kg'"):
+            load_bank(raw_bank)
+
+    @pytest.mark.parametrize(
+        "template_id, edit",
+        [
+            ("l4-thrust-fix", lambda answer: answer.update(reference_patch={"prop_diameter_in": 9.5})),
+            ("l5-quad-14kg", lambda answer: answer["reference_design"].update(kv_rpm_per_volt=50)),
+        ],
+        ids=["fix-patch-halved", "design-kv-50"],
+    )
+    def test_reference_answer_failing_its_own_item_rejected_at_load(self, raw_bank, template_id, edit):
+        edit(next(t for t in raw_bank["templates"] if t["id"] == template_id)["answer"])
+        with pytest.raises(BankError, match=f"template '{template_id}': reference"):
+            load_bank(raw_bank)
+
     def test_whole_float_count_loads(self, raw_bank):
         raw_bank["contexts"]["urban-logistics-quad"]["design"]["n_motors"] = 4.0
         raw_bank["grids"]["quad-14kg"]["n_motors"] = [4.0]

@@ -8,13 +8,17 @@ from eagibench.design_space import (
     BatteryOption,
     DesignGrid,
     ObjectiveVector,
+    ReferenceFront,
     dominates,
     enumerate_designs,
     feasible_set,
     front_indices,
+    grid_evaluations,
     grid_from_dict,
     objective_vector,
     pareto_front,
+    reference_front,
+    report_objectives,
 )
 from eagibench.propulsion import (
     Environment,
@@ -22,6 +26,8 @@ from eagibench.propulsion import (
     Requirement,
     RequirementKind,
     RequirementSet,
+    evaluate_design,
+    prop_key,
 )
 
 BATTERY_6S = BatteryOption(cells=6, voltage=22.2, capacity=12)
@@ -267,6 +273,67 @@ def test_dominates_antisymmetric(a, b):
 @given(_vectors, _vectors, _vectors)
 def test_no_short_dominance_cycles(a, b, c):
     assert not (dominates(a, b) and dominates(b, c) and dominates(c, a))
+
+
+_REQUIREMENT_BOUNDS = {
+    RequirementKind.MinThrustPerMotor: st.floats(0, 150),
+    RequirementKind.MaxCurrentPerMotor: st.floats(0, 60),
+    RequirementKind.MinEndurance: st.floats(0, 40),
+    RequirementKind.MaxMTOW: st.floats(0, 30),
+    RequirementKind.FootprintMax: st.floats(0, 2),  # grid designs declare none: nothing passes
+    RequirementKind.VoltageClass: st.sampled_from([4.0, 6.0, 12.0]),
+}
+
+
+@st.composite
+def _staged_cases(draw):
+    """A small grid (axis values may repeat), Ct overrides on some of its
+    propellers, a takeoff weight, an environment, and a requirement set
+    drawing each kind with probability one half."""
+    def axis(values, max_size):
+        return tuple(draw(st.lists(values, min_size=1, max_size=max_size)))
+
+    diameters = axis(st.sampled_from([16.0, 18.0]) | st.floats(10, 24), 3)
+    pitches = axis(st.sampled_from([5.0, 6.0]) | st.floats(3, 9), 2)
+    batteries = tuple(
+        BatteryOption(cells, 3.7 * cells * draw(st.floats(0.96, 1.04)),
+                      draw(st.sampled_from([8.0, 12.0]) | st.floats(2, 20)))
+        for cells in axis(st.sampled_from([4, 6, 12]), 3)
+    )
+    props = [prop_key(d * M_PER_IN, p * M_PER_IN) for d in diameters for p in pitches]
+    grid = DesignGrid(
+        kv_values=axis(st.sampled_from([300.0, 340.0, 400.0]) | st.floats(150, 700), 3),
+        prop_diameters=tuple(d * M_PER_IN for d in diameters),
+        prop_pitches=tuple(p * M_PER_IN for p in pitches),
+        battery_options=batteries,
+        n_motors_options=axis(st.sampled_from([2, 4, 6, 8]), 2),
+        current_limit_per_motor=draw(st.floats(10, 40)),
+        ct_overrides=draw(st.dictionaries(st.sampled_from(props), st.floats(0.02, 0.08))),
+    )
+    env = draw(st.just(Environment()) | st.builds(Environment, st.floats(0.8, 1.3), st.floats(9.7, 9.9)))
+    requirements = RequirementSet(tuple(
+        Requirement(kind.value, kind, draw(bound))
+        for kind, bound in _REQUIREMENT_BOUNDS.items()
+        if draw(st.booleans())
+    ))
+    return grid, draw(st.floats(3, 25)), env, requirements
+
+
+@settings(max_examples=150, deadline=None)
+@given(_staged_cases())
+def test_factored_pass_matches_per_design_evaluation(case):
+    grid, mtow, env, requirements = case
+    staged = list(grid_evaluations(grid, mtow, env, requirements))
+    assert [design for design, _, _ in staged] == enumerate_designs(grid, mtow)
+    feasible = []
+    for design, objectives, passed in staged:
+        report = evaluate_design(design, env, requirements)
+        assert ObjectiveVector(*objectives) == report_objectives(report)
+        assert passed == report.all_requirements_pass
+        if passed:
+            feasible.append(report_objectives(report))
+    reference = reference_front(grid, mtow, env, requirements)
+    assert reference == ReferenceFront.from_vectors(feasible)
 
 
 def test_grid_from_dict_units():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from eagibench.bank import (
     ANSWER_KINDS,
     DESIGN_FIELD_MAP,
+    BankError,
     DiagnosisSpec,
     FactSpec,
     FieldExpectation,
@@ -14,6 +15,8 @@ from eagibench.bank import (
     RubricSpec,
     StructuredSpec,
     design_to_bank,
+    load_bank,
+    shipped_bank_path,
 )
 from eagibench import design_space, scoring
 from eagibench.design_space import ObjectiveVector, ReferenceFront, dominates
@@ -315,18 +318,31 @@ class TestScoreDesign:
         score = score_design(_fence({"design": design}), spec)
         assert score.verdict is Verdict.Unscorable
 
-    def test_one_oracle_call_per_grid_design(self, instances, monkeypatch):
-        calls = []
+    def test_grid_scored_in_one_factored_pass(self, instances, monkeypatch):
+        calls = {"evaluate": 0, "thrust": 0, "hover": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return evaluate_design(*args, **kwargs)
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(design_space, "evaluate_design", counting)
-        monkeypatch.setattr(scoring, "evaluate_design", counting)
+            return wrapped
+
+        monkeypatch.setattr(scoring, "evaluate_design", counting("evaluate", evaluate_design))
+        monkeypatch.setattr(design_space, "evaluate_design", counting("evaluate", evaluate_design))
+        monkeypatch.setattr(design_space, "thrust_stage", counting("thrust", design_space.thrust_stage))
+        monkeypatch.setattr(design_space, "hover_stage", counting("hover", design_space.hover_stage))
         spec = instances["l5-quad-14kg"].answer_spec
         score_design(_fence({"design": {"kv_rpm_per_volt": 420, "prop_diameter_in": 16}}), spec)
-        assert len(calls) == spec.grid.size + 1
+        grid = spec.grid
+        props = len(grid.prop_diameters) * len(grid.prop_pitches)
+        volts = len({b.voltage for b in grid.battery_options})
+        # The answer gets one oracle call; each grid stage runs once per distinct input.
+        assert calls == {
+            "evaluate": 1,
+            "thrust": len(grid.kv_values) * volts * props,
+            "hover": props * len(grid.n_motors_options),
+        }
 
     def test_plain_text_design(self, instances):
         spec = instances["l5-quad-14kg"].answer_spec
@@ -536,3 +552,75 @@ def test_any_answer_scores_in_unit_interval_without_raising(instances, kind, dat
     spec = data.draw(st.sampled_from(specs))
     score = score_answer(spec, data.draw(_answers(spec)))
     assert 0.0 <= score.value <= 1.0
+
+
+# Metamorphic relations (Chen et al., ACM Computing Surveys 51(1), 2018):
+# transforms of an answer whose effect on the verdict is known in advance.
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["up", "down"])
+@pytest.mark.parametrize("factor, verdict", [(0.99, Verdict.Pass), (1.01, Verdict.Fail)],
+                         ids=["inside", "outside"])
+def test_oracle_numeric_scaled_by_tolerance(instances, sign, factor, verdict):
+    specs = [i.answer_spec for i in instances.values() if i.kind == "numeric"]
+    assert specs
+    for spec in specs:
+        value = spec.value * (1 + sign * factor * spec.rel_tol)
+        score = score_numeric(_fence({"value": value, "unit": spec.unit}), spec)
+        assert score.verdict is verdict, (spec, value)
+
+
+def _full_envelopes(spec, kind):
+    """The reference payload, or any payload that states everything the
+    kind's scorer reads from an envelope."""
+    key = scoring._ENVELOPE_KEYS[kind]
+    if kind == "rubric":
+        reference = {"text": scoring.reference_answer(spec)}
+    else:
+        reference = scoring._REFERENCE_PAYLOADS[kind](spec)
+    if kind == "structured":
+        names = [f.name for f in spec.fields]
+        anything = st.fixed_dictionaries({name: _JSON for name in names})
+    elif kind in ("fix", "design"):
+        fields = getattr(spec, "patchable_fields", None) or sorted(DESIGN_FIELD_MAP)
+        anything = st.dictionaries(st.sampled_from(fields), _NUMBER, min_size=1, max_size=3) | _JSON
+    else:
+        anything = _JSON
+    return st.just(reference) | anything.map(lambda value: {key: value})
+
+
+@pytest.mark.parametrize("kind", sorted(ANSWER_KINDS.values()))
+@settings(deadline=None)
+@given(data=st.data())
+def test_prose_before_an_envelope_leaves_the_score_unchanged(instances, kind, data):
+    specs = [i.answer_spec for i in instances.values() if answer_kind(i.answer_spec) == kind]
+    spec = data.draw(st.sampled_from(specs))
+    envelope = _fence(data.draw(_full_envelopes(spec, kind)))
+    prose = data.draw(st.text(st.characters(blacklist_characters="`")))
+    assert score_answer(spec, prose + "\n" + envelope) == score_answer(spec, envelope)
+
+
+_SHIPPED = json.loads(shipped_bank_path().read_text(encoding="utf-8"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(_SHIPPED["grids"])),
+    st.sampled_from(["kv_rpm_per_volt", "prop_diameter_in", "prop_pitch_in", "capacity_ah"]),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+def test_grid_that_loads_never_makes_the_scorer_raise(grid_id, axis, value):
+    doc = json.loads(json.dumps(_SHIPPED))
+    grid = doc["grids"][grid_id]
+    if axis == "capacity_ah":
+        grid["battery_options"].append({**grid["battery_options"][0], "capacity_ah": value})
+    else:
+        grid[axis].append(value)
+    try:
+        bank = load_bank(doc)
+    except BankError:
+        return
+    for inst in bank.instances.values():
+        if inst.kind == "design":
+            score = score_answer(inst.answer_spec, scoring.reference_answer(inst.answer_spec))
+            assert 0.0 <= score.value <= 1.0
