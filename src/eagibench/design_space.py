@@ -93,25 +93,36 @@ class DesignGrid:
 
 
 def enumerate_designs(grid: DesignGrid, mtow: float) -> list[Design]:
-    """Cartesian product of the grid axes, in lexicographic axis order."""
+    """Cartesian product of the grid axes, in lexicographic axis order.
+
+    The grid checked every axis value when it was built, with the rules
+    ``Design.validate`` applies, and each Ct is a checked override or the
+    default; so only ``mtow`` is checked here, once, and the designs are
+    built without validating each one again.
+    """
+    _require_positive(mtow=mtow)
     props = grid.propellers()
+    current_limit = grid.current_limit_per_motor
     designs = []
     for kv in grid.kv_values:
         for diameter, pitch, ct in props:
             for battery in grid.battery_options:
                 for n_motors in grid.n_motors_options:
                     designs.append(
-                        Design(
-                            kv=kv,
-                            current_limit_per_motor=grid.current_limit_per_motor,
-                            battery_cells=battery.cells,
-                            battery_voltage_nominal=battery.voltage,
-                            battery_capacity=battery.capacity,
-                            prop_diameter=diameter,
-                            prop_pitch=pitch,
-                            n_motors=n_motors,
-                            mtow=mtow,
-                            thrust_coefficient_ct=ct,
+                        Design._from_checked(
+                            {
+                                "kv": kv,
+                                "current_limit_per_motor": current_limit,
+                                "battery_cells": battery.cells,
+                                "battery_voltage_nominal": battery.voltage,
+                                "battery_capacity": battery.capacity,
+                                "prop_diameter": diameter,
+                                "prop_pitch": pitch,
+                                "n_motors": n_motors,
+                                "mtow": mtow,
+                                "thrust_coefficient_ct": ct,
+                                "footprint": None,
+                            }
                         )
                     )
     return designs
@@ -231,51 +242,53 @@ def grid_evaluations(
     objectives (current, margin, endurance, the fields of
     ``ObjectiveVector``) and whether it passes every requirement.
 
-    The designs are evaluated factor by factor: each stage of
-    ``evaluate_design`` runs once per distinct input it reads (Kt per Kv;
-    thrust per Kv, voltage, diameter and Ct; hover per diameter, Ct and
-    motor count; endurance per battery and hover power), with the same
-    operations in the same order, so every figure equals that of
-    ``evaluate_design`` on the design.  The memo lives for one call.
+    The designs are evaluated factor by factor, walking the grid axes in
+    enumeration order: each stage of ``evaluate_design`` runs once per
+    distinct input it reads (Kt per Kv; thrust per voltage within each Kv
+    and propeller; hover per diameter, Ct and motor count; endurance per
+    battery and hover power), with the same operations in the same order,
+    so every figure equals that of ``evaluate_design`` on the design.  The
+    memo lives for one call.
     """
     if not isinstance(requirements, RequirementSet):
         requirements = RequirementSet(tuple(requirements))
     rho = env.air_density
-    kts: dict = {}
-    thrusts: dict = {}
+    designs = iter(enumerate_designs(grid, mtow))
+    props = grid.propellers()
     hovers: dict = {}
     endurances: dict = {}
-    for design in enumerate_designs(grid, mtow):
-        kv, volts, n_motors = design.kv, design.battery_voltage_nominal, design.n_motors
-        ct, diameter = design.thrust_coefficient_ct, design.prop_diameter
-        kt = kts.get(kv)
-        if kt is None:
-            kt = kts[kv] = torque_constant(kv)
-        key = (kv, volts, diameter, ct)
-        thrust = thrusts.get(key)
-        if thrust is None:
-            thrust = thrusts[key] = thrust_stage(kv, volts, ct, diameter, rho)[2]
-        key = (diameter, ct, n_motors)
-        hover = hovers.get(key)
-        if hover is None:
-            hover = hovers[key] = hover_stage(mtow, n_motors, ct, diameter, env)
-        required, power, _, torque = hover
-        key = (design.battery_capacity, volts, power)
-        endurance = endurances.get(key)
-        if endurance is None:
-            endurance = endurances[key] = endurance_stage(design.battery_capacity, volts, power)
-        current = torque / kt
-        values = {
-            "static_thrust_per_motor": thrust,
-            "hover_torque_current_per_motor": current,
-            "endurance": endurance,
-        }
-        passed = True
-        for req in requirements:
-            if not _measure(values, design, req)[1]:
-                passed = False
-                break
-        yield design, (current, thrust - required, endurance), passed
+    for kv in grid.kv_values:
+        kt = torque_constant(kv)
+        for diameter, _, ct in props:
+            thrusts: dict = {}
+            for battery in grid.battery_options:
+                volts, capacity = battery.voltage, battery.capacity
+                thrust = thrusts.get(volts)
+                if thrust is None:
+                    thrust = thrusts[volts] = thrust_stage(kv, volts, ct, diameter, rho)[2]
+                for n_motors in grid.n_motors_options:
+                    design = next(designs)
+                    key = (diameter, ct, n_motors)
+                    hover = hovers.get(key)
+                    if hover is None:
+                        hover = hovers[key] = hover_stage(mtow, n_motors, ct, diameter, env)
+                    required, power, _, torque = hover
+                    key = (capacity, volts, power)
+                    endurance = endurances.get(key)
+                    if endurance is None:
+                        endurance = endurances[key] = endurance_stage(capacity, volts, power)
+                    current = torque / kt
+                    values = {
+                        "static_thrust_per_motor": thrust,
+                        "hover_torque_current_per_motor": current,
+                        "endurance": endurance,
+                    }
+                    passed = True
+                    for req in requirements:
+                        if not _measure(values, design, req)[1]:
+                            passed = False
+                            break
+                    yield design, (current, thrust - required, endurance), passed
 
 
 def reference_front(

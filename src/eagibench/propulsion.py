@@ -209,6 +209,17 @@ class Design:
         if self.footprint is not None:
             _require_positive(footprint=self.footprint)
 
+    @classmethod
+    def _from_checked(cls, fields: dict) -> Design:
+        """A design holding ``fields`` (every field by name, taken over, not
+        copied) without running ``validate``.  The caller must already have
+        checked what ``validate`` checks: each float field positive and
+        finite, both counts at least 1, the pack voltage within 5% of
+        nominal, and ``footprint`` None or positive."""
+        design = object.__new__(cls)
+        object.__setattr__(design, "__dict__", fields)
+        return design
+
 
 class RequirementKind(enum.Enum):
     MinThrustPerMotor = "MinThrustPerMotor"
@@ -330,10 +341,12 @@ def _measure(report_values: dict, design: Design, req: Requirement) -> tuple[flo
 
 
 def _step(label: str, fn, *args):
+    """``fn(*args)``, with a domain or arithmetic error re-raised as the
+    same type under the quantity's label."""
     try:
         return fn(*args)
-    except PhysicsDomainError as exc:
-        raise PhysicsDomainError(f"{label}: {exc}") from exc
+    except (PhysicsDomainError, ArithmeticError) as exc:
+        raise type(exc)(f"{label}: {exc}") from exc
 
 
 # Evaluation stages.  ``evaluate_design`` runs them in this order for one

@@ -393,7 +393,12 @@ def score_fact(answer_text: str, spec: FactSpec) -> Score:
 
 
 def _match_field(field: FieldExpectation, envelope_fields: Optional[Mapping], text: str) -> tuple[bool, str]:
-    if envelope_fields is not None and field.name in envelope_fields:
+    """Check one field against the envelope's fields or, without an
+    envelope, against the prose.  A field the envelope omits fails: a
+    well-formed envelope wins over prose."""
+    if envelope_fields is not None:
+        if field.name not in envelope_fields:
+            return False, f"{field.name}: missing from envelope"
         got = envelope_fields[field.name]
         if field.kind == "number":
             try:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import eagibench
+from eagibench.bank import load_shipped_bank, shipped_bank_path
 from eagibench.cli import EXIT_BANK, EXIT_OK, EXIT_TRANSPORT, EXIT_USAGE, main
 from eagibench.harness import OracleAgent
 
@@ -129,6 +130,20 @@ def test_bank_errors_exit_2(tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
     assert main(["generate", "--n", "1", "--bank", str(deep)]) == EXIT_BANK
+
+
+@pytest.mark.parametrize(
+    "diameter_in, stage",
+    [(1e-80, "hover_rpm"), (1e100, "static_thrust")],
+    ids=["underflow", "overflow"],
+)
+def test_grid_the_oracle_cannot_evaluate_names_the_stage(tmp_path, capsys, diameter_in, stage):
+    doc = json.loads(shipped_bank_path().read_text(encoding="utf-8"))
+    doc["grids"]["quad-14kg"]["prop_diameter_in"].append(diameter_in)
+    bank = _write(tmp_path / "bank.json", doc)
+    code = main(["run", "--n", "1", "--bank", bank, "--agent", "oracle", "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_BANK
+    assert f"template 'l5-quad-14kg': {stage}: " in capsys.readouterr().err
 
 
 _KEYS = st.sampled_from(
@@ -302,3 +317,36 @@ def test_score_and_replay_run_grade_alike(tmp_path, instances):
     assert items == json.loads(ran.read_text(encoding="utf-8"))["items"]
     verdicts = {item["verdict"] for item in items}
     assert {"Pass", "Fail", "Unscorable"} <= verdicts
+
+
+_TEMPLATE_IDS = st.sampled_from(sorted(i.id for i in load_shipped_bank().instances.values()))
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+_INSTANCE_RECORDS = st.fixed_dictionaries(
+    {"provenance": st.fixed_dictionaries({"template_id": _TEMPLATE_IDS})}) | _JSON
+_INSTANCES_DOCUMENT = st.fixed_dictionaries(
+    {"instances": st.lists(_INSTANCE_RECORDS, max_size=4)},
+    optional={"mode": _JSON, "seed": _JSON, "bank_fingerprint": _JSON},
+)
+_ANSWERS_DOCUMENT = st.dictionaries(_TEMPLATE_IDS | st.text(max_size=8), _JSON | _TEXT, max_size=4)
+
+
+def _file_contents(document):
+    """As file contents: half the time a document of the expected shape,
+    otherwise any JSON or any text."""
+    return document.map(json.dumps) | (_JSON.map(json.dumps) | _TEXT)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_file_contents(_INSTANCES_DOCUMENT), _file_contents(_ANSWERS_DOCUMENT))
+@example(json.dumps({"instances": [{"provenance": {"template_id": "l2-prop-parameters"}}]}),
+         json.dumps({"l2-prop-parameters": {"fields": [1]}}))
+def test_any_instances_or_answers_file_scores_to_an_exit_code(instances_text, answers_text):
+    with tempfile.TemporaryDirectory() as scratch:
+        paths = {}
+        for name, text in (("instances", instances_text), ("answers", answers_text)):
+            paths[name] = os.path.join(scratch, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as f:
+                f.write(text)
+        argv = ["score", "--instances", paths["instances"], "--answers", paths["answers"],
+                "--out", os.path.join(scratch, "report.json")]
+        assert main(argv) in range(4)

@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -21,8 +24,10 @@ from eagibench.design_space import (
     report_objectives,
 )
 from eagibench.propulsion import (
+    Design,
     Environment,
     M_PER_IN,
+    PhysicsDomainError,
     Requirement,
     RequirementKind,
     RequirementSet,
@@ -60,6 +65,11 @@ class TestEnumerate:
         assert a == b
         # lexicographic in axis order: kv varies slowest
         assert [d.kv for d in a] == [340, 340, 380, 380, 420, 420]
+
+    @pytest.mark.parametrize("mtow", [0, -1, math.nan, math.inf])
+    def test_takeoff_weight_outside_the_domain_rejected(self, mtow):
+        with pytest.raises(PhysicsDomainError, match="mtow must be positive and finite"):
+            enumerate_designs(_grid(), mtow)
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -334,6 +344,30 @@ def test_factored_pass_matches_per_design_evaluation(case):
             feasible.append(report_objectives(report))
     reference = reference_front(grid, mtow, env, requirements)
     assert reference == ReferenceFront.from_vectors(feasible)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_staged_cases())
+def test_grid_designs_equal_validated_designs(case):
+    grid, mtow, _, _ = case
+    designs = enumerate_designs(grid, mtow)
+    points = itertools.product(
+        grid.kv_values, grid.propellers(), grid.battery_options, grid.n_motors_options
+    )
+    assert designs == [
+        Design(kv=kv, current_limit_per_motor=grid.current_limit_per_motor, battery_cells=b.cells,
+               battery_voltage_nominal=b.voltage, battery_capacity=b.capacity, prop_diameter=d,
+               prop_pitch=p, n_motors=n, mtow=mtow, thrust_coefficient_ct=ct)
+        for kv, (d, p, ct), b, n in points
+    ]
+    for design in designs:
+        validated = Design(**dataclasses.asdict(design))
+        assert design == validated and repr(design) == repr(validated)
+        assert hash(design) == hash(validated)
+        assert dataclasses.replace(design) == design
+        assert pickle.loads(pickle.dumps(design)) == design
+        with pytest.raises(PhysicsDomainError):
+            dataclasses.replace(design, mtow=0.0)
 
 
 def test_grid_from_dict_units():

@@ -277,6 +277,17 @@ class TestEvaluateDesign:
         with pytest.raises(PhysicsDomainError, match="static_thrust"):
             evaluate_design(_example_design(), Environment(), (), loaded_rpm=-5)
 
+    @pytest.mark.parametrize(
+        "diameter_in, error, label",
+        [(1e-80, ZeroDivisionError, "hover_rpm: "), (1e100, OverflowError, "static_thrust: ")],
+        ids=["underflow", "overflow"],
+    )
+    def test_arithmetic_error_labels_failing_quantity(self, diameter_in, error, label):
+        design = _example_design(prop_diameter=diameter_in * M_PER_IN)
+        with pytest.raises(error) as caught:
+            evaluate_design(design, Environment())
+        assert type(caught.value) is error and str(caught.value).startswith(label)
+
     def test_voltage_class_and_footprint_checks(self):
         reqs = RequirementSet(
             (

@@ -176,6 +176,14 @@ class TestScoreStructured:
         assert score.verdict is Verdict.Partial
         assert "not a number" in score.evidence[0].detail
 
+    def test_field_the_envelope_omits_fails_whatever_the_prose_says(self, instances):
+        spec = instances["l2-prop-parameters"].answer_spec
+        envelope = _fence({"fields": {f.name: f.expected for f in spec.fields if f.name != "diameter"}})
+        score = score_answer(spec, envelope)
+        assert score_answer(spec, "diameter 18\n" + envelope) == score
+        assert score.verdict is Verdict.Partial
+        assert score.evidence[0] == Evidence("diameter", "fail", "diameter: missing from envelope")
+
 
 DIAG = DiagnosisSpec(
     accepted_causes=("insufficient-rpm-thrust",),
@@ -598,6 +606,34 @@ def test_prose_before_an_envelope_leaves_the_score_unchanged(instances, kind, da
     envelope = _fence(data.draw(_full_envelopes(spec, kind)))
     prose = data.draw(st.text(st.characters(blacklist_characters="`")))
     assert score_answer(spec, prose + "\n" + envelope) == score_answer(spec, envelope)
+
+
+def _partial_envelopes(spec, kind):
+    """An envelope under the kind's key whose payload leaves out any of the
+    reference payload's fields (for a numeric, its unit), and prose stating
+    every field the reference payload states."""
+    key = scoring._ENVELOPE_KEYS[kind]
+    reference = scoring._REFERENCE_PAYLOADS[kind](spec)
+    stated = reference if kind == "numeric" else reference[key]
+    kept = st.sets(st.sampled_from(sorted(stated))).map(
+        lambda dropped: {name: value for name, value in stated.items() if name not in dropped})
+    if kind == "numeric":
+        payloads = kept.filter(lambda p: "value" in p)
+    else:
+        payloads = kept.map(lambda p: {key: p})
+    prose = " ".join(f"{name} {value}" for name, value in stated.items())
+    return payloads, st.text(st.characters(blacklist_characters="`")) | st.just(prose)
+
+
+@pytest.mark.parametrize("kind", ["design", "fix", "numeric", "structured"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_prose_before_a_partial_envelope_leaves_the_score_unchanged(instances, kind, data):
+    specs = [i.answer_spec for i in instances.values() if answer_kind(i.answer_spec) == kind]
+    spec = data.draw(st.sampled_from(specs))
+    payloads, prose = _partial_envelopes(spec, kind)
+    envelope = _fence(data.draw(payloads))
+    assert score_answer(spec, data.draw(prose) + "\n" + envelope) == score_answer(spec, envelope)
 
 
 _SHIPPED = json.loads(shipped_bank_path().read_text(encoding="utf-8"))
