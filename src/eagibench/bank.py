@@ -314,7 +314,6 @@ def answer_kind(spec: AnswerSpec) -> str:
 
 @dataclass(frozen=True)
 class DesignContext:
-    id: str
     summary: str
     design: Optional[Design]
     environment: Environment
@@ -348,7 +347,6 @@ class QuestionInstance:
 
 @dataclass(frozen=True)
 class QuestionBank:
-    schema_version: int
     contexts: Mapping[str, DesignContext]
     grids: Mapping[str, DesignGrid]
     cause_vocabulary: Mapping[str, tuple[str, ...]]
@@ -689,7 +687,6 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
         with record(f"context {ctx_id!r}", ctx_id):
             design = raw.get("design")
             contexts[ctx_id] = DesignContext(
-                id=ctx_id,
                 summary=str(raw.get("summary", "")),
                 environment=environment_from_bank(raw.get("environment")),
                 design=None if design is None else design_from_bank(design),
@@ -738,7 +735,6 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
 
     instances: dict[str, QuestionInstance] = {}
     bank = QuestionBank(
-        schema_version=int(version),
         contexts=contexts,
         grids=grids,
         cause_vocabulary=vocabulary,
@@ -779,28 +775,15 @@ def _fisher_yates(items: list, rng: random.Random) -> list:
 
 
 def _stratified_quotas(levels: Sequence[int], populations: Mapping[int, int], n: int) -> dict:
-    """Per-level quotas, as equal as possible (largest remainder, low levels first),
-    then capacity-adjusted so each quota fits its level population."""
-    count = len(levels)
-    base, extra = divmod(n, count)
-    quotas = {lvl: base + (1 if i < extra else 0) for i, lvl in enumerate(levels)}
-    # Shift overflow from under-populated levels to levels with spare items.
-    deficit = 0
-    for lvl in levels:
-        if quotas[lvl] > populations[lvl]:
-            deficit += quotas[lvl] - populations[lvl]
-            quotas[lvl] = populations[lvl]
-    while deficit > 0:
-        progressed = False
+    """Per-level quotas, as equal as possible: round after round, one item
+    for each level that has items left, low levels first, until ``n`` are
+    taken (the caller guarantees ``n`` fits the populations)."""
+    quotas = dict.fromkeys(levels, 0)
+    for _ in range(max(populations.values(), default=0)):
         for lvl in levels:
-            if deficit == 0:
-                break
-            if quotas[lvl] < populations[lvl]:
+            if n and quotas[lvl] < populations[lvl]:
                 quotas[lvl] += 1
-                deficit -= 1
-                progressed = True
-        if not progressed:  # total population < n; guarded by caller
-            break
+                n -= 1
     return quotas
 
 

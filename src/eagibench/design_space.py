@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import groupby
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .propulsion import (
@@ -60,6 +61,8 @@ class DesignGrid:
 
     def __post_init__(self):
         """Reject an axis value no design on the grid could take, at O(sum of axis lengths)."""
+        # A read-only copy, so no Ct can be written after the check below.
+        object.__setattr__(self, "ct_overrides", MappingProxyType(dict(self.ct_overrides)))
         for name in ("kv_values", "prop_diameters", "prop_pitches", "battery_options", "n_motors_options"):
             if not getattr(self, name):
                 raise ValueError(f"DesignGrid.{name} must be non-empty")
@@ -265,14 +268,14 @@ def grid_evaluations(
                 volts, capacity = battery.voltage, battery.capacity
                 thrust = thrusts.get(volts)
                 if thrust is None:
-                    thrust = thrusts[volts] = thrust_stage(kv, volts, ct, diameter, rho)[2]
+                    thrust = thrusts[volts] = thrust_stage(kv, volts, ct, diameter, rho)[1]
                 for n_motors in grid.n_motors_options:
                     design = next(designs)
                     key = (diameter, ct, n_motors)
                     hover = hovers.get(key)
                     if hover is None:
                         hover = hovers[key] = hover_stage(mtow, n_motors, ct, diameter, env)
-                    required, power, _, torque = hover
+                    required, power, torque = hover
                     key = (capacity, volts, power)
                     endurance = endurances.get(key)
                     if endurance is None:
@@ -317,7 +320,7 @@ def check_grid(grid: DesignGrid, mtow: float, env: Environment) -> None:
     for diameter, _, ct in grid.propellers():
         thrust_stage(kv, battery.voltage, ct, diameter, env.air_density)
         for n_motors in grid.n_motors_options:
-            _, power, _, torque = hover_stage(mtow, n_motors, ct, diameter, env)
+            _, power, torque = hover_stage(mtow, n_motors, ct, diameter, env)
             endurance_stage(battery.capacity, battery.voltage, power)
             _ = torque / kt  # Kt is 0.0 once 2*pi*Kv overflows
 

@@ -295,13 +295,9 @@ class PerformanceReport:
     oracle never infers load droop on its own.
     """
 
-    no_load_rpm: float
-    torque_constant: float
-    max_torque: float
     operating_rpm: float
     static_thrust_per_motor: float
     required_thrust_per_motor: float
-    hover_rpm: float
     hover_power_total: float
     hover_current_per_motor: float
     hover_torque_current_per_motor: float
@@ -357,19 +353,19 @@ def _step(label: str, fn, *args):
 
 def thrust_stage(
     kv: float, volts: float, ct: float, diameter: float, rho: float, loaded_rpm: Optional[float] = None
-) -> tuple[float, float, float]:
-    """No-load RPM, the operating RPM (the loaded RPM when one is given,
-    otherwise the no-load RPM), and the static thrust per motor there."""
+) -> tuple[float, float]:
+    """The operating RPM (the loaded RPM when one is given, otherwise the
+    no-load RPM) and the static thrust per motor there."""
     nlr = _step("no_load_rpm", no_load_rpm, kv, volts)
     rpm = nlr if loaded_rpm is None else loaded_rpm
-    return nlr, rpm, _step("static_thrust", static_thrust, ct, rho, rpm, diameter)
+    return rpm, _step("static_thrust", static_thrust, ct, rho, rpm, diameter)
 
 
 def hover_stage(
     mtow: float, n_motors: int, ct: float, diameter: float, env: Environment
-) -> tuple[float, float, float, float]:
+) -> tuple[float, float, float]:
     """Hover at a takeoff weight: required thrust per motor, total hover power,
-    hover RPM, and the shaft torque per motor at that RPM."""
+    and the shaft torque per motor at the hover RPM."""
     rho = env.air_density
     required = _step(
         "required_thrust_per_motor", required_thrust_per_motor, mtow, n_motors, env.gravity
@@ -381,7 +377,7 @@ def hover_stage(
     )
     hover_rpm = _step("hover_rpm", rpm_for_thrust, required, ct, rho, diameter)
     omega = 2.0 * math.pi * hover_rpm / 60.0
-    return required, hover_power, hover_rpm, (hover_power / n_motors) / omega
+    return required, hover_power, (hover_power / n_motors) / omega
 
 
 def endurance_stage(capacity: float, volts: float, hover_power: float) -> float:
@@ -408,10 +404,9 @@ def evaluate_design(
     # No re-validation: a frozen Design validates itself on construction.
     kv, volts, n_motors = design.kv, design.battery_voltage_nominal, design.n_motors
     ct, diameter = design.thrust_coefficient_ct, design.prop_diameter
-    nlr, operating_rpm, thrust = thrust_stage(kv, volts, ct, diameter, env.air_density, loaded_rpm)
+    operating_rpm, thrust = thrust_stage(kv, volts, ct, diameter, env.air_density, loaded_rpm)
     kt = _step("torque_constant", torque_constant, kv)
-    mtq = _step("max_torque", max_torque, kv, design.current_limit_per_motor)
-    required, hover_power, hover_rpm, torque = hover_stage(design.mtow, n_motors, ct, diameter, env)
+    required, hover_power, torque = hover_stage(design.mtow, n_motors, ct, diameter, env)
     # Shaft torque at the hover operating point, converted to motor current
     # through Kt.  This is the current a per-motor limit constrains.
     torque_current = torque / kt
@@ -427,13 +422,9 @@ def evaluate_design(
         checks.append(RequirementCheck(req.id, req.kind, req.bound, *_measure(values, design, req)))
 
     return PerformanceReport(
-        no_load_rpm=nlr,
-        torque_constant=kt,
-        max_torque=mtq,
         operating_rpm=operating_rpm,
         static_thrust_per_motor=thrust,
         required_thrust_per_motor=required,
-        hover_rpm=hover_rpm,
         hover_power_total=hover_power,
         hover_current_per_motor=hover_power / (n_motors * volts),
         hover_torque_current_per_motor=torque_current,

@@ -8,8 +8,8 @@ uses a keyword-rubric heuristic behind a seam where an external judge can
 be plugged in.
 
 Answer envelopes: an agent may end its reply with a fenced code block
-containing a single JSON object (the last such block wins over prose).
-Required keys per answer kind:
+containing a single JSON object.  The last block holding the kind's key
+wins over prose.  Required keys per answer kind:
 
     numeric    {"value": <number>, "unit": "<unit>"}
     fact       {"text": "<answer>"}
@@ -180,50 +180,29 @@ class AgentAnswer:
 _FENCE_RE = re.compile(r"```[A-Za-z]*[ \t]*\r?\n(.*?)```", re.DOTALL)
 
 
-def _find_envelope(text: str) -> Optional[Mapping]:
+def _find_envelope(text: str, key: str) -> Optional[Mapping]:
+    """The last fenced block that parses as a JSON object holding ``key``."""
     envelope = None
     for block in _FENCE_RE.findall(text):
         try:
             candidate = json.loads(block)
         except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deep
             continue
-        if isinstance(candidate, Mapping):
+        if isinstance(candidate, Mapping) and key in candidate:
             envelope = candidate
     return envelope
-
-
-_ENVELOPE_KEYS = {
-    "numeric": "value",
-    "fact": "text",
-    "structured": "fields",
-    "diagnosis": "cause",
-    "fix": "patch",
-    "design": "design",
-    "rubric": "text",
-}
 
 
 def _fence(payload: Mapping) -> str:
     return "```json\n" + json.dumps(payload) + "\n```"
 
 
-# The envelope payload that states each kind's ground truth.
-_REFERENCE_PAYLOADS = {
-    "numeric": lambda spec: {"value": spec.value, "unit": spec.unit},
-    "fact": lambda spec: {"text": spec.canonical},
-    "structured": lambda spec: {"fields": {f.name: f.expected for f in spec.fields}},
-    "diagnosis": lambda spec: {"cause": spec.accepted_causes[0]},
-    "fix": lambda spec: {"patch": dict(spec.reference_patch)},
-    "design": lambda spec: {"design": design_to_bank(spec.reference_design)},
-}
-
-
 def reference_answer(spec: AnswerSpec) -> str:
     """The ground-truth reply: an envelope, or for a rubric the first phrase of each criterion."""
-    kind = answer_kind(spec)
-    if kind == "rubric":
+    reference = _KINDS[answer_kind(spec)].reference
+    if reference is None:
         return " ".join(criterion.phrases[0] for criterion in spec.criteria)
-    return _fence(_REFERENCE_PAYLOADS[kind](spec))
+    return _fence(reference(spec))
 
 
 def extract(answer_text: str, expected_form: str, spec: Optional[AnswerSpec] = None) -> AgentAnswer:
@@ -235,62 +214,53 @@ def extract(answer_text: str, expected_form: str, spec: Optional[AnswerSpec] = N
     taken is recorded on the result; an empty result downstream becomes an
     Unscorable verdict, never a crash.
     """
-    envelope = _find_envelope(answer_text)
-    key = _ENVELOPE_KEYS.get(expected_form)
-    if envelope is not None and key is not None and key in envelope:
+    kind = _KINDS.get(expected_form)
+    if kind is None:
+        return AgentAnswer(raw_text=answer_text)
+    envelope = _find_envelope(answer_text, kind.key)
+    if envelope is not None:
         return AgentAnswer(raw_text=answer_text, envelope=envelope, extraction="envelope")
-    if expected_form == "numeric" and isinstance(spec, NumericSpec):
-        found = _numeric_from_text(answer_text, spec.unit)
-        if found is None:
-            return AgentAnswer(raw_text=answer_text, envelope=None, extraction="none")
-        value, path = found
-        return AgentAnswer(
-            raw_text=answer_text, envelope={"value": value, "unit": spec.unit}, extraction=path
-        )
-    if expected_form == "diagnosis" and isinstance(spec, DiagnosisSpec):
-        cause = _cause_from_text(answer_text, spec.vocabulary)
-        if cause is None:
-            return AgentAnswer(raw_text=answer_text, envelope=None, extraction="none")
-        return AgentAnswer(raw_text=answer_text, envelope={"cause": cause}, extraction="text-cause")
-    if expected_form == "fix":
-        patch = _patch_from_text(answer_text)
-        if not patch:
-            return AgentAnswer(raw_text=answer_text, envelope=None, extraction="none")
-        return AgentAnswer(raw_text=answer_text, envelope={"patch": patch}, extraction="text-patch")
-    if expected_form == "design":
-        design = _design_from_text(answer_text)
-        if not design:
-            return AgentAnswer(raw_text=answer_text, envelope=None, extraction="none")
-        return AgentAnswer(
-            raw_text=answer_text, envelope={"design": design}, extraction="text-design"
-        )
-    return AgentAnswer(raw_text=answer_text, envelope=None, extraction="text")
+    if kind.from_text is None:
+        return AgentAnswer(raw_text=answer_text)
+    envelope, path = kind.from_text(answer_text, spec) or (None, "none")
+    return AgentAnswer(raw_text=answer_text, envelope=envelope, extraction=path)
 
 
-def _numeric_from_text(text: str, unit: str) -> Optional[tuple[float, str]]:
-    """Last number with a matching unit; else the last bare number."""
-    canon = normalize_unit(unit)
+# Plain-text extractors: ``(text, spec) -> (stand-in envelope, path)``, or
+# None when the text holds no answer.  One that needs a spec and is given
+# none of its type returns ``(None, "text")``, as for a kind with no
+# extractor.
+
+
+def _numeric_from_text(text: str, spec: Optional[AnswerSpec]) -> Optional[tuple[dict, str]]:
+    """Last number with the spec's unit; else the last bare number."""
+    if not isinstance(spec, NumericSpec):
+        return None, "text"
+    canon = normalize_unit(spec.unit)
     with_unit = None
     for match in re.finditer(rf"({_NUMBER_RE})\s*([A-Za-z/·*\"%]+)", text):
         if normalize_unit(match.group(2)) == canon:
             with_unit = _to_float(match.group(1))
     if with_unit is not None:
-        return with_unit, "text-unit-number"
+        return {"value": with_unit, "unit": spec.unit}, "text-unit-number"
     numbers = re.findall(_NUMBER_RE, text)
     if numbers:
-        return _to_float(numbers[-1]), "text-number"
+        return {"value": _to_float(numbers[-1]), "unit": spec.unit}, "text-number"
     return None
 
 
-def _cause_from_text(text: str, vocabulary: Mapping[str, tuple[str, ...]]) -> Optional[str]:
+def _cause_from_text(text: str, spec: Optional[AnswerSpec]) -> Optional[tuple[dict, str]]:
+    """The vocabulary cause with the most phrase hits."""
+    if not isinstance(spec, DiagnosisSpec):
+        return None, "text"
     lowered = text.lower()
     best: Optional[str] = None
     best_hits = 0
-    for cause, phrases in vocabulary.items():
+    for cause, phrases in spec.vocabulary.items():
         hits = sum(1 for phrase in phrases if phrase.lower() in lowered)
         if hits > best_hits:
             best, best_hits = cause, hits
-    return best
+    return None if best is None else ({"cause": best}, "text-cause")
 
 
 _KV_RE = re.compile(r"(\d{3})\s*[- ]?kv\b", re.IGNORECASE)
@@ -305,7 +275,7 @@ _AH_RE = re.compile(rf"({_NUMBER_RE})\s*ah\b", re.IGNORECASE)
 _MOTORS_RE = re.compile(r"(\d{1,2})\s*(?:motors|rotors|props)\b", re.IGNORECASE)
 
 
-def _patch_from_text(text: str) -> dict:
+def _patch_fields(text: str) -> dict:
     patch: dict = {}
     prop = _PROP_RE.search(text)
     if prop:
@@ -323,8 +293,13 @@ def _patch_from_text(text: str) -> dict:
     return patch
 
 
-def _design_from_text(text: str) -> dict:
-    design = _patch_from_text(text)
+def _patch_from_text(text: str, spec: Optional[AnswerSpec]) -> Optional[tuple[dict, str]]:
+    patch = _patch_fields(text)
+    return ({"patch": patch}, "text-patch") if patch else None
+
+
+def _design_from_text(text: str, spec: Optional[AnswerSpec]) -> Optional[tuple[dict, str]]:
+    design = _patch_fields(text)
     cells = _CELLS_RE.search(text)
     if cells:
         design["battery_cells"] = int(cells.group(1))
@@ -338,11 +313,17 @@ def _design_from_text(text: str) -> dict:
     motors = _MOTORS_RE.search(text)
     if motors:
         design["n_motors"] = int(motors.group(1))
-    return design
+    return ({"design": design}, "text-design") if design else None
 
 
 # ---------------------------------------------------------------------------
 # Scorers
+
+
+def _graded(value: float, evidence) -> Score:
+    """Pass at 1, Fail at 0, Partial in between."""
+    verdict = Verdict.Pass if value == 1.0 else Verdict.Fail if value == 0.0 else Verdict.Partial
+    return Score(value, verdict, tuple(evidence))
 
 
 def score_numeric(answer_text: str, spec: NumericSpec) -> Score:
@@ -355,21 +336,14 @@ def score_numeric(answer_text: str, spec: NumericSpec) -> Score:
         return unscorable(f"envelope value {ans.envelope.get('value')!r} is not a number")
     unit = ans.envelope.get("unit", spec.unit)
     if normalize_unit(str(unit)) != normalize_unit(spec.unit):
-        return Score(
-            0.0,
-            Verdict.Fail,
-            (Evidence("unit", "fail", f"answer unit {unit!r} does not match {spec.unit!r}"),),
-        )
+        detail = f"answer unit {unit!r} does not match {spec.unit!r}"
+        return _graded(0.0, [Evidence("unit", "fail", detail)])
     ok = abs(value - spec.value) <= spec.rel_tol * abs(spec.value)
     detail = (
         f"measured {value:g} {spec.unit} vs expected {spec.value:g} {spec.unit} "
         f"(rel_tol {spec.rel_tol:g}, via {ans.extraction})"
     )
-    return Score(
-        1.0 if ok else 0.0,
-        Verdict.Pass if ok else Verdict.Fail,
-        (Evidence("numeric", "pass" if ok else "fail", detail),),
-    )
+    return _graded(float(ok), [Evidence("numeric", "pass" if ok else "fail", detail)])
 
 
 def score_fact(answer_text: str, spec: FactSpec) -> Score:
@@ -380,16 +354,9 @@ def score_fact(answer_text: str, spec: FactSpec) -> Score:
     normalized = normalize_phrase(text)
     for accepted in (spec.canonical, *spec.accepted_aliases):
         if normalize_phrase(accepted) in normalized:
-            return Score(
-                1.0,
-                Verdict.Pass,
-                (Evidence("fact", "pass", f"matched {accepted!r} (via {ans.extraction})"),),
-            )
-    return Score(
-        0.0,
-        Verdict.Fail,
-        (Evidence("fact", "fail", f"no match for canonical {spec.canonical!r}"),),
-    )
+            detail = f"matched {accepted!r} (via {ans.extraction})"
+            return _graded(1.0, [Evidence("fact", "pass", detail)])
+    return _graded(0.0, [Evidence("fact", "fail", f"no match for canonical {spec.canonical!r}")])
 
 
 def _match_field(field: FieldExpectation, envelope_fields: Optional[Mapping], text: str) -> tuple[bool, str]:
@@ -451,28 +418,17 @@ def score_structured(answer_text: str, spec: StructuredSpec) -> Score:
         ok, detail = _match_field(field, envelope_fields, answer_text)
         correct += ok
         evidence.append(Evidence(field.name, "pass" if ok else "fail", detail))
-    value = correct / len(spec.fields)
-    verdict = Verdict.Pass if value == 1.0 else Verdict.Fail if value == 0.0 else Verdict.Partial
-    return Score(value, verdict, tuple(evidence))
+    return _graded(correct / len(spec.fields), evidence)
 
 
 def score_diagnosis(answer_text: str, spec: DiagnosisSpec) -> Score:
     ans = extract(answer_text, "diagnosis", spec)
-    if ans.envelope is None or "cause" not in ans.envelope:
+    if ans.envelope is None:
         return unscorable("no cause identified in answer")
     cause = str(ans.envelope["cause"])
     ok = cause in spec.accepted_causes
-    return Score(
-        1.0 if ok else 0.0,
-        Verdict.Pass if ok else Verdict.Fail,
-        (
-            Evidence(
-                "diagnosis",
-                "pass" if ok else "fail",
-                f"cause {cause!r} vs accepted {list(spec.accepted_causes)} (via {ans.extraction})",
-            ),
-        ),
-    )
+    detail = f"cause {cause!r} vs accepted {list(spec.accepted_causes)} (via {ans.extraction})"
+    return _graded(float(ok), [Evidence("diagnosis", "pass" if ok else "fail", detail)])
 
 
 def score_fix(answer_text: str, spec: FixSpec) -> Score:
@@ -488,7 +444,7 @@ def score_fix(answer_text: str, spec: FixSpec) -> Score:
         fixed, rows = spec.judge(patched)
     except (TypeError, ValueError, ArithmeticError) as exc:
         return unscorable(f"patched design is invalid: {exc}")
-    evidence = tuple(
+    evidence = [
         Evidence(
             req.id,
             outcome,
@@ -496,8 +452,8 @@ def score_fix(answer_text: str, spec: FixSpec) -> Score:
             f"vs bound {req.bound:g} {req.unit}",
         )
         for req, b, a, outcome in rows
-    )
-    return Score(1.0 if fixed else 0.0, Verdict.Pass if fixed else Verdict.Fail, evidence)
+    ]
+    return _graded(float(fixed), evidence)
 
 
 def _dominance_gap(candidate: ObjectiveVector, reference: ReferenceFront) -> float:
@@ -569,8 +525,7 @@ def score_design(answer_text: str, spec: DesignSynthesisSpec) -> Score:
     value = DESIGN_CONSTRAINT_WEIGHT * fraction + DESIGN_PARETO_WEIGHT * pareto_component
     if fraction == 1.0 and pareto_component == 1.0:
         value = 1.0
-    verdict = Verdict.Pass if value == 1.0 else Verdict.Fail if value == 0.0 else Verdict.Partial
-    return Score(value, verdict, tuple(evidence))
+    return _graded(value, evidence)
 
 
 RubricJudge = Callable[[str, RubricSpec], Score]
@@ -603,21 +558,49 @@ def score_rubric(answer_text: str, spec: RubricSpec, judge: Optional[RubricJudge
     return Score(value, verdict, tuple(evidence))
 
 
+@dataclass(frozen=True)
+class _Kind:
+    """Everything the scorer knows about one answer kind."""
+
+    #: The envelope key an answer of this kind must hold.
+    key: str
+    score: Callable[[str, AnswerSpec], Score]
+    #: The plain-text extractor; None where the whole reply is the answer.
+    from_text: Optional[Callable[[str, Optional[AnswerSpec]], Optional[tuple]]]
+    #: The envelope payload that states the ground truth; None for a rubric.
+    reference: Optional[Callable[[AnswerSpec], dict]]
+
+
+_KINDS = {
+    "numeric": _Kind(
+        "value", score_numeric, _numeric_from_text,
+        lambda spec: {"value": spec.value, "unit": spec.unit},
+    ),
+    "fact": _Kind("text", score_fact, None, lambda spec: {"text": spec.canonical}),
+    "structured": _Kind(
+        "fields", score_structured, None,
+        lambda spec: {"fields": {f.name: f.expected for f in spec.fields}},
+    ),
+    "diagnosis": _Kind(
+        "cause", score_diagnosis, _cause_from_text,
+        lambda spec: {"cause": spec.accepted_causes[0]},
+    ),
+    "fix": _Kind(
+        "patch", score_fix, _patch_from_text,
+        lambda spec: {"patch": dict(spec.reference_patch)},
+    ),
+    "design": _Kind(
+        "design", score_design, _design_from_text,
+        lambda spec: {"design": design_to_bank(spec.reference_design)},
+    ),
+    "rubric": _Kind("text", score_rubric, None, None),
+}
+
+
 def score_answer(spec: AnswerSpec, answer_text: str, *, rubric_judge: Optional[RubricJudge] = None) -> Score:
-    """Dispatch to the scorer for the spec's answer kind."""
+    """Score with the scorer for the spec's answer kind; ``rubric_judge``, when
+    given, grades rubric answers in place of the keyword heuristic."""
     kind = answer_kind(spec)
-    if kind == "numeric":
-        return score_numeric(answer_text, spec)
-    if kind == "fact":
-        return score_fact(answer_text, spec)
-    if kind == "structured":
-        return score_structured(answer_text, spec)
-    if kind == "diagnosis":
-        return score_diagnosis(answer_text, spec)
-    if kind == "fix":
-        return score_fix(answer_text, spec)
-    if kind == "design":
-        return score_design(answer_text, spec)
-    if kind == "rubric":
-        return score_rubric(answer_text, spec, judge=rubric_judge)
-    raise ValueError(f"no scorer for answer kind {kind!r}")
+    if kind == "rubric" and rubric_judge is not None:
+        return rubric_judge(answer_text, spec)
+    return _KINDS[kind].score(answer_text, spec)

@@ -11,6 +11,7 @@ from eagibench.bank import (
     NumericSpec,
     SampleError,
     SampleMode,
+    _stratified_quotas,
     design_from_bank,
     design_to_bank,
     instantiate,
@@ -338,6 +339,16 @@ class TestSample:
         out = sample(bank, TagFilter.empty(), len(bank), SampleMode.Stratified, 0)
         assert sorted(i.id for i in out) == sorted(t.id for t in bank.templates)
 
+    @pytest.mark.parametrize("n, tail", [(22, {4: 4, 5: 4, 6: 3}), (23, {4: 4, 5: 4, 6: 4})])
+    def test_stratified_spreads_a_short_level_evenly(self, bank, n, tail):
+        # Level sizes are 4/3/4/5/4/4: the item L2 lacks goes to the lowest
+        # level with spare items, not to whichever level the shift reaches.
+        out = sample(bank, TagFilter.empty(), n, SampleMode.Stratified, 0)
+        per_level = {}
+        for inst in out:
+            per_level[int(inst.level)] = per_level.get(int(inst.level), 0) + 1
+        assert {lvl: per_level[lvl] for lvl in tail} == tail
+
     def test_oversampling_reports_population(self, bank):
         with pytest.raises(SampleError) as err:
             sample(bank, TagFilter.empty(), 1000, SampleMode.Targeted, 0)
@@ -351,3 +362,18 @@ class TestSample:
         flt = TagFilter.from_dict({"system_type": ["HVAC"]})
         out = sample(bank, flt, 1, SampleMode.Targeted, 0)
         assert out[0].id == "l6-hvac-vrf-review"
+
+
+@settings(deadline=None)
+@given(
+    populations=st.dictionaries(st.integers(1, 6), st.integers(0, 8), min_size=1),
+    data=st.data(),
+)
+def test_stratified_quotas_are_as_equal_as_the_populations_allow(populations, data):
+    levels = sorted(populations)
+    n = data.draw(st.integers(0, sum(populations.values())))
+    quotas = _stratified_quotas(levels, populations, n)
+    assert sum(quotas.values()) == n
+    assert all(quotas[lvl] <= populations[lvl] for lvl in levels)
+    spare = [lvl for lvl in levels if quotas[lvl] < populations[lvl]]
+    assert all(quotas[lvl] >= quotas[other] - 1 for lvl in spare for other in levels)

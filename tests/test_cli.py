@@ -186,7 +186,9 @@ def test_transport_exhaustion_exit_3(monkeypatch, tmp_path):
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     try:
         monkeypatch.setenv(
@@ -197,6 +199,7 @@ def test_transport_exhaustion_exit_3(monkeypatch, tmp_path):
         assert code == EXIT_TRANSPORT
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=2)
 
 

@@ -75,6 +75,14 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             _grid(kv_values=())
 
+    def test_ct_overrides_cannot_change_after_the_grid_checked_them(self):
+        overrides = {"18x6": 0.05}
+        grid = _grid(kv_values=(380.0,), prop_diameters=(18 * M_PER_IN,), ct_overrides=overrides)
+        overrides["18x6"] = 0.0
+        with pytest.raises(TypeError):
+            grid.ct_overrides["18x6"] = -1.0
+        assert enumerate_designs(grid, 12)[0].thrust_coefficient_ct == 0.05
+
 
 class TestDominates:
     def test_equal_vectors(self):

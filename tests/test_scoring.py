@@ -76,6 +76,13 @@ class TestExtract:
         ans = extract("```json\n{not json}\n```\n8436 rpm", "numeric", RPM_SPEC)
         assert ans.envelope["value"] == 8436
 
+    def test_later_block_without_the_key_leaves_the_envelope(self):
+        text = _fence({"value": 8436, "unit": "RPM"}) + "\n" + _fence({"confidence": 1})
+        ans = extract(text, "numeric", RPM_SPEC)
+        assert ans.extraction == "envelope"
+        assert ans.envelope == {"value": 8436, "unit": "RPM"}
+        assert score_numeric(text, RPM_SPEC).verdict is Verdict.Pass
+
 
 class TestScoreNumeric:
     def test_exact_pass(self):
@@ -219,6 +226,30 @@ class TestScoreDiagnosis:
         )
         assert score_diagnosis("clearly alpha", spec).value == 1.0
         assert score_diagnosis("clearly beta", spec).value == 1.0
+
+
+@pytest.mark.parametrize(
+    "text, form, spec, label",
+    [
+        ("8436 RPM", "numeric", RPM_SPEC, "text-unit-number"),
+        ("8436", "numeric", RPM_SPEC, "text-number"),
+        ("no idea", "numeric", RPM_SPEC, "none"),
+        ("8436 RPM", "numeric", None, "text"),
+        ("the motor Kv is too low", "diagnosis", RPM_SPEC, "text"),
+        ("8436 RPM", "fact", None, "text"),
+        ("8436 RPM", "structured", None, "text"),
+        ("8436 RPM", "rubric", None, "text"),
+        ("it cannot lift off", "diagnosis", DIAG, "text-cause"),
+        ("no idea", "diagnosis", DIAG, "none"),
+        ("use a 20x6 prop", "fix", None, "text-patch"),
+        ("no idea", "fix", None, "none"),
+        ("340 Kv on 6S", "design", None, "text-design"),
+        ("no idea", "design", None, "none"),
+        ("8436 RPM", "essay", None, "text"),
+    ],
+)
+def test_extraction_labels(text, form, spec, label):
+    assert extract(text, form, spec).extraction == label
 
 
 class TestScoreFix:
@@ -489,8 +520,18 @@ class TestScoreRubric:
         score = score_rubric("anything", RUBRIC, judge=judge)
         assert score.evidence[0].check_id == "judge"
 
+    def test_score_answer_hands_only_rubrics_to_the_judge(self):
+        def judge(text, spec):
+            return Score(1.0, Verdict.Pass, (Evidence("judge", "pass", "external"),))
+
+        assert score_answer(RUBRIC, "anything", rubric_judge=judge).evidence[0].check_id == "judge"
+        assert score_answer(RPM_SPEC, "1 RPM", rubric_judge=judge).verdict is Verdict.Fail
+
 
 class TestScoreInvariants:
+    def test_the_kind_table_has_one_entry_per_answer_kind(self):
+        assert set(scoring._KINDS) == set(ANSWER_KINDS.values())
+
     def test_objective_scorers_verdict_value_coupling(self, instances):
         # Pass => 1, Fail => 0, Partial strictly inside, for the objective
         # scorers (rubric is threshold-gated and exempt).
@@ -546,7 +587,7 @@ def _answers(spec):
     or numbers under the design fields the spec reads."""
     fields = getattr(spec, "patchable_fields", None) or sorted(DESIGN_FIELD_MAP)
     design = st.dictionaries(st.sampled_from(fields), _NUMBER, min_size=1, max_size=3)
-    envelope = st.dictionaries(st.sampled_from(sorted(set(scoring._ENVELOPE_KEYS.values()))),
+    envelope = st.dictionaries(st.sampled_from(sorted({k.key for k in scoring._KINDS.values()})),
                                _JSON, max_size=3) | design.map(lambda d: {"patch": d, "design": d})
     fenced = st.builds(lambda prose, env: prose + _fence(env), st.text(max_size=20), envelope)
     return st.text() | fenced
@@ -581,11 +622,11 @@ def test_oracle_numeric_scaled_by_tolerance(instances, sign, factor, verdict):
 def _full_envelopes(spec, kind):
     """The reference payload, or any payload that states everything the
     kind's scorer reads from an envelope."""
-    key = scoring._ENVELOPE_KEYS[kind]
+    key = scoring._KINDS[kind].key
     if kind == "rubric":
         reference = {"text": scoring.reference_answer(spec)}
     else:
-        reference = scoring._REFERENCE_PAYLOADS[kind](spec)
+        reference = scoring._KINDS[kind].reference(spec)
     if kind == "structured":
         names = [f.name for f in spec.fields]
         anything = st.fixed_dictionaries({name: _JSON for name in names})
@@ -612,8 +653,8 @@ def _partial_envelopes(spec, kind):
     """An envelope under the kind's key whose payload leaves out any of the
     reference payload's fields (for a numeric, its unit), and prose stating
     every field the reference payload states."""
-    key = scoring._ENVELOPE_KEYS[kind]
-    reference = scoring._REFERENCE_PAYLOADS[kind](spec)
+    key = scoring._KINDS[kind].key
+    reference = scoring._KINDS[kind].reference(spec)
     stated = reference if kind == "numeric" else reference[key]
     kept = st.sets(st.sampled_from(sorted(stated))).map(
         lambda dropped: {name: value for name, value in stated.items() if name not in dropped})
