@@ -328,7 +328,6 @@ class QuestionTemplate:
     answer_raw: Mapping
     params: Mapping[str, Any] = field(default_factory=dict)
     context_ref: Optional[str] = None
-    notes: str = ""
 
 
 @dataclass(frozen=True)
@@ -729,7 +728,6 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
                     answer_raw=dict(raw["answer"]),
                     params=dict(raw.get("params", {})),
                     context_ref=raw.get("context"),
-                    notes=str(raw.get("notes", "")),
                 )
             )
 

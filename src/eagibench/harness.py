@@ -13,15 +13,11 @@ reproducible for a fixed seed and replay file.
 
 from __future__ import annotations
 
-import hashlib
-import http.client
 import json
+import math
 import os
 import time
-import urllib.error
-import urllib.request
-import uuid
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Protocol, Sequence
@@ -53,10 +49,15 @@ class RunConfig:
 
     def __post_init__(self):
         # Checked here so a bad value fails before any agent call is spent.
-        if not (0.0 < self.threshold <= 1.0):
-            raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
-        if self.max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be at least 1, got {self.max_in_flight}")
+        for name, ok, rule in (
+            ("threshold", 0.0 < self.threshold <= 1.0, "in (0, 1]"),
+            ("max_in_flight", self.max_in_flight >= 1, "at least 1"),
+            ("remote_retries", self.remote_retries >= 0, "at least 0"),
+            ("remote_timeout_s", 0.0 < self.remote_timeout_s < math.inf, "positive and finite"),
+            ("remote_backoff_s", self.remote_backoff_s >= 0.0, "at least 0"),  # NaN fails too
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 class AgentAdapter(Protocol):
@@ -115,6 +116,10 @@ class RemoteAgent:
         self.config = config
 
     def answer(self, prompt: str, metadata: Mapping) -> str:
+        # Imported on first use: with ssl and email they are a third of start-up.
+        import http.client
+        import urllib.error
+        import urllib.request
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
@@ -195,12 +200,9 @@ class EvaluationReport:
 
 
 def level_pass_rates(items: Sequence[ItemResult]) -> dict[int, float]:
-    counts: dict[int, list[int]] = {}
-    for item in items:
-        total = counts.setdefault(item.level, [0, 0])
-        total[0] += item.score.verdict is Verdict.Pass
-        total[1] += 1
-    return {lvl: passed / total for lvl, (passed, total) in sorted(counts.items())}
+    total = Counter(item.level for item in items)
+    passed = Counter(item.level for item in items if item.score.verdict is Verdict.Pass)
+    return {level: passed[level] / total[level] for level in sorted(total)}
 
 
 def assign_competence_level(rates: Mapping[int, float], threshold: float) -> int:
@@ -236,6 +238,7 @@ def _collect_answers(
     # this thread: a pool gains them nothing and costs about 2 ms of CPU per
     # 24-item run, some 18% of a replay run.
     if isinstance(agent, RemoteAgent) and config.max_in_flight > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
             return list(pool.map(ask, instances))
     return [ask(instance) for instance in instances]
@@ -268,7 +271,7 @@ def grade(
     rates = level_pass_rates(items)
     offline = started is None
     return EvaluationReport(
-        run_id="offline" if offline else uuid.uuid4().hex,
+        run_id="offline" if offline else os.urandom(16).hex(),
         started_at="" if offline else time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime(started)),
         duration_s=0.0 if offline else round(time.time() - started, 6),
         config=record,
@@ -317,6 +320,8 @@ def report_from_json(document: str | Mapping) -> EvaluationReport:
     if raw.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema_version {raw.get('schema_version')!r}")
     try:
+        if not isinstance(raw["config"], Mapping):
+            raise TypeError(f"config must be a JSON object, got {type(raw['config']).__name__}")
         items = tuple(
             ItemResult(
                 instance_id=item["instance_id"],
@@ -341,7 +346,7 @@ def report_from_json(document: str | Mapping) -> EvaluationReport:
             level_pass_rates={int(k): float(v) for k, v in raw["level_pass_rates"].items()},
             competence_level=int(raw["competence_level"]),
         )
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed report: {exc!r}") from None
 
 
@@ -358,14 +363,9 @@ def _markdown_report(report: EvaluationReport) -> str:
         "| Level | Items | Pass rate |",
         "|-------|-------|-----------|",
     ]
-    by_level: dict[int, int] = {}
-    for item in report.items:
-        by_level[item.level] = by_level.get(item.level, 0) + 1
-    for level in sorted(report.level_pass_rates):
-        name = CognitionLevel(level).name
-        lines.append(
-            f"| {level} ({name}) | {by_level.get(level, 0)} | {report.level_pass_rates[level]:.0%} |"
-        )
+    by_level = Counter(item.level for item in report.items)
+    for level, rate in sorted(report.level_pass_rates.items()):
+        lines.append(f"| {level} ({CognitionLevel(level).name}) | {by_level[level]} | {rate:.0%} |")
     failed = [i for i in report.items if i.score.verdict is not Verdict.Pass]
     if failed:
         lines += ["", "## Items not passed", ""]
@@ -380,4 +380,5 @@ def _markdown_report(report: EvaluationReport) -> str:
 
 
 def bank_fingerprint(path: str | Path) -> str:
+    import hashlib
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()

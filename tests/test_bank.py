@@ -61,6 +61,14 @@ class TestLoadBank:
         with pytest.raises(BankError, match=r"\$missing"):
             load_bank(raw_bank)
 
+    @pytest.mark.parametrize("notes", ["a note", 3, None], ids=["text", "number", "absent"])
+    def test_template_notes_are_ignored(self, raw_bank, bank, notes):
+        for template in raw_bank["templates"]:
+            template.pop("notes", None)
+            if notes is not None:
+                template["notes"] = notes
+        assert load_bank(raw_bank).instances == bank.instances
+
     def test_rel_tol_out_of_range_rejected(self, raw_bank):
         numeric = next(t for t in raw_bank["templates"] if t["id"] == "l3-no-load-rpm")
         numeric["answer"]["rel_tol"] = 0.5

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -353,3 +354,55 @@ def test_any_instances_or_answers_file_scores_to_an_exit_code(instances_text, an
         argv = ["score", "--instances", paths["instances"], "--answers", paths["answers"],
                 "--out", os.path.join(scratch, "report.json")]
         assert main(argv) in range(4)
+
+
+_ITEM = {"instance_id": "l3-no-load-rpm", "level": 3, "kind": "numeric", "value": 0.0,
+         "verdict": "Fail", "evidence": [{"check_id": "c", "outcome": "fail", "detail": "d"}]}
+_REPORT = {"schema_version": 1, "run_id": "r", "started_at": "", "duration_s": 0.0,
+           "config": {"agent": "oracle"}, "items": [_ITEM], "level_pass_rates": {"3": 0.0},
+           "competence_level": 0}
+
+
+def _with_any_values(document, **strategies):
+    """``document`` with any subset of its values replaced, by any JSON or
+    by the strategy given for that key."""
+    return st.fixed_dictionaries({}, optional={k: strategies.get(k, _JSON) for k in document}).map(
+        lambda replaced: {**document, **replaced})
+
+
+_REPORT_DOCUMENT = _with_any_values(
+    _REPORT, items=st.lists(_with_any_values(_ITEM) | _JSON, max_size=3) | _JSON)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_file_contents(_REPORT_DOCUMENT))
+@example(json.dumps({**_REPORT, "config": []}))
+@example(json.dumps({**_REPORT, "config": "x"}))
+@example(json.dumps({**_REPORT, "duration_s": 10**400}))
+def test_any_report_file_renders_to_an_exit_code(report_text):
+    with tempfile.TemporaryDirectory() as scratch:
+        report, out = os.path.join(scratch, "report.json"), os.path.join(scratch, "report.md")
+        with open(report, "w", encoding="utf-8") as f:
+            f.write(report_text)
+        assert main(["report", "--input", report, "--out", out]) in range(4)
+
+
+def test_local_run_loads_no_transport_and_draws_a_fresh_run_id(tmp_path):
+    src = str(Path(eagibench.__file__).resolve().parents[1])
+    code = (
+        "import json, sys\n"
+        "from eagibench.cli import main\n"
+        "for k in (1, 2):\n"
+        "    main(['run', '--n', '2', '--agent', 'oracle', '--out', f'{sys.argv[1]}/r{k}.json'])\n"
+        "print(json.dumps([m for m in ('http.client', 'urllib.request', 'ssl', 'email',\n"
+        "    'concurrent.futures', 'uuid', 'hashlib') if m in sys.modules]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout) == []
+    run_ids = [json.loads((tmp_path / f"r{k}.json").read_text(encoding="utf-8"))["run_id"]
+               for k in (1, 2)]
+    assert all(re.fullmatch("[0-9a-f]{32}", run_id) for run_id in run_ids)
+    assert run_ids[0] != run_ids[1]

@@ -57,7 +57,19 @@ class TestCompetenceAssignment:
 
 class TestRunEvaluation:
     @pytest.mark.parametrize(
-        "kwargs", [{"threshold": 0.0}, {"threshold": 1.5}, {"max_in_flight": 0}]
+        "kwargs",
+        [
+            {"threshold": 0.0},
+            {"threshold": 1.5},
+            {"max_in_flight": 0},
+            {"remote_retries": -1},
+            {"remote_timeout_s": 0.0},
+            {"remote_timeout_s": -1.0},
+            {"remote_timeout_s": float("nan")},
+            {"remote_timeout_s": float("inf")},
+            {"remote_backoff_s": -0.5},
+            {"remote_backoff_s": float("nan")},
+        ],
     )
     def test_config_rejects_out_of_domain_values(self, kwargs):
         with pytest.raises(ValueError):
