@@ -21,6 +21,7 @@ import dataclasses
 import enum
 import json
 import random
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -128,6 +129,22 @@ def design_from_bank(raw: Mapping, defaults: Optional[Mapping] = None) -> Design
     return Design(**kwargs)
 
 
+#: The design keys an L5 answer chooses: the axes of a design grid.
+GRID_AXIS_KEYS = frozenset(("kv_rpm_per_volt", "prop_diameter_in", "prop_pitch_in", "battery_cells",
+                            "battery_voltage_v", "battery_capacity_ah", "n_motors"))
+
+
+def grid_design_from_bank(raw: Mapping, defaults: Mapping, grid: DesignGrid) -> Design:
+    """The design an L5 answer names: its grid-axis keys over the item's
+    ``defaults``, with the Ct ``grid`` gives its propeller.  Any other
+    design key it sets is ignored, so it cannot change what the item fixes,
+    but an unknown key or a malformed value raises as in :func:`fields_to_si`."""
+    fields_to_si(raw)
+    design = design_from_bank({k: v for k, v in raw.items() if k in GRID_AXIS_KEYS}, defaults)
+    ct = propulsion.prop_ct(design.prop_diameter, design.prop_pitch, grid.ct_overrides)
+    return dataclasses.replace(design, thrust_coefficient_ct=ct)
+
+
 def design_to_bank(design: Design) -> dict:
     """Inverse of :func:`design_from_bank` (values back in bank units)."""
     out = {}
@@ -176,6 +193,15 @@ class FieldExpectation:
     rel_tol: float = 0.02
     aliases: tuple[str, ...] = ()
     match: str = "contains"  # "contains" | "exact" (text fields)
+
+    def __post_init__(self):
+        if self.kind not in ("number", "text"):
+            raise ValueError(f"field {self.name!r}: kind must be 'number' or 'text', got {self.kind!r}")
+        if self.match not in ("contains", "exact"):
+            raise ValueError(f"field {self.name!r}: match must be 'contains' or 'exact', got {self.match!r}")
+        value = self.expected  # a JSON number with a finite float value: not a bool or NaN
+        if self.kind == "number" and not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
+            raise ValueError(f"field {self.name!r}: expected must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -256,15 +282,6 @@ class DesignSynthesisSpec:
     defaults: Mapping[str, Any]
     reference_design: Design
     mtow: float
-    #: Requirement set that pins the grid's feasible set (the Pareto
-    #: reference).  Fixed at authoring time so that grading-side
-    #: requirement changes move the constraint fraction monotonically
-    #: without shifting the reference front.
-    reference_requirements: Optional[RequirementSet] = None
-
-    def __post_init__(self):
-        if self.reference_requirements is None:
-            object.__setattr__(self, "reference_requirements", self.requirements)
 
 
 @dataclass(frozen=True)
@@ -457,15 +474,10 @@ def _fmt(value: Any) -> str:
 
 
 def _requirements_from_raw(raw_reqs: Sequence[Mapping], ns: Mapping) -> RequirementSet:
-    reqs = (
-        Requirement(
-            id=str(raw["id"]),
-            kind=RequirementKind(raw["kind"]),
-            bound=float(_resolve(raw["bound"], ns)),
-        )
+    return RequirementSet(tuple(
+        Requirement(str(raw["id"]), RequirementKind(raw["kind"]), float(_resolve(raw["bound"], ns)))
         for raw in raw_reqs
-    )
-    return RequirementSet(tuple(reqs))
+    ))
 
 
 def _instantiate_answer(template: QuestionTemplate, bank: QuestionBank, ns: dict) -> AnswerSpec:
@@ -546,7 +558,7 @@ def _instantiate_answer(template: QuestionTemplate, bank: QuestionBank, ns: dict
             grid=bank.grids[grid_id],
             environment=environment,
             defaults=defaults,
-            reference_design=design_from_bank(raw["reference_design"], defaults),
+            reference_design=grid_design_from_bank(raw["reference_design"], defaults, bank.grids[grid_id]),
             mtow=mtow,
         )
     if kind == "rubric":

@@ -13,6 +13,7 @@ the Kv choice trades off against thrust margin; see ``propulsion``.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -20,7 +21,6 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .propulsion import (
-    CT_DEFAULT,
     Design,
     Environment,
     PerformanceReport,
@@ -33,7 +33,7 @@ from .propulsion import (
     endurance_stage,
     evaluate_design,
     hover_stage,
-    prop_key,
+    prop_ct,
     thrust_stage,
     torque_constant,
     M_PER_IN,
@@ -88,11 +88,8 @@ class DesignGrid:
 
     def propellers(self) -> list[tuple[float, float, float]]:
         """(diameter, pitch, Ct) of each propeller, Ct from ``ct_overrides`` or the default."""
-        return [
-            (diameter, pitch, float(self.ct_overrides.get(prop_key(diameter, pitch), CT_DEFAULT)))
-            for diameter in self.prop_diameters
-            for pitch in self.prop_pitches
-        ]
+        overrides = self.ct_overrides
+        return [(d, p, prop_ct(d, p, overrides)) for d in self.prop_diameters for p in self.prop_pitches]
 
 
 def enumerate_designs(grid: DesignGrid, mtow: float) -> list[Design]:
@@ -251,7 +248,8 @@ def grid_evaluations(
     and propeller; hover per diameter, Ct and motor count; endurance per
     battery and hover power), with the same operations in the same order,
     so every figure equals that of ``evaluate_design`` on the design.  The
-    memo lives for one call.
+    memo lives for one call.  Requirements are checked on the quantities the
+    walk holds: a grid design weighs ``mtow`` and declares no footprint.
     """
     if not isinstance(requirements, RequirementSet):
         requirements = RequirementSet(tuple(requirements))
@@ -260,12 +258,14 @@ def grid_evaluations(
     props = grid.propellers()
     hovers: dict = {}
     endurances: dict = {}
+    quantities = {"mtow": mtow, "footprint": math.inf}
     for kv in grid.kv_values:
         kt = torque_constant(kv)
         for diameter, _, ct in props:
             thrusts: dict = {}
             for battery in grid.battery_options:
                 volts, capacity = battery.voltage, battery.capacity
+                quantities["battery_cells"] = float(battery.cells)
                 thrust = thrusts.get(volts)
                 if thrust is None:
                     thrust = thrusts[volts] = thrust_stage(kv, volts, ct, diameter, rho)[1]
@@ -281,16 +281,10 @@ def grid_evaluations(
                     if endurance is None:
                         endurance = endurances[key] = endurance_stage(capacity, volts, power)
                     current = torque / kt
-                    values = {
-                        "static_thrust_per_motor": thrust,
-                        "hover_torque_current_per_motor": current,
-                        "endurance": endurance,
-                    }
-                    passed = True
-                    for req in requirements:
-                        if not _measure(values, design, req)[1]:
-                            passed = False
-                            break
+                    quantities["static_thrust_per_motor"] = thrust
+                    quantities["hover_torque_current_per_motor"] = current
+                    quantities["endurance"] = endurance
+                    passed = all(_measure(quantities, req)[1] for req in requirements)
                     yield design, (current, thrust - required, endurance), passed
 
 

@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 M_PER_IN = 0.0254
 GRAVITY_DEFAULT = 9.81
@@ -230,14 +231,22 @@ class RequirementKind(enum.Enum):
     VoltageClass = "VoltageClass"
 
 
-#: Unit attached to each requirement bound, for reports and error messages.
-REQUIREMENT_UNITS = {
-    RequirementKind.MinThrustPerMotor: "N",
-    RequirementKind.MaxCurrentPerMotor: "A",
-    RequirementKind.MinEndurance: "min",
-    RequirementKind.MaxMTOW: "kg",
-    RequirementKind.FootprintMax: "m",
-    RequirementKind.VoltageClass: "S",
+class _Rule(NamedTuple):
+    unit: str  # of the bound, for reports and error messages
+    quantity: str  # the name of the value it reads, in the mapping ``_measure`` is given
+    test: Callable[[float, float], bool]  # test(measured, bound): whether the bound is met
+
+
+#: One row per requirement kind.  Every quantity is a float: a footprint is
+#: ``math.inf`` when the design declares none, so it fails any finite bound,
+#: and the cell count meets a (whole-number) VoltageClass bound by equality.
+REQUIREMENT_RULES = {
+    RequirementKind.MinThrustPerMotor: _Rule("N", "static_thrust_per_motor", operator.ge),
+    RequirementKind.MaxCurrentPerMotor: _Rule("A", "hover_torque_current_per_motor", operator.le),
+    RequirementKind.MinEndurance: _Rule("min", "endurance", operator.ge),
+    RequirementKind.MaxMTOW: _Rule("kg", "mtow", operator.le),
+    RequirementKind.FootprintMax: _Rule("m", "footprint", operator.le),
+    RequirementKind.VoltageClass: _Rule("S", "battery_cells", operator.eq),
 }
 
 
@@ -247,9 +256,13 @@ class Requirement:
     kind: RequirementKind
     bound: float
 
+    def __post_init__(self):
+        if self.kind is RequirementKind.VoltageClass:
+            _as_count("VoltageClass bound", self.bound)
+
     @property
     def unit(self) -> str:
-        return REQUIREMENT_UNITS[self.kind]
+        return REQUIREMENT_RULES[self.kind].unit
 
 
 @dataclass(frozen=True)
@@ -315,25 +328,11 @@ class PerformanceReport:
         raise KeyError(req_id)
 
 
-def _measure(report_values: dict, design: Design, req: Requirement) -> tuple[float, bool]:
-    kind = req.kind
-    if kind is RequirementKind.MinThrustPerMotor:
-        measured = report_values["static_thrust_per_motor"]
-        return measured, measured >= req.bound
-    if kind is RequirementKind.MaxCurrentPerMotor:
-        measured = report_values["hover_torque_current_per_motor"]
-        return measured, measured <= req.bound
-    if kind is RequirementKind.MinEndurance:
-        measured = report_values["endurance"]
-        return measured, measured >= req.bound
-    if kind is RequirementKind.MaxMTOW:
-        return design.mtow, design.mtow <= req.bound
-    if kind is RequirementKind.FootprintMax:
-        measured = design.footprint if design.footprint is not None else math.inf
-        return measured, measured <= req.bound
-    if kind is RequirementKind.VoltageClass:
-        return float(design.battery_cells), design.battery_cells == int(req.bound)
-    raise PhysicsDomainError(f"unknown requirement kind: {kind!r}")
+def _measure(quantities: Mapping[str, float], req: Requirement) -> tuple[float, bool]:
+    """The quantity ``req`` reads and whether it meets the bound."""
+    rule = REQUIREMENT_RULES[req.kind]
+    measured = quantities[rule.quantity]
+    return measured, rule.test(measured, req.bound)
 
 
 def _step(label: str, fn, *args):
@@ -412,15 +411,14 @@ def evaluate_design(
     torque_current = torque / kt
     endurance = endurance_stage(design.battery_capacity, volts, hover_power)
 
-    values = {
+    quantities = {
         "static_thrust_per_motor": thrust,
         "hover_torque_current_per_motor": torque_current,
         "endurance": endurance,
+        "mtow": design.mtow,
+        "footprint": math.inf if design.footprint is None else design.footprint,
+        "battery_cells": float(design.battery_cells),
     }
-    checks = []
-    for req in requirements:
-        checks.append(RequirementCheck(req.id, req.kind, req.bound, *_measure(values, design, req)))
-
     return PerformanceReport(
         operating_rpm=operating_rpm,
         static_thrust_per_motor=thrust,
@@ -429,27 +427,33 @@ def evaluate_design(
         hover_current_per_motor=hover_power / (n_motors * volts),
         hover_torque_current_per_motor=torque_current,
         endurance=endurance,
-        requirement_checks=tuple(checks),
+        requirement_checks=tuple(
+            RequirementCheck(r.id, r.kind, r.bound, *_measure(quantities, r)) for r in requirements
+        ),
     )
 
 
-def apply_patch(design: Design, patch: dict, ct_overrides: Optional[dict] = None) -> Design:
+def apply_patch(design: Design, patch: dict, ct_overrides: Optional[Mapping[str, float]] = None) -> Design:
     """Return a new design with SI-unit field values replaced.
 
-    ``patch`` keys are Design field names.  After patching, if the
-    resulting propeller has a declared Ct override (keyed "DxP" in inches,
-    e.g. "18x7") and the patch did not set Ct explicitly, the override is
-    applied.
+    ``patch`` keys are Design field names.  Unless the patch sets Ct, the
+    patched propeller's override in ``ct_overrides`` applies (:func:`prop_ct`).
     """
     unknown = [k for k in patch if k not in Design.__dataclass_fields__]
     if unknown:
         raise KeyError(unknown[0])
     patched = replace(design, **patch)
     if ct_overrides and "thrust_coefficient_ct" not in patch:
-        key = prop_key(patched.prop_diameter, patched.prop_pitch)
-        if key in ct_overrides:
-            patched = replace(patched, thrust_coefficient_ct=float(ct_overrides[key]))
+        ct = prop_ct(patched.prop_diameter, patched.prop_pitch, ct_overrides, patched.thrust_coefficient_ct)
+        if ct != patched.thrust_coefficient_ct:
+            patched = replace(patched, thrust_coefficient_ct=ct)
     return patched
+
+
+def prop_ct(diameter_m: float, pitch_m: float, ct_overrides: Mapping, default: float = CT_DEFAULT) -> float:
+    """Ct of a propeller: its override in ``ct_overrides`` (keyed "DxP" in
+    inches by :func:`prop_key`, e.g. "18x7"), else ``default``."""
+    return float(ct_overrides.get(prop_key(diameter_m, pitch_m), default))
 
 
 def prop_key(diameter_m: float, pitch_m: float) -> str:

@@ -49,9 +49,9 @@ from .bank import (
     RubricSpec,
     StructuredSpec,
     answer_kind,
-    design_from_bank,
     design_to_bank,
     fields_to_si,
+    grid_design_from_bank,
 )
 from .design_space import (
     OBJECTIVE_AXES,
@@ -485,42 +485,32 @@ def score_design(answer_text: str, spec: DesignSynthesisSpec) -> Score:
     if ans.envelope is None or not isinstance(ans.envelope.get("design"), Mapping):
         return unscorable("no design found in answer")
     try:
-        report = evaluate_design(
-            design_from_bank(ans.envelope["design"], spec.defaults),
-            spec.environment,
-            spec.requirements,
-        )
+        design = grid_design_from_bank(ans.envelope["design"], spec.defaults, spec.grid)
+        report = evaluate_design(design, spec.environment, spec.requirements)
     except KeyError as exc:
         return unscorable(f"design references unknown field {exc.args[0]!r}")
     except (TypeError, ValueError, ArithmeticError) as exc:
         return unscorable(f"design violates invariants: {exc}")
 
-    evidence = []
-    for check in report.requirement_checks:
-        evidence.append(
-            Evidence(
-                check.requirement_id,
-                "pass" if check.passed else "fail",
-                f"{check.kind.value}: measured {check.measured:.4g} vs bound {check.bound:g}",
-            )
+    evidence = [
+        Evidence(
+            check.requirement_id,
+            "pass" if check.passed else "fail",
+            f"{check.kind.value}: measured {check.measured:.4g} vs bound {check.bound:g}",
         )
+        for check in report.requirement_checks
+    ]
     total = len(spec.requirements)
     satisfied = sum(c.passed for c in report.requirement_checks)
     fraction = satisfied / total if total else 1.0
 
-    reference = reference_front(
-        spec.grid, spec.mtow, spec.environment, spec.reference_requirements
-    )
+    reference = reference_front(spec.grid, spec.mtow, spec.environment, spec.requirements)
     gap = _dominance_gap(report_objectives(report), reference)
     pareto_component = 1.0 - gap
     if gap == 0.0:
-        evidence.append(
-            Evidence("pareto", "front", "non-dominated within the reference feasible set")
-        )
+        evidence.append(Evidence("pareto", "front", "non-dominated within the reference feasible set"))
     else:
-        evidence.append(
-            Evidence("pareto", "dominated", f"dominance gap {gap:.3f} to the reference front")
-        )
+        evidence.append(Evidence("pareto", "dominated", f"dominance gap {gap:.3f} to the reference front"))
 
     value = DESIGN_CONSTRAINT_WEIGHT * fraction + DESIGN_PARETO_WEIGHT * pareto_component
     if fraction == 1.0 and pareto_component == 1.0:
@@ -531,15 +521,14 @@ def score_design(answer_text: str, spec: DesignSynthesisSpec) -> Score:
 RubricJudge = Callable[[str, RubricSpec], Score]
 
 
-def score_rubric(answer_text: str, spec: RubricSpec, judge: Optional[RubricJudge] = None) -> Score:
-    """Keyword-checklist heuristic; an external judge may replace it.
+def score_rubric(answer_text: str, spec: RubricSpec) -> Score:
+    """Keyword-checklist heuristic; ``score_answer(rubric_judge=)`` replaces it
+    with an external judge.
 
     The score value is the fraction of criteria whose phrase group appears
     in the answer; the verdict is thresholded, so a Fail here can carry a
     non-zero value (the raw fraction is kept for reporting).
     """
-    if judge is not None:
-        return judge(answer_text, spec)
     ans = extract(answer_text, "rubric")
     text = str(ans.envelope["text"]) if ans.envelope else ans.raw_text
     if not text.strip():

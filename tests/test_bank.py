@@ -172,6 +172,23 @@ class TestLoadBank:
         with pytest.raises(BankError, match=f"template '{template_id}': reference"):
             load_bank(raw_bank)
 
+    @pytest.mark.parametrize(
+        "template_id, edit, reason",
+        [
+            ("l2-prop-parameters", lambda answer: answer["fields"][0].update(kind="numbr"), "kind"),
+            ("l2-prop-parameters", lambda answer: answer["fields"][2].update(match="exakt"), "match"),
+            ("l2-prop-parameters", lambda answer: answer["fields"][0].update(expected="eighteen"),
+             "expected"),
+            ("l5-quad-14kg", lambda answer: answer["requirements"][3].update(bound=6.9), "whole number"),
+        ],
+        ids=["field-kind-unknown", "field-match-unknown", "number-field-expects-text",
+             "voltage-class-fractional"],
+    )
+    def test_malformed_answer_value_rejected_at_load(self, raw_bank, template_id, edit, reason):
+        edit(next(t for t in raw_bank["templates"] if t["id"] == template_id)["answer"])
+        with pytest.raises(BankError, match=f"template '{template_id}': .*{reason}"):
+            load_bank(raw_bank)
+
     def test_whole_float_count_loads(self, raw_bank):
         raw_bank["contexts"]["urban-logistics-quad"]["design"]["n_motors"] = 4.0
         raw_bank["grids"]["quad-14kg"]["n_motors"] = [4.0]

@@ -8,7 +8,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eagibench.propulsion import (
     CT_DEFAULT,
@@ -336,6 +336,69 @@ class TestApplyPatch:
     def test_prop_key_formatting(self):
         assert prop_key(18 * M_PER_IN, 6 * M_PER_IN) == "18x6"
         assert prop_key(16 * M_PER_IN, 5.4 * M_PER_IN) == "16x5.4"
+
+
+def _documented_check(kind, design, report, bound):
+    """A requirement's measured value and verdict as docs/bank-schema.md
+    states them, from the design and its requirement-free report."""
+    if kind is RequirementKind.MinThrustPerMotor:  # thrust at the operating RPM
+        return report.static_thrust_per_motor, report.static_thrust_per_motor >= bound
+    if kind is RequirementKind.MaxCurrentPerMotor:  # torque-route hover current
+        return report.hover_torque_current_per_motor, report.hover_torque_current_per_motor <= bound
+    if kind is RequirementKind.MinEndurance:
+        return report.endurance, report.endurance >= bound
+    if kind is RequirementKind.MaxMTOW:
+        return design.mtow, design.mtow <= bound
+    if kind is RequirementKind.FootprintMax:  # no declared footprint fails any bound
+        footprint = math.inf if design.footprint is None else design.footprint
+        return footprint, footprint <= bound
+    if kind is RequirementKind.VoltageClass:  # the cell count equals the bound
+        return design.battery_cells, design.battery_cells == bound
+    raise AssertionError(kind)
+
+
+@st.composite
+def _designs(draw):
+    cells = draw(st.sampled_from([3, 4, 6, 12]))
+    return Design(
+        kv=draw(st.floats(100, 1000)),
+        current_limit_per_motor=draw(st.floats(5, 60)),
+        battery_cells=cells,
+        battery_voltage_nominal=3.7 * cells * draw(st.floats(0.96, 1.04)),
+        battery_capacity=draw(st.floats(1, 30)),
+        prop_diameter=draw(st.floats(8, 30)) * M_PER_IN,
+        prop_pitch=draw(st.floats(3, 10)) * M_PER_IN,
+        n_motors=draw(st.integers(1, 8)),
+        mtow=draw(st.floats(0.5, 40)),
+        thrust_coefficient_ct=draw(st.floats(0.02, 0.08)),
+        footprint=draw(st.none() | st.floats(0.1, 3)),
+    )
+
+
+@settings(max_examples=200)
+@given(
+    design=_designs(),
+    env=st.just(Environment()) | st.builds(Environment, st.floats(0.8, 1.3), st.floats(9.7, 9.9)),
+    loaded_rpm=st.none() | st.floats(1000, 12000),
+    data=st.data(),
+)
+def test_each_requirement_kind_measures_and_compares_as_documented(design, env, loaded_rpm, data):
+    plain = evaluate_design(design, env, loaded_rpm=loaded_rpm)
+    requirements = []
+    for kind in RequirementKind:
+        measured, _ = _documented_check(kind, design, plain, 0.0)
+        if kind is RequirementKind.VoltageClass:
+            bounds = st.integers(1, 14).map(float)
+        else:
+            bounds = st.floats(0, 5) if measured == math.inf else st.floats(0, 2 * measured)
+        if measured != math.inf:
+            bounds = st.just(float(measured)) | bounds  # a bound exactly at the measured value
+        requirements.append(Requirement(kind.value, kind, data.draw(bounds, label=kind.value)))
+    report = evaluate_design(design, env, requirements, loaded_rpm=loaded_rpm)
+    for req in requirements:
+        check = report.check(req.id)
+        assert (check.kind, check.bound) == (req.kind, req.bound)
+        assert (check.measured, check.passed) == _documented_check(req.kind, design, plain, req.bound)
 
 
 @given(

@@ -383,6 +383,29 @@ class TestScoreDesign:
             "hover": props * len(grid.n_motors_options),
         }
 
+    @pytest.mark.parametrize(
+        "grid_ct, design, verdict, value",
+        [
+            ({}, {"kv_rpm_per_volt": 320, "prop_diameter_in": 18, "prop_pitch_in": 6,
+                  "thrust_coefficient_ct": 0.035}, Verdict.Partial, 0.825),
+            ({}, {"kv_rpm_per_volt": 340, "prop_diameter_in": 20, "prop_pitch_in": 6, "mtow_kg": 9},
+             Verdict.Partial, 0.7 + 0.3 * (1 - 0.148)),
+            ({"20x6": 0.02}, {"kv_rpm_per_volt": 400, "prop_diameter_in": 20, "prop_pitch_in": 6},
+             Verdict.Pass, 1.0),
+        ],
+        ids=["answer-sets-ct", "answer-sets-mtow", "grid-ct-override"],
+    )
+    def test_answer_chooses_only_the_grid_axes(self, grid_ct, design, verdict, value):
+        # Ct comes from the grid, the takeoff weight from the item: an answer
+        # that declares either is graded as if it had not, and a grid's Ct
+        # override reaches the design an answer names.
+        doc = json.loads(json.dumps(_SHIPPED))
+        doc["grids"]["l5-default"]["ct_overrides"] = grid_ct
+        spec = load_bank(doc).instances["l5-quad-10kg-min-current"].answer_spec
+        score = score_design(_fence({"design": design}), spec)
+        assert score.verdict is verdict
+        assert score.value == pytest.approx(value, abs=1e-3)
+
     def test_plain_text_design(self, instances):
         spec = instances["l5-quad-14kg"].answer_spec
         text = "Motor: 340 Kv (high-torque), Propeller: 20x6 inch fixed-pitch, Voltage: 6S (22.2V)."
@@ -422,14 +445,23 @@ class TestScoreDesign:
         )
         assert score_design(answer, satisfied).value >= base_score.value - 1e-12
 
-        # adding a violated one never raises it
+        # adding a violated one never raises it.  The reference front is the
+        # grid's feasible set under the spec's own requirements, so the added
+        # requirement is one every feasible grid design already meets (a second
+        # hover-thrust bound), which leaves the front as it was.
+        hover = base_spec.requirements.get("hover-thrust")
         violated = dataclasses.replace(
             base_spec,
             requirements=RequirementSet(
                 base_spec.requirements.requirements
-                + (Requirement("extra-weight", RequirementKind.MaxMTOW, 1.0),)
+                + (Requirement("extra-thrust", hover.kind, hover.bound),)
             ),
         )
+        fronts = [
+            design_space.reference_front(s.grid, s.mtow, s.environment, s.requirements)
+            for s in (base_spec, violated)
+        ]
+        assert fronts[0] == fronts[1]
         assert score_design(answer, violated).value <= base_score.value + 1e-12
 
 
@@ -512,13 +544,6 @@ class TestScoreRubric:
     def test_marked_heuristic(self):
         score = score_rubric("air density sea-level flight envelope derate", RUBRIC)
         assert any(e.outcome == "heuristic" for e in score.evidence)
-
-    def test_judge_seam_replaces_heuristic(self):
-        def judge(text, spec):
-            return Score(1.0, Verdict.Pass, (Evidence("judge", "pass", "external"),))
-
-        score = score_rubric("anything", RUBRIC, judge=judge)
-        assert score.evidence[0].check_id == "judge"
 
     def test_score_answer_hands_only_rubrics_to_the_judge(self):
         def judge(text, spec):
