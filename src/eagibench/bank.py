@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from . import propulsion
-from .design_space import DesignGrid, check_grid, grid_from_dict
+from .design_space import BatteryOption, DesignGrid, check_grid, grid_from_dict
 from .propulsion import (
     CT_DEFAULT,
     _as_count,
@@ -621,9 +621,11 @@ def _check_reference(spec: AnswerSpec, checked_grids: set) -> None:
     regress no other (two oracle calls).  A design item's reference design
     must meet every requirement (one call), and its grid must evaluate at
     its takeoff weight, so scoring cannot raise (``check_grid``, once per
-    grid, weight and environment, tracked in ``checked_grids``).
-    Membership of the reference front is not checked: that would evaluate
-    the whole grid on every load.
+    grid, weight and environment, tracked in ``checked_grids``).  It must
+    also weigh ``mtow_kg`` and be a grid point, and no requirement may bound
+    the footprint (grid designs declare none), so its grid point is feasible
+    and the reference front never empty.  Membership of the front is not
+    checked: that would evaluate the whole grid on every load.
     """
     if isinstance(spec, FixSpec):
         patched = propulsion.apply_patch(
@@ -634,14 +636,24 @@ def _check_reference(spec: AnswerSpec, checked_grids: set) -> None:
             outcomes = ", ".join(f"{req.id} {outcome}" for req, _, _, outcome in rows)
             raise BankError(f"reference patch does not fix the item ({outcomes})")
     elif isinstance(spec, DesignSynthesisSpec):
+        design, grid = spec.reference_design, spec.grid
+        if design.mtow != spec.mtow:
+            raise BankError(f"defaults.mtow_kg {design.mtow:g} differs from the item's mtow_kg {spec.mtow:g}")
+        if any(r.kind is RequirementKind.FootprintMax for r in spec.requirements):
+            raise BankError("a design item cannot bound FootprintMax: grid designs declare no footprint")
         key = (spec.grid_id, spec.mtow, spec.environment)
         if key not in checked_grids:
-            check_grid(spec.grid, spec.mtow, spec.environment)
+            check_grid(grid, spec.mtow, spec.environment)
             checked_grids.add(key)
-        report = propulsion.evaluate_design(spec.reference_design, spec.environment, spec.requirements)
+        report = propulsion.evaluate_design(design, spec.environment, spec.requirements)
         failing = [c.requirement_id for c in report.requirement_checks if not c.passed]
         if failing:
             raise BankError(f"reference design fails requirement(s) {', '.join(failing)}")
+        battery = BatteryOption(design.battery_cells, design.battery_voltage_nominal, design.battery_capacity)
+        point = (design.kv, design.prop_diameter, design.prop_pitch, battery, design.n_motors)
+        off = [name for name, value in zip(grid.AXES, point) if value not in getattr(grid, name)]
+        if off:
+            raise BankError(f"reference design is not a point of grid {spec.grid_id!r}: off {', '.join(off)}")
 
 
 def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:

@@ -9,6 +9,10 @@ The trade-off objectives are fixed: per-motor hover current (minimize),
 thrust margin over the hover requirement (maximize), and hover endurance
 (maximize).  The current axis uses the torque-route motor current so that
 the Kv choice trades off against thrust margin; see ``propulsion``.
+
+A grid is scored in one walk, ``grid_evaluations``, which checks each
+requirement once per distinct value of the quantity it reads, at the axis
+loop where that value is computed.
 """
 
 from __future__ import annotations
@@ -18,15 +22,15 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import groupby
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .propulsion import (
+    REQUIREMENT_RULES,
     Design,
     Environment,
     PerformanceReport,
     RequirementSet,
     _as_count,
-    _measure,
     _require_count,
     _require_pack,
     _require_positive,
@@ -59,11 +63,14 @@ class DesignGrid:
     current_limit_per_motor: float = 25.0
     ct_overrides: Mapping[str, float] = field(default_factory=dict)
 
+    #: The axes, in enumeration order.
+    AXES = ("kv_values", "prop_diameters", "prop_pitches", "battery_options", "n_motors_options")
+
     def __post_init__(self):
         """Reject an axis value no design on the grid could take, at O(sum of axis lengths)."""
         # A read-only copy, so no Ct can be written after the check below.
         object.__setattr__(self, "ct_overrides", MappingProxyType(dict(self.ct_overrides)))
-        for name in ("kv_values", "prop_diameters", "prop_pitches", "battery_options", "n_motors_options"):
+        for name in self.AXES:
             if not getattr(self, name):
                 raise ValueError(f"DesignGrid.{name} must be non-empty")
         for name in ("kv_values", "prop_diameters", "prop_pitches"):
@@ -78,13 +85,7 @@ class DesignGrid:
 
     @property
     def size(self) -> int:
-        return (
-            len(self.kv_values)
-            * len(self.prop_diameters)
-            * len(self.prop_pitches)
-            * len(self.battery_options)
-            * len(self.n_motors_options)
-        )
+        return math.prod(len(getattr(self, name)) for name in self.AXES)
 
     def propellers(self) -> list[tuple[float, float, float]]:
         """(diameter, pitch, Ct) of each propeller, Ct from ``ct_overrides`` or the default."""
@@ -128,8 +129,7 @@ def enumerate_designs(grid: DesignGrid, mtow: float) -> list[Design]:
     return designs
 
 
-@dataclass(frozen=True)
-class ObjectiveVector:
+class ObjectiveVector(NamedTuple):
     """Trade-off coordinates of a design: (current down, margin up, endurance up)."""
 
     hover_current_per_motor: float
@@ -137,7 +137,7 @@ class ObjectiveVector:
     endurance: float
 
 
-#: Objective fields, each with the sign that makes larger better.
+#: Objective fields, in field order, each with the sign that makes larger better.
 OBJECTIVE_AXES = (("hover_current_per_motor", -1.0), ("thrust_margin", 1.0), ("endurance", 1.0))
 
 
@@ -156,17 +156,12 @@ def objective_vector(design: Design, env: Environment) -> ObjectiveVector:
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
     """True iff a is at least as good as b everywhere and strictly better somewhere."""
-    at_least = (
+    return (
         a.hover_current_per_motor <= b.hover_current_per_motor
         and a.thrust_margin >= b.thrust_margin
         and a.endurance >= b.endurance
+        and a != b  # given the above, strictly better somewhere
     )
-    strictly = (
-        a.hover_current_per_motor < b.hover_current_per_motor
-        or a.thrust_margin > b.thrust_margin
-        or a.endurance > b.endurance
-    )
-    return at_least and strictly
 
 
 def feasible_set(
@@ -228,19 +223,16 @@ class ReferenceFront:
 
     @classmethod
     def from_vectors(cls, feasible: Sequence[ObjectiveVector]) -> ReferenceFront:
-        ranges = {}
-        for name, _ in OBJECTIVE_AXES:
-            values = [getattr(v, name) for v in feasible]
-            ranges[name] = max(values) - min(values) if values else 0.0
+        columns = list(zip(*feasible)) or [(0.0,)] * len(OBJECTIVE_AXES)
+        ranges = {name: max(c) - min(c) for (name, _), c in zip(OBJECTIVE_AXES, columns)}
         return cls(tuple(feasible[i] for i in front_indices(feasible)), ranges)
 
 
 def grid_evaluations(
     grid: DesignGrid, mtow: float, env: Environment, requirements: RequirementSet | Sequence = ()
-) -> Iterator[tuple[Design, tuple[float, float, float], bool]]:
+) -> Iterator[tuple[Design, ObjectiveVector, bool]]:
     """Each design of ``enumerate_designs(grid, mtow)``, in order, with its
-    objectives (current, margin, endurance, the fields of
-    ``ObjectiveVector``) and whether it passes every requirement.
+    objective vector and whether it passes every requirement.
 
     The designs are evaluated factor by factor, walking the grid axes in
     enumeration order: each stage of ``evaluate_design`` runs once per
@@ -248,44 +240,56 @@ def grid_evaluations(
     and propeller; hover per diameter, Ct and motor count; endurance per
     battery and hover power), with the same operations in the same order,
     so every figure equals that of ``evaluate_design`` on the design.  The
-    memo lives for one call.  Requirements are checked on the quantities the
-    walk holds: a grid design weighs ``mtow`` and declares no footprint.
+    requirements are grouped by the quantity they read, and each group is
+    checked once per distinct value, where the walk computes it, with the
+    flag kept beside the value: thrust per Kv, propeller and voltage;
+    current per Kv, propeller and motor count; endurance per battery and
+    hover power; cells per battery; weight and footprint (a grid design
+    declares none) once.  A design passes when all of its flags do.  The
+    memo lives for one call.
     """
     if not isinstance(requirements, RequirementSet):
         requirements = RequirementSet(tuple(requirements))
-    rho = env.air_density
+    bounds: dict = {}  # quantity -> [(test, bound)]
+    for req in requirements:
+        rule = REQUIREMENT_RULES[req.kind]
+        bounds.setdefault(rule.quantity, []).append((rule.test, req.bound))
+
+    def passes(quantity: str, value: float) -> bool:
+        return all(test(value, bound) for test, bound in bounds.get(quantity, ()))
+
     designs = iter(enumerate_designs(grid, mtow))
     props = grid.propellers()
+    constant_ok = passes("mtow", mtow) and passes("footprint", math.inf)
+    batteries = [(b.voltage, b.capacity, passes("battery_cells", float(b.cells)) and constant_ok)
+                 for b in grid.battery_options]
     hovers: dict = {}
     endurances: dict = {}
-    quantities = {"mtow": mtow, "footprint": math.inf}
     for kv in grid.kv_values:
         kt = torque_constant(kv)
         for diameter, _, ct in props:
+            motors = []  # per motor count: required thrust, hover power, current, its flag
+            for n_motors in grid.n_motors_options:
+                key = (diameter, ct, n_motors)
+                if key not in hovers:
+                    hovers[key] = hover_stage(mtow, n_motors, ct, diameter, env)
+                required, power, torque = hovers[key]
+                current = torque / kt
+                motors.append((required, power, current, passes("hover_torque_current_per_motor", current)))
             thrusts: dict = {}
-            for battery in grid.battery_options:
-                volts, capacity = battery.voltage, battery.capacity
-                quantities["battery_cells"] = float(battery.cells)
-                thrust = thrusts.get(volts)
-                if thrust is None:
-                    thrust = thrusts[volts] = thrust_stage(kv, volts, ct, diameter, rho)[1]
-                for n_motors in grid.n_motors_options:
-                    design = next(designs)
-                    key = (diameter, ct, n_motors)
-                    hover = hovers.get(key)
-                    if hover is None:
-                        hover = hovers[key] = hover_stage(mtow, n_motors, ct, diameter, env)
-                    required, power, torque = hover
+            for volts, capacity, battery_ok in batteries:
+                if volts not in thrusts:
+                    thrust = thrust_stage(kv, volts, ct, diameter, env.air_density)[1]
+                    thrusts[volts] = (thrust, passes("static_thrust_per_motor", thrust))
+                thrust, thrust_ok = thrusts[volts]
+                for required, power, current, current_ok in motors:
                     key = (capacity, volts, power)
                     endurance = endurances.get(key)
                     if endurance is None:
-                        endurance = endurances[key] = endurance_stage(capacity, volts, power)
-                    current = torque / kt
-                    quantities["static_thrust_per_motor"] = thrust
-                    quantities["hover_torque_current_per_motor"] = current
-                    quantities["endurance"] = endurance
-                    passed = all(_measure(quantities, req)[1] for req in requirements)
-                    yield design, (current, thrust - required, endurance), passed
+                        value = endurance_stage(capacity, volts, power)
+                        endurance = endurances[key] = (value, passes("endurance", value))
+                    objectives = ObjectiveVector(current, thrust - required, endurance[0])
+                    yield next(designs), objectives, battery_ok and thrust_ok and current_ok and endurance[1]
 
 
 def reference_front(
@@ -293,9 +297,7 @@ def reference_front(
 ) -> ReferenceFront:
     """The reference over the grid designs that pass every requirement."""
     evaluations = grid_evaluations(grid, mtow, env, requirements)
-    return ReferenceFront.from_vectors(
-        [ObjectiveVector(*objectives) for _, objectives, passed in evaluations if passed]
-    )
+    return ReferenceFront.from_vectors([objectives for _, objectives, passed in evaluations if passed])
 
 
 def check_grid(grid: DesignGrid, mtow: float, env: Environment) -> None:

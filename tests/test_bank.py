@@ -172,6 +172,41 @@ class TestLoadBank:
         with pytest.raises(BankError, match=f"template '{template_id}': reference"):
             load_bank(raw_bank)
 
+    def test_design_item_bounding_the_footprint_rejected_at_load(self, raw_bank):
+        # Grid designs declare no footprint, so no grid design would meet the
+        # bound, the reference front would be empty and every answer would
+        # get the full Pareto credit.
+        answer = next(t for t in raw_bank["templates"] if t["id"] == "l5-coaxial-11kg")["answer"]
+        answer["requirements"].append({"id": "footprint", "kind": "FootprintMax", "bound": 0.8})
+        with pytest.raises(BankError, match="template 'l5-coaxial-11kg': .*FootprintMax"):
+            load_bank(raw_bank)
+
+    @pytest.mark.parametrize(
+        "section, edit, axis",
+        [
+            ("reference_design", {"kv_rpm_per_volt": 330}, "kv_values"),
+            ("reference_design", {"prop_diameter_in": 21}, "prop_diameters"),
+            ("defaults", {"battery_capacity_ah": 13}, "battery_options"),
+            ("reference_design", {"n_motors": 6}, "n_motors_options"),
+        ],
+        ids=["kv", "propeller", "battery", "motor-count"],
+    )
+    def test_reference_design_off_its_grid_rejected_at_load(self, raw_bank, section, edit, axis):
+        # Each edited reference design still meets every requirement.
+        answer = next(t for t in raw_bank["templates"] if t["id"] == "l5-quad-14kg")["answer"]
+        answer[section].update(edit)
+        with pytest.raises(BankError, match=f"template 'l5-quad-14kg': reference design is not a point "
+                                            f"of grid 'quad-14kg': off {axis}$"):
+            load_bank(raw_bank)
+
+    def test_design_defaults_weighing_other_than_the_item_rejected_at_load(self, raw_bank):
+        # Answers would be evaluated at 7 kg and the reference front at 10 kg.
+        answer = next(t for t in raw_bank["templates"] if t["id"] == "l5-quad-10kg-min-current")["answer"]
+        answer["defaults"]["mtow_kg"] = 7
+        with pytest.raises(BankError, match="template 'l5-quad-10kg-min-current': defaults.mtow_kg 7 "
+                                            "differs from the item's mtow_kg 10"):
+            load_bank(raw_bank)
+
     @pytest.mark.parametrize(
         "template_id, edit, reason",
         [

@@ -24,6 +24,7 @@ from eagibench.design_space import (
     report_objectives,
 )
 from eagibench.propulsion import (
+    REQUIREMENT_RULES,
     Design,
     Environment,
     M_PER_IN,
@@ -307,7 +308,8 @@ _REQUIREMENT_BOUNDS = {
 def _staged_cases(draw):
     """A small grid (axis values may repeat), Ct overrides on some of its
     propellers, a takeoff weight, an environment, and a requirement set
-    drawing each kind with probability one half."""
+    drawing each kind with probability one half, then sometimes a second
+    bound of a kind already drawn."""
     def axis(values, max_size):
         return tuple(draw(st.lists(values, min_size=1, max_size=max_size)))
 
@@ -329,10 +331,11 @@ def _staged_cases(draw):
         ct_overrides=draw(st.dictionaries(st.sampled_from(props), st.floats(0.02, 0.08))),
     )
     env = draw(st.just(Environment()) | st.builds(Environment, st.floats(0.8, 1.3), st.floats(9.7, 9.9)))
+    kinds = [kind for kind in _REQUIREMENT_BOUNDS if draw(st.booleans())]
+    if kinds:
+        kinds += draw(st.lists(st.sampled_from(kinds), max_size=2))
     requirements = RequirementSet(tuple(
-        Requirement(kind.value, kind, draw(bound))
-        for kind, bound in _REQUIREMENT_BOUNDS.items()
-        if draw(st.booleans())
+        Requirement(f"{kind.value}-{i}", kind, draw(_REQUIREMENT_BOUNDS[kind])) for i, kind in enumerate(kinds)
     ))
     return grid, draw(st.floats(3, 25)), env, requirements
 
@@ -352,6 +355,37 @@ def test_factored_pass_matches_per_design_evaluation(case):
             feasible.append(report_objectives(report))
     reference = reference_front(grid, mtow, env, requirements)
     assert reference == ReferenceFront.from_vectors(feasible)
+
+
+def test_each_requirement_checked_once_per_distinct_quantity(monkeypatch):
+    # Three batteries at two voltages; every other axis value is distinct.
+    # The thrust, current and cell-count bounds each pass some designs and fail others.
+    batteries = (BatteryOption(6, 22.2, 10.0), BatteryOption(6, 22.2, 12.0), BatteryOption(4, 14.8, 8.0))
+    grid = _grid(kv_values=(340.0, 400.0), battery_options=batteries, n_motors_options=(4, 6))
+    requirements = RequirementSet(tuple(
+        Requirement(kind.value, kind, bound) for kind, bound in (
+            (RequirementKind.MinThrustPerMotor, 30.0), (RequirementKind.MaxCurrentPerMotor, 19.0),
+            (RequirementKind.VoltageClass, 6.0), (RequirementKind.MaxMTOW, 12.0),
+        )
+    ))
+    expected = reference_front(grid, 12, Environment(), requirements)
+    assert 0 < len(expected.front) < grid.size
+    calls = dict.fromkeys(REQUIREMENT_RULES, 0)
+    for kind, rule in REQUIREMENT_RULES.items():
+        def counted(measured, bound, kind=kind, test=rule.test):
+            calls[kind] += 1
+            return test(measured, bound)
+        monkeypatch.setitem(REQUIREMENT_RULES, kind, rule._replace(test=counted))
+    assert reference_front(grid, 12, Environment(), requirements) == expected
+    kv_props = len(grid.kv_values) * len(grid.propellers())
+    assert calls == {
+        RequirementKind.MinThrustPerMotor: kv_props * 2,  # distinct voltages
+        RequirementKind.MaxCurrentPerMotor: kv_props * len(grid.n_motors_options),
+        RequirementKind.MinEndurance: 0,
+        RequirementKind.MaxMTOW: 1,
+        RequirementKind.FootprintMax: 0,
+        RequirementKind.VoltageClass: len(batteries),
+    }
 
 
 @settings(max_examples=100, deadline=None)
