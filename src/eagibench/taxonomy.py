@@ -13,8 +13,8 @@ threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple, Optional
 
 
 class CognitionLevel(enum.IntEnum):
@@ -32,7 +32,7 @@ class CognitionLevel(enum.IntEnum):
         """Accept a level name ("Apply"), an ordinal (3), or a member."""
         if isinstance(value, cls):
             return value
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             return cls(value)
         if isinstance(value, str):
             try:
@@ -134,14 +134,40 @@ class ModelingRequirement(enum.Enum):
     Multiphysics = "Multiphysics"
 
 
-def _parse_enum(enum_cls, value, what: str):
-    if isinstance(value, enum_cls):
-        return value
-    try:
-        return enum_cls(value)
-    except ValueError:
-        allowed = ", ".join(m.value for m in enum_cls)
-        raise ValueError(f"unknown {what}: {value!r} (expected one of: {allowed})") from None
+def _read(raw, parse) -> list:
+    """Parse each of a list of values; one bare string or number is a list of one."""
+    return [parse(v) for v in ([raw] if isinstance(raw, (str, int)) else raw)]
+
+
+class _TagField(NamedTuple):
+    key: str  # in tag and filter documents, and the TagSet attribute
+    filter_attr: str  # the TagFilter attribute
+    kind: type  # of one value: an enum, or str for free text
+    what: str  # one value's name in error messages
+    many: bool = True  # whether a TagSet holds a set of values rather than one
+
+    def parse(self, value):
+        """One value: a member or its value, or any value as text.  A bool is never one."""
+        if not isinstance(value, bool):
+            try:
+                return self.kind(value)
+            except ValueError:
+                pass
+        allowed = "text" if self.kind is str else "one of: " + ", ".join(m.value for m in self.kind)
+        raise ValueError(f"unknown {self.what}: {value!r} (expected {allowed})")
+
+    def write(self, values) -> list:
+        return sorted(getattr(v, "value", v) for v in values)
+
+
+#: One row per tag field, in the key order of both ``to_dict`` outputs.
+_TAG_FIELDS = (
+    _TagField("system_type", "system_types", SystemType, "system_type", many=False),
+    _TagField("design_scope", "design_scopes", DesignScope, "design_scope", many=False),
+    _TagField("domains", "domains", Domain, "domain"),
+    _TagField("modeling", "modeling", ModelingRequirement, "modeling requirement"),
+    _TagField("standards", "standards", str, "standard"),
+)
 
 
 @dataclass(frozen=True)
@@ -164,24 +190,15 @@ class TagSet:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "TagSet":
-        return cls(
-            system_type=_parse_enum(SystemType, raw["system_type"], "system_type"),
-            design_scope=_parse_enum(DesignScope, raw["design_scope"], "design_scope"),
-            domains=frozenset(_parse_enum(Domain, d, "domain") for d in raw["domains"]),
-            modeling=frozenset(
-                _parse_enum(ModelingRequirement, m, "modeling requirement")
-                for m in raw.get("modeling", ())
-            ),
-            standards=frozenset(str(s) for s in raw.get("standards", ())),
-        )
+        return cls(**{
+            f.key: frozenset(_read(raw[f.key], f.parse)) if f.many else f.parse(raw[f.key])
+            for f in _TAG_FIELDS if f.key in raw
+        })
 
     def to_dict(self) -> dict:
         return {
-            "system_type": self.system_type.value,
-            "design_scope": self.design_scope.value,
-            "domains": sorted(d.value for d in self.domains),
-            "modeling": sorted(m.value for m in self.modeling),
-            "standards": sorted(self.standards),
+            f.key: f.write(getattr(self, f.key)) if f.many else getattr(self, f.key).value
+            for f in _TAG_FIELDS
         }
 
 
@@ -212,73 +229,34 @@ class TagFilter:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "TagFilter":
+        """A field takes a list or one bare value; ``levels`` one level or ``[lo, hi]``."""
         if not isinstance(raw, Mapping):
             raise ValueError(f"a tag filter is a JSON object, got {type(raw).__name__}")
-
-        def many(key, enum_cls, what):
-            vals = raw.get(key)
-            if vals is None:
-                return None
-            if isinstance(vals, (str, int)):
-                vals = [vals]
-            return frozenset(_parse_enum(enum_cls, v, what) for v in vals)
-
         levels = raw.get("levels")
         if levels is not None:
-            if isinstance(levels, int):
-                levels = (levels, levels)
-            else:
-                levels = tuple(int(v) for v in levels)
-                if len(levels) == 1:
-                    levels = (levels[0], levels[0])
-                if len(levels) != 2:
-                    raise ValueError(f"levels must be [lo, hi], got {raw.get('levels')!r}")
-        standards = raw.get("standards")
-        return cls(
-            system_types=many("system_type", SystemType, "system_type"),
-            design_scopes=many("design_scope", DesignScope, "design_scope"),
-            domains=many("domains", Domain, "domain"),
-            modeling=many("modeling", ModelingRequirement, "modeling requirement"),
-            standards=None if standards is None else frozenset(str(s) for s in standards),
-            levels=levels,
-        )
+            bounds = [int(b) for b in _read(levels, CognitionLevel.parse)]
+            if len(bounds) not in (1, 2):
+                raise ValueError(f"levels must be [lo, hi], got {levels!r}")
+            levels = (bounds[0], bounds[-1])
+        return cls(levels=levels, **{
+            f.filter_attr: frozenset(_read(raw[f.key], f.parse))
+            for f in _TAG_FIELDS if raw.get(f.key) is not None
+        })
 
     def to_dict(self) -> dict:
-        out: dict = {}
-        if self.system_types is not None:
-            out["system_type"] = sorted(s.value for s in self.system_types)
-        if self.design_scopes is not None:
-            out["design_scope"] = sorted(s.value for s in self.design_scopes)
-        if self.domains is not None:
-            out["domains"] = sorted(d.value for d in self.domains)
-        if self.modeling is not None:
-            out["modeling"] = sorted(m.value for m in self.modeling)
-        if self.standards is not None:
-            out["standards"] = sorted(self.standards)
+        out = {f.key: f.write(getattr(self, f.filter_attr))
+               for f in _TAG_FIELDS if getattr(self, f.filter_attr) is not None}
         if self.levels is not None:
             out["levels"] = list(self.levels)
         return out
 
 
 def matches(tags: TagSet, level: CognitionLevel, flt: TagFilter) -> bool:
-    """True iff every populated filter constraint is satisfied.
-
-    Any-of within a field, all-of across fields.  Set-valued tag fields
-    (domains, modeling, standards) satisfy a constraint when the
-    intersection with the allowed values is non-empty.
-    """
-    if flt.system_types is not None and tags.system_type not in flt.system_types:
-        return False
-    if flt.design_scopes is not None and tags.design_scope not in flt.design_scopes:
-        return False
-    if flt.domains is not None and not (tags.domains & flt.domains):
-        return False
-    if flt.modeling is not None and not (tags.modeling & flt.modeling):
-        return False
-    if flt.standards is not None and not (tags.standards & flt.standards):
-        return False
-    if flt.levels is not None:
-        lo, hi = flt.levels
-        if not (lo <= int(level) <= hi):
+    """True iff every populated filter constraint is satisfied: any-of within
+    a field, all-of across fields.  A set-valued tag field satisfies its
+    constraint when it holds at least one of the allowed values."""
+    for f in _TAG_FIELDS:
+        allowed, held = getattr(flt, f.filter_attr), getattr(tags, f.key)
+        if allowed is not None and allowed.isdisjoint(held if f.many else (held,)):
             return False
-    return True
+    return flt.levels is None or flt.levels[0] <= level <= flt.levels[1]

@@ -45,6 +45,17 @@ class TestLoadBank:
         with pytest.raises(BankError, match="system_type.*Submarine"):
             load_bank(raw_bank)
 
+    def test_bare_standards_string_is_one_standard(self, raw_bank):
+        raw_bank["templates"][0]["tags"]["standards"] = "AHRI"
+        first = raw_bank["templates"][0]["id"]
+        assert load_bank(raw_bank).instances[first].tags.standards == frozenset({"AHRI"})
+
+    def test_bool_level_rejected_naming_the_template(self, raw_bank):
+        raw_bank["templates"][0]["level"] = True
+        first = raw_bank["templates"][0]["id"]
+        with pytest.raises(BankError, match=f"template.*{first}.*True"):
+            load_bank(raw_bank)
+
     def test_duplicate_id_rejected(self, raw_bank):
         raw_bank["templates"].append(copy.deepcopy(raw_bank["templates"][0]))
         with pytest.raises(BankError, match="duplicate id"):

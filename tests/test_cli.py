@@ -121,6 +121,45 @@ def test_usage_errors_exit_1(capsys):
     assert capsys.readouterr().err.count("error:") == 7
 
 
+def _generated(tmp_path, n, flt):
+    out = tmp_path / "instances.json"
+    code = main(["generate", "--n", str(n), "--filter", flt, "--out", str(out)])
+    return code, json.loads(out.read_text(encoding="utf-8"))["instances"] if code == EXIT_OK else None
+
+
+def test_bare_standards_string_is_one_value(tmp_path, capsys):
+    code, instances = _generated(tmp_path, 1, '{"standards": "AHRI"}')
+    assert code == EXIT_OK
+    assert [i["id"] for i in instances] == ["l6-hvac-vrf-review"]
+    assert _generated(tmp_path, 1, '{"standards": true}')[0] == EXIT_USAGE
+    assert capsys.readouterr().err.count("error:") == 1
+
+
+@pytest.mark.parametrize(
+    "levels, expected",
+    [
+        ("5", {"Create"}),
+        ("[5]", {"Create"}),
+        ("[4, 5]", {"Analyze", "Create"}),
+        ('"Create"', {"Create"}),
+        ('["Analyze", "Create"]', {"Analyze", "Create"}),
+        ('"26"', None),
+        ("[2.9, 4.99]", None),
+        ("true", None),
+    ],
+    ids=["ordinal", "one-item", "range", "name", "name-range", "digit-string", "fractional",
+         "bool"],
+)
+def test_filter_levels_read_each_bound_as_a_level(tmp_path, capsys, levels, expected):
+    code, instances = _generated(tmp_path, 4, f'{{"levels": {levels}}}')
+    if expected is None:
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.count("error:") == 1
+    else:
+        assert code == EXIT_OK
+        assert {i["level"] for i in instances} <= expected
+
+
 def test_bank_errors_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema_version": 1, "templates": [{"id": "x"}]}', encoding="utf-8")

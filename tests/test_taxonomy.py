@@ -144,3 +144,37 @@ def test_matches_is_monotone_under_constraint_removal(tags, level, flt):
             "system_types", "design_scopes", "domains", "modeling", "standards", "levels"
         )}, fld: None})
         assert matches(tags, level, relaxed)
+
+
+@given(_tag_sets)
+def test_tag_set_round_trips_through_its_document(tags):
+    assert TagSet.from_dict(tags.to_dict()) == tags
+
+
+@given(_filters)
+def test_filter_round_trips_through_its_document(flt):
+    assert TagFilter.from_dict(flt.to_dict()) == flt
+
+
+def _matches_field_by_field(tags, level, flt):
+    # Field by field, one branch per tag field: the reference `matches` must agree with.
+    if flt.system_types is not None and tags.system_type not in flt.system_types:
+        return False
+    if flt.design_scopes is not None and tags.design_scope not in flt.design_scopes:
+        return False
+    if flt.domains is not None and not (tags.domains & flt.domains):
+        return False
+    if flt.modeling is not None and not (tags.modeling & flt.modeling):
+        return False
+    if flt.standards is not None and not (tags.standards & flt.standards):
+        return False
+    if flt.levels is not None:
+        lo, hi = flt.levels
+        if not (lo <= int(level) <= hi):
+            return False
+    return True
+
+
+@given(_tag_sets, _levels, _filters)
+def test_matches_agrees_with_the_field_by_field_reference(tags, level, flt):
+    assert matches(tags, level, flt) == _matches_field_by_field(tags, level, flt)
