@@ -10,9 +10,9 @@ thrust margin over the hover requirement (maximize), and hover endurance
 (maximize).  The current axis uses the torque-route motor current so that
 the Kv choice trades off against thrust margin; see ``propulsion``.
 
-A grid is scored in one walk, ``grid_evaluations``, which checks each
-requirement once per distinct value of the quantity it reads, at the axis
-loop where that value is computed.
+A grid is scored in one pruned walk, ``grid_evaluations``, which checks each
+requirement where its quantity is first known and yields only the designs
+that pass, running no stage for a point a failed check has ruled out.
 """
 
 from __future__ import annotations
@@ -164,15 +164,6 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
     )
 
 
-def feasible_set(
-    designs: Sequence[Design],
-    env: Environment,
-    requirements: RequirementSet | Sequence = (),
-) -> list[Design]:
-    """Designs whose evaluation passes every requirement, order preserved."""
-    return [d for d in designs if evaluate_design(d, env, requirements).all_requirements_pass]
-
-
 def front_indices(vectors: Sequence[ObjectiveVector]) -> list[int]:
     """Indices of the non-dominated vectors, in input order.
 
@@ -230,23 +221,22 @@ class ReferenceFront:
 
 def grid_evaluations(
     grid: DesignGrid, mtow: float, env: Environment, requirements: RequirementSet | Sequence = ()
-) -> Iterator[tuple[Design, ObjectiveVector, bool]]:
-    """Each design of ``enumerate_designs(grid, mtow)``, in order, with its
-    objective vector and whether it passes every requirement.
+) -> Iterator[tuple[Design, ObjectiveVector]]:
+    """Each design of ``enumerate_designs(grid, mtow)`` that passes every
+    requirement, in order, with its objective vector.
 
-    The designs are evaluated factor by factor, walking the grid axes in
-    enumeration order: each stage of ``evaluate_design`` runs once per
-    distinct input it reads (Kt per Kv; thrust per voltage within each Kv
-    and propeller; hover per diameter, Ct and motor count; endurance per
-    battery and hover power), with the same operations in the same order,
-    so every figure equals that of ``evaluate_design`` on the design.  The
-    requirements are grouped by the quantity they read, and each group is
-    checked once per distinct value, where the walk computes it, with the
-    flag kept beside the value: thrust per Kv, propeller and voltage;
-    current per Kv, propeller and motor count; endurance per battery and
-    hover power; cells per battery; weight and footprint (a grid design
-    declares none) once.  A design passes when all of its flags do.  The
-    memo lives for one call.
+    Each stage of ``evaluate_design`` runs once per distinct input (Kt per Kv;
+    hover per diameter, Ct and motor count; thrust per Kv, propeller and
+    voltage; endurance per battery and hover power) with the same operations, so
+    every figure is ``evaluate_design``'s.  Each requirement is checked once per
+    distinct value, where the walk first knows it, and no stage runs for a point
+    a failed check ruled out: a failed weight or footprint bound (a grid design
+    has none) yields nothing; batteries of a failing cell count go first, then
+    motor counts whose current fails, and thrust is skipped when none is left; a
+    voltage whose thrust fails skips its batteries; endurance runs for the rest.
+    The memo lives for one call.  A stage raises only where it runs: nowhere on
+    a grid ``check_grid`` accepted at ``mtow``; on another, the walk may return
+    where evaluating each design would raise, at points a failed check excluded.
     """
     if not isinstance(requirements, RequirementSet):
         requirements = RequirementSet(tuple(requirements))
@@ -256,48 +246,56 @@ def grid_evaluations(
         bounds.setdefault(rule.quantity, []).append((rule.test, req.bound))
 
     def passes(quantity: str, value: float) -> bool:
-        return all(test(value, bound) for test, bound in bounds.get(quantity, ()))
+        for test, bound in bounds.get(quantity, ()):  # a loop, not all(): it runs for every value checked
+            if not test(value, bound):
+                return False
+        return True
 
-    designs = iter(enumerate_designs(grid, mtow))
+    designs = enumerate_designs(grid, mtow)
+    cells = {n: passes("battery_cells", float(n)) for n in {b.cells for b in grid.battery_options}}
+    batteries = [(i * len(grid.n_motors_options), b.voltage, b.capacity)
+                 for i, b in enumerate(grid.battery_options) if cells[b.cells]]
+    if not (batteries and passes("mtow", mtow) and passes("footprint", math.inf)):
+        return
     props = grid.propellers()
-    constant_ok = passes("mtow", mtow) and passes("footprint", math.inf)
-    batteries = [(b.voltage, b.capacity, passes("battery_cells", float(b.cells)) and constant_ok)
-                 for b in grid.battery_options]
-    hovers: dict = {}
-    endurances: dict = {}
+    hovers, endurances = {}, {}
+    first = 0  # index in ``designs`` of the current Kv and propeller's first design
     for kv in grid.kv_values:
         kt = torque_constant(kv)
         for diameter, _, ct in props:
-            motors = []  # per motor count: required thrust, hover power, current, its flag
-            for n_motors in grid.n_motors_options:
+            motors = []  # per motor count whose current passes: offset, required thrust, power, current
+            for offset, n_motors in enumerate(grid.n_motors_options):
                 key = (diameter, ct, n_motors)
                 if key not in hovers:
                     hovers[key] = hover_stage(mtow, n_motors, ct, diameter, env)
                 required, power, torque = hovers[key]
                 current = torque / kt
-                motors.append((required, power, current, passes("hover_torque_current_per_motor", current)))
-            thrusts: dict = {}
-            for volts, capacity, battery_ok in batteries:
+                if passes("hover_torque_current_per_motor", current):
+                    motors.append((offset, required, power, current))
+            thrusts: dict = {}  # voltage -> thrust, or None when it fails
+            for start, volts, capacity in batteries if motors else ():
                 if volts not in thrusts:
                     thrust = thrust_stage(kv, volts, ct, diameter, env.air_density)[1]
-                    thrusts[volts] = (thrust, passes("static_thrust_per_motor", thrust))
-                thrust, thrust_ok = thrusts[volts]
-                for required, power, current, current_ok in motors:
+                    thrusts[volts] = thrust if passes("static_thrust_per_motor", thrust) else None
+                if (thrust := thrusts[volts]) is None:
+                    continue
+                for offset, required, power, current in motors:
                     key = (capacity, volts, power)
-                    endurance = endurances.get(key)
-                    if endurance is None:
-                        value = endurance_stage(capacity, volts, power)
-                        endurance = endurances[key] = (value, passes("endurance", value))
-                    objectives = ObjectiveVector(current, thrust - required, endurance[0])
-                    yield next(designs), objectives, battery_ok and thrust_ok and current_ok and endurance[1]
+                    if key not in endurances:
+                        endurance = endurance_stage(capacity, volts, power)
+                        endurances[key] = endurance if passes("endurance", endurance) else None
+                    if (endurance := endurances[key]) is not None:
+                        objectives = ObjectiveVector(current, thrust - required, endurance)
+                        yield designs[first + start + offset], objectives
+            first += len(grid.battery_options) * len(grid.n_motors_options)
 
 
 def reference_front(
     grid: DesignGrid, mtow: float, env: Environment, requirements: RequirementSet | Sequence = ()
 ) -> ReferenceFront:
-    """The reference over the grid designs that pass every requirement."""
+    """``ReferenceFront.from_vectors`` of what ``grid_evaluations`` yields; raises only where it does."""
     evaluations = grid_evaluations(grid, mtow, env, requirements)
-    return ReferenceFront.from_vectors([objectives for _, objectives, passed in evaluations if passed])
+    return ReferenceFront.from_vectors([objectives for _, objectives in evaluations])
 
 
 def check_grid(grid: DesignGrid, mtow: float, env: Environment) -> None:

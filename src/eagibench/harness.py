@@ -325,7 +325,7 @@ def report_from_json(document: str | Mapping) -> EvaluationReport:
         items = tuple(
             ItemResult(
                 instance_id=item["instance_id"],
-                level=int(item["level"]),
+                level=int(CognitionLevel.parse(item["level"])),
                 kind=item["kind"],
                 score=Score(
                     value=float(item["value"]),
@@ -337,14 +337,18 @@ def report_from_json(document: str | Mapping) -> EvaluationReport:
             )
             for item in raw["items"]
         )
+        competence = raw["competence_level"]
+        if type(competence) is not int or not 0 <= competence <= 6:  # a bool is not one
+            raise ValueError(f"competence_level must be a whole number from 0 to 6, got {competence!r}")
         return EvaluationReport(
             run_id=raw["run_id"],
             started_at=raw["started_at"],
             duration_s=float(raw["duration_s"]),
             config=raw["config"],
             items=items,
-            level_pass_rates={int(k): float(v) for k, v in raw["level_pass_rates"].items()},
-            competence_level=int(raw["competence_level"]),
+            level_pass_rates={int(CognitionLevel.parse(int(k))): float(v)
+                              for k, v in raw["level_pass_rates"].items()},
+            competence_level=competence,
         )
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed report: {exc!r}") from None

@@ -135,8 +135,8 @@ class ModelingRequirement(enum.Enum):
 
 
 def _read(raw, parse) -> list:
-    """Parse each of a list of values; one bare string or number is a list of one."""
-    return [parse(v) for v in ([raw] if isinstance(raw, (str, int)) else raw)]
+    """Parse each of a list of values; any other value, an object too, is a list of one."""
+    return [parse(v) for v in (raw if isinstance(raw, list) else [raw])]
 
 
 class _TagField(NamedTuple):
@@ -147,8 +147,8 @@ class _TagField(NamedTuple):
     many: bool = True  # whether a TagSet holds a set of values rather than one
 
     def parse(self, value):
-        """One value: a member or its value, or any value as text.  A bool is never one."""
-        if not isinstance(value, bool):
+        """One value: a member or its value, or a JSON string as text.  A bool is never one."""
+        if isinstance(value, str) or not (self.kind is str or isinstance(value, bool)):
             try:
                 return self.kind(value)
             except ValueError:

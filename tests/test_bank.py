@@ -50,6 +50,17 @@ class TestLoadBank:
         first = raw_bank["templates"][0]["id"]
         assert load_bank(raw_bank).instances[first].tags.standards == frozenset({"AHRI"})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("standards", [None]), ("standards", [["UL"]]), ("standards", 1999), ("domains", {"Thermal": 0})],
+        ids=["null", "nested-list", "number", "object"],
+    )
+    def test_tag_value_of_another_json_type_rejected_naming_the_template(self, raw_bank, field, value):
+        raw_bank["templates"][0]["tags"][field] = value
+        first = raw_bank["templates"][0]["id"]
+        with pytest.raises(BankError, match=f"template.*{first}.*unknown (standard|domain): .*expected"):
+            load_bank(raw_bank)
+
     def test_bool_level_rejected_naming_the_template(self, raw_bank):
         raw_bank["templates"][0]["level"] = True
         first = raw_bank["templates"][0]["id"]

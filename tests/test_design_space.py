@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -7,6 +8,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from eagibench import design_space
 from eagibench.design_space import (
     BatteryOption,
     DesignGrid,
@@ -14,7 +16,6 @@ from eagibench.design_space import (
     ReferenceFront,
     dominates,
     enumerate_designs,
-    feasible_set,
     front_indices,
     grid_evaluations,
     grid_from_dict,
@@ -37,6 +38,12 @@ from eagibench.propulsion import (
 )
 
 BATTERY_6S = BatteryOption(cells=6, voltage=22.2, capacity=12)
+
+
+def feasible_set(designs, env, requirements=()):
+    """Brute-force reference for the grid walk: the designs whose evaluation
+    passes every requirement, order preserved."""
+    return [d for d in designs if evaluate_design(d, env, requirements).all_requirements_pass]
 
 
 def _grid(**overrides):
@@ -343,48 +350,59 @@ def _staged_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(_staged_cases())
 def test_factored_pass_matches_per_design_evaluation(case):
+    # The walk yields exactly the designs evaluate_design passes, in order, with their objectives.
     grid, mtow, env, requirements = case
-    staged = list(grid_evaluations(grid, mtow, env, requirements))
-    assert [design for design, _, _ in staged] == enumerate_designs(grid, mtow)
-    feasible = []
-    for design, objectives, passed in staged:
-        report = evaluate_design(design, env, requirements)
-        assert ObjectiveVector(*objectives) == report_objectives(report)
-        assert passed == report.all_requirements_pass
-        if passed:
-            feasible.append(report_objectives(report))
-    reference = reference_front(grid, mtow, env, requirements)
-    assert reference == ReferenceFront.from_vectors(feasible)
+    feasible = feasible_set(enumerate_designs(grid, mtow), env, requirements)
+    vectors = [report_objectives(evaluate_design(design, env)) for design in feasible]
+    assert list(grid_evaluations(grid, mtow, env, requirements)) == list(zip(feasible, vectors))
+    assert reference_front(grid, mtow, env, requirements) == ReferenceFront.from_vectors(vectors)
 
 
 def test_each_requirement_checked_once_per_distinct_quantity(monkeypatch):
-    # Three batteries at two voltages; every other axis value is distinct.
-    # The thrust, current and cell-count bounds each pass some designs and fail others.
-    batteries = (BatteryOption(6, 22.2, 10.0), BatteryOption(6, 22.2, 12.0), BatteryOption(4, 14.8, 8.0))
+    # Four batteries at three voltages; the 4S one fails the cell check.  At 400 Kv no motor
+    # count meets the current bound; at 340 Kv only six motors do, and the 18x6 propeller
+    # misses the thrust bound at 22.2 V.  The endurance bound passes some survivors only.
+    batteries = (BatteryOption(6, 22.2, 10.0), BatteryOption(6, 22.2, 12.0),
+                 BatteryOption(4, 14.8, 8.0), BatteryOption(6, 23.0, 10.0))
     grid = _grid(kv_values=(340.0, 400.0), battery_options=batteries, n_motors_options=(4, 6))
     requirements = RequirementSet(tuple(
         Requirement(kind.value, kind, bound) for kind, bound in (
-            (RequirementKind.MinThrustPerMotor, 30.0), (RequirementKind.MaxCurrentPerMotor, 19.0),
-            (RequirementKind.VoltageClass, 6.0), (RequirementKind.MaxMTOW, 12.0),
+            (RequirementKind.MinThrustPerMotor, 27.0), (RequirementKind.MaxCurrentPerMotor, 12.0),
+            (RequirementKind.MinEndurance, 12.0), (RequirementKind.VoltageClass, 6.0),
+            (RequirementKind.MaxMTOW, 12.0),
         )
     ))
     expected = reference_front(grid, 12, Environment(), requirements)
-    assert 0 < len(expected.front) < grid.size
-    calls = dict.fromkeys(REQUIREMENT_RULES, 0)
+    assert len(expected.front) == 2
+    stages = {"thrust": [], "hover": [], "endurance": []}
+    for name, calls in stages.items():
+        def recorded(*args, stage=getattr(design_space, f"{name}_stage"), calls=calls):
+            calls.append(args)
+            return stage(*args)
+        monkeypatch.setattr(design_space, f"{name}_stage", recorded)
+    checks = []
     for kind, rule in REQUIREMENT_RULES.items():
         def counted(measured, bound, kind=kind, test=rule.test):
-            calls[kind] += 1
+            checks.append((kind, bound, measured))
             return test(measured, bound)
         monkeypatch.setitem(REQUIREMENT_RULES, kind, rule._replace(test=counted))
     assert reference_front(grid, 12, Environment(), requirements) == expected
-    kv_props = len(grid.kv_values) * len(grid.propellers())
-    assert calls == {
-        RequirementKind.MinThrustPerMotor: kv_props * 2,  # distinct voltages
-        RequirementKind.MaxCurrentPerMotor: kv_props * len(grid.n_motors_options),
-        RequirementKind.MinEndurance: 0,
+    # Hover runs once per propeller and motor count.  Thrust runs only at 340 Kv and at the
+    # 6S voltages; endurance only where current, cells and thrust all passed.
+    assert len(stages["hover"]) == 4
+    assert sorted((kv, volts, round(d / M_PER_IN)) for kv, volts, _, d, _ in stages["thrust"]) == [
+        (340.0, 22.2, 18), (340.0, 22.2, 20), (340.0, 23.0, 18), (340.0, 23.0, 20)
+    ]
+    assert sorted((capacity, volts) for capacity, volts, _ in stages["endurance"]) == [
+        (10.0, 22.2), (10.0, 23.0), (10.0, 23.0), (12.0, 22.2)
+    ]
+    assert max(collections.Counter(checks).values()) == 1
+    assert collections.Counter(kind for kind, _, _ in checks) == {
+        RequirementKind.MaxCurrentPerMotor: 8,  # every Kv, propeller and motor count
+        RequirementKind.MinThrustPerMotor: len(stages["thrust"]),
+        RequirementKind.MinEndurance: len(stages["endurance"]),
+        RequirementKind.VoltageClass: 2,  # distinct cell counts
         RequirementKind.MaxMTOW: 1,
-        RequirementKind.FootprintMax: 0,
-        RequirementKind.VoltageClass: len(batteries),
     }
 
 

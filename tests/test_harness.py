@@ -3,10 +3,12 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, strategies as st
 
 from eagibench.bank import SampleMode, sample
 from eagibench.harness import (
     EvaluationReport,
+    ItemResult,
     OracleAgent,
     RemoteAgent,
     ReplayAgent,
@@ -17,7 +19,7 @@ from eagibench.harness import (
     report_from_json,
     run_evaluation,
 )
-from eagibench.scoring import Verdict
+from eagibench.scoring import Evidence, Score, Verdict
 from eagibench.taxonomy import TagFilter
 
 EMPTY = TagFilter.empty()
@@ -151,6 +153,50 @@ class TestReports:
     def test_malformed_report_raises_value_error(self, document):
         with pytest.raises(ValueError, match="report"):
             report_from_json(document)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("level", 3.7), ("level", 9), ("level", True), ("level_pass_rates", {"9": 1.0}),
+         ("competence_level", True), ("competence_level", 3.7), ("competence_level", 7)],
+        ids=["item-fractional", "item-9", "item-bool", "rate-9", "competence-bool",
+             "competence-fractional", "competence-7"],
+    )
+    def test_levels_read_only_as_levels(self, field, value):
+        score = Score(1.0, Verdict.Pass, (Evidence("check", "pass", "detail"),))
+        report = EvaluationReport("r", "", 0.0, {}, (ItemResult("a", 3, "numeric", score),), {3: 1.0}, 3)
+        document = json.loads(emit_report(report, "json"))
+        (document["items"][0] if field == "level" else document)[field] = value
+        with pytest.raises(ValueError, match="(?i)level"):
+            report_from_json(document)
+
+
+_text = st.text(max_size=12)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_text, inner, max_size=3),
+    max_leaves=8,
+)
+# Any verdict; evidence may be empty only when Unscorable.
+_scores = st.sampled_from(list(Verdict)).flatmap(lambda verdict: st.builds(
+    Score, st.floats(0, 1), st.just(verdict),
+    st.lists(st.builds(Evidence, _text, _text, _text), min_size=verdict is not Verdict.Unscorable,
+             max_size=3).map(tuple),
+))
+_reports = st.builds(
+    EvaluationReport,
+    run_id=_text,
+    started_at=_text,
+    duration_s=st.floats(0, 1e6),
+    config=st.dictionaries(_text, _json_values, max_size=4),
+    items=st.lists(st.builds(ItemResult, _text, st.integers(1, 6), _text, _scores), max_size=4).map(tuple),
+    level_pass_rates=st.dictionaries(st.integers(1, 6), st.floats(0, 1)),
+    competence_level=st.integers(0, 6),
+)
+
+
+@given(_reports)
+def test_report_round_trips_through_its_json(report):
+    assert report_from_json(emit_report(report, "json")) == report
 
 
 class _ChatHandler(BaseHTTPRequestHandler):

@@ -358,6 +358,16 @@ class TestScoreDesign:
         assert score.verdict is Verdict.Unscorable
 
     def test_grid_scored_in_one_factored_pass(self, instances, monkeypatch):
+        spec = instances["l5-quad-14kg"].answer_spec
+        grid = spec.grid
+        # Thrust runs once per Kv, propeller and voltage that a design with passing motor
+        # current and cells reaches; this grid has one voltage and one motor count.
+        reached = set()
+        for d in design_space.enumerate_designs(grid, spec.mtow):
+            checks = evaluate_design(d, spec.environment, spec.requirements).requirement_checks
+            if all(c.passed for c in checks if c.requirement_id != "hover-thrust"):
+                reached.add((d.kv, d.prop_diameter, d.prop_pitch, d.battery_voltage_nominal))
+        assert 0 < len(reached) < grid.size
         calls = {"evaluate": 0, "thrust": 0, "hover": 0}
 
         def counting(name, fn):
@@ -371,17 +381,10 @@ class TestScoreDesign:
         monkeypatch.setattr(design_space, "evaluate_design", counting("evaluate", evaluate_design))
         monkeypatch.setattr(design_space, "thrust_stage", counting("thrust", design_space.thrust_stage))
         monkeypatch.setattr(design_space, "hover_stage", counting("hover", design_space.hover_stage))
-        spec = instances["l5-quad-14kg"].answer_spec
         score_design(_fence({"design": {"kv_rpm_per_volt": 420, "prop_diameter_in": 16}}), spec)
-        grid = spec.grid
         props = len(grid.prop_diameters) * len(grid.prop_pitches)
-        volts = len({b.voltage for b in grid.battery_options})
-        # The answer gets one oracle call; each grid stage runs once per distinct input.
-        assert calls == {
-            "evaluate": 1,
-            "thrust": len(grid.kv_values) * volts * props,
-            "hover": props * len(grid.n_motors_options),
-        }
+        # The answer gets one oracle call; hover runs once per propeller and motor count.
+        assert calls == {"evaluate": 1, "thrust": len(reached), "hover": props * len(grid.n_motors_options)}
 
     @pytest.mark.parametrize(
         "grid_ct, design, verdict, value",

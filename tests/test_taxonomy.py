@@ -1,3 +1,6 @@
+import re
+
+import pytest
 from hypothesis import given, strategies as st
 
 from eagibench.taxonomy import (
@@ -178,3 +181,18 @@ def _matches_field_by_field(tags, level, flt):
 @given(_tag_sets, _levels, _filters)
 def test_matches_agrees_with_the_field_by_field_reference(tags, level, flt):
     assert matches(tags, level, flt) == _matches_field_by_field(tags, level, flt)
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"standards": [None]}, "unknown standard: None (expected text)"),
+        ({"standards": [["UL"]]}, "unknown standard: ['UL'] (expected text)"),
+        ({"standards": 1999}, "unknown standard: 1999 (expected text)"),
+        ({"domains": {"Thermal": 0}}, "unknown domain: {'Thermal': 0} (expected one of: "),
+    ],
+    ids=["null", "nested-list", "number", "object"],
+)
+def test_filter_takes_only_the_json_values_of_its_field(document, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TagFilter.from_dict(document)
