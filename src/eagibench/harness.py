@@ -183,8 +183,16 @@ class EvaluationReport:
     duration_s: float
     config: Mapping
     items: tuple[ItemResult, ...]
-    level_pass_rates: Mapping[int, float]
-    competence_level: int
+
+    @property
+    def level_pass_rates(self) -> dict[int, float]:
+        total = Counter(item.level for item in self.items)
+        passed = Counter(item.level for item in self.items if item.score.verdict is Verdict.Pass)
+        return {level: passed[level] / total[level] for level in sorted(total)}
+
+    @property
+    def competence_level(self) -> int:
+        return assign_competence_level(self.level_pass_rates, self.config["threshold"])
 
     def to_dict(self) -> dict:
         return {
@@ -197,12 +205,6 @@ class EvaluationReport:
             "level_pass_rates": {str(k): v for k, v in self.level_pass_rates.items()},
             "competence_level": self.competence_level,
         }
-
-
-def level_pass_rates(items: Sequence[ItemResult]) -> dict[int, float]:
-    total = Counter(item.level for item in items)
-    passed = Counter(item.level for item in items if item.score.verdict is Verdict.Pass)
-    return {level: passed[level] / total[level] for level in sorted(total)}
 
 
 def assign_competence_level(rates: Mapping[int, float], threshold: float) -> int:
@@ -251,9 +253,9 @@ def grade(
     record: Mapping,
     started: Optional[float] = None,
 ) -> EvaluationReport:
-    """Score each answer against the instance it is aligned with, then
-    aggregate pass rates and competence into a report whose config is
-    ``record``.
+    """Score each answer against the instance it is aligned with, into a
+    report whose config is ``record`` with ``config.threshold`` added; the
+    report derives its pass rates and competence from these.
 
     A ``TransportError`` answer marks its item Unscorable, or is re-raised
     when ``config.fail_fast`` is set.  Without a ``started`` time the
@@ -268,16 +270,13 @@ def grade(
         else:
             score = score_answer(instance.answer_spec, answer)
         items.append(ItemResult(instance.id, int(instance.level), instance.kind, score))
-    rates = level_pass_rates(items)
     offline = started is None
     return EvaluationReport(
         run_id="offline" if offline else os.urandom(16).hex(),
         started_at="" if offline else time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime(started)),
         duration_s=0.0 if offline else round(time.time() - started, 6),
-        config=record,
+        config={**record, "threshold": config.threshold},
         items=tuple(items),
-        level_pass_rates=rates,
-        competence_level=assign_competence_level(rates, config.threshold),
     )
 
 
@@ -310,9 +309,13 @@ def emit_report(report: EvaluationReport, fmt: str = "json") -> str:
 
 
 def report_from_json(document: str | Mapping) -> EvaluationReport:
-    """Inverse of the json emitter (lossless round trip).
+    """Inverse of the json emitter: loads only a document it re-emits unchanged.
 
-    Raises ValueError for a document that is not a report.
+    The report is built from its five stored fields; pass rates and
+    competence derive from the items and ``config.threshold``.  Raises
+    ValueError for a document that is not a report, or for the first
+    top-level key whose JSON text differs from what the report writes (a
+    rate the items contradict, an unknown key, ``"0.5"`` or ``true`` for a number).
     """
     raw = json.loads(document) if isinstance(document, str) else document
     if not isinstance(raw, Mapping):
@@ -337,19 +340,14 @@ def report_from_json(document: str | Mapping) -> EvaluationReport:
             )
             for item in raw["items"]
         )
-        competence = raw["competence_level"]
-        if type(competence) is not int or not 0 <= competence <= 6:  # a bool is not one
-            raise ValueError(f"competence_level must be a whole number from 0 to 6, got {competence!r}")
-        return EvaluationReport(
-            run_id=raw["run_id"],
-            started_at=raw["started_at"],
-            duration_s=float(raw["duration_s"]),
-            config=raw["config"],
-            items=items,
-            level_pass_rates={int(CognitionLevel.parse(int(k))): float(v)
-                              for k, v in raw["level_pass_rates"].items()},
-            competence_level=competence,
-        )
+        report = EvaluationReport(
+            raw["run_id"], raw["started_at"], float(raw["duration_s"]), raw["config"], items)
+        stated, written = ({k: json.dumps(v, sort_keys=True) for k, v in d.items()}
+                           for d in (raw, report.to_dict()))
+        differ = sorted(k for k in stated.keys() | written.keys() if stated.get(k) != written.get(k))
+        if differ:
+            raise ValueError(f"report field {differ[0]!r} is not what the report re-emits")
+        return report
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed report: {exc!r}") from None
 

@@ -395,11 +395,18 @@ def test_any_instances_or_answers_file_scores_to_an_exit_code(instances_text, an
         assert main(argv) in range(4)
 
 
-_ITEM = {"instance_id": "l3-no-load-rpm", "level": 3, "kind": "numeric", "value": 0.0,
-         "verdict": "Fail", "evidence": [{"check_id": "c", "outcome": "fail", "detail": "d"}]}
+_ITEM = {"instance_id": "l3-no-load-rpm", "level": 3, "level_name": "Apply", "kind": "numeric",
+         "value": 0.0, "verdict": "Fail", "evidence": [{"check_id": "c", "outcome": "fail", "detail": "d"}]}
 _REPORT = {"schema_version": 1, "run_id": "r", "started_at": "", "duration_s": 0.0,
-           "config": {"agent": "oracle"}, "items": [_ITEM], "level_pass_rates": {"3": 0.0},
-           "competence_level": 0}
+           "config": {"agent": "oracle", "threshold": 0.7}, "items": [_ITEM],
+           "level_pass_rates": {"3": 0.0}, "competence_level": 0}
+
+
+def test_unedited_report_fixture_renders(tmp_path):
+    report, out = tmp_path / "report.json", tmp_path / "report.md"
+    report.write_text(json.dumps(_REPORT), encoding="utf-8")
+    assert main(["report", "--input", str(report), "--out", str(out)]) == EXIT_OK
+    assert "competence level: 0" in out.read_text(encoding="utf-8")
 
 
 def _with_any_values(document, **strategies):

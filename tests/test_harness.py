@@ -1,11 +1,12 @@
+import copy
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from eagibench.bank import SampleMode, sample
+from eagibench.bank import SampleMode, instantiate, load_shipped_bank, sample
 from eagibench.harness import (
     EvaluationReport,
     ItemResult,
@@ -16,6 +17,7 @@ from eagibench.harness import (
     TransportError,
     assign_competence_level,
     emit_report,
+    grade,
     report_from_json,
     run_evaluation,
 )
@@ -157,16 +159,44 @@ class TestReports:
     @pytest.mark.parametrize(
         "field, value",
         [("level", 3.7), ("level", 9), ("level", True), ("level_pass_rates", {"9": 1.0}),
-         ("competence_level", True), ("competence_level", 3.7), ("competence_level", 7)],
+         ("competence_level", True), ("competence_level", 3.7), ("competence_level", 7),
+         ("level_pass_rates", {"3": 0.5}), ("competence_level", 6)],
         ids=["item-fractional", "item-9", "item-bool", "rate-9", "competence-bool",
-             "competence-fractional", "competence-7"],
+             "competence-fractional", "competence-7", "rate-edited", "competence-6"],
     )
     def test_levels_read_only_as_levels(self, field, value):
         score = Score(1.0, Verdict.Pass, (Evidence("check", "pass", "detail"),))
-        report = EvaluationReport("r", "", 0.0, {}, (ItemResult("a", 3, "numeric", score),), {3: 1.0}, 3)
+        report = EvaluationReport("r", "", 0.0, {"threshold": 0.7}, (ItemResult("a", 3, "numeric", score),))
         document = json.loads(emit_report(report, "json"))
         (document["items"][0] if field == "level" else document)[field] = value
         with pytest.raises(ValueError, match="(?i)level"):
+            report_from_json(document)
+
+    @pytest.mark.parametrize(
+        "edits, item_edits, field",
+        [
+            ({"level_pass_rates": {"3": 0.0, "4": 0.0}, "competence_level": 6}, {}, "competence_level"),
+            ({}, {"level_name": "Create"}, "items"),
+            ({}, {"value": "0.5"}, "items"),
+            ({}, {"value": True}, "items"),
+            ({"duration_s": "7"}, {}, "duration_s"),
+            ({"schema_version": True}, {}, "schema_version"),
+            ({"config": {"agent": "replay"}}, {}, "threshold"),
+            ({"config": {"agent": "replay", "threshold": 0}}, {}, "threshold"),
+            ({"config": {"agent": "replay", "threshold": 1.5}}, {}, "threshold"),
+        ],
+        ids=["competence-6-over-zero-rates", "level-name-edited", "value-string", "value-bool",
+             "duration-string", "schema-version-bool", "config-without-threshold", "threshold-0",
+             "threshold-1.5"],
+    )
+    def test_report_that_does_not_re_emit_itself_rejected(self, edits, item_edits, field):
+        passed = Score(1.0, Verdict.Pass, (Evidence("check", "pass", "detail"),))
+        failed = Score(0.0, Verdict.Fail, (Evidence("check", "fail", "detail"),))
+        report = EvaluationReport("r", "", 0.0, {"agent": "replay", "threshold": 0.7}, (
+            ItemResult("a", 3, "numeric", passed), ItemResult("b", 4, "numeric", failed)))
+        document = {**json.loads(emit_report(report, "json")), **edits}
+        document["items"][1].update(item_edits)
+        with pytest.raises(ValueError, match=field):
             report_from_json(document)
 
 
@@ -187,16 +217,57 @@ _reports = st.builds(
     run_id=_text,
     started_at=_text,
     duration_s=st.floats(0, 1e6),
-    config=st.dictionaries(_text, _json_values, max_size=4),
+    config=st.builds(lambda config, threshold: {**config, "threshold": threshold},
+                     st.dictionaries(_text, _json_values, max_size=4), st.floats(0, 1, exclude_min=True)),
     items=st.lists(st.builds(ItemResult, _text, st.integers(1, 6), _text, _scores), max_size=4).map(tuple),
-    level_pass_rates=st.dictionaries(st.integers(1, 6), st.floats(0, 1)),
-    competence_level=st.integers(0, 6),
 )
 
 
 @given(_reports)
 def test_report_round_trips_through_its_json(report):
     assert report_from_json(emit_report(report, "json")) == report
+
+
+def _nodes(node, prefix=()):
+    """Every path below the root of a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _nodes(child, prefix + (key,))
+
+
+def _mixed_report() -> dict:
+    """A written report of the shipped bank, every third item answered
+    wrong or not at all, so each level 1-6 holds passes and failures."""
+    bank = load_shipped_bank()
+    instances = [instantiate(t, bank) for t in bank.templates]
+    oracle = OracleAgent(instances)
+    answers = [oracle.answer("", {"instance_id": inst.id}) if k % 3 != 1 else ("", "about 5000 RPM")[k % 2]
+               for k, inst in enumerate(instances)]
+    report = grade(instances, answers, RunConfig(), {"agent": "replay"})
+    return json.loads(emit_report(report, "json"))
+
+
+_MIXED = _mixed_report()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(list(_nodes(_MIXED))),
+    st.sampled_from([None, 0, -1, "", "x", [], {}, [1], True, 1e308, "0.5", 3.7]),
+)
+def test_single_node_replacement_is_rejected_or_re_emits_itself(path, value):
+    doc = copy.deepcopy(_MIXED)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = copy.deepcopy(value)
+    try:
+        report = report_from_json(doc)
+    except ValueError:
+        return
+    assert emit_report(report, "json") == json.dumps(doc, indent=2, sort_keys=True)
+    assert emit_report(report, "markdown").startswith("# Evaluation report")
 
 
 class _ChatHandler(BaseHTTPRequestHandler):
