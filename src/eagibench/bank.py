@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from . import propulsion
-from .design_space import BatteryOption, DesignGrid, check_grid, grid_from_dict
+from .design_space import BatteryOption, DesignGrid, check_grid
 from .propulsion import (
     CT_DEFAULT,
     _as_count,
@@ -44,22 +44,28 @@ from .taxonomy import CognitionLevel, TagFilter, TagSet, matches
 
 SCHEMA_VERSION = 1
 
-#: Bank-file design keys -> (Design field, scale to SI).
+#: Bank-file design keys -> Design fields.
 DESIGN_FIELD_MAP = {
-    "kv_rpm_per_volt": ("kv", 1.0),
-    "current_limit_a": ("current_limit_per_motor", 1.0),
-    "battery_cells": ("battery_cells", 1.0),
-    "battery_voltage_v": ("battery_voltage_nominal", 1.0),
-    "battery_capacity_ah": ("battery_capacity", 1.0),
-    "prop_diameter_in": ("prop_diameter", M_PER_IN),
-    "prop_pitch_in": ("prop_pitch", M_PER_IN),
-    "n_motors": ("n_motors", 1.0),
-    "mtow_kg": ("mtow", 1.0),
-    "thrust_coefficient_ct": ("thrust_coefficient_ct", 1.0),
-    "footprint_m": ("footprint", 1.0),
+    "kv_rpm_per_volt": "kv",
+    "current_limit_a": "current_limit_per_motor",
+    "battery_cells": "battery_cells",
+    "battery_voltage_v": "battery_voltage_nominal",
+    "battery_capacity_ah": "battery_capacity",
+    "prop_diameter_in": "prop_diameter",
+    "prop_pitch_in": "prop_pitch",
+    "n_motors": "n_motors",
+    "mtow_kg": "mtow",
+    "thrust_coefficient_ct": "thrust_coefficient_ct",
+    "footprint_m": "footprint",
 }
+#: Bank-file grid axis keys -> DesignGrid axes (battery options aside).
+GRID_FIELD_MAP = {"kv_rpm_per_volt": "kv_values", "prop_diameter_in": "prop_diameters",
+                 "prop_pitch_in": "prop_pitches", "n_motors": "n_motors_options"}
+#: Bank-file battery-option and environment keys -> BatteryOption and Environment fields.
+BATTERY_FIELD_MAP = {"cells": "cells", "voltage_v": "voltage", "capacity_ah": "capacity"}
+ENVIRONMENT_FIELD_MAP = {"air_density_kg_m3": "air_density", "gravity_m_s2": "gravity"}
 
-_INT_DESIGN_FIELDS = {"battery_cells", "n_motors"}
+_COUNT_KEYS = frozenset(("battery_cells", "n_motors", "cells"))
 
 
 class BankError(ValueError):
@@ -100,21 +106,27 @@ class SampleMode(enum.Enum):
         raise ValueError(f"unknown sample mode: {value!r}")
 
 
-def fields_to_si(raw: Mapping) -> dict:
-    """Bank-file design keys and values -> Design field names and SI values.
+def to_si(key: str, value) -> float:
+    """One bank-file value in SI: a ``*_in`` length at exactly 0.0254 m/in, a
+    count (``battery_cells``, ``n_motors``, a battery's ``cells``) as an int,
+    never truncated (4.7 raises), and any other value as a float."""
+    if key in _COUNT_KEYS:
+        return _as_count(key, value)
+    return float(value) * M_PER_IN if key.endswith("_in") else float(value)
 
-    Raises KeyError naming the first unknown key before converting any
-    value; a value that does not convert, or a fractional count, raises
+
+def fields_to_si(raw: Mapping, fields: Mapping[str, str] = DESIGN_FIELD_MAP) -> dict:
+    """Bank-file keys and values -> the attribute names ``fields`` maps them
+    to (a design's by default), each value through :func:`to_si`.
+
+    Raises KeyError naming the first key ``fields`` lacks before converting
+    any value; a value that does not convert, or a fractional count, raises
     TypeError, ValueError or OverflowError.
     """
-    unknown = [k for k in raw if k not in DESIGN_FIELD_MAP]
+    unknown = [k for k in raw if k not in fields]
     if unknown:
         raise KeyError(unknown[0])
-    si = {}
-    for key, value in raw.items():
-        target, scale = DESIGN_FIELD_MAP[key]
-        si[target] = _as_count(key, value) if key in _INT_DESIGN_FIELDS else float(value) * scale
-    return si
+    return {fields[key]: to_si(key, value) for key, value in raw.items()}
 
 
 def design_from_bank(raw: Mapping, defaults: Optional[Mapping] = None) -> Design:
@@ -148,19 +160,29 @@ def grid_design_from_bank(raw: Mapping, defaults: Mapping, grid: DesignGrid) -> 
 def design_to_bank(design: Design) -> dict:
     """Inverse of :func:`design_from_bank` (values back in bank units)."""
     out = {}
-    for key, (target, scale) in DESIGN_FIELD_MAP.items():
+    for key, target in DESIGN_FIELD_MAP.items():
         value = getattr(design, target)
         if value is not None:
-            out[key] = value if scale == 1.0 else value / scale
+            out[key] = value / M_PER_IN if key.endswith("_in") else value
     return out
 
 
 def environment_from_bank(raw: Optional[Mapping]) -> Environment:
-    raw = raw or {}
-    return Environment(
-        air_density=float(raw.get("air_density_kg_m3", propulsion.AIR_DENSITY_SEA_LEVEL)),
-        gravity=float(raw.get("gravity_m_s2", propulsion.GRAVITY_DEFAULT)),
-    )
+    return Environment(**fields_to_si(raw or {}, ENVIRONMENT_FIELD_MAP))
+
+
+def grid_from_bank(raw: Mapping) -> DesignGrid:
+    """Build a grid from its bank-file form: each axis value through
+    :func:`to_si`, each battery option through ``BATTERY_FIELD_MAP``, and an
+    optional ``current_limit_a`` and ``ct_overrides``.  An unknown key, in
+    the grid or a battery option, raises KeyError."""
+    rest = dict(raw)
+    batteries = tuple(BatteryOption(**fields_to_si(raw_battery, BATTERY_FIELD_MAP))
+                      for raw_battery in rest.pop("battery_options"))
+    axes = {axis: tuple(to_si(key, v) for v in rest.pop(key)) for key, axis in GRID_FIELD_MAP.items()}
+    ct_overrides = {str(k): float(v) for k, v in rest.pop("ct_overrides", {}).items()}
+    return DesignGrid(**axes, battery_options=batteries, ct_overrides=ct_overrides,
+                      **fields_to_si(rest, {"current_limit_a": "current_limit_per_motor"}))
 
 
 # ---------------------------------------------------------------------------
@@ -381,27 +403,14 @@ class QuestionBank:
         return len(self.templates)
 
 
-# Physics functions a numeric answer may reference, with their argument order.
+# Physics functions a numeric answer may reference; its ``args`` bind their parameters by name.
 _ORACLE_FUNCTIONS = {
-    "no_load_rpm": (propulsion.no_load_rpm, ("kv", "voltage")),
-    "torque_constant": (propulsion.torque_constant, ("kv",)),
-    "max_torque": (propulsion.max_torque, ("kv", "current_limit")),
-    "static_thrust": (propulsion.static_thrust, ("ct", "rho", "rpm", "diameter")),
-    "calibrate_ct": (propulsion.calibrate_ct, ("thrust", "rho", "rpm", "diameter")),
-    "thrust_scale_factor": (propulsion.thrust_scale_factor, ("d1", "d2")),
-    "required_thrust_per_motor": (
-        propulsion.required_thrust_per_motor,
-        ("mtow", "n_motors", "gravity"),
-    ),
-    "ideal_hover_power": (
-        propulsion.ideal_hover_power,
-        ("total_thrust", "rho", "disk_area_total", "eta"),
-    ),
-    "hover_endurance": (propulsion.hover_endurance, ("capacity", "voltage", "eta_batt", "power")),
-    "battery_nominal_voltage": (
-        lambda cells: propulsion.CELL_VOLTAGE_NOMINAL * cells,
-        ("cells",),
-    ),
+    **{fn.__name__: fn for fn in (
+        propulsion.no_load_rpm, propulsion.torque_constant, propulsion.max_torque, propulsion.static_thrust,
+        propulsion.calibrate_ct, propulsion.thrust_scale_factor, propulsion.required_thrust_per_motor,
+        propulsion.ideal_hover_power, propulsion.hover_endurance,
+    )},
+    "battery_nominal_voltage": lambda cells: propulsion.CELL_VOLTAGE_NOMINAL * cells,
 }
 
 
@@ -412,15 +421,16 @@ def _context_namespace(context: DesignContext) -> dict:
     }
     design = context.design
     if design is not None:
+        bank_units = design_to_bank(design)
         ns.update(
             kv=design.kv,
             current_limit_a=design.current_limit_per_motor,
             cells=design.battery_cells,
             voltage_v=design.battery_voltage_nominal,
             capacity_ah=design.battery_capacity,
-            diameter_in=design.prop_diameter / M_PER_IN,
+            diameter_in=bank_units["prop_diameter_in"],
             diameter_m=design.prop_diameter,
-            pitch_in=design.prop_pitch / M_PER_IN,
+            pitch_in=bank_units["prop_pitch_in"],
             pitch_m=design.prop_pitch,
             n_motors=design.n_motors,
             mtow_kg=design.mtow,
@@ -453,7 +463,7 @@ def _namespace(template: QuestionTemplate, bank: QuestionBank) -> dict:
     for key, value in template.params.items():
         ns[key] = value
         if isinstance(value, (int, float)) and key.endswith("_in"):
-            ns[key[: -len("_in")] + "_m"] = float(value) * M_PER_IN
+            ns[key[: -len("_in")] + "_m"] = to_si(key, value)
     _derive(ns)
     ns.setdefault("ct", CT_DEFAULT)
     return ns
@@ -490,9 +500,8 @@ def _instantiate_answer(template: QuestionTemplate, bank: QuestionBank, ns: dict
         )
     if kind == "numeric":
         oracle = raw["oracle"]
-        fn, arg_names = _ORACLE_FUNCTIONS[oracle["fn"]]
-        bindings = oracle.get("args", {})
-        args = {name: float(_resolve(bindings[name], ns)) for name in arg_names if name in bindings}
+        fn = _ORACLE_FUNCTIONS[oracle["fn"]]
+        args = {name: float(_resolve(value, ns)) for name, value in oracle.get("args", {}).items()}
         return NumericSpec(
             value=float(fn(**args)), unit=str(raw["unit"]), rel_tol=float(raw.get("rel_tol", 0.02))
         )
@@ -718,7 +727,7 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
     grids: dict[str, DesignGrid] = {}
     for grid_id, raw in section("grids", dict).items():
         with record(f"grid {grid_id!r}", grid_id):
-            grids[grid_id] = grid_from_dict(raw)
+            grids[grid_id] = grid_from_bank(raw)
 
     with record("cause_vocabulary", "cause_vocabulary"):
         vocabulary = {

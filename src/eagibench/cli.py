@@ -143,8 +143,7 @@ def _cmd_score(args) -> int:
     except (KeyError, TypeError) as exc:
         raise UsageError(f"instances file {args.instances}: bad instance record ({exc!r})") from None
     config = RunConfig(threshold=args.threshold)
-    record = {"mode": instances_doc.get("mode"), "seed": instances_doc.get("seed"),
-              "agent": "replay-file", "threshold": args.threshold}
+    record = {"mode": instances_doc.get("mode"), "seed": instances_doc.get("seed"), "agent": "replay-file"}
     answered = [str(answers.get(inst.id, "")) for inst in instances]
     _write_out(emit_report(grade(instances, answered, config, record), "json"), args.out)
     return EXIT_OK

@@ -30,7 +30,6 @@ from .propulsion import (
     Environment,
     PerformanceReport,
     RequirementSet,
-    _as_count,
     _require_count,
     _require_pack,
     _require_positive,
@@ -40,7 +39,6 @@ from .propulsion import (
     prop_ct,
     thrust_stage,
     torque_constant,
-    M_PER_IN,
 )
 
 
@@ -318,23 +316,3 @@ def check_grid(grid: DesignGrid, mtow: float, env: Environment) -> None:
             endurance_stage(battery.capacity, battery.voltage, power)
             _ = torque / kt  # Kt is 0.0 once 2*pi*Kv overflows
 
-
-def grid_from_dict(raw: Mapping) -> DesignGrid:
-    """Build a grid from its bank-file form (lengths in inches)."""
-    batteries = tuple(
-        BatteryOption(
-            cells=_as_count("cells", b["cells"]),
-            voltage=float(b["voltage_v"]),
-            capacity=float(b["capacity_ah"]),
-        )
-        for b in raw["battery_options"]
-    )
-    return DesignGrid(
-        kv_values=tuple(float(v) for v in raw["kv_rpm_per_volt"]),
-        prop_diameters=tuple(float(v) * M_PER_IN for v in raw["prop_diameter_in"]),
-        prop_pitches=tuple(float(v) * M_PER_IN for v in raw["prop_pitch_in"]),
-        battery_options=batteries,
-        n_motors_options=tuple(_as_count("n_motors", v) for v in raw["n_motors"]),
-        current_limit_per_motor=float(raw.get("current_limit_a", 25.0)),
-        ct_overrides={str(k): float(v) for k, v in raw.get("ct_overrides", {}).items()},
-    )

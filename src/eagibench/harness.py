@@ -50,7 +50,7 @@ class RunConfig:
     def __post_init__(self):
         # Checked here so a bad value fails before any agent call is spent.
         for name, ok, rule in (
-            ("threshold", 0.0 < self.threshold <= 1.0, "in (0, 1]"),
+            ("threshold", not isinstance(self.threshold, bool) and 0.0 < self.threshold <= 1.0, "in (0, 1]"),
             ("max_in_flight", self.max_in_flight >= 1, "at least 1"),
             ("remote_retries", self.remote_retries >= 0, "at least 0"),
             ("remote_timeout_s", 0.0 < self.remote_timeout_s < math.inf, "positive and finite"),
@@ -211,7 +211,7 @@ def assign_competence_level(rates: Mapping[int, float], threshold: float) -> int
     """Largest level whose pass rate, and every populated level below it,
     clears the threshold.  Levels with no items are skipped, not assumed
     passed; 0 when no populated level clears it."""
-    if not (0.0 < threshold <= 1.0):
+    if isinstance(threshold, bool) or not (0.0 < threshold <= 1.0):
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     competence = 0
     for level in sorted(rates):

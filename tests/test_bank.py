@@ -14,12 +14,21 @@ from eagibench.bank import (
     _stratified_quotas,
     design_from_bank,
     design_to_bank,
+    grid_from_bank,
     instantiate,
     load_bank,
     sample,
     shipped_bank_path,
 )
 from eagibench.taxonomy import CognitionLevel, TagFilter, matches
+
+
+def _template(doc, template_id):
+    return next(t for t in doc["templates"] if t["id"] == template_id)
+
+
+def _rename(record, old, new):
+    record[new] = record.pop(old)
 
 
 @pytest.fixture()
@@ -246,6 +255,30 @@ class TestLoadBank:
         with pytest.raises(BankError, match=f"template '{template_id}': .*{reason}"):
             load_bank(raw_bank)
 
+    @pytest.mark.parametrize(
+        "edit, record, key",
+        [
+            (lambda doc: _rename(_template(doc, "l5-highalt-9kg")["answer"]["environment"],
+                                 "air_density_kg_m3", "air_density"),
+             "template 'l5-highalt-9kg'", "air_density"),
+            (lambda doc: doc["contexts"]["urban-logistics-quad"]["environment"].update(temperature_c=15),
+             "context 'urban-logistics-quad'", "temperature_c"),
+            (lambda doc: _rename(doc["grids"]["quad-14kg"], "current_limit_a", "current_limit"),
+             "grid 'quad-14kg'", "current_limit"),
+            (lambda doc: doc["grids"]["quad-14kg"]["battery_options"][0].update(capacity_mah=12000),
+             "grid 'quad-14kg'", "capacity_mah"),
+            (lambda doc: _template(doc, "l3-no-load-rpm")["answer"]["oracle"]["args"].update(
+                volts="$voltage_v"), "template 'l3-no-load-rpm'", "volts"),
+        ],
+        ids=["template-environment", "context-environment", "grid", "battery-option", "oracle-binding"],
+    )
+    def test_unknown_key_rejected_naming_its_record(self, raw_bank, edit, record, key):
+        # An ignored key would let a default, or the binding it misspells,
+        # take its place unnoticed.
+        edit(raw_bank)
+        with pytest.raises(BankError, match=f"{record}: .*'{key}'"):
+            load_bank(raw_bank)
+
     def test_whole_float_count_loads(self, raw_bank):
         raw_bank["contexts"]["urban-logistics-quad"]["design"]["n_motors"] = 4.0
         raw_bank["grids"]["quad-14kg"]["n_motors"] = [4.0]
@@ -335,6 +368,19 @@ def test_design_bank_round_trip(raw):
             assert type(back[key]) is int and back[key] == value
         else:
             assert math.isclose(back[key], value, rel_tol=1e-12), key
+
+
+def test_grid_from_bank_units():
+    grid = grid_from_bank(
+        {
+            "kv_rpm_per_volt": [380],
+            "prop_diameter_in": [18],
+            "prop_pitch_in": [6],
+            "battery_options": [{"cells": 6, "voltage_v": 22.2, "capacity_ah": 12}],
+            "n_motors": [4],
+        }
+    )
+    assert grid.prop_diameters[0] == pytest.approx(18 * 0.0254)
 
 
 class TestInstantiate:

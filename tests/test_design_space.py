@@ -18,7 +18,6 @@ from eagibench.design_space import (
     enumerate_designs,
     front_indices,
     grid_evaluations,
-    grid_from_dict,
     objective_vector,
     pareto_front,
     reference_front,
@@ -429,15 +428,3 @@ def test_grid_designs_equal_validated_designs(case):
         with pytest.raises(PhysicsDomainError):
             dataclasses.replace(design, mtow=0.0)
 
-
-def test_grid_from_dict_units():
-    grid = grid_from_dict(
-        {
-            "kv_rpm_per_volt": [380],
-            "prop_diameter_in": [18],
-            "prop_pitch_in": [6],
-            "battery_options": [{"cells": 6, "voltage_v": 22.2, "capacity_ah": 12}],
-            "n_motors": [4],
-        }
-    )
-    assert grid.prop_diameters[0] == pytest.approx(18 * 0.0254)

@@ -73,6 +73,7 @@ class TestRunEvaluation:
             {"remote_timeout_s": float("inf")},
             {"remote_backoff_s": -0.5},
             {"remote_backoff_s": float("nan")},
+            {"threshold": True},
         ],
     )
     def test_config_rejects_out_of_domain_values(self, kwargs):
@@ -184,10 +185,11 @@ class TestReports:
             ({"config": {"agent": "replay"}}, {}, "threshold"),
             ({"config": {"agent": "replay", "threshold": 0}}, {}, "threshold"),
             ({"config": {"agent": "replay", "threshold": 1.5}}, {}, "threshold"),
+            ({"config": {"agent": "replay", "threshold": True}}, {}, "threshold"),
         ],
         ids=["competence-6-over-zero-rates", "level-name-edited", "value-string", "value-bool",
              "duration-string", "schema-version-bool", "config-without-threshold", "threshold-0",
-             "threshold-1.5"],
+             "threshold-1.5", "threshold-true"],
     )
     def test_report_that_does_not_re_emit_itself_rejected(self, edits, item_edits, field):
         passed = Score(1.0, Verdict.Pass, (Evidence("check", "pass", "detail"),))
