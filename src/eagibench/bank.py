@@ -153,7 +153,7 @@ def grid_design_from_bank(raw: Mapping, defaults: Mapping, grid: DesignGrid) -> 
     but an unknown key or a malformed value raises as in :func:`fields_to_si`."""
     fields_to_si(raw)
     design = design_from_bank({k: v for k, v in raw.items() if k in GRID_AXIS_KEYS}, defaults)
-    ct = propulsion.prop_ct(design.prop_diameter, design.prop_pitch, grid.ct_overrides)
+    ct = grid.ct_overrides.get((design.prop_diameter, design.prop_pitch), CT_DEFAULT)
     return dataclasses.replace(design, thrust_coefficient_ct=ct)
 
 
@@ -174,15 +174,37 @@ def environment_from_bank(raw: Optional[Mapping]) -> Environment:
 def grid_from_bank(raw: Mapping) -> DesignGrid:
     """Build a grid from its bank-file form: each axis value through
     :func:`to_si`, each battery option through ``BATTERY_FIELD_MAP``, and an
-    optional ``current_limit_a`` and ``ct_overrides``.  An unknown key, in
-    the grid or a battery option, raises KeyError."""
+    optional ``current_limit_a`` and ``ct_overrides`` (of the grid's propellers,
+    :func:`ct_overrides_from_bank`).  An unknown key raises KeyError."""
     rest = dict(raw)
     batteries = tuple(BatteryOption(**fields_to_si(raw_battery, BATTERY_FIELD_MAP))
                       for raw_battery in rest.pop("battery_options"))
     axes = {axis: tuple(to_si(key, v) for v in rest.pop(key)) for key, axis in GRID_FIELD_MAP.items()}
-    ct_overrides = {str(k): float(v) for k, v in rest.pop("ct_overrides", {}).items()}
+    propellers = {(d, p) for d in axes["prop_diameters"] for p in axes["prop_pitches"]}
+    ct_overrides = ct_overrides_from_bank(rest.pop("ct_overrides", {}), propellers)
     return DesignGrid(**axes, battery_options=batteries, ct_overrides=ct_overrides,
                       **fields_to_si(rest, {"current_limit_a": "current_limit_per_motor"}))
+
+
+def ct_overrides_from_bank(raw: Mapping, propellers: Optional[set] = None) -> dict:
+    """Ct overrides keyed by propeller geometry, ``{(diameter_m, pitch_m): Ct}``:
+    both halves of a "<diameter>x<pitch>" key are read in inches through
+    :func:`to_si`, so "18x6", "18.0x6" and "18 x 6" name one propeller.  Raises
+    ValueError, naming the key as written, for a length or Ct that is not
+    positive and finite, a second key of one propeller, or a key naming none
+    of a grid's ``propellers``."""
+    table, written = {}, {}  # per propeller: its Ct, and its key as written
+    for key, value in raw.items():
+        diameter, _, pitch = str(key).partition("x")
+        prop, ct = (to_si("prop_diameter_in", diameter), to_si("prop_pitch_in", pitch)), float(value)
+        where = f"ct_overrides[{key!r}]"
+        propulsion._require_positive(**{f"{where} diameter": prop[0], f"{where} pitch": prop[1], where: ct})
+        if prop in written:
+            raise ValueError(f"{where} names the propeller of ct_overrides[{written[prop]!r}]")
+        if propellers is not None and prop not in propellers:
+            raise ValueError(f"{where} names no propeller of the grid")
+        written[prop], table[prop] = key, ct
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +278,7 @@ class FixSpec:
     failing_requirement_id: str
     patchable_fields: tuple[str, ...]
     reference_patch: Mapping[str, float]
-    ct_overrides: Mapping[str, float] = field(default_factory=dict)
+    ct_overrides: Mapping[tuple[float, float], float] = field(default_factory=dict)
     loaded_rpm: Optional[float] = None
 
     def __post_init__(self):
@@ -388,7 +410,7 @@ class QuestionBank:
     contexts: Mapping[str, DesignContext]
     grids: Mapping[str, DesignGrid]
     cause_vocabulary: Mapping[str, tuple[str, ...]]
-    ct_overrides: Mapping[str, float]
+    ct_overrides: Mapping[tuple[float, float], float]  # Ct by (diameter_m, pitch_m)
     templates: tuple[QuestionTemplate, ...]
     #: Each template grounded once at load, keyed by template id.
     instances: Mapping[str, QuestionInstance]
@@ -441,14 +463,10 @@ def _context_namespace(context: DesignContext) -> dict:
 
 def _derive(ns: dict) -> None:
     if "kv" in ns and "voltage_v" in ns:
-        ns.setdefault("no_load_rpm", ns["kv"] * ns["voltage_v"])
+        ns.setdefault("no_load_rpm", propulsion.no_load_rpm(ns["kv"], ns["voltage_v"]))
     if "mtow_kg" in ns and "n_motors" in ns:
-        ns.setdefault(
-            "required_thrust_n",
-            propulsion.required_thrust_per_motor(
-                ns["mtow_kg"], _as_count("n_motors", ns["n_motors"]), ns["g"]
-            ),
-        )
+        args = (ns["mtow_kg"], _as_count("n_motors", ns["n_motors"]), ns["g"])
+        ns.setdefault("required_thrust_n", propulsion.required_thrust_per_motor(*args))
     if "diameter_m" in ns and "n_motors" in ns:
         n_motors = _as_count("n_motors", ns["n_motors"])
         ns.setdefault("disk_area_m2", propulsion.disk_area_total(ns["diameter_m"], n_motors))
@@ -735,8 +753,7 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
             for k, v in dict(document.get("cause_vocabulary", {})).items()
         }
     with record("ct_overrides", "ct_overrides"):
-        ct_overrides = {str(k): float(v) for k, v in dict(document.get("ct_overrides", {})).items()}
-        propulsion._require_positive(**{f"ct_overrides[{k!r}]": v for k, v in ct_overrides.items()})
+        ct_overrides = ct_overrides_from_bank(dict(document.get("ct_overrides", {})))
 
     templates: list[QuestionTemplate] = []
     seen_ids: set[str] = set()

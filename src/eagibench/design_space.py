@@ -25,6 +25,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .propulsion import (
+    CT_DEFAULT,
     REQUIREMENT_RULES,
     Design,
     Environment,
@@ -36,7 +37,6 @@ from .propulsion import (
     endurance_stage,
     evaluate_design,
     hover_stage,
-    prop_ct,
     thrust_stage,
     torque_constant,
 )
@@ -59,7 +59,7 @@ class DesignGrid:
     battery_options: tuple[BatteryOption, ...]
     n_motors_options: tuple[int, ...]
     current_limit_per_motor: float = 25.0
-    ct_overrides: Mapping[str, float] = field(default_factory=dict)
+    ct_overrides: Mapping[tuple[float, float], float] = field(default_factory=dict)  # by (diameter, pitch)
 
     #: The axes, in enumeration order.
     AXES = ("kv_values", "prop_diameters", "prop_pitches", "battery_options", "n_motors_options")
@@ -87,8 +87,8 @@ class DesignGrid:
 
     def propellers(self) -> list[tuple[float, float, float]]:
         """(diameter, pitch, Ct) of each propeller, Ct from ``ct_overrides`` or the default."""
-        overrides = self.ct_overrides
-        return [(d, p, prop_ct(d, p, overrides)) for d in self.prop_diameters for p in self.prop_pitches]
+        ct = self.ct_overrides.get
+        return [(d, p, ct((d, p), CT_DEFAULT)) for d in self.prop_diameters for p in self.prop_pitches]
 
 
 def enumerate_designs(grid: DesignGrid, mtow: float) -> list[Design]:

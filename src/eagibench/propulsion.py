@@ -433,34 +433,16 @@ def evaluate_design(
     )
 
 
-def apply_patch(design: Design, patch: dict, ct_overrides: Optional[Mapping[str, float]] = None) -> Design:
+def apply_patch(design: Design, patch: dict, ct_overrides: Optional[Mapping] = None) -> Design:
     """Return a new design with SI-unit field values replaced.
 
     ``patch`` keys are Design field names.  Unless the patch sets Ct, the
-    patched propeller's override in ``ct_overrides`` applies (:func:`prop_ct`).
+    patched propeller's override in ``ct_overrides`` applies; it is keyed by
+    (diameter, pitch) in meters, as ``bank.ct_overrides_from_bank`` reads it.
     """
     unknown = [k for k in patch if k not in Design.__dataclass_fields__]
     if unknown:
         raise KeyError(unknown[0])
-    patched = replace(design, **patch)
-    if ct_overrides and "thrust_coefficient_ct" not in patch:
-        ct = prop_ct(patched.prop_diameter, patched.prop_pitch, ct_overrides, patched.thrust_coefficient_ct)
-        if ct != patched.thrust_coefficient_ct:
-            patched = replace(patched, thrust_coefficient_ct=ct)
-    return patched
-
-
-def prop_ct(diameter_m: float, pitch_m: float, ct_overrides: Mapping, default: float = CT_DEFAULT) -> float:
-    """Ct of a propeller: its override in ``ct_overrides`` (keyed "DxP" in
-    inches by :func:`prop_key`, e.g. "18x7"), else ``default``."""
-    return float(ct_overrides.get(prop_key(diameter_m, pitch_m), default))
-
-
-def prop_key(diameter_m: float, pitch_m: float) -> str:
-    """Canonical propeller key in inches, e.g. "18x6" or "16x5.4"."""
-
-    def fmt(meters: float) -> str:
-        inches = meters / M_PER_IN
-        return f"{inches:.10g}" if abs(inches - round(inches)) > 1e-9 else str(int(round(inches)))
-
-    return f"{fmt(diameter_m)}x{fmt(pitch_m)}"
+    prop = (patch.get("prop_diameter", design.prop_diameter), patch.get("prop_pitch", design.prop_pitch))
+    ct = (ct_overrides or {}).get(prop, design.thrust_coefficient_ct)
+    return replace(design, **{"thrust_coefficient_ct": ct, **patch})

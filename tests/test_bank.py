@@ -14,12 +14,14 @@ from eagibench.bank import (
     _stratified_quotas,
     design_from_bank,
     design_to_bank,
+    grid_design_from_bank,
     grid_from_bank,
     instantiate,
     load_bank,
     sample,
     shipped_bank_path,
 )
+from eagibench.scoring import Verdict, score_fix
 from eagibench.taxonomy import CognitionLevel, TagFilter, matches
 
 
@@ -285,6 +287,47 @@ class TestLoadBank:
         bank = load_bank(raw_bank)
         assert bank.contexts["urban-logistics-quad"].design.n_motors == 4
         assert bank.grids["quad-14kg"].n_motors_options == (4,)
+
+    @pytest.mark.parametrize(
+        "section, overrides, error",
+        [
+            ("grid", {"18.0x6": 0.05}, None),
+            ("grid", {"18x6.0": 0.05}, None),
+            ("grid", {"18 x 6": 0.05}, None),
+            ("grid", {"22x8": 0.05}, r"grid 'quad-14kg': .*'22x8'"),
+            ("grid", {"18x6": 0.05, "18.0x6": 0.04}, r"'18\.0x6'.*'18x6'"),
+            ("top", {"18.0x7": 0.036827286029}, None),
+        ],
+        ids=["grid-18.0x6", "grid-18x6.0", "grid-18-x-6", "grid-off-grid", "grid-two-keys", "top-18.0x7"],
+    )
+    def test_ct_override_key_names_a_propeller_however_spelt(self, raw_bank, section, overrides, error):
+        # A key's two lengths are read in inches, so every spelling of a
+        # propeller reaches the designs that use it; a key that names no
+        # propeller of its grid, or a second key of one, is an error.
+        (raw_bank["grids"]["quad-14kg"] if section == "grid" else raw_bank)["ct_overrides"] = overrides
+        if error:
+            with pytest.raises(BankError, match=error):
+                load_bank(raw_bank)
+            return
+        bank = load_bank(raw_bank)
+        if section == "grid":
+            spec = bank.instances["l5-quad-14kg"].answer_spec
+            assert (18 * 0.0254, 6 * 0.0254, 0.05) in spec.grid.propellers()
+            answer = {"kv_rpm_per_volt": 340, "prop_diameter_in": 18, "prop_pitch_in": 6}
+            assert grid_design_from_bank(answer, spec.defaults, spec.grid).thrust_coefficient_ct == 0.05
+        else:
+            spec = bank.instances["l4-thrust-fix"].answer_spec
+            score = score_fix('```json\n{"patch": {"prop_pitch_in": 7}}\n```', spec)
+            assert score.verdict is Verdict.Pass
+
+    @pytest.mark.parametrize("kv, volts", [(-380, 22.2), ("3", 2)], ids=["negative-kv", "text-kv"])
+    def test_no_load_rpm_param_derived_through_the_oracle(self, raw_bank, kv, volts):
+        # A prompt must not state an RPM the oracle would refuse to compute
+        # (-8436 RPM), or one made by repeating a string ("33 RPM").
+        template = _template(raw_bank, "l1-kv-meaning")
+        template.update(params={"kv": kv, "voltage_v": volts}, pattern="Spin at {no_load_rpm} RPM?")
+        with pytest.raises(BankError, match="template 'l1-kv-meaning'"):
+            load_bank(raw_bank)
 
     @pytest.mark.parametrize("name", ["missing.json", ".", "latin1.json"])
     def test_unreadable_file_raises_bank_error_with_path(self, tmp_path, name):

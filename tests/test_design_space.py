@@ -33,7 +33,6 @@ from eagibench.propulsion import (
     RequirementKind,
     RequirementSet,
     evaluate_design,
-    prop_key,
 )
 
 BATTERY_6S = BatteryOption(cells=6, voltage=22.2, capacity=12)
@@ -83,11 +82,12 @@ class TestEnumerate:
             _grid(kv_values=())
 
     def test_ct_overrides_cannot_change_after_the_grid_checked_them(self):
-        overrides = {"18x6": 0.05}
+        prop = (18 * M_PER_IN, 6 * M_PER_IN)
+        overrides = {prop: 0.05}
         grid = _grid(kv_values=(380.0,), prop_diameters=(18 * M_PER_IN,), ct_overrides=overrides)
-        overrides["18x6"] = 0.0
+        overrides[prop] = 0.0
         with pytest.raises(TypeError):
-            grid.ct_overrides["18x6"] = -1.0
+            grid.ct_overrides[prop] = -1.0
         assert enumerate_designs(grid, 12)[0].thrust_coefficient_ct == 0.05
 
 
@@ -326,7 +326,7 @@ def _staged_cases(draw):
                       draw(st.sampled_from([8.0, 12.0]) | st.floats(2, 20)))
         for cells in axis(st.sampled_from([4, 6, 12]), 3)
     )
-    props = [prop_key(d * M_PER_IN, p * M_PER_IN) for d in diameters for p in pitches]
+    props = [(d * M_PER_IN, p * M_PER_IN) for d in diameters for p in pitches]
     grid = DesignGrid(
         kv_values=axis(st.sampled_from([300.0, 340.0, 400.0]) | st.floats(150, 700), 3),
         prop_diameters=tuple(d * M_PER_IN for d in diameters),

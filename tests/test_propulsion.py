@@ -27,7 +27,6 @@ from eagibench.propulsion import (
     ideal_hover_power,
     max_torque,
     no_load_rpm,
-    prop_key,
     required_thrust_per_motor,
     static_thrust,
     thrust_scale_factor,
@@ -320,22 +319,18 @@ class TestApplyPatch:
             apply_patch(_example_design(), {"nonexistent": 1})
 
     def test_ct_override_applies_on_matching_prop(self):
-        overrides = {"18x7": CT_STAR * 7 / 6}
+        overrides = {(18 * M_PER_IN, 7 * M_PER_IN): CT_STAR * 7 / 6}
         patched = apply_patch(_example_design(), {"prop_pitch": 7 * M_PER_IN}, overrides)
         assert patched.thrust_coefficient_ct == pytest.approx(CT_STAR * 7 / 6, rel=1e-9)
 
     def test_explicit_ct_wins_over_override(self):
-        overrides = {"18x7": 0.05}
+        overrides = {(18 * M_PER_IN, 7 * M_PER_IN): 0.05}
         patched = apply_patch(
             _example_design(),
             {"prop_pitch": 7 * M_PER_IN, "thrust_coefficient_ct": 0.04},
             overrides,
         )
         assert patched.thrust_coefficient_ct == 0.04
-
-    def test_prop_key_formatting(self):
-        assert prop_key(18 * M_PER_IN, 6 * M_PER_IN) == "18x6"
-        assert prop_key(16 * M_PER_IN, 5.4 * M_PER_IN) == "16x5.4"
 
 
 def _documented_check(kind, design, report, bound):
