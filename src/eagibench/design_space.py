@@ -10,9 +10,10 @@ thrust margin over the hover requirement (maximize), and hover endurance
 (maximize).  The current axis uses the torque-route motor current so that
 the Kv choice trades off against thrust margin; see ``propulsion``.
 
-A grid is scored in one pruned walk, ``grid_evaluations``, which checks each
-requirement where its quantity is first known and yields only the designs
-that pass, running no stage for a point a failed check has ruled out.
+A grid is scored in one pruned walk, ``grid_evaluations``, which checks the
+grid once, then each requirement where its quantity is first known, and yields
+only the designs that pass, running no stage for a point a failed check has
+ruled out.  Grid designs are built from per-propeller field templates.
 """
 
 from __future__ import annotations
@@ -25,20 +26,23 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .propulsion import (
+    BATTERY_EFFICIENCY_DEFAULT,
     CT_DEFAULT,
     REQUIREMENT_RULES,
     Design,
     Environment,
     PerformanceReport,
     RequirementSet,
+    _hover_endurance,
     _require_count,
     _require_pack,
     _require_positive,
+    _static_thrust,
+    _torque_constant,
     endurance_stage,
     evaluate_design,
     hover_stage,
     thrust_stage,
-    torque_constant,
 )
 
 
@@ -96,34 +100,25 @@ def enumerate_designs(grid: DesignGrid, mtow: float) -> list[Design]:
 
     The grid checked every axis value when it was built, with the rules
     ``Design.validate`` applies, and each Ct is a checked override or the
-    default; so only ``mtow`` is checked here, once, and the designs are
-    built without validating each one again.
+    default; so only ``mtow`` is checked here, once, and each design, not
+    validated again, holds its own copy of the field template of its
+    (propeller, battery, motor count), with its Kv set.
     """
     _require_positive(mtow=mtow)
-    props = grid.propellers()
-    current_limit = grid.current_limit_per_motor
+    templates = [
+        {"kv": None, "current_limit_per_motor": grid.current_limit_per_motor, "battery_cells": battery.cells,
+         "battery_voltage_nominal": battery.voltage, "battery_capacity": battery.capacity,
+         "prop_diameter": diameter, "prop_pitch": pitch, "n_motors": n_motors, "mtow": mtow,
+         "thrust_coefficient_ct": ct, "footprint": None}
+        for diameter, pitch, ct in grid.propellers()
+        for battery in grid.battery_options for n_motors in grid.n_motors_options
+    ]
     designs = []
     for kv in grid.kv_values:
-        for diameter, pitch, ct in props:
-            for battery in grid.battery_options:
-                for n_motors in grid.n_motors_options:
-                    designs.append(
-                        Design._from_checked(
-                            {
-                                "kv": kv,
-                                "current_limit_per_motor": current_limit,
-                                "battery_cells": battery.cells,
-                                "battery_voltage_nominal": battery.voltage,
-                                "battery_capacity": battery.capacity,
-                                "prop_diameter": diameter,
-                                "prop_pitch": pitch,
-                                "n_motors": n_motors,
-                                "mtow": mtow,
-                                "thrust_coefficient_ct": ct,
-                                "footprint": None,
-                            }
-                        )
-                    )
+        for template in templates:
+            fields = template.copy()
+            fields["kv"] = kv
+            designs.append(Design._from_checked(fields))
     return designs
 
 
@@ -223,18 +218,19 @@ def grid_evaluations(
     """Each design of ``enumerate_designs(grid, mtow)`` that passes every
     requirement, in order, with its objective vector.
 
-    Each stage of ``evaluate_design`` runs once per distinct input (Kt per Kv;
-    hover per diameter, Ct and motor count; thrust per Kv, propeller and
-    voltage; endurance per battery and hover power) with the same operations, so
-    every figure is ``evaluate_design``'s.  Each requirement is checked once per
+    Unless a failed cell-count, weight or footprint bound (a grid design has
+    none) leaves nothing to yield, the walk first runs ``check_grid`` once, so
+    a grid it rejects at ``mtow`` raises before anything is yielded.  The walk
+    then runs each stage of ``evaluate_design`` once per distinct input (Kt per
+    Kv; hover per diameter, Ct and motor count; thrust per Kv, propeller and
+    voltage; endurance per battery and hover power) through the unchecked
+    expressions the checked formulas call, with the same operations, so every
+    figure is ``evaluate_design``'s.  Each requirement is checked once per
     distinct value, where the walk first knows it, and no stage runs for a point
-    a failed check ruled out: a failed weight or footprint bound (a grid design
-    has none) yields nothing; batteries of a failing cell count go first, then
+    a failed check ruled out: batteries of a failing cell count go first, then
     motor counts whose current fails, and thrust is skipped when none is left; a
     voltage whose thrust fails skips its batteries; endurance runs for the rest.
-    The memo lives for one call.  A stage raises only where it runs: nowhere on
-    a grid ``check_grid`` accepted at ``mtow``; on another, the walk may return
-    where evaluating each design would raise, at points a failed check excluded.
+    The memo lives for one call.
     """
     if not isinstance(requirements, RequirementSet):
         requirements = RequirementSet(tuple(requirements))
@@ -255,11 +251,12 @@ def grid_evaluations(
                  for i, b in enumerate(grid.battery_options) if cells[b.cells]]
     if not (batteries and passes("mtow", mtow) and passes("footprint", math.inf)):
         return
-    props = grid.propellers()
+    check_grid(grid, mtow, env)
+    props, rho = grid.propellers(), env.air_density
     hovers, endurances = {}, {}
     first = 0  # index in ``designs`` of the current Kv and propeller's first design
     for kv in grid.kv_values:
-        kt = torque_constant(kv)
+        kt = _torque_constant(kv)
         for diameter, _, ct in props:
             motors = []  # per motor count whose current passes: offset, required thrust, power, current
             for offset, n_motors in enumerate(grid.n_motors_options):
@@ -273,14 +270,14 @@ def grid_evaluations(
             thrusts: dict = {}  # voltage -> thrust, or None when it fails
             for start, volts, capacity in batteries if motors else ():
                 if volts not in thrusts:
-                    thrust = thrust_stage(kv, volts, ct, diameter, env.air_density)[1]
+                    thrust = _static_thrust(ct, rho, kv * volts, diameter)
                     thrusts[volts] = thrust if passes("static_thrust_per_motor", thrust) else None
                 if (thrust := thrusts[volts]) is None:
                     continue
                 for offset, required, power, current in motors:
                     key = (capacity, volts, power)
                     if key not in endurances:
-                        endurance = endurance_stage(capacity, volts, power)
+                        endurance = _hover_endurance(capacity, volts, BATTERY_EFFICIENCY_DEFAULT, power)
                         endurances[key] = endurance if passes("endurance", endurance) else None
                     if (endurance := endurances[key]) is not None:
                         objectives = ObjectiveVector(current, thrust - required, endurance)
@@ -304,11 +301,11 @@ def check_grid(grid: DesignGrid, mtow: float, env: Environment) -> None:
     count), so they raise here whatever they raise there.  The thrust stage
     runs per propeller at the largest Kv and voltage, where the no-load RPM
     is largest, and the torque current at the largest Kv, where Kt is
-    smallest.
+    smallest.  ``grid_evaluations`` calls this once, then walks unchecked.
     """
     kv = max(grid.kv_values)
     battery = max(grid.battery_options, key=lambda b: b.voltage)
-    kt = torque_constant(kv)
+    kt = _torque_constant(kv)  # the grid checked every Kv
     for diameter, _, ct in grid.propellers():
         thrust_stage(kv, battery.voltage, ct, diameter, env.air_density)
         for n_motors in grid.n_motors_options:

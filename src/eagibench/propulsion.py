@@ -83,10 +83,14 @@ def no_load_rpm(kv: float, voltage: float) -> float:
     return kv * voltage
 
 
+def _torque_constant(kv: float) -> float:
+    return 60.0 / (2.0 * math.pi * kv)
+
+
 def torque_constant(kv: float) -> float:
     """Motor torque constant Kt in N*m/A: Kt = 60 / (2*pi*Kv)."""
     _require_positive(kv=kv)
-    return 60.0 / (2.0 * math.pi * kv)
+    return _torque_constant(kv)
 
 
 def max_torque(kv: float, current_limit: float) -> float:
@@ -95,11 +99,15 @@ def max_torque(kv: float, current_limit: float) -> float:
     return torque_constant(kv) * current_limit
 
 
+def _static_thrust(ct: float, rho: float, rpm: float, diameter: float) -> float:
+    n = rpm / 60.0
+    return ct * rho * n * n * diameter**4
+
+
 def static_thrust(ct: float, rho: float, rpm: float, diameter: float) -> float:
     """Static thrust in newtons: T = Ct * rho * n^2 * D^4, n = rpm/60."""
     _require_positive(ct=ct, rho=rho, rpm=rpm, diameter=diameter)
-    n = rpm / 60.0
-    return ct * rho * n * n * diameter**4
+    return _static_thrust(ct, rho, rpm, diameter)
 
 
 def calibrate_ct(thrust: float, rho: float, rpm: float, diameter: float) -> float:
@@ -131,12 +139,16 @@ def ideal_hover_power(total_thrust: float, rho: float, disk_area_total: float, e
     return total_thrust**1.5 / (math.sqrt(2.0 * rho * disk_area_total) * eta)
 
 
+def _hover_endurance(capacity: float, voltage: float, eta_batt: float, power: float) -> float:
+    return 60.0 * capacity * voltage * eta_batt / power
+
+
 def hover_endurance(capacity: float, voltage: float, eta_batt: float, power: float) -> float:
     """Hover endurance in minutes: t = 60 * C * V * eta_batt / P."""
     _require_positive(capacity=capacity, voltage=voltage, power=power)
     if not (0.0 < eta_batt <= 1.0):
         raise PhysicsDomainError(f"eta_batt must be in (0, 1], got {eta_batt!r}")
-    return 60.0 * capacity * voltage * eta_batt / power
+    return _hover_endurance(capacity, voltage, eta_batt, power)
 
 
 def disk_area_total(diameter: float, n_motors: int) -> float:
@@ -345,9 +357,10 @@ def _step(label: str, fn, *args):
 
 
 # Evaluation stages.  ``evaluate_design`` runs them in this order for one
-# design; ``design_space.grid_evaluations`` runs each once per distinct
-# input over a grid.  Both take every value from here, so a design's
-# figures are the same floats on either path.
+# design; ``design_space.grid_evaluations`` checks a grid once, then runs
+# each once per distinct input, Kt, thrust and endurance through the
+# unchecked expressions their checked formulas call.  Both take every
+# value from here, so a design's figures are the same floats on either path.
 
 
 def thrust_stage(

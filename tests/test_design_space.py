@@ -373,12 +373,15 @@ def test_each_requirement_checked_once_per_distinct_quantity(monkeypatch):
     ))
     expected = reference_front(grid, 12, Environment(), requirements)
     assert len(expected.front) == 2
-    stages = {"thrust": [], "hover": [], "endurance": []}
+    # The walk runs check_grid once, then hover_stage and the unchecked thrust and endurance
+    # expressions; check_grid runs the checked stages.
+    stages = {name: [] for name in ("check_grid", "thrust_stage", "hover_stage", "endurance_stage",
+                                    "_static_thrust", "_hover_endurance")}
     for name, calls in stages.items():
-        def recorded(*args, stage=getattr(design_space, f"{name}_stage"), calls=calls):
+        def recorded(*args, stage=getattr(design_space, name), calls=calls):
             calls.append(args)
             return stage(*args)
-        monkeypatch.setattr(design_space, f"{name}_stage", recorded)
+        monkeypatch.setattr(design_space, name, recorded)
     checks = []
     for kind, rule in REQUIREMENT_RULES.items():
         def counted(measured, bound, kind=kind, test=rule.test):
@@ -386,23 +389,44 @@ def test_each_requirement_checked_once_per_distinct_quantity(monkeypatch):
             return test(measured, bound)
         monkeypatch.setitem(REQUIREMENT_RULES, kind, rule._replace(test=counted))
     assert reference_front(grid, 12, Environment(), requirements) == expected
-    # Hover runs once per propeller and motor count.  Thrust runs only at 340 Kv and at the
-    # 6S voltages; endurance only where current, cells and thrust all passed.
-    assert len(stages["hover"]) == 4
-    assert sorted((kv, volts, round(d / M_PER_IN)) for kv, volts, _, d, _ in stages["thrust"]) == [
-        (340.0, 22.2, 18), (340.0, 22.2, 20), (340.0, 23.0, 18), (340.0, 23.0, 20)
+    # check_grid runs thrust per propeller at the largest Kv and voltage, and hover and
+    # endurance per propeller and motor count; the walk runs hover once more per propeller
+    # and motor count.
+    assert len(stages["check_grid"]) == 1
+    assert sorted((kv, volts, round(d / M_PER_IN)) for kv, volts, _, d, _ in stages["thrust_stage"]) == [
+        (400.0, 23.0, 18), (400.0, 23.0, 20)
     ]
-    assert sorted((capacity, volts) for capacity, volts, _ in stages["endurance"]) == [
+    assert len(stages["hover_stage"]) == 4 + 4
+    assert len(stages["endurance_stage"]) == 4
+    # The walk's thrust runs only at 340 Kv and at the 6S voltages; its endurance only where
+    # current, cells and thrust all passed.
+    assert sorted((rpm, round(d / M_PER_IN)) for _, _, rpm, d in stages["_static_thrust"]) == [
+        (340.0 * 22.2, 18), (340.0 * 22.2, 20), (340.0 * 23.0, 18), (340.0 * 23.0, 20)
+    ]
+    assert sorted((capacity, volts) for capacity, volts, _, _ in stages["_hover_endurance"]) == [
         (10.0, 22.2), (10.0, 23.0), (10.0, 23.0), (12.0, 22.2)
     ]
     assert max(collections.Counter(checks).values()) == 1
     assert collections.Counter(kind for kind, _, _ in checks) == {
         RequirementKind.MaxCurrentPerMotor: 8,  # every Kv, propeller and motor count
-        RequirementKind.MinThrustPerMotor: len(stages["thrust"]),
-        RequirementKind.MinEndurance: len(stages["endurance"]),
+        RequirementKind.MinThrustPerMotor: len(stages["_static_thrust"]),
+        RequirementKind.MinEndurance: len(stages["_hover_endurance"]),
         RequirementKind.VoltageClass: 2,  # distinct cell counts
         RequirementKind.MaxMTOW: 1,
     }
+
+
+def test_grid_the_oracle_cannot_evaluate_raises_before_the_walk():
+    # At 1e307 Kv the no-load RPM overflows, but the current bound would rule the point out
+    # before its thrust ran: the walk still checks the whole grid first, and yields nothing.
+    grid = DesignGrid(kv_values=(340.0, 1e307), prop_diameters=(18 * M_PER_IN,), prop_pitches=(6 * M_PER_IN,),
+                      battery_options=(BatteryOption(6, 22.2, 10.0),), n_motors_options=(4,))
+    requirements = [Requirement("current", RequirementKind.MaxCurrentPerMotor, 30.0)]
+    message = "static_thrust: rpm must be positive and finite, got inf"
+    with pytest.raises(PhysicsDomainError, match=f"^{message}$"):
+        next(grid_evaluations(grid, 12, Environment(), requirements))
+    with pytest.raises(PhysicsDomainError, match=f"^{message}$"):
+        reference_front(grid, 12, Environment(), requirements)
 
 
 @settings(max_examples=100, deadline=None)
@@ -410,6 +434,8 @@ def test_each_requirement_checked_once_per_distinct_quantity(monkeypatch):
 def test_grid_designs_equal_validated_designs(case):
     grid, mtow, _, _ = case
     designs = enumerate_designs(grid, mtow)
+    # Each design holds its own field dict: none shares one with another, or with a template.
+    assert len({id(vars(design)) for design in designs}) == len(designs)
     points = itertools.product(
         grid.kv_values, grid.propellers(), grid.battery_options, grid.n_motors_options
     )

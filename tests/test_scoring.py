@@ -368,7 +368,7 @@ class TestScoreDesign:
             if all(c.passed for c in checks if c.requirement_id != "hover-thrust"):
                 reached.add((d.kv, d.prop_diameter, d.prop_pitch, d.battery_voltage_nominal))
         assert 0 < len(reached) < grid.size
-        calls = {"evaluate": 0, "thrust": 0, "hover": 0}
+        calls = {"evaluate": 0, "check_grid": 0, "thrust_stage": 0, "hover_stage": 0, "_static_thrust": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -379,12 +379,16 @@ class TestScoreDesign:
 
         monkeypatch.setattr(scoring, "evaluate_design", counting("evaluate", evaluate_design))
         monkeypatch.setattr(design_space, "evaluate_design", counting("evaluate", evaluate_design))
-        monkeypatch.setattr(design_space, "thrust_stage", counting("thrust", design_space.thrust_stage))
-        monkeypatch.setattr(design_space, "hover_stage", counting("hover", design_space.hover_stage))
+        for name in ("check_grid", "thrust_stage", "hover_stage", "_static_thrust"):
+            monkeypatch.setattr(design_space, name, counting(name, getattr(design_space, name)))
         score_design(_fence({"design": {"kv_rpm_per_volt": 420, "prop_diameter_in": 16}}), spec)
         props = len(grid.prop_diameters) * len(grid.prop_pitches)
-        # The answer gets one oracle call; hover runs once per propeller and motor count.
-        assert calls == {"evaluate": 1, "thrust": len(reached), "hover": props * len(grid.n_motors_options)}
+        # The answer gets one oracle call.  The walk checks the grid once, which runs thrust
+        # per propeller and hover per propeller and motor count; the walk then runs hover once
+        # more per propeller and motor count, and thrust where it is reached.
+        hovers = props * len(grid.n_motors_options)
+        assert calls == {"evaluate": 1, "check_grid": 1, "thrust_stage": props, "hover_stage": 2 * hovers,
+                         "_static_thrust": len(reached)}
 
     @pytest.mark.parametrize(
         "grid_ct, design, verdict, value",
