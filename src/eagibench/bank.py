@@ -17,15 +17,14 @@ always give identical output.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import json
 import random
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import propulsion
 from .design_space import BatteryOption, DesignGrid, check_grid
@@ -40,6 +39,7 @@ from .propulsion import (
     RequirementKind,
     RequirementSet,
 )
+from .records import checked
 from .taxonomy import CognitionLevel, TagFilter, TagSet, matches
 
 SCHEMA_VERSION = 1
@@ -134,8 +134,7 @@ def design_from_bank(raw: Mapping, defaults: Optional[Mapping] = None) -> Design
     merged: dict = dict(defaults or {})
     merged.update({k: v for k, v in raw.items() if v is not None})
     kwargs = fields_to_si(merged)
-    required = (f.name for f in dataclasses.fields(Design) if f.default is dataclasses.MISSING)
-    missing = [k for k in required if k not in kwargs]
+    missing = [k for k in Design._fields if k not in Design._field_defaults and k not in kwargs]
     if missing:
         raise ValueError(f"design is missing required field(s): {', '.join(missing)}")
     return Design(**kwargs)
@@ -154,7 +153,7 @@ def grid_design_from_bank(raw: Mapping, defaults: Mapping, grid: DesignGrid) -> 
     fields_to_si(raw)
     design = design_from_bank({k: v for k, v in raw.items() if k in GRID_AXIS_KEYS}, defaults)
     ct = grid.ct_overrides.get((design.prop_diameter, design.prop_pitch), CT_DEFAULT)
-    return dataclasses.replace(design, thrust_coefficient_ct=ct)
+    return design._replace(thrust_coefficient_ct=ct)
 
 
 def design_to_bank(design: Design) -> dict:
@@ -211,25 +210,24 @@ def ct_overrides_from_bank(raw: Mapping, propellers: Optional[set] = None) -> di
 # Ground answer specs
 
 
-@dataclass(frozen=True)
-class FactSpec:
+class FactSpec(NamedTuple):
     canonical: str
     accepted_aliases: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class NumericSpec:
+@checked
+class NumericSpec(NamedTuple):
     value: float
     unit: str
     rel_tol: float
 
-    def __post_init__(self):
+    def _check(self):
         if not (0.0 < self.rel_tol <= 0.1):
             raise ValueError(f"Numeric rel_tol must be in (0, 0.1], got {self.rel_tol}")
 
 
-@dataclass(frozen=True)
-class FieldExpectation:
+@checked
+class FieldExpectation(NamedTuple):
     name: str
     kind: str  # "number" | "text"
     expected: Any
@@ -238,7 +236,7 @@ class FieldExpectation:
     aliases: tuple[str, ...] = ()
     match: str = "contains"  # "contains" | "exact" (text fields)
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in ("number", "text"):
             raise ValueError(f"field {self.name!r}: kind must be 'number' or 'text', got {self.kind!r}")
         if self.match not in ("contains", "exact"):
@@ -248,21 +246,21 @@ class FieldExpectation:
             raise ValueError(f"field {self.name!r}: expected must be a finite number, got {value!r}")
 
 
-@dataclass(frozen=True)
-class StructuredSpec:
+@checked
+class StructuredSpec(NamedTuple):
     fields: tuple[FieldExpectation, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if not self.fields:
             raise ValueError("Structured spec needs at least one field")
 
 
-@dataclass(frozen=True)
-class DiagnosisSpec:
+@checked
+class DiagnosisSpec(NamedTuple):
     accepted_causes: tuple[str, ...]
     vocabulary: Mapping[str, tuple[str, ...]]  # cause id -> keyword phrases
 
-    def __post_init__(self):
+    def _check(self):
         if not self.accepted_causes:
             raise ValueError("Diagnosis accepted_causes must be non-empty")
         for cause in self.accepted_causes:
@@ -270,18 +268,18 @@ class DiagnosisSpec:
                 raise ValueError(f"accepted cause {cause!r} missing from cause vocabulary")
 
 
-@dataclass(frozen=True)
-class FixSpec:
+@checked
+class FixSpec(NamedTuple):
     base_design: Design
     environment: Environment
     requirements: RequirementSet
     failing_requirement_id: str
     patchable_fields: tuple[str, ...]
     reference_patch: Mapping[str, float]
-    ct_overrides: Mapping[tuple[float, float], float] = field(default_factory=dict)
+    ct_overrides: Mapping[tuple[float, float], float] = MappingProxyType({})
     loaded_rpm: Optional[float] = None
 
-    def __post_init__(self):
+    def _check(self):
         self.requirements.get(self.failing_requirement_id)  # must resolve
         for key in self.reference_patch:
             if key not in self.patchable_fields:
@@ -317,8 +315,7 @@ class FixSpec:
         return "flipped" in outcomes and "regressed" not in outcomes, rows
 
 
-@dataclass(frozen=True)
-class DesignSynthesisSpec:
+class DesignSynthesisSpec(NamedTuple):
     requirements: RequirementSet
     grid_id: str
     grid: DesignGrid
@@ -328,22 +325,22 @@ class DesignSynthesisSpec:
     mtow: float
 
 
-@dataclass(frozen=True)
-class RubricCriterion:
+@checked
+class RubricCriterion(NamedTuple):
     key: str
     phrases: tuple[str, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if not self.phrases:
             raise ValueError(f"rubric criterion {self.key!r} has no phrases")
 
 
-@dataclass(frozen=True)
-class RubricSpec:
+@checked
+class RubricSpec(NamedTuple):
     criteria: tuple[RubricCriterion, ...]
     pass_threshold: float
 
-    def __post_init__(self):
+    def _check(self):
         if not self.criteria:
             raise ValueError("Rubric needs at least one criterion")
         if not (0.0 < self.pass_threshold <= 1.0):
@@ -373,26 +370,23 @@ def answer_kind(spec: AnswerSpec) -> str:
 # Templates and instances
 
 
-@dataclass(frozen=True)
-class DesignContext:
+class DesignContext(NamedTuple):
     summary: str
     design: Optional[Design]
     environment: Environment
 
 
-@dataclass(frozen=True)
-class QuestionTemplate:
+class QuestionTemplate(NamedTuple):
     id: str
     level: CognitionLevel
     tags: TagSet
     pattern: str
     answer_raw: Mapping
-    params: Mapping[str, Any] = field(default_factory=dict)
+    params: Mapping[str, Any] = MappingProxyType({})
     context_ref: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class QuestionInstance:
+class QuestionInstance(NamedTuple):
     id: str
     level: CognitionLevel
     tags: TagSet
@@ -405,8 +399,7 @@ class QuestionInstance:
         return answer_kind(self.answer_spec)
 
 
-@dataclass(frozen=True)
-class QuestionBank:
+class QuestionBank(NamedTuple):
     contexts: Mapping[str, DesignContext]
     grids: Mapping[str, DesignGrid]
     cause_vocabulary: Mapping[str, tuple[str, ...]]
@@ -423,6 +416,10 @@ class QuestionBank:
 
     def __len__(self):
         return len(self.templates)
+
+
+# ``len`` counts templates, so ``_make`` (and ``_replace``) must not check it against the fields.
+QuestionBank._make = classmethod(lambda cls, values: cls(*values))
 
 
 # Physics functions a numeric answer may reference; its ``args`` bind their parameters by name.
@@ -502,10 +499,10 @@ def _fmt(value: Any) -> str:
 
 
 def _requirements_from_raw(raw_reqs: Sequence[Mapping], ns: Mapping) -> RequirementSet:
-    return RequirementSet(tuple(
+    return RequirementSet(
         Requirement(str(raw["id"]), RequirementKind(raw["kind"]), float(_resolve(raw["bound"], ns)))
         for raw in raw_reqs
-    ))
+    )
 
 
 def _instantiate_answer(template: QuestionTemplate, bank: QuestionBank, ns: dict) -> AnswerSpec:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from itertools import groupby
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -44,17 +43,17 @@ from .propulsion import (
     hover_stage,
     thrust_stage,
 )
+from .records import checked
 
 
-@dataclass(frozen=True)
-class BatteryOption:
+class BatteryOption(NamedTuple):
     cells: int
     voltage: float
     capacity: float  # Ah
 
 
-@dataclass(frozen=True)
-class DesignGrid:
+@checked
+class DesignGrid(NamedTuple):
     """Discrete synthesis space.  Lengths multiply to the grid size."""
 
     kv_values: tuple[float, ...]
@@ -63,27 +62,28 @@ class DesignGrid:
     battery_options: tuple[BatteryOption, ...]
     n_motors_options: tuple[int, ...]
     current_limit_per_motor: float = 25.0
-    ct_overrides: Mapping[tuple[float, float], float] = field(default_factory=dict)  # by (diameter, pitch)
+    ct_overrides: Mapping[tuple[float, float], float] = MappingProxyType({})  # by (diameter, pitch)
 
     #: The axes, in enumeration order.
     AXES = ("kv_values", "prop_diameters", "prop_pitches", "battery_options", "n_motors_options")
 
-    def __post_init__(self):
-        """Reject an axis value no design on the grid could take, at O(sum of axis lengths)."""
-        # A read-only copy, so no Ct can be written after the check below.
-        object.__setattr__(self, "ct_overrides", MappingProxyType(dict(self.ct_overrides)))
-        for name in self.AXES:
-            if not getattr(self, name):
+    def _check(self) -> DesignGrid:
+        """Reject an axis value no design on the grid could take, at O(sum of axis
+        lengths); keep a read-only copy of ``ct_overrides``, so no Ct can change after."""
+        grid = tuple.__new__(type(self), (*self[:-1], MappingProxyType(dict(self.ct_overrides))))
+        for name in grid.AXES:
+            if not getattr(grid, name):
                 raise ValueError(f"DesignGrid.{name} must be non-empty")
         for name in ("kv_values", "prop_diameters", "prop_pitches"):
-            _require_positive(**{f"{name}[{i}]": v for i, v in enumerate(getattr(self, name))})
-        _require_positive(current_limit_per_motor=self.current_limit_per_motor)
-        _require_positive(**{f"ct_overrides[{k!r}]": v for k, v in self.ct_overrides.items()})
-        _require_count(**{f"n_motors_options[{i}]": n for i, n in enumerate(self.n_motors_options)})
-        for battery in self.battery_options:
+            _require_positive(**{f"{name}[{i}]": v for i, v in enumerate(getattr(grid, name))})
+        _require_positive(current_limit_per_motor=grid.current_limit_per_motor)
+        _require_positive(**{f"ct_overrides[{k!r}]": v for k, v in grid.ct_overrides.items()})
+        _require_count(**{f"n_motors_options[{i}]": n for i, n in enumerate(grid.n_motors_options)})
+        for battery in grid.battery_options:
             _require_positive(battery_voltage=battery.voltage, battery_capacity=battery.capacity)
             _require_count(battery_cells=battery.cells)
             _require_pack(battery.cells, battery.voltage)
+        return grid
 
     @property
     def size(self) -> int:
@@ -99,27 +99,19 @@ def enumerate_designs(grid: DesignGrid, mtow: float) -> list[Design]:
     """Cartesian product of the grid axes, in lexicographic axis order.
 
     The grid checked every axis value when it was built, with the rules
-    ``Design.validate`` applies, and each Ct is a checked override or the
+    ``Design._check`` applies, and each Ct is a checked override or the
     default; so only ``mtow`` is checked here, once, and each design, not
-    validated again, holds its own copy of the field template of its
-    (propeller, battery, motor count), with its Kv set.
+    checked again, is the tuple ``(kv, *template)``, one template of the
+    fields after Kv per (propeller, battery, motor count).
     """
     _require_positive(mtow=mtow)
     templates = [
-        {"kv": None, "current_limit_per_motor": grid.current_limit_per_motor, "battery_cells": battery.cells,
-         "battery_voltage_nominal": battery.voltage, "battery_capacity": battery.capacity,
-         "prop_diameter": diameter, "prop_pitch": pitch, "n_motors": n_motors, "mtow": mtow,
-         "thrust_coefficient_ct": ct, "footprint": None}
+        (grid.current_limit_per_motor, battery.cells, battery.voltage, battery.capacity, diameter, pitch,
+         n_motors, mtow, ct, None)
         for diameter, pitch, ct in grid.propellers()
         for battery in grid.battery_options for n_motors in grid.n_motors_options
     ]
-    designs = []
-    for kv in grid.kv_values:
-        for template in templates:
-            fields = template.copy()
-            fields["kv"] = kv
-            designs.append(Design._from_checked(fields))
-    return designs
+    return [Design._from_checked((kv, *template)) for kv in grid.kv_values for template in templates]
 
 
 class ObjectiveVector(NamedTuple):
@@ -197,8 +189,7 @@ def pareto_front(designs: Sequence[Design], env: Environment) -> list[Design]:
     return [designs[i] for i in front_indices(vectors)]
 
 
-@dataclass(frozen=True)
-class ReferenceFront:
+class ReferenceFront(NamedTuple):
     """Pareto front of a feasible set, and each objective's range (max - min)
     over the whole feasible set, keyed by ``OBJECTIVE_AXES`` name."""
 
@@ -220,12 +211,12 @@ def grid_evaluations(
 
     Unless a failed cell-count, weight or footprint bound (a grid design has
     none) leaves nothing to yield, the walk first runs ``check_grid`` once, so
-    a grid it rejects at ``mtow`` raises before anything is yielded.  The walk
-    then runs each stage of ``evaluate_design`` once per distinct input (Kt per
-    Kv; hover per diameter, Ct and motor count; thrust per Kv, propeller and
-    voltage; endurance per battery and hover power) through the unchecked
-    expressions the checked formulas call, with the same operations, so every
-    figure is ``evaluate_design``'s.  Each requirement is checked once per
+    a grid it rejects at ``mtow`` raises before anything is yielded, and its
+    hover figures (per diameter, Ct and motor count) serve the walk, which
+    runs each other stage of ``evaluate_design`` once per distinct input (Kt
+    per Kv; thrust per Kv, propeller and voltage; endurance per battery and
+    hover power) through the unchecked expressions the checked formulas call,
+    with the same operations, so every figure is ``evaluate_design``'s.  Each requirement is checked once per
     distinct value, where the walk first knows it, and no stage runs for a point
     a failed check ruled out: batteries of a failing cell count go first, then
     motor counts whose current fails, and thrust is skipped when none is left; a
@@ -233,7 +224,7 @@ def grid_evaluations(
     The memo lives for one call.
     """
     if not isinstance(requirements, RequirementSet):
-        requirements = RequirementSet(tuple(requirements))
+        requirements = RequirementSet(requirements)
     bounds: dict = {}  # quantity -> [(test, bound)]
     for req in requirements:
         rule = REQUIREMENT_RULES[req.kind]
@@ -251,19 +242,16 @@ def grid_evaluations(
                  for i, b in enumerate(grid.battery_options) if cells[b.cells]]
     if not (batteries and passes("mtow", mtow) and passes("footprint", math.inf)):
         return
-    check_grid(grid, mtow, env)
+    hovers = check_grid(grid, mtow, env)
     props, rho = grid.propellers(), env.air_density
-    hovers, endurances = {}, {}
+    endurances = {}
     first = 0  # index in ``designs`` of the current Kv and propeller's first design
     for kv in grid.kv_values:
         kt = _torque_constant(kv)
         for diameter, _, ct in props:
             motors = []  # per motor count whose current passes: offset, required thrust, power, current
             for offset, n_motors in enumerate(grid.n_motors_options):
-                key = (diameter, ct, n_motors)
-                if key not in hovers:
-                    hovers[key] = hover_stage(mtow, n_motors, ct, diameter, env)
-                required, power, torque = hovers[key]
+                required, power, torque = hovers[diameter, ct, n_motors]
                 current = torque / kt
                 if passes("hover_torque_current_per_motor", current):
                     motors.append((offset, required, power, current))
@@ -293,11 +281,12 @@ def reference_front(
     return ReferenceFront.from_vectors([objectives for _, objectives in evaluations])
 
 
-def check_grid(grid: DesignGrid, mtow: float, env: Environment) -> None:
+def check_grid(grid: DesignGrid, mtow: float, env: Environment) -> dict:
     """Raise what evaluating the grid at ``mtow`` would raise, at
-    O(propellers x motor counts) and without enumerating it.
+    O(propellers x motor counts) and without enumerating it; else return
+    ``hover_stage``'s figures keyed by (diameter, Ct, motor count).
 
-    The hover and endurance stages run for every (diameter, Ct, motor
+    The hover and endurance stages run once per distinct (diameter, Ct, motor
     count), so they raise here whatever they raise there.  The thrust stage
     runs per propeller at the largest Kv and voltage, where the no-load RPM
     is largest, and the torque current at the largest Kv, where Kt is
@@ -306,10 +295,15 @@ def check_grid(grid: DesignGrid, mtow: float, env: Environment) -> None:
     kv = max(grid.kv_values)
     battery = max(grid.battery_options, key=lambda b: b.voltage)
     kt = _torque_constant(kv)  # the grid checked every Kv
+    hovers: dict = {}
     for diameter, _, ct in grid.propellers():
         thrust_stage(kv, battery.voltage, ct, diameter, env.air_density)
         for n_motors in grid.n_motors_options:
-            _, power, torque = hover_stage(mtow, n_motors, ct, diameter, env)
-            endurance_stage(battery.capacity, battery.voltage, power)
-            _ = torque / kt  # Kt is 0.0 once 2*pi*Kv overflows
+            key = (diameter, ct, n_motors)
+            if key not in hovers:
+                hovers[key] = hover_stage(mtow, n_motors, ct, diameter, env)
+                _, power, torque = hovers[key]
+                endurance_stage(battery.capacity, battery.voltage, power)
+                _ = torque / kt  # Kt is 0.0 once 2*pi*Kv overflows
+    return hovers
 

@@ -18,12 +18,12 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Protocol, Sequence
+from typing import Mapping, NamedTuple, Optional, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .bank import QuestionInstance
+from .records import checked
 from .scoring import Evidence, Score, Verdict, reference_answer, score_answer, unscorable
 from .taxonomy import CognitionLevel
 
@@ -37,8 +37,8 @@ class TransportError(RuntimeError):
     """Remote agent call failed after exhausting retries."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@checked
+class RunConfig(NamedTuple):
     threshold: float = 0.7
     fail_fast: bool = False
     max_in_flight: int = 4
@@ -47,7 +47,7 @@ class RunConfig:
     remote_backoff_s: float = 0.5
     model: str = "default"
 
-    def __post_init__(self):
+    def _check(self):
         # Checked here so a bad value fails before any agent call is spent.
         for name, ok, rule in (
             ("threshold", not isinstance(self.threshold, bool) and 0.0 < self.threshold <= 1.0, "in (0, 1]"),
@@ -154,8 +154,7 @@ def _chat_content(body: object) -> str:
         raise ValueError(f"not a chat completion: {body!r:.200}") from None
 
 
-@dataclass(frozen=True)
-class ItemResult:
+class ItemResult(NamedTuple):
     instance_id: str
     level: int
     kind: str
@@ -176,8 +175,7 @@ class ItemResult:
         }
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     run_id: str
     started_at: str
     duration_s: float
@@ -296,7 +294,7 @@ def run_evaluation(
     started = time.time()
     answers = _collect_answers(instances, agent, config)
     agent_name = getattr(agent, "name", type(agent).__name__)
-    record = {**(sampling or {}), "agent": agent_name, **asdict(config)}
+    record = {**(sampling or {}), "agent": agent_name, **config._asdict()}
     return grade(instances, answers, config, record, started)
 
 

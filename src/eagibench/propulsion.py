@@ -32,8 +32,9 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, replace
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+
+from .records import checked
 
 M_PER_IN = 0.0254
 GRAVITY_DEFAULT = 9.81
@@ -169,19 +170,19 @@ def rpm_for_thrust(thrust: float, ct: float, rho: float, diameter: float) -> flo
 CT_DEFAULT = calibrate_ct(26.4, AIR_DENSITY_SEA_LEVEL, 7500.0, 18.0 * M_PER_IN)
 
 
-@dataclass(frozen=True)
-class Environment:
+@checked
+class Environment(NamedTuple):
     """Ambient conditions for a design evaluation."""
 
     air_density: float = AIR_DENSITY_SEA_LEVEL
     gravity: float = GRAVITY_DEFAULT
 
-    def __post_init__(self):
+    def _check(self):
         _require_positive(air_density=self.air_density, gravity=self.gravity)
 
 
-@dataclass(frozen=True)
-class Design:
+@checked
+class Design(NamedTuple):
     """A concrete propulsion configuration.
 
     Units: Kv in RPM/V, currents in A, voltage in V, capacity in Ah,
@@ -203,10 +204,7 @@ class Design:
     thrust_coefficient_ct: float = CT_DEFAULT
     footprint: Optional[float] = None
 
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
+    def _check(self):
         _require_positive(
             kv=self.kv,
             current_limit_per_motor=self.current_limit_per_motor,
@@ -223,15 +221,13 @@ class Design:
             _require_positive(footprint=self.footprint)
 
     @classmethod
-    def _from_checked(cls, fields: dict) -> Design:
-        """A design holding ``fields`` (every field by name, taken over, not
-        copied) without running ``validate``.  The caller must already have
-        checked what ``validate`` checks: each float field positive and
-        finite, both counts at least 1, the pack voltage within 5% of
-        nominal, and ``footprint`` None or positive."""
-        design = object.__new__(cls)
-        object.__setattr__(design, "__dict__", fields)
-        return design
+    def _from_checked(cls, values) -> Design:
+        """A design holding ``values`` (every field, in field order) built by
+        ``tuple.__new__``, so without running ``_check``.  The caller must
+        already have checked what ``_check`` checks: each float field
+        positive and finite, both counts at least 1, the pack voltage within
+        5% of nominal, and ``footprint`` None or positive."""
+        return tuple.__new__(cls, values)
 
 
 class RequirementKind(enum.Enum):
@@ -262,13 +258,13 @@ REQUIREMENT_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class Requirement:
+@checked
+class Requirement(NamedTuple):
     id: str
     kind: RequirementKind
     bound: float
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind is RequirementKind.VoltageClass:
             _as_count("VoltageClass bound", self.bound)
 
@@ -277,33 +273,32 @@ class Requirement:
         return REQUIREMENT_RULES[self.kind].unit
 
 
-@dataclass(frozen=True)
-class RequirementSet:
-    """A list of requirements with unique ids."""
+class RequirementSet(tuple):
+    """A tuple of requirements with unique ids, checked by ``__new__``, so also
+    when copied or unpickled.  Not a NamedTuple: it iterates its requirements."""
 
-    requirements: tuple[Requirement, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        ids = [r.id for r in self.requirements]
+    def __new__(cls, requirements: Iterable[Requirement] = ()):
+        self = super().__new__(cls, requirements)
+        ids = [r.id for r in self]
         if len(ids) != len(set(ids)):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate requirement ids: {dupes}")
+        return self
 
-    def __iter__(self):
-        return iter(self.requirements)
-
-    def __len__(self):
-        return len(self.requirements)
+    @property
+    def requirements(self) -> tuple[Requirement, ...]:
+        return tuple(self)
 
     def get(self, req_id: str) -> Requirement:
-        for r in self.requirements:
+        for r in self:
             if r.id == req_id:
                 return r
         raise KeyError(req_id)
 
 
-@dataclass(frozen=True)
-class RequirementCheck:
+class RequirementCheck(NamedTuple):
     requirement_id: str
     kind: RequirementKind
     bound: float
@@ -311,8 +306,7 @@ class RequirementCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class PerformanceReport:
+class PerformanceReport(NamedTuple):
     """Oracle outputs for one design under one environment.
 
     ``operating_rpm`` is the loaded RPM when the scenario supplies one,
@@ -412,8 +406,8 @@ def evaluate_design(
     component formulas propagate labeled with the failing quantity.
     """
     if not isinstance(requirements, RequirementSet):
-        requirements = RequirementSet(tuple(requirements))
-    # No re-validation: a frozen Design validates itself on construction.
+        requirements = RequirementSet(requirements)
+    # No re-validation: a Design checks itself on construction.
     kv, volts, n_motors = design.kv, design.battery_voltage_nominal, design.n_motors
     ct, diameter = design.thrust_coefficient_ct, design.prop_diameter
     operating_rpm, thrust = thrust_stage(kv, volts, ct, diameter, env.air_density, loaded_rpm)
@@ -453,9 +447,9 @@ def apply_patch(design: Design, patch: dict, ct_overrides: Optional[Mapping] = N
     patched propeller's override in ``ct_overrides`` applies; it is keyed by
     (diameter, pitch) in meters, as ``bank.ct_overrides_from_bank`` reads it.
     """
-    unknown = [k for k in patch if k not in Design.__dataclass_fields__]
+    unknown = [k for k in patch if k not in Design._fields]
     if unknown:
         raise KeyError(unknown[0])
     prop = (patch.get("prop_diameter", design.prop_diameter), patch.get("prop_pitch", design.prop_pitch))
     ct = (ct_overrides or {}).get(prop, design.thrust_coefficient_ct)
-    return replace(design, **{"thrust_coefficient_ct": ct, **patch})
+    return design._replace(**{"thrust_coefficient_ct": ct, **patch})

@@ -34,8 +34,7 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .bank import (
     AnswerSpec,
@@ -62,6 +61,7 @@ from .design_space import (
     report_objectives,
 )
 from .propulsion import apply_patch, evaluate_design
+from .records import checked
 
 # L5 grade weights: constraint satisfaction vs Pareto proximity.
 DESIGN_CONSTRAINT_WEIGHT = 0.7
@@ -75,20 +75,19 @@ class Verdict(enum.Enum):
     Unscorable = "Unscorable"
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(NamedTuple):
     check_id: str
     outcome: str
     detail: str
 
 
-@dataclass(frozen=True)
-class Score:
+@checked
+class Score(NamedTuple):
     value: float
     verdict: Verdict
     evidence: tuple[Evidence, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if not (0.0 <= self.value <= 1.0):
             raise ValueError(f"score value must be in [0, 1], got {self.value}")
         if self.verdict is not Verdict.Unscorable and not self.evidence:
@@ -170,8 +169,7 @@ def _to_float(token: str) -> float:
 # Extraction
 
 
-@dataclass(frozen=True)
-class AgentAnswer:
+class AgentAnswer(NamedTuple):
     raw_text: str
     envelope: Optional[Mapping] = None
     extraction: str = "text"
@@ -547,8 +545,7 @@ def score_rubric(answer_text: str, spec: RubricSpec) -> Score:
     return Score(value, verdict, tuple(evidence))
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(NamedTuple):
     """Everything the scorer knows about one answer kind."""
 
     #: The envelope key an answer of this kind must hold.

@@ -13,8 +13,9 @@ threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional
+
+from .records import checked
 
 
 class CognitionLevel(enum.IntEnum):
@@ -61,8 +62,7 @@ class WorldScope(enum.Enum):
     OpenWorld = "OpenWorld"
 
 
-@dataclass(frozen=True)
-class ComplexityProfile:
+class ComplexityProfile(NamedTuple):
     """Complexity coordinates of a cognition level."""
 
     directionality: Directionality
@@ -170,8 +170,8 @@ _TAG_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class TagSet:
+@checked
+class TagSet(NamedTuple):
     """Metadata tags attached to every question.
 
     ``domains`` must be non-empty; ``standards`` is free-form text since the
@@ -184,7 +184,7 @@ class TagSet:
     modeling: frozenset[ModelingRequirement] = frozenset()
     standards: frozenset[str] = frozenset()
 
-    def __post_init__(self):
+    def _check(self):
         if not self.domains:
             raise ValueError("TagSet.domains must be non-empty")
 
@@ -202,8 +202,8 @@ class TagSet:
         }
 
 
-@dataclass(frozen=True)
-class TagFilter:
+@checked
+class TagFilter(NamedTuple):
     """Conjunctive filter over tag fields; any-of within a field.
 
     Every constraint left as ``None`` is unconstrained, so the empty filter
@@ -217,7 +217,7 @@ class TagFilter:
     standards: Optional[frozenset[str]] = None
     levels: Optional[tuple[int, int]] = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.levels is not None:
             lo, hi = self.levels
             if not (1 <= lo <= hi <= 6):

@@ -441,7 +441,7 @@ def test_local_run_loads_no_transport_and_draws_a_fresh_run_id(tmp_path):
         "for k in (1, 2):\n"
         "    main(['run', '--n', '2', '--agent', 'oracle', '--out', f'{sys.argv[1]}/r{k}.json'])\n"
         "print(json.dumps([m for m in ('http.client', 'urllib.request', 'ssl', 'email',\n"
-        "    'concurrent.futures', 'uuid', 'hashlib') if m in sys.modules]))\n"
+        "    'concurrent.futures', 'uuid', 'hashlib', 'dataclasses', 'inspect') if m in sys.modules]))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path)], env={**os.environ, "PYTHONPATH": src},

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 import math
 import pickle
@@ -390,13 +389,12 @@ def test_each_requirement_checked_once_per_distinct_quantity(monkeypatch):
         monkeypatch.setitem(REQUIREMENT_RULES, kind, rule._replace(test=counted))
     assert reference_front(grid, 12, Environment(), requirements) == expected
     # check_grid runs thrust per propeller at the largest Kv and voltage, and hover and
-    # endurance per propeller and motor count; the walk runs hover once more per propeller
-    # and motor count.
+    # endurance per propeller and motor count; the walk reuses the hover figures it returns.
     assert len(stages["check_grid"]) == 1
     assert sorted((kv, volts, round(d / M_PER_IN)) for kv, volts, _, d, _ in stages["thrust_stage"]) == [
         (400.0, 23.0, 18), (400.0, 23.0, 20)
     ]
-    assert len(stages["hover_stage"]) == 4 + 4
+    assert len(stages["hover_stage"]) == 4
     assert len(stages["endurance_stage"]) == 4
     # The walk's thrust runs only at 340 Kv and at the 6S voltages; its endurance only where
     # current, cells and thrust all passed.
@@ -434,8 +432,8 @@ def test_grid_the_oracle_cannot_evaluate_raises_before_the_walk():
 def test_grid_designs_equal_validated_designs(case):
     grid, mtow, _, _ = case
     designs = enumerate_designs(grid, mtow)
-    # Each design holds its own field dict: none shares one with another, or with a template.
-    assert len({id(vars(design)) for design in designs}) == len(designs)
+    # Each design is a Design tuple, not a template or a tuple of another type.
+    assert all(type(design) is Design for design in designs)
     points = itertools.product(
         grid.kv_values, grid.propellers(), grid.battery_options, grid.n_motors_options
     )
@@ -446,11 +444,11 @@ def test_grid_designs_equal_validated_designs(case):
         for kv, (d, p, ct), b, n in points
     ]
     for design in designs:
-        validated = Design(**dataclasses.asdict(design))
+        validated = Design(**design._asdict())
         assert design == validated and repr(design) == repr(validated)
         assert hash(design) == hash(validated)
-        assert dataclasses.replace(design) == design
+        assert design._replace() == design
         assert pickle.loads(pickle.dumps(design)) == design
         with pytest.raises(PhysicsDomainError):
-            dataclasses.replace(design, mtow=0.0)
+            design._replace(mtow=0.0)
 

@@ -384,10 +384,10 @@ class TestScoreDesign:
         score_design(_fence({"design": {"kv_rpm_per_volt": 420, "prop_diameter_in": 16}}), spec)
         props = len(grid.prop_diameters) * len(grid.prop_pitches)
         # The answer gets one oracle call.  The walk checks the grid once, which runs thrust
-        # per propeller and hover per propeller and motor count; the walk then runs hover once
-        # more per propeller and motor count, and thrust where it is reached.
-        hovers = props * len(grid.n_motors_options)
-        assert calls == {"evaluate": 1, "check_grid": 1, "thrust_stage": props, "hover_stage": 2 * hovers,
+        # per propeller and hover once per distinct (diameter, Ct, motor count); the walk
+        # reuses those hover figures, and runs thrust where it is reached.
+        hovers = len({(d, ct, n) for d, _, ct in grid.propellers() for n in grid.n_motors_options})
+        assert calls == {"evaluate": 1, "check_grid": 1, "thrust_stage": props, "hover_stage": hovers,
                          "_static_thrust": len(reached)}
 
     @pytest.mark.parametrize(
@@ -420,13 +420,9 @@ class TestScoreDesign:
         assert score.verdict is Verdict.Pass
 
     def test_empty_requirements_trivially_passes_on_front(self, instances):
-        import dataclasses
-
         from eagibench.propulsion import RequirementSet
 
-        spec = dataclasses.replace(
-            instances["l5-quad-14kg"].answer_spec, requirements=RequirementSet(())
-        )
+        spec = instances["l5-quad-14kg"].answer_spec._replace(requirements=RequirementSet(()))
         score = score_design(
             _fence({"design": {"kv_rpm_per_volt": 340, "prop_diameter_in": 20}}), spec
         )
@@ -434,8 +430,6 @@ class TestScoreDesign:
         assert score.value == 1.0
 
     def test_monotonic_in_requirements(self, instances):
-        import dataclasses
-
         from eagibench.propulsion import Requirement, RequirementKind, RequirementSet
 
         base_spec = instances["l5-quad-14kg"].answer_spec
@@ -443,8 +437,7 @@ class TestScoreDesign:
         base_score = score_design(answer, base_spec)
 
         # adding a requirement the answer satisfies never lowers the value
-        satisfied = dataclasses.replace(
-            base_spec,
+        satisfied = base_spec._replace(
             requirements=RequirementSet(
                 base_spec.requirements.requirements
                 + (Requirement("extra-class", RequirementKind.VoltageClass, 6),)
@@ -457,8 +450,7 @@ class TestScoreDesign:
         # requirement is one every feasible grid design already meets (a second
         # hover-thrust bound), which leaves the front as it was.
         hover = base_spec.requirements.get("hover-thrust")
-        violated = dataclasses.replace(
-            base_spec,
+        violated = base_spec._replace(
             requirements=RequirementSet(
                 base_spec.requirements.requirements
                 + (Requirement("extra-thrust", hover.kind, hover.bound),)
