@@ -11,16 +11,18 @@ thrust margin over the hover requirement (maximize), and hover endurance
 the Kv choice trades off against thrust margin; see ``propulsion``.
 
 A grid is scored in one pruned walk, ``grid_evaluations``, which checks the
-grid once, then each requirement where its quantity is first known, and yields
-only the designs that pass, running no stage for a point a failed check has
-ruled out.  Grid designs are built from per-propeller field templates.
+grid once, runs the stages that do not depend on Kv before its Kv loop, checks
+each requirement where its quantity is first known, and yields only the
+designs that pass, running no stage for a point a failed check has ruled out.
+Grid designs are built from per-propeller field templates.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import groupby
+from itertools import count
+from operator import neg
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -98,11 +100,12 @@ class DesignGrid(NamedTuple):
 def enumerate_designs(grid: DesignGrid, mtow: float) -> list[Design]:
     """Cartesian product of the grid axes, in lexicographic axis order.
 
-    The grid checked every axis value when it was built, with the rules
-    ``Design._check`` applies, and each Ct is a checked override or the
-    default; so only ``mtow`` is checked here, once, and each design, not
-    checked again, is the tuple ``(kv, *template)``, one template of the
-    fields after Kv per (propeller, battery, motor count).
+    Each design is ``tuple.__new__(Design, (kv,) + template)``, one template
+    of the fields after Kv per (propeller, battery, motor count), so
+    ``Design._check`` does not run.  What it checks holds: the grid checked
+    each axis value by the same rules when it was built, each Ct is a
+    checked override or the default, ``footprint`` is None, and ``mtow`` is
+    checked here, once.
     """
     _require_positive(mtow=mtow)
     templates = [
@@ -111,7 +114,7 @@ def enumerate_designs(grid: DesignGrid, mtow: float) -> list[Design]:
         for diameter, pitch, ct in grid.propellers()
         for battery in grid.battery_options for n_motors in grid.n_motors_options
     ]
-    return [Design._from_checked((kv, *template)) for kv in grid.kv_values for template in templates]
+    return [tuple.__new__(Design, (kv,) + template) for kv in grid.kv_values for template in templates]
 
 
 class ObjectiveVector(NamedTuple):
@@ -149,8 +152,9 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
     )
 
 
-def front_indices(vectors: Sequence[ObjectiveVector]) -> list[int]:
-    """Indices of the non-dominated vectors, in input order.
+def front_indices(vectors: Sequence[ObjectiveVector], columns: Sequence | None = None) -> list[int]:
+    """Indices of the non-dominated vectors, in input order; ``columns``, if
+    given, is ``list(zip(*vectors))``.
 
     Staircase sweep for the maxima of a vector set (Kung, Luccio &
     Preparata, J. ACM 22(4), 1975).  In (current up, margin down, endurance
@@ -159,25 +163,29 @@ def front_indices(vectors: Sequence[ObjectiveVector]) -> list[int]:
     endurance at least as large differs from it, so dominates it.  The kept
     (margin, endurance) points no other kept point covers form a staircase,
     margins rising and endurances falling, held in two sorted lists and
-    queried with bisect.  A run of equal vectors is decided once: equal
-    vectors never dominate each other.
+    queried with bisect.  A run of equal vectors (0.0 equals -0.0) is decided
+    once, by comparing each sort key with the one before it: equal vectors
+    never dominate each other.
     """
-    swept = sorted(
-        (v.hover_current_per_motor, -v.thrust_margin, -v.endurance, i) for i, v in enumerate(vectors)
-    )
-    margins: list[float] = []  # ascending
+    currents, margins, endurances = columns or list(zip(*vectors)) or ((), (), ())
+    swept = sorted(zip(currents, map(neg, margins), map(neg, endurances), count()))
+    staircase: list[float] = []  # margins, ascending
     neg_endurances: list[float] = []  # ascending, so endurance descends
     kept: list[int] = []
-    for (_, neg_margin, neg_endurance), run in groupby(swept, key=lambda t: t[:3]):
-        margin = -neg_margin
-        j = bisect_left(margins, margin)
-        if j < len(margins) and neg_endurances[j] <= neg_endurance:
-            continue
-        kept.extend(t[3] for t in run)
-        hi = bisect_right(margins, margin)
-        lo = bisect_left(neg_endurances, neg_endurance, 0, hi)
-        margins[lo:hi] = [margin]
-        neg_endurances[lo:hi] = [neg_endurance]
+    last = keep = None
+    for current, neg_margin, neg_endurance, i in swept:
+        if (current, neg_margin, neg_endurance) != last:
+            last = (current, neg_margin, neg_endurance)
+            margin = -neg_margin
+            j = bisect_left(staircase, margin)
+            keep = j == len(staircase) or neg_endurances[j] > neg_endurance
+            if keep:
+                hi = bisect_right(staircase, margin)
+                lo = bisect_left(neg_endurances, neg_endurance, 0, hi)
+                staircase[lo:hi] = [margin]
+                neg_endurances[lo:hi] = [neg_endurance]
+        if keep:
+            kept.append(i)
     return sorted(kept)
 
 
@@ -198,9 +206,9 @@ class ReferenceFront(NamedTuple):
 
     @classmethod
     def from_vectors(cls, feasible: Sequence[ObjectiveVector]) -> ReferenceFront:
-        columns = list(zip(*feasible)) or [(0.0,)] * len(OBJECTIVE_AXES)
-        ranges = {name: max(c) - min(c) for (name, _), c in zip(OBJECTIVE_AXES, columns)}
-        return cls(tuple(feasible[i] for i in front_indices(feasible)), ranges)
+        columns = list(zip(*feasible))  # empty, and every range 0.0, when nothing is feasible
+        ranges = {name: max(c) - min(c) for (name, _), c in zip(OBJECTIVE_AXES, columns or [(0.0,)] * 3)}
+        return cls(tuple(feasible[i] for i in front_indices(feasible, columns)), ranges)
 
 
 def grid_evaluations(
@@ -212,16 +220,17 @@ def grid_evaluations(
     Unless a failed cell-count, weight or footprint bound (a grid design has
     none) leaves nothing to yield, the walk first runs ``check_grid`` once, so
     a grid it rejects at ``mtow`` raises before anything is yielded, and its
-    hover figures (per diameter, Ct and motor count) serve the walk, which
-    runs each other stage of ``evaluate_design`` once per distinct input (Kt
-    per Kv; thrust per Kv, propeller and voltage; endurance per battery and
-    hover power) through the unchecked expressions the checked formulas call,
-    with the same operations, so every figure is ``evaluate_design``'s.  Each requirement is checked once per
-    distinct value, where the walk first knows it, and no stage runs for a point
-    a failed check ruled out: batteries of a failing cell count go first, then
-    motor counts whose current fails, and thrust is skipped when none is left; a
-    voltage whose thrust fails skips its batteries; endurance runs for the rest.
-    The memo lives for one call.
+    hover figures (per diameter, Ct and motor count) serve the walk.  It runs
+    each other stage of ``evaluate_design`` once per distinct input through the
+    unchecked expressions the checked formulas call, with the same operations,
+    so every figure is ``evaluate_design``'s.  Endurance does not depend on Kv,
+    so it runs before the Kv loop, once per battery and hover power, and each
+    propeller keeps its (battery, motor count) columns whose endurance passes.
+    In the loop, Kt runs per Kv, the current per Kv, propeller and motor count
+    some column needs, and thrust per Kv, propeller and voltage.  Requirements
+    are checked in the order cells, weight, footprint, endurance, current,
+    thrust, each once per distinct value where the walk first knows it, and no
+    stage runs for a point a failed check ruled out (memos last one call).
     """
     if not isinstance(requirements, RequirementSet):
         requirements = RequirementSet(requirements)
@@ -245,32 +254,36 @@ def grid_evaluations(
     hovers = check_grid(grid, mtow, env)
     props, rho = grid.propellers(), env.air_density
     endurances = {}
-    first = 0  # index in ``designs`` of the current Kv and propeller's first design
-    for kv in grid.kv_values:
-        kt = _torque_constant(kv)
-        for diameter, _, ct in props:
-            motors = []  # per motor count whose current passes: offset, required thrust, power, current
+    step = len(grid.battery_options) * len(grid.n_motors_options)  # designs per propeller and Kv
+    columns = []  # per propeller, the (battery, motor count) points whose endurance passes
+    for p, (diameter, _, ct) in enumerate(props):
+        passed = []  # index past the Kv's first design, motor count, torque, voltage, required thrust, endurance
+        for start, volts, capacity in batteries:
             for offset, n_motors in enumerate(grid.n_motors_options):
                 required, power, torque = hovers[diameter, ct, n_motors]
-                current = torque / kt
-                if passes("hover_torque_current_per_motor", current):
-                    motors.append((offset, required, power, current))
-            thrusts: dict = {}  # voltage -> thrust, or None when it fails
-            for start, volts, capacity in batteries if motors else ():
+                key = (capacity, volts, power)
+                if key not in endurances:
+                    endurance = _hover_endurance(capacity, volts, BATTERY_EFFICIENCY_DEFAULT, power)
+                    endurances[key] = endurance if passes("endurance", endurance) else None
+                if (endurance := endurances[key]) is not None:
+                    passed.append((p * step + start + offset, n_motors, torque, volts, required, endurance))
+        columns.append(passed)
+    for first, kv in zip(count(0, len(props) * step), grid.kv_values):  # first: the Kv's first design
+        kt = _torque_constant(kv)
+        for (diameter, _, ct), passed in zip(props, columns):
+            currents, thrusts = {}, {}  # by motor count and by voltage; None where the check fails
+            for index, n_motors, torque, volts, required, endurance in passed:
+                if n_motors not in currents:
+                    current = torque / kt
+                    currents[n_motors] = current if passes("hover_torque_current_per_motor", current) else None
+                if (current := currents[n_motors]) is None:
+                    continue
                 if volts not in thrusts:
                     thrust = _static_thrust(ct, rho, kv * volts, diameter)
                     thrusts[volts] = thrust if passes("static_thrust_per_motor", thrust) else None
-                if (thrust := thrusts[volts]) is None:
-                    continue
-                for offset, required, power, current in motors:
-                    key = (capacity, volts, power)
-                    if key not in endurances:
-                        endurance = _hover_endurance(capacity, volts, BATTERY_EFFICIENCY_DEFAULT, power)
-                        endurances[key] = endurance if passes("endurance", endurance) else None
-                    if (endurance := endurances[key]) is not None:
-                        objectives = ObjectiveVector(current, thrust - required, endurance)
-                        yield designs[first + start + offset], objectives
-            first += len(grid.battery_options) * len(grid.n_motors_options)
+                if (thrust := thrusts[volts]) is not None:
+                    objectives = tuple.__new__(ObjectiveVector, (current, thrust - required, endurance))
+                    yield designs[first + index], objectives
 
 
 def reference_front(

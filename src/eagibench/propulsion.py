@@ -220,15 +220,6 @@ class Design(NamedTuple):
         if self.footprint is not None:
             _require_positive(footprint=self.footprint)
 
-    @classmethod
-    def _from_checked(cls, values) -> Design:
-        """A design holding ``values`` (every field, in field order) built by
-        ``tuple.__new__``, so without running ``_check``.  The caller must
-        already have checked what ``_check`` checks: each float field
-        positive and finite, both counts at least 1, the pack voltage within
-        5% of nominal, and ``footprint`` None or positive."""
-        return tuple.__new__(cls, values)
-
 
 class RequirementKind(enum.Enum):
     MinThrustPerMotor = "MinThrustPerMotor"

@@ -311,7 +311,8 @@ _REQUIREMENT_BOUNDS = {
 
 @st.composite
 def _staged_cases(draw):
-    """A small grid (axis values may repeat), Ct overrides on some of its
+    """A small grid (axis values may repeat, and batteries of one cell count
+    may share a voltage, as in the dense bench grids), Ct overrides on some of its
     propellers, a takeoff weight, an environment, and a requirement set
     drawing each kind with probability one half, then sometimes a second
     bound of a kind already drawn."""
@@ -321,7 +322,7 @@ def _staged_cases(draw):
     diameters = axis(st.sampled_from([16.0, 18.0]) | st.floats(10, 24), 3)
     pitches = axis(st.sampled_from([5.0, 6.0]) | st.floats(3, 9), 2)
     batteries = tuple(
-        BatteryOption(cells, 3.7 * cells * draw(st.floats(0.96, 1.04)),
+        BatteryOption(cells, 3.7 * cells * draw(st.just(1.0) | st.floats(0.96, 1.04)),
                       draw(st.sampled_from([8.0, 12.0]) | st.floats(2, 20)))
         for cells in axis(st.sampled_from([4, 6, 12]), 3)
     )
@@ -357,9 +358,10 @@ def test_factored_pass_matches_per_design_evaluation(case):
 
 
 def test_each_requirement_checked_once_per_distinct_quantity(monkeypatch):
-    # Four batteries at three voltages; the 4S one fails the cell check.  At 400 Kv no motor
-    # count meets the current bound; at 340 Kv only six motors do, and the 18x6 propeller
-    # misses the thrust bound at 22.2 V.  The endurance bound passes some survivors only.
+    # Four batteries at three voltages; the 4S one fails the cell check.  Only six motors meet
+    # the endurance bound, and at 22.2 V / 10 Ah only on the 20x6 propeller.  At 400 Kv no
+    # motor count meets the current bound; at 340 Kv six motors do, and the 18x6 propeller
+    # misses the thrust bound at 22.2 V.
     batteries = (BatteryOption(6, 22.2, 10.0), BatteryOption(6, 22.2, 12.0),
                  BatteryOption(4, 14.8, 8.0), BatteryOption(6, 23.0, 10.0))
     grid = _grid(kv_values=(340.0, 400.0), battery_options=batteries, n_motors_options=(4, 6))
@@ -396,22 +398,47 @@ def test_each_requirement_checked_once_per_distinct_quantity(monkeypatch):
     ]
     assert len(stages["hover_stage"]) == 4
     assert len(stages["endurance_stage"]) == 4
-    # The walk's thrust runs only at 340 Kv and at the 6S voltages; its endurance only where
-    # current, cells and thrust all passed.
-    assert sorted((rpm, round(d / M_PER_IN)) for _, _, rpm, d in stages["_static_thrust"]) == [
-        (340.0 * 22.2, 18), (340.0 * 22.2, 20), (340.0 * 23.0, 18), (340.0 * 23.0, 20)
-    ]
+    # The walk's endurance runs before the Kv loop, once per 6S battery, propeller and motor
+    # count; its thrust only at 340 Kv, and at 23.0 V only on the 20x6 propeller, the one
+    # whose 23.0 V battery passed the endurance bound.
     assert sorted((capacity, volts) for capacity, volts, _, _ in stages["_hover_endurance"]) == [
-        (10.0, 22.2), (10.0, 23.0), (10.0, 23.0), (12.0, 22.2)
+        (10.0, 22.2)] * 4 + [(10.0, 23.0)] * 4 + [(12.0, 22.2)] * 4
+    assert sorted((rpm, round(d / M_PER_IN)) for _, _, rpm, d in stages["_static_thrust"]) == [
+        (340.0 * 22.2, 18), (340.0 * 22.2, 20), (340.0 * 23.0, 20)
     ]
     assert max(collections.Counter(checks).values()) == 1
     assert collections.Counter(kind for kind, _, _ in checks) == {
-        RequirementKind.MaxCurrentPerMotor: 8,  # every Kv, propeller and motor count
+        RequirementKind.MaxCurrentPerMotor: 4,  # every Kv and propeller, at six motors only
         RequirementKind.MinThrustPerMotor: len(stages["_static_thrust"]),
         RequirementKind.MinEndurance: len(stages["_hover_endurance"]),
         RequirementKind.VoltageClass: 2,  # distinct cell counts
         RequirementKind.MaxMTOW: 1,
     }
+
+
+def test_propeller_whose_endurance_fails_everywhere_runs_no_kv_stage(monkeypatch):
+    # Below 13.5 min on every 18x6 point, above it on the 20x6 with six motors only.
+    grid = _grid(n_motors_options=(4, 6))
+    requirements = [Requirement("endurance", RequirementKind.MinEndurance, 13.5),
+                    Requirement("current", RequirementKind.MaxCurrentPerMotor, 30.0),
+                    Requirement("thrust", RequirementKind.MinThrustPerMotor, 20.0)]
+    feasible = feasible_set(enumerate_designs(grid, 12), Environment(), requirements)
+    assert {(round(d.prop_diameter / M_PER_IN), d.n_motors) for d in feasible} == {(20, 6)}
+    thrusts, currents = [], []
+    def recorded(ct, rho, rpm, diameter, stage=design_space._static_thrust):
+        thrusts.append(diameter)
+        return stage(ct, rho, rpm, diameter)
+    monkeypatch.setattr(design_space, "_static_thrust", recorded)
+    rule = REQUIREMENT_RULES[RequirementKind.MaxCurrentPerMotor]
+    def counted(measured, bound, test=rule.test):
+        currents.append(measured)
+        return test(measured, bound)
+    monkeypatch.setitem(REQUIREMENT_RULES, RequirementKind.MaxCurrentPerMotor, rule._replace(test=counted))
+    assert [design for design, _ in grid_evaluations(grid, 12, Environment(), requirements)] == feasible
+    # The 18x6 propeller has no column left: no thrust and no current at any Kv; the 20x6
+    # propeller runs thrust and checks the six-motor current once per Kv.
+    assert thrusts == [20 * M_PER_IN] * 3
+    assert len(currents) == 3
 
 
 def test_grid_the_oracle_cannot_evaluate_raises_before_the_walk():
