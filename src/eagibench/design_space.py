@@ -10,18 +10,18 @@ thrust margin over the hover requirement (maximize), and hover endurance
 (maximize).  The current axis uses the torque-route motor current so that
 the Kv choice trades off against thrust margin; see ``propulsion``.
 
-A grid is scored in one pruned walk, ``grid_evaluations``, which checks the
-grid once, runs the stages that do not depend on Kv before its Kv loop, checks
-each requirement where its quantity is first known, and yields only the
-designs that pass, running no stage for a point a failed check has ruled out.
-Grid designs are built from per-propeller field templates.
+A grid is scored in one pruned walk, which checks the grid once, runs the
+stages that do not depend on Kv before its Kv loop, and checks each requirement
+where its quantity is first known.  It groups the passing designs by (Kv,
+propeller, motor count, voltage): ``grid_evaluations`` expands every group, and
+``reference_front`` sweeps only the members of highest endurance in each.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import count
+from itertools import count, product
 from operator import neg
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -211,31 +211,28 @@ class ReferenceFront(NamedTuple):
         return cls(tuple(feasible[i] for i in front_indices(feasible, columns)), ranges)
 
 
-def grid_evaluations(
-    grid: DesignGrid, mtow: float, env: Environment, requirements: RequirementSet | Sequence = ()
-) -> Iterator[tuple[Design, ObjectiveVector]]:
-    """Each design of ``enumerate_designs(grid, mtow)`` that passes every
-    requirement, in order, with its objective vector.
+def _walk(grid: DesignGrid, mtow: float, env: Environment, requirements) -> tuple[list[Design], list[tuple]]:
+    """``enumerate_designs(grid, mtow)`` and its passing designs, grouped per
+    (Kv, propeller, motor count, voltage) as ``(first, current, margin,
+    (members, lowest, highest, tops))``: ``first`` is the grid index of the
+    Kv's first design, a member is the ``(index past first, endurance)`` of a
+    battery of that voltage, and ``tops`` index the members of highest endurance.
 
     Unless a failed cell-count, weight or footprint bound (a grid design has
-    none) leaves nothing to yield, the walk first runs ``check_grid`` once, so
-    a grid it rejects at ``mtow`` raises before anything is yielded, and its
-    hover figures (per diameter, Ct and motor count) serve the walk.  It runs
-    each other stage of ``evaluate_design`` once per distinct input through the
-    unchecked expressions the checked formulas call, with the same operations,
-    so every figure is ``evaluate_design``'s.  Endurance does not depend on Kv,
-    so it runs before the Kv loop, once per battery and hover power, and each
-    propeller keeps its (battery, motor count) columns whose endurance passes.
-    In the loop, Kt runs per Kv, the current per Kv, propeller and motor count
-    some column needs, and thrust per Kv, propeller and voltage.  Requirements
+    none) leaves nothing to walk, the walk first runs ``check_grid`` once, so
+    a grid it rejects at ``mtow`` raises, and uses its hover figures.  Each
+    other stage of ``evaluate_design`` runs once per distinct input through
+    the unchecked expression its checked formula calls, so every figure is
+    ``evaluate_design``'s: endurance before the Kv loop, per battery and
+    hover power; in the loop Kt per Kv, the current per Kv, diameter, Ct and
+    motor count, and thrust per Kv, diameter, Ct and voltage.  Requirements
     are checked in the order cells, weight, footprint, endurance, current,
-    thrust, each once per distinct value where the walk first knows it, and no
-    stage runs for a point a failed check ruled out (memos last one call).
+    thrust, once per distinct value where the walk first knows it and never
+    for a quantity with no bound; no stage runs for a point a failed check
+    ruled out.
     """
-    if not isinstance(requirements, RequirementSet):
-        requirements = RequirementSet(requirements)
     bounds: dict = {}  # quantity -> [(test, bound)]
-    for req in requirements:
+    for req in requirements if isinstance(requirements, RequirementSet) else RequirementSet(requirements):
         rule = REQUIREMENT_RULES[req.kind]
         bounds.setdefault(rule.quantity, []).append((rule.test, req.bound))
 
@@ -250,48 +247,76 @@ def grid_evaluations(
     batteries = [(i * len(grid.n_motors_options), b.voltage, b.capacity)
                  for i, b in enumerate(grid.battery_options) if cells[b.cells]]
     if not (batteries and passes("mtow", mtow) and passes("footprint", math.inf)):
-        return
+        return designs, []
     hovers = check_grid(grid, mtow, env)
-    props, rho = grid.propellers(), env.air_density
-    endurances = {}
     step = len(grid.battery_options) * len(grid.n_motors_options)  # designs per propeller and Kv
-    columns = []  # per propeller, the (battery, motor count) points whose endurance passes
-    for p, (diameter, _, ct) in enumerate(props):
-        passed = []  # index past the Kv's first design, motor count, torque, voltage, required thrust, endurance
-        for start, volts, capacity in batteries:
-            for offset, n_motors in enumerate(grid.n_motors_options):
-                required, power, torque = hovers[diameter, ct, n_motors]
-                key = (capacity, volts, power)
-                if key not in endurances:
-                    endurance = _hover_endurance(capacity, volts, BATTERY_EFFICIENCY_DEFAULT, power)
-                    endurances[key] = endurance if passes("endurance", endurance) else None
-                if (endurance := endurances[key]) is not None:
-                    passed.append((p * step + start + offset, n_motors, torque, volts, required, endurance))
-        columns.append(passed)
-    for first, kv in zip(count(0, len(props) * step), grid.kv_values):  # first: the Kv's first design
+    endurances, templates = {}, []  # templates: per propeller, motor count and voltage, what the Kv loop needs
+    current_ids, thrust_ids = {}, {}  # a slot per (diameter, Ct, motor count) and per (diameter, Ct, voltage)
+    for p, (diameter, _, ct) in enumerate(grid.propellers()):
+        members: dict = {}  # by motor count and voltage, in grid order
+        for (start, volts, capacity), (offset, n_motors) in product(batteries, enumerate(grid.n_motors_options)):
+            key = (capacity, volts, power := hovers[diameter, ct, n_motors][1])
+            if key not in endurances:
+                endurance = _hover_endurance(capacity, volts, BATTERY_EFFICIENCY_DEFAULT, power)
+                failed = "endurance" in bounds and not passes("endurance", endurance)
+                endurances[key] = None if failed else endurance
+            if (endurance := endurances[key]) is not None:
+                members.setdefault((n_motors, volts), []).append((p * step + start + offset, endurance))
+        for (n_motors, volts), group in members.items():
+            high = max(ends := [e for _, e in group])
+            templates.append((current_ids.setdefault((diameter, ct, n_motors), len(current_ids)),
+                              thrust_ids.setdefault((diameter, ct, volts), len(thrust_ids)), ct, diameter, volts,
+                              hovers[diameter, ct, n_motors][0],
+                              (group, min(ends), high, [i for i, e in group if e == high])))
+    torques, rho, groups = [hovers[key][2] for key in current_ids], env.air_density, []
+    for first, kv in zip(count(0, len(designs) // len(grid.kv_values)), grid.kv_values):
         kt = _torque_constant(kv)
-        for (diameter, _, ct), passed in zip(props, columns):
-            currents, thrusts = {}, {}  # by motor count and by voltage; None where the check fails
-            for index, n_motors, torque, volts, required, endurance in passed:
-                if n_motors not in currents:
-                    current = torque / kt
-                    currents[n_motors] = current if passes("hover_torque_current_per_motor", current) else None
-                if (current := currents[n_motors]) is None:
-                    continue
-                if volts not in thrusts:
-                    thrust = _static_thrust(ct, rho, kv * volts, diameter)
-                    thrusts[volts] = thrust if passes("static_thrust_per_motor", thrust) else None
-                if (thrust := thrusts[volts]) is not None:
-                    objectives = tuple.__new__(ObjectiveVector, (current, thrust - required, endurance))
-                    yield designs[first + index], objectives
+        currents = [torque / kt for torque in torques]  # by slot
+        if "hover_torque_current_per_motor" in bounds:
+            currents = [c if passes("hover_torque_current_per_motor", c) else None for c in currents]
+        thrusts = {}  # by slot; None where the check fails
+        for current_slot, thrust_slot, ct, diameter, volts, required, membership in templates:
+            if (current := currents[current_slot]) is None:
+                continue
+            if thrust_slot not in thrusts:
+                thrust = _static_thrust(ct, rho, kv * volts, diameter)
+                failed = "static_thrust_per_motor" in bounds and not passes("static_thrust_per_motor", thrust)
+                thrusts[thrust_slot] = None if failed else thrust
+            if (thrust := thrusts[thrust_slot]) is not None:
+                groups.append((first, current, thrust - required, membership))
+    return designs, groups
+
+
+def grid_evaluations(
+    grid: DesignGrid, mtow: float, env: Environment, requirements: RequirementSet | Sequence = ()
+) -> Iterator[tuple[Design, ObjectiveVector]]:
+    """Each design of ``enumerate_designs(grid, mtow)`` that passes every
+    requirement, in order, with its objective vector: each member of each
+    group of ``_walk``.  The walk runs at the call, so a rejected grid raises there."""
+    designs, groups = _walk(grid, mtow, env, requirements)
+    evaluations = sorted((first + i, current, margin, endurance)
+                         for first, current, margin, (members, _, _, _) in groups for i, endurance in members)
+    return ((designs[i], tuple.__new__(ObjectiveVector, objectives)) for i, *objectives in evaluations)
 
 
 def reference_front(
     grid: DesignGrid, mtow: float, env: Environment, requirements: RequirementSet | Sequence = ()
 ) -> ReferenceFront:
-    """``ReferenceFront.from_vectors`` of what ``grid_evaluations`` yields; raises only where it does."""
-    evaluations = grid_evaluations(grid, mtow, env, requirements)
-    return ReferenceFront.from_vectors([objectives for _, objectives in evaluations])
+    """``ReferenceFront.from_vectors`` of what ``grid_evaluations`` yields;
+    raises only where it does.  The ranges come from ``_walk``'s group
+    extremes, and the sweep gets only top members, in grid order: any other
+    member has a top member's current and margin and less endurance."""
+    groups = _walk(grid, mtow, env, requirements)[1]
+    if not groups:
+        return ReferenceFront.from_vectors(())
+    _, currents, margins, memberships = zip(*groups)
+    _, lows, highs, _ = zip(*memberships)
+    spans = (max(currents) - min(currents), max(margins) - min(margins), max(highs) - min(lows))
+    tops = sorted((first + i, current, margin, high)
+                  for first, current, margin, (_, _, high, indices) in groups for i in indices)
+    vectors = [tuple.__new__(ObjectiveVector, top[1:]) for top in tops]
+    front = tuple(vectors[i] for i in front_indices(vectors))
+    return ReferenceFront(front, {name: span for (name, _), span in zip(OBJECTIVE_AXES, spans)})
 
 
 def check_grid(grid: DesignGrid, mtow: float, env: Environment) -> dict:

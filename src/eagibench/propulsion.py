@@ -342,7 +342,7 @@ def _step(label: str, fn, *args):
 
 
 # Evaluation stages.  ``evaluate_design`` runs them in this order for one
-# design; ``design_space.grid_evaluations`` checks a grid once, then runs
+# design; the grid walk of ``design_space`` checks a grid once, then runs
 # each once per distinct input, Kt, thrust and endurance through the
 # unchecked expressions their checked formulas call.  Both take every
 # value from here, so a design's figures are the same floats on either path.

@@ -479,3 +479,63 @@ def test_grid_designs_equal_validated_designs(case):
         with pytest.raises(PhysicsDomainError):
             design._replace(mtow=0.0)
 
+
+
+def _counted_checks(monkeypatch) -> list:
+    """Record (kind, bound, measured) for every requirement test the walk runs."""
+    checks = []
+    for kind, rule in REQUIREMENT_RULES.items():
+        def counted(measured, bound, kind=kind, test=rule.test):
+            checks.append((kind, bound, measured))
+            return test(measured, bound)
+        monkeypatch.setitem(REQUIREMENT_RULES, kind, rule._replace(test=counted))
+    return checks
+
+
+def test_pitch_variants_on_one_ct_share_their_current_and_thrust_checks(monkeypatch):
+    # Pitches 5 and 6 in on the default Ct have the same current and thrust at each Kv.
+    grid = _grid(kv_values=(340.0, 400.0), prop_diameters=(18 * M_PER_IN,), prop_pitches=(5 * M_PER_IN, 6 * M_PER_IN))
+    requirements = [Requirement("current", RequirementKind.MaxCurrentPerMotor, 60.0),
+                    Requirement("thrust", RequirementKind.MinThrustPerMotor, 20.0)]
+    feasible = feasible_set(enumerate_designs(grid, 12), Environment(), requirements)
+    assert len(feasible) == 4
+    checks = _counted_checks(monkeypatch)
+    assert [design for design, _ in grid_evaluations(grid, 12, Environment(), requirements)] == feasible
+    assert max(collections.Counter(checks).values()) == 1
+    assert collections.Counter(kind for kind, _, _ in checks) == {
+        RequirementKind.MaxCurrentPerMotor: 2, RequirementKind.MinThrustPerMotor: 2,  # one per Kv
+    }
+
+
+def _front_inputs(monkeypatch) -> list:
+    """Record the vectors each ``front_indices`` call sweeps."""
+    inputs = []
+    def recorded(vectors, *rest, sweep=design_space.front_indices):
+        inputs.append(list(vectors))
+        return sweep(vectors, *rest)
+    monkeypatch.setattr(design_space, "front_indices", recorded)
+    return inputs
+
+
+def test_reference_front_sweeps_only_the_top_endurance_members(monkeypatch):
+    # Three capacities at one voltage share each point's current and margin, so only the
+    # largest can be on the front.
+    batteries = tuple(BatteryOption(6, 22.2, capacity) for capacity in (10.0, 14.0, 12.0))
+    grid = _grid(battery_options=batteries)
+    requirements = [Requirement("current", RequirementKind.MaxCurrentPerMotor, 30.0)]
+    evaluations = list(grid_evaluations(grid, 12, Environment(), requirements))
+    inputs = _front_inputs(monkeypatch)
+    front = reference_front(grid, 12, Environment(), requirements)
+    tops = [vector for design, vector in evaluations if design.battery_capacity == 14.0]
+    assert inputs == [tops] and 3 * len(tops) == len(evaluations) > 0
+    assert front == ReferenceFront.from_vectors([vector for _, vector in evaluations])
+
+
+def test_equal_vectors_of_a_repeated_battery_are_both_on_the_front():
+    batteries = (BATTERY_6S, BatteryOption(6, 22.2, 8.0), BATTERY_6S)
+    grid = _grid(battery_options=batteries)
+    feasible = [vector for _, vector in grid_evaluations(grid, 12, Environment())]
+    front = reference_front(grid, 12, Environment())
+    assert front == ReferenceFront.from_vectors(feasible) and len(feasible) == 18
+    counts = collections.Counter(front.front)
+    assert counts and set(counts.values()) == {2}
