@@ -323,6 +323,7 @@ class DesignSynthesisSpec(NamedTuple):
     defaults: Mapping[str, Any]
     reference_design: Design
     mtow: float
+    grid_check: tuple = ()  # (grid, mtow, environment, check_grid's figures), set at load
 
 
 @checked
@@ -638,18 +639,20 @@ def _line_of(raw_text: Optional[str], token: Any) -> Optional[int]:
 _RECORD_ERRORS = (LookupError, TypeError, ValueError, AttributeError, ArithmeticError)
 
 
-def _check_reference(spec: AnswerSpec, checked_grids: set) -> None:
-    """Reject an item whose own reference answer would not pass.
+def _check_reference(spec: AnswerSpec, checked_grids: dict) -> AnswerSpec:
+    """Reject an item whose own reference answer would not pass; return the spec to keep.
 
     A fix item's reference patch must flip the failing requirement and
     regress no other (two oracle calls).  A design item's reference design
     must meet every requirement (one call), and its grid must evaluate at
     its takeoff weight, so scoring cannot raise (``check_grid``, once per
-    grid, weight and environment, tracked in ``checked_grids``).  It must
+    grid, weight and environment, kept in ``checked_grids``).  It must
     also weigh ``mtow_kg`` and be a grid point, and no requirement may bound
     the footprint (grid designs declare none), so its grid point is feasible
     and the reference front never empty.  Membership of the front is not
-    checked: that would evaluate the whole grid on every load.
+    checked: that would evaluate the whole grid on every load.  The design
+    spec kept carries its grid's check as ``grid_check``, so the scorer's
+    walk reuses the hover figures instead of checking the grid again.
     """
     if isinstance(spec, FixSpec):
         patched = propulsion.apply_patch(
@@ -667,8 +670,7 @@ def _check_reference(spec: AnswerSpec, checked_grids: set) -> None:
             raise BankError("a design item cannot bound FootprintMax: grid designs declare no footprint")
         key = (spec.grid_id, spec.mtow, spec.environment)
         if key not in checked_grids:
-            check_grid(grid, spec.mtow, spec.environment)
-            checked_grids.add(key)
+            checked_grids[key] = (grid, spec.mtow, spec.environment, check_grid(grid, spec.mtow, spec.environment))
         report = propulsion.evaluate_design(design, spec.environment, spec.requirements)
         failing = [c.requirement_id for c in report.requirement_checks if not c.passed]
         if failing:
@@ -678,6 +680,8 @@ def _check_reference(spec: AnswerSpec, checked_grids: set) -> None:
         off = [name for name, value in zip(grid.AXES, point) if value not in getattr(grid, name)]
         if off:
             raise BankError(f"reference design is not a point of grid {spec.grid_id!r}: off {', '.join(off)}")
+        return spec._replace(grid_check=checked_grids[key])
+    return spec
 
 
 def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
@@ -790,11 +794,12 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
 
     # The whole file is rejected on the first template that fails to ground
     # or whose reference answer fails its own item.
-    checked_grids: set = set()
+    checked_grids: dict = {}
     for template in bank.templates:
         with record(f"template {template.id!r}", template.id):
-            instances[template.id] = instantiate(template, bank)
-            _check_reference(instances[template.id].answer_spec, checked_grids)
+            inst = instantiate(template, bank)
+            spec = _check_reference(inst.answer_spec, checked_grids)
+            instances[template.id] = inst if spec is inst.answer_spec else inst._replace(answer_spec=spec)
     return bank
 
 

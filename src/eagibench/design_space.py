@@ -10,11 +10,13 @@ thrust margin over the hover requirement (maximize), and hover endurance
 (maximize).  The current axis uses the torque-route motor current so that
 the Kv choice trades off against thrust margin; see ``propulsion``.
 
-A grid is scored in one pruned walk, which checks the grid once, runs the
-stages that do not depend on Kv before its Kv loop, and checks each requirement
-where its quantity is first known.  It groups the passing designs by (Kv,
-propeller, motor count, voltage): ``grid_evaluations`` expands every group, and
-``reference_front`` sweeps only the members of highest endurance in each.
+A grid is scored in one pruned walk, which reuses the grid check a bank ran at
+load or else checks the grid once, runs the stages that do not depend on Kv
+before its Kv loop, and compares each quantity, where it is first known, with
+the intersection of its requirements' intervals.  It groups the passing designs
+by (Kv, propeller, motor count, voltage): ``grid_evaluations`` expands every
+group, and ``reference_front`` sweeps only the members of highest endurance in
+each, and puts only the front in grid order.
 """
 
 from __future__ import annotations
@@ -152,9 +154,9 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
     )
 
 
-def front_indices(vectors: Sequence[ObjectiveVector], columns: Sequence | None = None) -> list[int]:
-    """Indices of the non-dominated vectors, in input order; ``columns``, if
-    given, is ``list(zip(*vectors))``.
+def front_indices(columns: Sequence[Sequence[float]]) -> list[int]:
+    """Indices of the non-dominated points, in input order, given as the
+    columns (currents, margins, endurances): ``list(zip(*vectors))``.
 
     Staircase sweep for the maxima of a vector set (Kung, Luccio &
     Preparata, J. ACM 22(4), 1975).  In (current up, margin down, endurance
@@ -167,7 +169,7 @@ def front_indices(vectors: Sequence[ObjectiveVector], columns: Sequence | None =
     once, by comparing each sort key with the one before it: equal vectors
     never dominate each other.
     """
-    currents, margins, endurances = columns or list(zip(*vectors)) or ((), (), ())
+    currents, margins, endurances = columns or ((), (), ())
     swept = sorted(zip(currents, map(neg, margins), map(neg, endurances), count()))
     staircase: list[float] = []  # margins, ascending
     neg_endurances: list[float] = []  # ascending, so endurance descends
@@ -194,7 +196,7 @@ def pareto_front(designs: Sequence[Design], env: Environment) -> list[Design]:
     if not designs:
         raise ValueError("pareto_front requires a non-empty design list")
     vectors = [objective_vector(d, env) for d in designs]
-    return [designs[i] for i in front_indices(vectors)]
+    return [designs[i] for i in front_indices(list(zip(*vectors)))]
 
 
 class ReferenceFront(NamedTuple):
@@ -208,10 +210,11 @@ class ReferenceFront(NamedTuple):
     def from_vectors(cls, feasible: Sequence[ObjectiveVector]) -> ReferenceFront:
         columns = list(zip(*feasible))  # empty, and every range 0.0, when nothing is feasible
         ranges = {name: max(c) - min(c) for (name, _), c in zip(OBJECTIVE_AXES, columns or [(0.0,)] * 3)}
-        return cls(tuple(feasible[i] for i in front_indices(feasible, columns)), ranges)
+        return cls(tuple(feasible[i] for i in front_indices(columns)), ranges)
 
 
-def _walk(grid: DesignGrid, mtow: float, env: Environment, requirements) -> tuple[list[Design], list[tuple]]:
+def _walk(grid: DesignGrid, mtow: float, env: Environment, requirements,
+          grid_check: tuple = ()) -> tuple[list[Design], list[tuple]]:
     """``enumerate_designs(grid, mtow)`` and its passing designs, grouped per
     (Kv, propeller, motor count, voltage) as ``(first, current, margin,
     (members, lowest, highest, tops))``: ``first`` is the grid index of the
@@ -219,36 +222,33 @@ def _walk(grid: DesignGrid, mtow: float, env: Environment, requirements) -> tupl
     battery of that voltage, and ``tops`` index the members of highest endurance.
 
     Unless a failed cell-count, weight or footprint bound (a grid design has
-    none) leaves nothing to walk, the walk first runs ``check_grid`` once, so
-    a grid it rejects at ``mtow`` raises, and uses its hover figures.  Each
+    none) leaves nothing to walk, the walk takes ``check_grid``'s hover
+    figures from ``grid_check``, a ``(grid, mtow, env, figures)`` made at
+    load, when it was made for this grid, weight and environment, and else
+    runs ``check_grid`` once, so a grid it rejects at ``mtow`` raises.  Each
     other stage of ``evaluate_design`` runs once per distinct input through
     the unchecked expression its checked formula calls, so every figure is
     ``evaluate_design``'s: endurance before the Kv loop, per battery and
     hover power; in the loop Kt per Kv, the current per Kv, diameter, Ct and
-    motor count, and thrust per Kv, diameter, Ct and voltage.  Requirements
-    are checked in the order cells, weight, footprint, endurance, current,
-    thrust, once per distinct value where the walk first knows it and never
-    for a quantity with no bound; no stage runs for a point a failed check
-    ruled out.
+    motor count, and thrust per Kv, diameter, Ct and voltage.  Each quantity
+    is compared inline with the intersection of its bounds' intervals, in the
+    order cells, weight, footprint, endurance, current, thrust, where the walk
+    first knows it; an unbounded one admits every value (none is NaN on a
+    checked grid), and no stage runs for a point a failed check ruled out.
     """
-    bounds: dict = {}  # quantity -> [(test, bound)]
+    limits = dict.fromkeys(("battery_cells", "mtow", "footprint", "endurance", "hover_torque_current_per_motor",
+                            "static_thrust_per_motor"), (-math.inf, math.inf))  # largest lower, smallest upper end
     for req in requirements if isinstance(requirements, RequirementSet) else RequirementSet(requirements):
-        rule = REQUIREMENT_RULES[req.kind]
-        bounds.setdefault(rule.quantity, []).append((rule.test, req.bound))
-
-    def passes(quantity: str, value: float) -> bool:
-        for test, bound in bounds.get(quantity, ()):  # a loop, not all(): it runs for every value checked
-            if not test(value, bound):
-                return False
-        return True
-
+        (lo, hi), (low, high) = limits[quantity := REQUIREMENT_RULES[req.kind].quantity], req.interval
+        limits[quantity] = (max(lo, low), min(hi, high))
+    (cells_lo, cells_hi), (mtow_lo, mtow_hi), (foot_lo, foot_hi), (end_lo, end_hi), (cur_lo, cur_hi), \
+        (thrust_lo, thrust_hi) = limits.values()
     designs = enumerate_designs(grid, mtow)
-    cells = {n: passes("battery_cells", float(n)) for n in {b.cells for b in grid.battery_options}}
     batteries = [(i * len(grid.n_motors_options), b.voltage, b.capacity)
-                 for i, b in enumerate(grid.battery_options) if cells[b.cells]]
-    if not (batteries and passes("mtow", mtow) and passes("footprint", math.inf)):
+                 for i, b in enumerate(grid.battery_options) if cells_lo <= b.cells <= cells_hi]
+    if not (batteries and mtow_lo <= mtow <= mtow_hi and foot_lo <= math.inf <= foot_hi):
         return designs, []
-    hovers = check_grid(grid, mtow, env)
+    hovers = grid_check[3] if grid_check[:3] == (grid, mtow, env) else check_grid(grid, mtow, env)
     step = len(grid.battery_options) * len(grid.n_motors_options)  # designs per propeller and Kv
     endurances, templates = {}, []  # templates: per propeller, motor count and voltage, what the Kv loop needs
     current_ids, thrust_ids = {}, {}  # a slot per (diameter, Ct, motor count) and per (diameter, Ct, voltage)
@@ -258,8 +258,7 @@ def _walk(grid: DesignGrid, mtow: float, env: Environment, requirements) -> tupl
             key = (capacity, volts, power := hovers[diameter, ct, n_motors][1])
             if key not in endurances:
                 endurance = _hover_endurance(capacity, volts, BATTERY_EFFICIENCY_DEFAULT, power)
-                failed = "endurance" in bounds and not passes("endurance", endurance)
-                endurances[key] = None if failed else endurance
+                endurances[key] = endurance if end_lo <= endurance <= end_hi else None
             if (endurance := endurances[key]) is not None:
                 members.setdefault((n_motors, volts), []).append((p * step + start + offset, endurance))
         for (n_motors, volts), group in members.items():
@@ -272,16 +271,13 @@ def _walk(grid: DesignGrid, mtow: float, env: Environment, requirements) -> tupl
     for first, kv in zip(count(0, len(designs) // len(grid.kv_values)), grid.kv_values):
         kt = _torque_constant(kv)
         currents = [torque / kt for torque in torques]  # by slot
-        if "hover_torque_current_per_motor" in bounds:
-            currents = [c if passes("hover_torque_current_per_motor", c) else None for c in currents]
         thrusts = {}  # by slot; None where the check fails
         for current_slot, thrust_slot, ct, diameter, volts, required, membership in templates:
-            if (current := currents[current_slot]) is None:
+            if not cur_lo <= (current := currents[current_slot]) <= cur_hi:
                 continue
             if thrust_slot not in thrusts:
                 thrust = _static_thrust(ct, rho, kv * volts, diameter)
-                failed = "static_thrust_per_motor" in bounds and not passes("static_thrust_per_motor", thrust)
-                thrusts[thrust_slot] = None if failed else thrust
+                thrusts[thrust_slot] = thrust if thrust_lo <= thrust <= thrust_hi else None
             if (thrust := thrusts[thrust_slot]) is not None:
                 groups.append((first, current, thrust - required, membership))
     return designs, groups
@@ -300,23 +296,25 @@ def grid_evaluations(
 
 
 def reference_front(
-    grid: DesignGrid, mtow: float, env: Environment, requirements: RequirementSet | Sequence = ()
+    grid: DesignGrid, mtow: float, env: Environment, requirements: RequirementSet | Sequence = (),
+    grid_check: tuple = (),
 ) -> ReferenceFront:
     """``ReferenceFront.from_vectors`` of what ``grid_evaluations`` yields;
-    raises only where it does.  The ranges come from ``_walk``'s group
-    extremes, and the sweep gets only top members, in grid order: any other
-    member has a top member's current and margin and less endurance."""
-    groups = _walk(grid, mtow, env, requirements)[1]
+    raises only where it does.  ``grid_check`` is passed to ``_walk``.  The
+    ranges come from the walk's group extremes, and the sweep gets only top
+    members, in group order: any other member has a top member's current and
+    margin and less endurance.  Only the kept points are put in grid order."""
+    groups = _walk(grid, mtow, env, requirements, grid_check)[1]
     if not groups:
         return ReferenceFront.from_vectors(())
     _, currents, margins, memberships = zip(*groups)
     _, lows, highs, _ = zip(*memberships)
     spans = (max(currents) - min(currents), max(margins) - min(margins), max(highs) - min(lows))
-    tops = sorted((first + i, current, margin, high)
-                  for first, current, margin, (_, _, high, indices) in groups for i in indices)
-    vectors = [tuple.__new__(ObjectiveVector, top[1:]) for top in tops]
-    front = tuple(vectors[i] for i in front_indices(vectors))
-    return ReferenceFront(front, {name: span for (name, _), span in zip(OBJECTIVE_AXES, spans)})
+    tops = [(first + i, current, margin, high)
+            for first, current, margin, (_, _, high, indices) in groups for i in indices]
+    front = sorted(tops[k] for k in front_indices(list(zip(*tops))[1:]))
+    return ReferenceFront(tuple(tuple.__new__(ObjectiveVector, top[1:]) for top in front),
+                          {name: span for (name, _), span in zip(OBJECTIVE_AXES, spans)})
 
 
 def check_grid(grid: DesignGrid, mtow: float, env: Environment) -> dict:
@@ -328,7 +326,8 @@ def check_grid(grid: DesignGrid, mtow: float, env: Environment) -> dict:
     count), so they raise here whatever they raise there.  The thrust stage
     runs per propeller at the largest Kv and voltage, where the no-load RPM
     is largest, and the torque current at the largest Kv, where Kt is
-    smallest.  ``grid_evaluations`` calls this once, then walks unchecked.
+    smallest.  The grid walk calls this once, or reuses its figures from
+    load, then walks unchecked.
     """
     kv = max(grid.kv_values)
     battery = max(grid.battery_options, key=lambda b: b.voltage)

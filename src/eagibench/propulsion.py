@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .records import checked
 
@@ -233,19 +232,21 @@ class RequirementKind(enum.Enum):
 class _Rule(NamedTuple):
     unit: str  # of the bound, for reports and error messages
     quantity: str  # the name of the value it reads, in the mapping ``_measure`` is given
-    test: Callable[[float, float], bool]  # test(measured, bound): whether the bound is met
+    ends: tuple[bool, bool]  # whether the bound is the (lower, upper) end of the interval it admits
 
+
+_MIN, _MAX, _EXACT = (True, False), (False, True), (True, True)
 
 #: One row per requirement kind.  Every quantity is a float: a footprint is
 #: ``math.inf`` when the design declares none, so it fails any finite bound,
 #: and the cell count meets a (whole-number) VoltageClass bound by equality.
 REQUIREMENT_RULES = {
-    RequirementKind.MinThrustPerMotor: _Rule("N", "static_thrust_per_motor", operator.ge),
-    RequirementKind.MaxCurrentPerMotor: _Rule("A", "hover_torque_current_per_motor", operator.le),
-    RequirementKind.MinEndurance: _Rule("min", "endurance", operator.ge),
-    RequirementKind.MaxMTOW: _Rule("kg", "mtow", operator.le),
-    RequirementKind.FootprintMax: _Rule("m", "footprint", operator.le),
-    RequirementKind.VoltageClass: _Rule("S", "battery_cells", operator.eq),
+    RequirementKind.MinThrustPerMotor: _Rule("N", "static_thrust_per_motor", _MIN),
+    RequirementKind.MaxCurrentPerMotor: _Rule("A", "hover_torque_current_per_motor", _MAX),
+    RequirementKind.MinEndurance: _Rule("min", "endurance", _MIN),
+    RequirementKind.MaxMTOW: _Rule("kg", "mtow", _MAX),
+    RequirementKind.FootprintMax: _Rule("m", "footprint", _MAX),
+    RequirementKind.VoltageClass: _Rule("S", "battery_cells", _EXACT),
 }
 
 
@@ -256,12 +257,20 @@ class Requirement(NamedTuple):
     bound: float
 
     def _check(self):
+        if self.bound != self.bound:  # a NaN bound admits no value, and an intersection could drop it
+            raise ValueError(f"requirement {self.id!r} bound is NaN")
         if self.kind is RequirementKind.VoltageClass:
             _as_count("VoltageClass bound", self.bound)
 
     @property
     def unit(self) -> str:
         return REQUIREMENT_RULES[self.kind].unit
+
+    @property
+    def interval(self) -> tuple[float, float]:
+        """The [lo, hi] the measured quantity meets the bound in; an open end is infinite."""
+        lower, upper = REQUIREMENT_RULES[self.kind].ends
+        return (self.bound if lower else -math.inf, self.bound if upper else math.inf)
 
 
 class RequirementSet(tuple):
@@ -326,10 +335,10 @@ class PerformanceReport(NamedTuple):
 
 
 def _measure(quantities: Mapping[str, float], req: Requirement) -> tuple[float, bool]:
-    """The quantity ``req`` reads and whether it meets the bound."""
-    rule = REQUIREMENT_RULES[req.kind]
-    measured = quantities[rule.quantity]
-    return measured, rule.test(measured, req.bound)
+    """The quantity ``req`` reads and whether it lies in the bound's interval."""
+    measured = quantities[REQUIREMENT_RULES[req.kind].quantity]
+    lo, hi = req.interval
+    return measured, lo <= measured <= hi
 
 
 def _step(label: str, fn, *args):

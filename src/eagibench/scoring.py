@@ -502,7 +502,7 @@ def score_design(answer_text: str, spec: DesignSynthesisSpec) -> Score:
     satisfied = sum(c.passed for c in report.requirement_checks)
     fraction = satisfied / total if total else 1.0
 
-    reference = reference_front(spec.grid, spec.mtow, spec.environment, spec.requirements)
+    reference = reference_front(spec.grid, spec.mtow, spec.environment, spec.requirements, spec.grid_check)
     gap = _dominance_gap(report_objectives(report), reference)
     pareto_component = 1.0 - gap
     if gap == 0.0:

@@ -214,6 +214,21 @@ class TestLoadBank:
         with pytest.raises(BankError, match="template 'l5-coaxial-11kg': .*FootprintMax"):
             load_bank(raw_bank)
 
+    def test_nan_requirement_bound_rejected_at_load(self, raw_bank):
+        # A NaN bound admits no value, so it is named at load, not reported as the reference
+        # design failing it; infinite bounds are bounds and keep loading.
+        answer = next(t for t in raw_bank["templates"] if t["id"] == "l5-quad-14kg")["answer"]
+        requirements = answer["requirements"]
+        current = next(r for r in requirements if r["id"] == "motor-current")
+        current["bound"] = math.nan
+        with pytest.raises(BankError, match="^template 'l5-quad-14kg': requirement 'motor-current' bound is NaN"):
+            load_bank(raw_bank)
+        current["bound"] = math.inf
+        requirements.append({"id": "any-thrust", "kind": "MinThrustPerMotor", "bound": -math.inf})
+        spec = load_bank(raw_bank).instances["l5-quad-14kg"].answer_spec
+        assert spec.requirements.get("motor-current").interval == (-math.inf, math.inf)
+        assert spec.requirements.get("any-thrust").interval == (-math.inf, math.inf)
+
     @pytest.mark.parametrize(
         "section, edit, axis",
         [

@@ -23,7 +23,6 @@ from eagibench.design_space import (
     report_objectives,
 )
 from eagibench.propulsion import (
-    REQUIREMENT_RULES,
     Design,
     Environment,
     M_PER_IN,
@@ -281,7 +280,7 @@ def _seeded_tied_vectors(seed: int, n: int) -> list:
     )
 )
 def test_sorted_front_matches_brute_force(vectors):
-    assert front_indices(vectors) == _brute_force_front(vectors)
+    assert front_indices(list(zip(*vectors))) == _brute_force_front(vectors)
 
 
 @given(_vectors)
@@ -374,21 +373,16 @@ def test_each_requirement_checked_once_per_distinct_quantity(monkeypatch):
     ))
     expected = reference_front(grid, 12, Environment(), requirements)
     assert len(expected.front) == 2
-    # The walk runs check_grid once, then hover_stage and the unchecked thrust and endurance
-    # expressions; check_grid runs the checked stages.
+    # The walk runs check_grid once, then hover_stage and the unchecked Kt, thrust and endurance
+    # expressions; check_grid runs the checked stages.  Each requirement is compared inline with
+    # the value a stage call just made, so the stage calls count the checks.
     stages = {name: [] for name in ("check_grid", "thrust_stage", "hover_stage", "endurance_stage",
-                                    "_static_thrust", "_hover_endurance")}
+                                    "_torque_constant", "_static_thrust", "_hover_endurance")}
     for name, calls in stages.items():
         def recorded(*args, stage=getattr(design_space, name), calls=calls):
             calls.append(args)
             return stage(*args)
         monkeypatch.setattr(design_space, name, recorded)
-    checks = []
-    for kind, rule in REQUIREMENT_RULES.items():
-        def counted(measured, bound, kind=kind, test=rule.test):
-            checks.append((kind, bound, measured))
-            return test(measured, bound)
-        monkeypatch.setitem(REQUIREMENT_RULES, kind, rule._replace(test=counted))
     assert reference_front(grid, 12, Environment(), requirements) == expected
     # check_grid runs thrust per propeller at the largest Kv and voltage, and hover and
     # endurance per propeller and motor count; the walk reuses the hover figures it returns.
@@ -406,14 +400,10 @@ def test_each_requirement_checked_once_per_distinct_quantity(monkeypatch):
     assert sorted((rpm, round(d / M_PER_IN)) for _, _, rpm, d in stages["_static_thrust"]) == [
         (340.0 * 22.2, 18), (340.0 * 22.2, 20), (340.0 * 23.0, 20)
     ]
-    assert max(collections.Counter(checks).values()) == 1
-    assert collections.Counter(kind for kind, _, _ in checks) == {
-        RequirementKind.MaxCurrentPerMotor: 4,  # every Kv and propeller, at six motors only
-        RequirementKind.MinThrustPerMotor: len(stages["_static_thrust"]),
-        RequirementKind.MinEndurance: len(stages["_hover_endurance"]),
-        RequirementKind.VoltageClass: 2,  # distinct cell counts
-        RequirementKind.MaxMTOW: 1,
-    }
+    # check_grid takes Kt at the largest Kv; the walk once per Kv, for every current at that Kv.
+    assert stages["_torque_constant"] == [(400.0,), (340.0,), (400.0,)]
+    for name in ("_static_thrust", "_hover_endurance"):  # once per distinct input
+        assert max(collections.Counter(stages[name]).values()) == 1
 
 
 def test_propeller_whose_endurance_fails_everywhere_runs_no_kv_stage(monkeypatch):
@@ -424,21 +414,20 @@ def test_propeller_whose_endurance_fails_everywhere_runs_no_kv_stage(monkeypatch
                     Requirement("thrust", RequirementKind.MinThrustPerMotor, 20.0)]
     feasible = feasible_set(enumerate_designs(grid, 12), Environment(), requirements)
     assert {(round(d.prop_diameter / M_PER_IN), d.n_motors) for d in feasible} == {(20, 6)}
-    thrusts, currents = [], []
+    thrusts, kts = [], []
     def recorded(ct, rho, rpm, diameter, stage=design_space._static_thrust):
         thrusts.append(diameter)
         return stage(ct, rho, rpm, diameter)
     monkeypatch.setattr(design_space, "_static_thrust", recorded)
-    rule = REQUIREMENT_RULES[RequirementKind.MaxCurrentPerMotor]
-    def counted(measured, bound, test=rule.test):
-        currents.append(measured)
-        return test(measured, bound)
-    monkeypatch.setitem(REQUIREMENT_RULES, RequirementKind.MaxCurrentPerMotor, rule._replace(test=counted))
+    def counted(kv, stage=design_space._torque_constant):
+        kts.append(kv)
+        return stage(kv)
+    monkeypatch.setattr(design_space, "_torque_constant", counted)
     assert [design for design, _ in grid_evaluations(grid, 12, Environment(), requirements)] == feasible
-    # The 18x6 propeller has no column left: no thrust and no current at any Kv; the 20x6
-    # propeller runs thrust and checks the six-motor current once per Kv.
+    # The 18x6 propeller has no column left: no thrust at any Kv; the 20x6 propeller runs
+    # thrust once per Kv, after the six-motor current from that Kv's one Kt.
     assert thrusts == [20 * M_PER_IN] * 3
-    assert len(currents) == 3
+    assert kts == [max(grid.kv_values), *grid.kv_values]  # check_grid's, then one per Kv
 
 
 def test_grid_the_oracle_cannot_evaluate_raises_before_the_walk():
@@ -480,18 +469,6 @@ def test_grid_designs_equal_validated_designs(case):
             design._replace(mtow=0.0)
 
 
-
-def _counted_checks(monkeypatch) -> list:
-    """Record (kind, bound, measured) for every requirement test the walk runs."""
-    checks = []
-    for kind, rule in REQUIREMENT_RULES.items():
-        def counted(measured, bound, kind=kind, test=rule.test):
-            checks.append((kind, bound, measured))
-            return test(measured, bound)
-        monkeypatch.setitem(REQUIREMENT_RULES, kind, rule._replace(test=counted))
-    return checks
-
-
 def test_pitch_variants_on_one_ct_share_their_current_and_thrust_checks(monkeypatch):
     # Pitches 5 and 6 in on the default Ct have the same current and thrust at each Kv.
     grid = _grid(kv_values=(340.0, 400.0), prop_diameters=(18 * M_PER_IN,), prop_pitches=(5 * M_PER_IN, 6 * M_PER_IN))
@@ -499,20 +476,25 @@ def test_pitch_variants_on_one_ct_share_their_current_and_thrust_checks(monkeypa
                     Requirement("thrust", RequirementKind.MinThrustPerMotor, 20.0)]
     feasible = feasible_set(enumerate_designs(grid, 12), Environment(), requirements)
     assert len(feasible) == 4
-    checks = _counted_checks(monkeypatch)
+    stages = {"_torque_constant": [], "_static_thrust": []}
+    for name, calls in stages.items():
+        def recorded(*args, stage=getattr(design_space, name), calls=calls):
+            calls.append(args)
+            return stage(*args)
+        monkeypatch.setattr(design_space, name, recorded)
     assert [design for design, _ in grid_evaluations(grid, 12, Environment(), requirements)] == feasible
-    assert max(collections.Counter(checks).values()) == 1
-    assert collections.Counter(kind for kind, _, _ in checks) == {
-        RequirementKind.MaxCurrentPerMotor: 2, RequirementKind.MinThrustPerMotor: 2,  # one per Kv
-    }
+    # After check_grid's Kt, one Kt, so one current, and one thrust per Kv: both pitches share
+    # them and their checks.
+    assert stages["_torque_constant"] == [(400.0,), (340.0,), (400.0,)]
+    assert [rpm for _, _, rpm, _ in stages["_static_thrust"]] == [340.0 * 22.2, 400.0 * 22.2]
 
 
 def _front_inputs(monkeypatch) -> list:
-    """Record the vectors each ``front_indices`` call sweeps."""
+    """Record the columns each ``front_indices`` call sweeps."""
     inputs = []
-    def recorded(vectors, *rest, sweep=design_space.front_indices):
-        inputs.append(list(vectors))
-        return sweep(vectors, *rest)
+    def recorded(columns, sweep=design_space.front_indices):
+        inputs.append([tuple(column) for column in columns])
+        return sweep(columns)
     monkeypatch.setattr(design_space, "front_indices", recorded)
     return inputs
 
@@ -527,7 +509,7 @@ def test_reference_front_sweeps_only_the_top_endurance_members(monkeypatch):
     inputs = _front_inputs(monkeypatch)
     front = reference_front(grid, 12, Environment(), requirements)
     tops = [vector for design, vector in evaluations if design.battery_capacity == 14.0]
-    assert inputs == [tops] and 3 * len(tops) == len(evaluations) > 0
+    assert inputs == [list(zip(*tops))] and 3 * len(tops) == len(evaluations) > 0
     assert front == ReferenceFront.from_vectors([vector for _, vector in evaluations])
 
 

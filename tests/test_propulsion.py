@@ -5,6 +5,7 @@ defining formulas) and frozen; the module under test must agree.
 """
 
 import math
+import operator
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from eagibench.propulsion import (
     CT_DEFAULT,
+    REQUIREMENT_RULES,
     Design,
     Environment,
     M_PER_IN,
@@ -31,6 +33,7 @@ from eagibench.propulsion import (
     static_thrust,
     thrust_scale_factor,
     torque_constant,
+    _measure,
 )
 
 D18 = 18 * 0.0254
@@ -394,6 +397,41 @@ def test_each_requirement_kind_measures_and_compares_as_documented(design, env, 
         check = report.check(req.id)
         assert (check.kind, check.bound) == (req.kind, req.bound)
         assert (check.measured, check.passed) == _documented_check(req.kind, design, plain, req.bound)
+
+
+#: Each kind's test, written out: a minimum bound is met from below by >=, a maximum by <=.
+_BOUND_OPERATORS = {
+    RequirementKind.MinThrustPerMotor: operator.ge,
+    RequirementKind.MaxCurrentPerMotor: operator.le,
+    RequirementKind.MinEndurance: operator.ge,
+    RequirementKind.MaxMTOW: operator.le,
+    RequirementKind.FootprintMax: operator.le,
+    RequirementKind.VoltageClass: operator.eq,
+}
+_EDGES = st.sampled_from([math.inf, -math.inf, 0.0, -0.0])
+
+
+@settings(max_examples=300)
+@given(kind=st.sampled_from(RequirementKind), measured=st.floats() | _EDGES | st.just(math.nan), data=st.data())
+def test_a_bound_s_interval_meets_exactly_what_its_operator_does(kind, measured, data):
+    # Also at infinities, signed zeros and a NaN measurement; two bounds of one kind meet
+    # through the intersection of their intervals, as the grid walk takes it.
+    if kind is RequirementKind.VoltageClass:
+        bounds = st.integers(-2, 14).map(float) | st.just(-0.0)
+    else:
+        bounds = st.floats(allow_nan=False) | _EDGES
+    first, second = (Requirement(name, kind, data.draw(bounds, label=name)) for name in ("first", "second"))
+    test = _BOUND_OPERATORS[kind]
+    quantities = {REQUIREMENT_RULES[kind].quantity: measured}
+    for req in (first, second):
+        lo, hi = req.interval
+        assert (lo <= measured <= hi) is test(measured, req.bound)
+        assert _measure(quantities, req)[1] is test(measured, req.bound)
+    (lo, hi), (low, high) = first.interval, second.interval
+    met = test(measured, first.bound) and test(measured, second.bound)
+    assert (max(lo, low) <= measured <= min(hi, high)) is met
+    with pytest.raises(ValueError, match="^requirement 'first' bound is NaN$"):
+        first._replace(bound=math.nan)
 
 
 @given(

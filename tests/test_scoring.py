@@ -20,7 +20,7 @@ from eagibench.bank import (
 )
 from eagibench import design_space, scoring
 from eagibench.design_space import ObjectiveVector, ReferenceFront, dominates
-from eagibench.propulsion import evaluate_design
+from eagibench.propulsion import Environment, evaluate_design
 from eagibench.scoring import (
     Evidence,
     Score,
@@ -357,8 +357,15 @@ class TestScoreDesign:
         score = score_design(_fence({"design": design}), spec)
         assert score.verdict is Verdict.Unscorable
 
-    def test_grid_scored_in_one_factored_pass(self, instances, monkeypatch):
-        spec = instances["l5-quad-14kg"].answer_spec
+    def test_grid_scored_in_one_factored_pass(self, bank, monkeypatch):
+        # A loaded spec carries the grid check its load ran, so scoring checks nothing again.
+        self._assert_scoring_calls(bank.instances["l5-quad-14kg"].answer_spec, 0, monkeypatch)
+
+    def test_spec_from_instantiate_alone_checks_its_grid_once(self, instances, monkeypatch):
+        self._assert_scoring_calls(instances["l5-quad-14kg"].answer_spec, 1, monkeypatch)
+
+    @staticmethod
+    def _assert_scoring_calls(spec, grid_checks, monkeypatch):
         grid = spec.grid
         # Thrust runs once per Kv, propeller and voltage that a design with passing motor
         # current and cells reaches; this grid has one voltage and one motor count.
@@ -383,12 +390,27 @@ class TestScoreDesign:
             monkeypatch.setattr(design_space, name, counting(name, getattr(design_space, name)))
         score_design(_fence({"design": {"kv_rpm_per_volt": 420, "prop_diameter_in": 16}}), spec)
         props = len(grid.prop_diameters) * len(grid.prop_pitches)
-        # The answer gets one oracle call.  The walk checks the grid once, which runs thrust
-        # per propeller and hover once per distinct (diameter, Ct, motor count); the walk
-        # reuses those hover figures, and runs thrust where it is reached.
+        # The answer gets one oracle call.  Unless the load checked the grid, the walk checks
+        # it once, which runs thrust per propeller and hover once per distinct (diameter, Ct,
+        # motor count); the walk reuses those hover figures, and runs thrust where it is reached.
         hovers = len({(d, ct, n) for d, _, ct in grid.propellers() for n in grid.n_motors_options})
-        assert calls == {"evaluate": 1, "check_grid": 1, "thrust_stage": props, "hover_stage": hovers,
-                         "_static_thrust": len(reached)}
+        assert calls == {"evaluate": 1, "check_grid": grid_checks, "thrust_stage": grid_checks * props,
+                         "hover_stage": grid_checks * hovers, "_static_thrust": len(reached)}
+
+    @pytest.mark.parametrize("change", [{"mtow": 13.0}, {"grid_id": "l5-default"},
+                                        {"environment": Environment(1.0)}], ids=["mtow", "grid", "environment"])
+    def test_loaded_spec_replaced_scores_as_one_built_fresh(self, bank, instances, change):
+        # The load's grid check holds only for the grid, weight and environment it was run for.
+        change = {**change, "grid": bank.grids[change["grid_id"]]} if "grid_id" in change else change
+        loaded = bank.instances["l5-quad-14kg"].answer_spec._replace(**change)
+        fresh = instances["l5-quad-14kg"].answer_spec._replace(**change)
+        assert loaded.grid_check and not fresh.grid_check
+        fronts = [design_space.reference_front(s.grid, s.mtow, s.environment, s.requirements, s.grid_check)
+                  for s in (loaded, fresh)]
+        assert fronts[0] == fronts[1]
+        for design in ({"kv_rpm_per_volt": 420, "prop_diameter_in": 16}, {"kv_rpm_per_volt": 340}):
+            answer = _fence({"design": design})
+            assert score_design(answer, loaded) == score_design(answer, fresh)
 
     @pytest.mark.parametrize(
         "grid_ct, design, verdict, value",
