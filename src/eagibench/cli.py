@@ -14,6 +14,7 @@ exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -205,10 +206,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_shared_parser = functools.cache(build_parser)  # the parser main uses, built on its first call
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    """One CLI call's exit code.  Callable repeatedly in one process: every call parses
+    with one parser, built on the first, and checks ``--out`` before doing any work."""
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
+        if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+            raise UsageError(f"--out {args.out}: not a file in an existing directory")
         return args.fn(args)
     except BankError as exc:
         print(f"bank error: {exc}", file=sys.stderr)

@@ -239,8 +239,8 @@ def _walk(grid: DesignGrid, mtow: float, env: Environment, requirements,
     limits = dict.fromkeys(("battery_cells", "mtow", "footprint", "endurance", "hover_torque_current_per_motor",
                             "static_thrust_per_motor"), (-math.inf, math.inf))  # largest lower, smallest upper end
     for req in requirements if isinstance(requirements, RequirementSet) else RequirementSet(requirements):
-        (lo, hi), (low, high) = limits[quantity := REQUIREMENT_RULES[req.kind].quantity], req.interval
-        limits[quantity] = (max(lo, low), min(hi, high))
+        (lo, hi), (low, high) = limits[(rule := REQUIREMENT_RULES[req.kind]).quantity], rule.interval(req.bound)
+        limits[rule.quantity] = (max(lo, low), min(hi, high))
     (cells_lo, cells_hi), (mtow_lo, mtow_hi), (foot_lo, foot_hi), (end_lo, end_hi), (cur_lo, cur_hi), \
         (thrust_lo, thrust_hi) = limits.values()
     designs = enumerate_designs(grid, mtow)

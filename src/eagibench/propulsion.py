@@ -234,6 +234,10 @@ class _Rule(NamedTuple):
     quantity: str  # the name of the value it reads, in the mapping ``_measure`` is given
     ends: tuple[bool, bool]  # whether the bound is the (lower, upper) end of the interval it admits
 
+    def interval(self, bound: float) -> tuple[float, float]:
+        """The [lo, hi] a quantity meets ``bound`` in; an open end is infinite."""
+        return (bound if self.ends[0] else -math.inf, bound if self.ends[1] else math.inf)
+
 
 _MIN, _MAX, _EXACT = (True, False), (False, True), (True, True)
 
@@ -268,9 +272,7 @@ class Requirement(NamedTuple):
 
     @property
     def interval(self) -> tuple[float, float]:
-        """The [lo, hi] the measured quantity meets the bound in; an open end is infinite."""
-        lower, upper = REQUIREMENT_RULES[self.kind].ends
-        return (self.bound if lower else -math.inf, self.bound if upper else math.inf)
+        return REQUIREMENT_RULES[self.kind].interval(self.bound)
 
 
 class RequirementSet(tuple):
@@ -336,8 +338,8 @@ class PerformanceReport(NamedTuple):
 
 def _measure(quantities: Mapping[str, float], req: Requirement) -> tuple[float, bool]:
     """The quantity ``req`` reads and whether it lies in the bound's interval."""
-    measured = quantities[REQUIREMENT_RULES[req.kind].quantity]
-    lo, hi = req.interval
+    measured = quantities[(rule := REQUIREMENT_RULES[req.kind]).quantity]
+    lo, hi = rule.interval(req.bound)
     return measured, lo <= measured <= hi
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import eagibench
+import eagibench.cli as cli
 from eagibench.bank import load_shipped_bank, shipped_bank_path
 from eagibench.cli import EXIT_BANK, EXIT_OK, EXIT_TRANSPORT, EXIT_USAGE, main
 from eagibench.harness import OracleAgent
@@ -311,6 +312,73 @@ def test_bad_run_config_exits_before_any_agent_call(tmp_path, monkeypatch):
     code = main(["run", "--n", "24", "--threshold", "0", "--agent", f"replay:{answers}"])
     assert code == EXIT_USAGE
     assert calls == []
+
+
+@pytest.mark.parametrize("out", ["missing/dir/r.json", "."], ids=["parent-missing", "directory"])
+def test_bad_out_exits_before_any_agent_call(tmp_path, monkeypatch, capsys, out):
+    from eagibench.harness import ReplayAgent
+
+    calls = []
+    monkeypatch.setattr(ReplayAgent, "answer", lambda self, *a: calls.append(a) or "")
+    monkeypatch.chdir(tmp_path)
+    answers = _write(tmp_path / "answers.json", {})
+    code = main(["run", "--n", "24", "--agent", f"replay:{answers}", "--out", out])
+    assert code == EXIT_USAGE
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["answers.json"]
+    assert capsys.readouterr().err == f"error: --out {out}: not a file in an existing directory\n"
+
+
+@pytest.fixture
+def shipped_loads(monkeypatch, bank):
+    """The CLI's bank loads return the session's loaded shipped bank."""
+    monkeypatch.setattr(cli, "load_bank", lambda path: bank)
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, shipped_loads):
+    report, scored, instances = (str(tmp_path / name) for name in ("r.json", "s.json", "i.json"))
+    assert main(["run", "--agent", "oracle"]) == EXIT_USAGE
+    assert "--n" in capsys.readouterr().err
+    assert main(["run", "--n", "4", "--agent", "oracle", "--out", report]) == EXIT_OK
+
+    generated = []
+    for _ in range(3):
+        assert main(["generate", "--n", "6", "--mode", "Stratified", "--seed", "3", "--out", instances]) == EXIT_OK
+        generated.append(Path(instances).read_bytes())
+    assert generated[0] == generated[2]
+
+    answers = _write(tmp_path / "answers.json", {})
+    assert main(["score", "--instances", instances, "--answers", answers, "--threshold", "0.9",
+                 "--out", scored]) == EXIT_OK
+    assert json.loads(Path(scored).read_text(encoding="utf-8"))["config"]["threshold"] == 0.9
+    assert main(["run", "--n", "4", "--agent", "oracle", "--out", report]) == EXIT_OK
+    assert json.loads(Path(report).read_text(encoding="utf-8"))["config"]["threshold"] == 0.7
+
+
+def test_help_exits_0_on_every_call(capsys):
+    for argv, names in ((["--help"], ("generate", "score", "run", "report")), (["run", "--help"], ("--agent",))):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 0
+            out = capsys.readouterr().out
+            assert all(name in out for name in names), out
+
+
+def test_main_builds_its_parser_once(monkeypatch, tmp_path, shipped_loads):
+    built = []
+    real_init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__", lambda self, *a, **k: built.append(1) or real_init(self, *a, **k))
+    cli._shared_parser.cache_clear()
+    try:
+        for verb in ("generate", "run", "generate"):
+            extra = ["--agent", "oracle"] if verb == "run" else []
+            assert main([verb, "--n", "2", *extra, "--out", str(tmp_path / "o.json")]) == EXIT_OK
+        assert main(["run", "--agent", "oracle"]) == EXIT_USAGE
+    finally:
+        cli._shared_parser.cache_clear()
+    assert len(built) == 5  # the top-level parser and one per verb, once
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_run_instantiates_each_item_once(tmp_path, monkeypatch, bank):
