@@ -210,9 +210,26 @@ def ct_overrides_from_bank(raw: Mapping, propellers: Optional[set] = None) -> di
 # Ground answer specs
 
 
+def _check_phrases(where: str, phrases: Sequence[str]) -> None:
+    """Reject a phrase of only whitespace and the characters ``scoring.normalize_phrase``
+    strips (``_{}$\\``): it names nothing, and an empty one is found in every answer."""
+    for phrase in phrases:
+        if not "".join(phrase.split()).strip("_{}$\\"):
+            raise ValueError(f"{where}: blank phrase {phrase!r} would match any answer")
+
+
+def _check_rel_tol(where: str, rel_tol: float) -> None:
+    if not (0.0 < rel_tol <= 0.1):
+        raise ValueError(f"{where} rel_tol must be in (0, 0.1], got {rel_tol}")
+
+
+@checked
 class FactSpec(NamedTuple):
     canonical: str
     accepted_aliases: tuple[str, ...] = ()
+
+    def _check(self):
+        _check_phrases("fact", (self.canonical, *self.accepted_aliases))
 
 
 @checked
@@ -222,8 +239,7 @@ class NumericSpec(NamedTuple):
     rel_tol: float
 
     def _check(self):
-        if not (0.0 < self.rel_tol <= 0.1):
-            raise ValueError(f"Numeric rel_tol must be in (0, 0.1], got {self.rel_tol}")
+        _check_rel_tol("Numeric", self.rel_tol)
 
 
 @checked
@@ -241,9 +257,12 @@ class FieldExpectation(NamedTuple):
             raise ValueError(f"field {self.name!r}: kind must be 'number' or 'text', got {self.kind!r}")
         if self.match not in ("contains", "exact"):
             raise ValueError(f"field {self.name!r}: match must be 'contains' or 'exact', got {self.match!r}")
+        _check_rel_tol(f"field {self.name!r}", self.rel_tol)
         value = self.expected  # a JSON number with a finite float value: not a bool or NaN
         if self.kind == "number" and not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
             raise ValueError(f"field {self.name!r}: expected must be a finite number, got {value!r}")
+        if self.kind == "text":
+            _check_phrases(f"field {self.name!r}", (str(value), *self.aliases))
 
 
 @checked
@@ -266,6 +285,8 @@ class DiagnosisSpec(NamedTuple):
         for cause in self.accepted_causes:
             if cause not in self.vocabulary:
                 raise ValueError(f"accepted cause {cause!r} missing from cause vocabulary")
+        for cause, phrases in self.vocabulary.items():
+            _check_phrases(f"cause {cause!r}", phrases)
 
 
 @checked
@@ -334,6 +355,7 @@ class RubricCriterion(NamedTuple):
     def _check(self):
         if not self.phrases:
             raise ValueError(f"rubric criterion {self.key!r} has no phrases")
+        _check_phrases(f"rubric criterion {self.key!r}", self.phrases)
 
 
 @checked
@@ -408,19 +430,6 @@ class QuestionBank(NamedTuple):
     templates: tuple[QuestionTemplate, ...]
     #: Each template grounded once at load, keyed by template id.
     instances: Mapping[str, QuestionInstance]
-
-    def template(self, template_id: str) -> QuestionTemplate:
-        for t in self.templates:
-            if t.id == template_id:
-                return t
-        raise KeyError(template_id)
-
-    def __len__(self):
-        return len(self.templates)
-
-
-# ``len`` counts templates, so ``_make`` (and ``_replace``) must not check it against the fields.
-QuestionBank._make = classmethod(lambda cls, values: cls(*values))
 
 
 # Physics functions a numeric answer may reference; its ``args`` bind their parameters by name.

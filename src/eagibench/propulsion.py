@@ -13,15 +13,11 @@ default value is pinned so that an 18x6 propeller produces 26.4 N of
 static thrust at 7500 RPM in sea-level air; other propellers reuse it
 unless a bank declares an override.
 
-Two per-motor hover currents are reported:
-
-* ``hover_current_per_motor``: bus-side current, ideal hover power divided
-  by total bus voltage across the motor count.
-* ``hover_torque_current_per_motor``: motor current implied by the hover
-  shaft torque through Kt (I = Q / Kt at the RPM that produces hover
-  thrust).  This is the quantity checked against per-motor current limits
-  and used for design trade-offs, because it responds to the Kv choice the
-  way motor sizing actually does.
+The per-motor hover current reported, ``hover_torque_current_per_motor``,
+is the motor current implied by the hover shaft torque through Kt
+(I = Q / Kt at the RPM that produces hover thrust).  It is the quantity
+checked against per-motor current limits and used for design trade-offs,
+because it responds to the Kv choice the way motor sizing actually does.
 
 All functions are pure; all types are immutable.  Internal computation is
 SI throughout; inch inputs convert at exactly 0.0254 m/in.
@@ -289,10 +285,6 @@ class RequirementSet(tuple):
             raise ValueError(f"duplicate requirement ids: {dupes}")
         return self
 
-    @property
-    def requirements(self) -> tuple[Requirement, ...]:
-        return tuple(self)
-
     def get(self, req_id: str) -> Requirement:
         for r in self:
             if r.id == req_id:
@@ -309,18 +301,10 @@ class RequirementCheck(NamedTuple):
 
 
 class PerformanceReport(NamedTuple):
-    """Oracle outputs for one design under one environment.
+    """Oracle outputs for one design under one environment."""
 
-    ``operating_rpm`` is the loaded RPM when the scenario supplies one,
-    otherwise the no-load RPM; thrust checks are evaluated there.  The
-    oracle never infers load droop on its own.
-    """
-
-    operating_rpm: float
     static_thrust_per_motor: float
     required_thrust_per_motor: float
-    hover_power_total: float
-    hover_current_per_motor: float
     hover_torque_current_per_motor: float
     endurance: float
     requirement_checks: tuple[RequirementCheck, ...] = ()
@@ -361,12 +345,13 @@ def _step(label: str, fn, *args):
 
 def thrust_stage(
     kv: float, volts: float, ct: float, diameter: float, rho: float, loaded_rpm: Optional[float] = None
-) -> tuple[float, float]:
-    """The operating RPM (the loaded RPM when one is given, otherwise the
-    no-load RPM) and the static thrust per motor there."""
+) -> float:
+    """The static thrust per motor at the operating RPM: the loaded RPM when
+    the scenario supplies one, otherwise the no-load RPM.  The oracle never
+    infers load droop on its own."""
     nlr = _step("no_load_rpm", no_load_rpm, kv, volts)
     rpm = nlr if loaded_rpm is None else loaded_rpm
-    return rpm, _step("static_thrust", static_thrust, ct, rho, rpm, diameter)
+    return _step("static_thrust", static_thrust, ct, rho, rpm, diameter)
 
 
 def hover_stage(
@@ -412,7 +397,7 @@ def evaluate_design(
     # No re-validation: a Design checks itself on construction.
     kv, volts, n_motors = design.kv, design.battery_voltage_nominal, design.n_motors
     ct, diameter = design.thrust_coefficient_ct, design.prop_diameter
-    operating_rpm, thrust = thrust_stage(kv, volts, ct, diameter, env.air_density, loaded_rpm)
+    thrust = thrust_stage(kv, volts, ct, diameter, env.air_density, loaded_rpm)
     kt = _step("torque_constant", torque_constant, kv)
     required, hover_power, torque = hover_stage(design.mtow, n_motors, ct, diameter, env)
     # Shaft torque at the hover operating point, converted to motor current
@@ -429,11 +414,8 @@ def evaluate_design(
         "battery_cells": float(design.battery_cells),
     }
     return PerformanceReport(
-        operating_rpm=operating_rpm,
         static_thrust_per_motor=thrust,
         required_thrust_per_motor=required,
-        hover_power_total=hover_power,
-        hover_current_per_motor=hover_power / (n_motors * volts),
         hover_torque_current_per_motor=torque_current,
         endurance=endurance,
         requirement_checks=tuple(

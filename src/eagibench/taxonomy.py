@@ -229,9 +229,13 @@ class TagFilter(NamedTuple):
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "TagFilter":
-        """A field takes a list or one bare value; ``levels`` one level or ``[lo, hi]``."""
+        """A field takes a list or one bare value; ``levels`` one level or ``[lo, hi]``.
+        Any other key raises, so a misspelt one cannot widen the filter unnoticed."""
         if not isinstance(raw, Mapping):
             raise ValueError(f"a tag filter is a JSON object, got {type(raw).__name__}")
+        for key in raw:
+            if key != "levels" and all(f.key != key for f in _TAG_FIELDS):
+                raise ValueError(f"unknown filter key {key!r}")
         levels = raw.get("levels")
         if levels is not None:
             bounds = [int(b) for b in _read(levels, CognitionLevel.parse)]

@@ -87,7 +87,7 @@ def test_criterion_2_oracle_agent_self_consistency(bank, instances):
         start = time.perf_counter()
         agent = OracleAgent(list(instances.values()))
         report = run_evaluation(
-            sample(bank, TagFilter.empty(), len(bank), SampleMode.Curriculum, 0), agent
+            sample(bank, TagFilter.empty(), len(bank.templates), SampleMode.Curriculum, 0), agent
         )
         by_id = {item.instance_id: item for item in report.items}
         for item in report.items:

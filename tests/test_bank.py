@@ -11,6 +11,7 @@ from eagibench.bank import (
     NumericSpec,
     SampleError,
     SampleMode,
+    _check_phrases,
     _stratified_quotas,
     design_from_bank,
     design_to_bank,
@@ -21,7 +22,7 @@ from eagibench.bank import (
     sample,
     shipped_bank_path,
 )
-from eagibench.scoring import Verdict, score_fix
+from eagibench.scoring import Verdict, normalize_phrase, reference_answer, score_answer, score_fix
 from eagibench.taxonomy import CognitionLevel, TagFilter, matches
 
 
@@ -38,14 +39,35 @@ def raw_bank():
     return json.loads(shipped_bank_path().read_text(encoding="utf-8"))
 
 
+def _text_field(doc, template_id):
+    return next(f for f in _template(doc, template_id)["answer"]["fields"] if f["kind"] == "text")
+
+
+#: A phrase-bearing record of each kind: (the template a blank phrase there is named by, the edit).
+_BLANK_PHRASE_SITES = {
+    "fact-canonical": ("l1-kv-meaning", lambda doc, p: _template(doc, "l1-kv-meaning")["answer"].update(canonical=p)),
+    "fact-alias": ("l1-thrust-equation",
+                   lambda doc, p: _template(doc, "l1-thrust-equation")["answer"].update(accepted_aliases=[p])),
+    "structured-expected": ("l2-max-torque-params",
+                            lambda doc, p: _text_field(doc, "l2-max-torque-params").update(expected=p)),
+    "structured-alias": ("l2-prop-parameters", lambda doc, p: _text_field(doc, "l2-prop-parameters").update(aliases=[p])),
+    "rubric": ("l6-highalt-reflect",
+               lambda doc, p: _template(doc, "l6-highalt-reflect")["answer"]["criteria"][0]["phrases"].append(p)),
+    # The first diagnosis item reads the bank's vocabulary.
+    "cause-vocabulary": ("l4-insufficient-thrust", lambda doc, p: doc["cause_vocabulary"]["high-kv-motor"].append(p)),
+    "extra-cause": ("l4-vibration",
+                    lambda doc, p: _template(doc, "l4-vibration")["answer"].update(extra_causes={"loose-arm": [p]})),
+}
+
+
 class TestLoadBank:
     def test_shipped_bank_has_22_plus_templates_across_all_levels(self, bank):
-        assert len(bank) >= 22
+        assert len(bank.templates) >= 22
         levels = {int(t.level) for t in bank.templates}
         assert levels == {1, 2, 3, 4, 5, 6}
 
     def test_empty_template_list_is_valid(self):
-        assert len(load_bank({"schema_version": 1, "templates": []})) == 0
+        assert len(load_bank({"schema_version": 1, "templates": []}).templates) == 0
 
     def test_missing_schema_version(self):
         with pytest.raises(BankError, match="schema_version"):
@@ -204,6 +226,27 @@ class TestLoadBank:
         edit(next(t for t in raw_bank["templates"] if t["id"] == template_id)["answer"])
         with pytest.raises(BankError, match=f"template '{template_id}': reference"):
             load_bank(raw_bank)
+
+    @pytest.mark.parametrize("phrase", ["", "  ", "\t_{}$\\ "], ids=["empty", "spaces", "stripped"])
+    @pytest.mark.parametrize("where", list(_BLANK_PHRASE_SITES))
+    def test_blank_phrase_rejected_at_load(self, raw_bank, where, phrase):
+        # Normalized, a blank phrase is empty, so it would be found in any reply:
+        # "The sky is green and I like turtles." passed the fact and rubric items.
+        template_id, edit = _BLANK_PHRASE_SITES[where]
+        edit(raw_bank, phrase)
+        with pytest.raises(BankError, match=f"^template '{template_id}': .*blank phrase"):
+            load_bank(raw_bank)
+
+    @pytest.mark.parametrize("rel_tol", [-0.5, 0.0, 0.5, math.nan])
+    def test_structured_rel_tol_follows_the_numeric_rule(self, raw_bank, rel_tol):
+        # A structured field's -0.5 made the item's own oracle answer score Partial, and its 0.5
+        # loaded although a numeric answer rejected it: both records share one (0, 0.1] check.
+        for template_id, where in (("l2-voltage-range", "field 'minimum'"), ("l1-6s-voltage", "Numeric")):
+            doc = copy.deepcopy(raw_bank)
+            answer = _template(doc, template_id)["answer"]
+            (answer["fields"][0] if "fields" in answer else answer)["rel_tol"] = rel_tol
+            with pytest.raises(BankError, match=re.escape(f"template '{template_id}': {where} rel_tol must be in (0, 0.1]")):
+                load_bank(doc)
 
     def test_design_item_bounding_the_footprint_rejected_at_load(self, raw_bank):
         # Grid designs declare no footprint, so no grid design would meet the
@@ -392,6 +435,65 @@ def test_single_node_replacement_loads_or_names_its_record(path, value):
         assert not _RECORD.match(message[record.end():]), message
 
 
+_UNRELATED_REPLY = "The sky is green and I like turtles."
+#: Phrases drawn from characters the unrelated reply lacks, besides those ``normalize_phrase`` strips.
+_PHRASES = st.text(alphabet=" \t\n\u00a0_{}$\\Qz*0", max_size=5)
+_TOLERANCES = st.floats() | st.sampled_from([0.0, 0.1, 0.5, -0.5, 5e-324])
+
+
+def _phrase_and_tolerance_sites(bank):
+    """(template id, document path, leaf kind) of every phrase and tolerance of a non-design item."""
+    ids = [t["id"] for t in _SHIPPED["templates"]]
+    sites = []
+    for template in bank.templates:
+        if template.answer_raw["kind"] == "design":
+            continue
+        root = ("templates", ids.index(template.id), "answer")
+        for path in _nodes(template.answer_raw):
+            parent = _SHIPPED
+            for key in root + path[:-1]:
+                parent = parent[key]
+            if path[-1] == "rel_tol":
+                sites.append((template.id, root + path, "tolerance"))
+            elif (path[-1] == "canonical" or (path[-1] == "expected" and parent.get("kind") == "text")
+                  or (len(path) > 1 and path[-2] in ("accepted_aliases", "aliases", "phrases"))):
+                sites.append((template.id, root + path, "phrase"))
+    diagnosis = next(t.id for t in bank.templates if t.answer_raw["kind"] == "diagnosis")
+    sites += [(diagnosis, ("cause_vocabulary", cause, i), "phrase")
+              for cause, phrases in _SHIPPED["cause_vocabulary"].items() for i in range(len(phrases))]
+    return sites
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_phrase_or_tolerance_edit_names_its_template_or_keeps_every_reference_passing(bank, data):
+    template_id, path, leaf = data.draw(st.sampled_from(_phrase_and_tolerance_sites(bank)))
+    doc = copy.deepcopy(_SHIPPED)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(_PHRASES if leaf == "phrase" else _TOLERANCES)
+    try:
+        edited = load_bank(doc)
+    except BankError as exc:
+        assert str(exc).startswith(f"template '{template_id}': "), str(exc)
+        return
+    for inst in edited.instances.values():
+        if inst.kind != "design":
+            assert score_answer(inst.answer_spec, reference_answer(inst.answer_spec)).verdict is Verdict.Pass, inst.id
+            assert score_answer(inst.answer_spec, _UNRELATED_REPLY).verdict is not Verdict.Pass, inst.id
+
+
+@given(st.text(alphabet=" \t\n\u00a0\u2003_{}$\\x", max_size=6))
+def test_a_blank_phrase_is_one_that_normalizes_to_nothing(phrase):
+    try:
+        _check_phrases("fact", (phrase,))
+    except ValueError:
+        assert normalize_phrase(phrase) == ""
+    else:
+        assert normalize_phrase(phrase) != ""
+
+
 def _positive(low, high):
     return st.floats(low, high, allow_nan=False, allow_infinity=False)
 
@@ -459,7 +561,7 @@ class TestInstantiate:
         assert "{" not in prompt
 
     def test_zero_placeholder_pattern_is_identity(self, bank):
-        template = bank.template("l1-kv-meaning")
+        template = next(t for t in bank.templates if t.id == "l1-kv-meaning")
         inst = instantiate(template, bank)
         assert inst.prompt == template.pattern
 
@@ -508,7 +610,7 @@ class TestSample:
         assert [i.id for i in out] == population
 
     def test_curriculum_sorted_by_level_then_id(self, bank):
-        out = sample(bank, TagFilter.empty(), len(bank), SampleMode.Curriculum, 0)
+        out = sample(bank, TagFilter.empty(), len(bank.templates), SampleMode.Curriculum, 0)
         keys = [(int(i.level), i.id) for i in out]
         assert keys == sorted(keys)
 
@@ -522,7 +624,7 @@ class TestSample:
     def test_stratified_redistributes_when_a_level_is_short(self, bank):
         # L2 has 3 items; asking for 24 total forces redistribution and
         # must return the whole bank.
-        out = sample(bank, TagFilter.empty(), len(bank), SampleMode.Stratified, 0)
+        out = sample(bank, TagFilter.empty(), len(bank.templates), SampleMode.Stratified, 0)
         assert sorted(i.id for i in out) == sorted(t.id for t in bank.templates)
 
     @pytest.mark.parametrize("n, tail", [(22, {4: 4, 5: 4, 6: 3}), (23, {4: 4, 5: 4, 6: 4})])
@@ -538,7 +640,7 @@ class TestSample:
     def test_oversampling_reports_population(self, bank):
         with pytest.raises(SampleError) as err:
             sample(bank, TagFilter.empty(), 1000, SampleMode.Targeted, 0)
-        assert err.value.population == len(bank)
+        assert err.value.population == len(bank.templates)
         assert "24" in str(err.value)
 
     def test_n_zero_is_empty(self, bank):

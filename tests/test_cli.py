@@ -128,6 +128,11 @@ def _generated(tmp_path, n, flt):
     return code, json.loads(out.read_text(encoding="utf-8"))["instances"] if code == EXIT_OK else None
 
 
+def test_unknown_filter_key_exits_1_naming_it(tmp_path, capsys):
+    assert _generated(tmp_path, 3, '{"level": [6, 6]}')[0] == EXIT_USAGE
+    assert "unknown filter key 'level'" in capsys.readouterr().err
+
+
 def test_bare_standards_string_is_one_value(tmp_path, capsys):
     code, instances = _generated(tmp_path, 1, '{"standards": "AHRI"}')
     assert code == EXIT_OK
@@ -395,7 +400,7 @@ def test_run_instantiates_each_item_once(tmp_path, monkeypatch, bank):
     code = main(["run", "--n", "24", "--agent", "oracle", "--out", str(tmp_path / "r.json")])
     assert code == EXIT_OK
     # one per template at load; sampling reuses the loaded instances
-    assert len(calls) == len(bank) == 24
+    assert len(calls) == len(bank.templates) == 24
 
     instances = tmp_path / "instances.json"
     assert main(["generate", "--n", "24", "--out", str(instances)]) == EXIT_OK
@@ -404,7 +409,7 @@ def test_run_instantiates_each_item_once(tmp_path, monkeypatch, bank):
     assert main(["score", "--instances", str(instances), "--answers", answers,
                  "--out", str(tmp_path / "s.json")]) == EXIT_OK
     # score looks its records up in the loaded bank: every call is the load's
-    assert len(calls) == len(bank)
+    assert len(calls) == len(bank.templates)
 
 
 def test_score_and_replay_run_grade_alike(tmp_path, instances):

@@ -82,7 +82,7 @@ class TestRunEvaluation:
 
     def test_oracle_agent_full_bank_all_pass(self, bank, instances, oracle_agent):
         report = run_evaluation(
-            sample(bank, EMPTY, len(bank), SampleMode.Curriculum, 0), oracle_agent
+            sample(bank, EMPTY, len(bank.templates), SampleMode.Curriculum, 0), oracle_agent
         )
         assert all(item.score.verdict is Verdict.Pass for item in report.items)
         assert report.competence_level >= 4

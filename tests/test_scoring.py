@@ -461,7 +461,7 @@ class TestScoreDesign:
         # adding a requirement the answer satisfies never lowers the value
         satisfied = base_spec._replace(
             requirements=RequirementSet(
-                base_spec.requirements.requirements
+                base_spec.requirements
                 + (Requirement("extra-class", RequirementKind.VoltageClass, 6),)
             ),
         )
@@ -474,7 +474,7 @@ class TestScoreDesign:
         hover = base_spec.requirements.get("hover-thrust")
         violated = base_spec._replace(
             requirements=RequirementSet(
-                base_spec.requirements.requirements
+                base_spec.requirements
                 + (Requirement("extra-thrust", hover.kind, hover.bound),)
             ),
         )

@@ -196,3 +196,10 @@ def test_matches_agrees_with_the_field_by_field_reference(tags, level, flt):
 def test_filter_takes_only_the_json_values_of_its_field(document, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         TagFilter.from_dict(document)
+
+
+@pytest.mark.parametrize("key", ["level", "domain", "standard", "system_types"])
+def test_filter_rejects_a_key_it_does_not_read(key):
+    # {"level": [6, 6]}, a typo for "levels", used to give the empty filter, so every level was sampled.
+    with pytest.raises(ValueError, match=f"unknown filter key '{key}'"):
+        TagFilter.from_dict({"levels": [1, 6], key: [6, 6]})
