@@ -27,7 +27,7 @@ from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import propulsion
-from .design_space import BatteryOption, DesignGrid, check_grid
+from .design_space import BatteryOption, DesignGrid, ReferenceFront, reference_front
 from .propulsion import (
     CT_DEFAULT,
     _as_count,
@@ -344,7 +344,7 @@ class DesignSynthesisSpec(NamedTuple):
     defaults: Mapping[str, Any]
     reference_design: Design
     mtow: float
-    grid_check: tuple = ()  # (grid, mtow, environment, check_grid's figures), set at load
+    front: ReferenceFront  # grounded by instantiate, as a numeric item's value is
 
 
 @checked
@@ -515,7 +515,7 @@ def _requirements_from_raw(raw_reqs: Sequence[Mapping], ns: Mapping) -> Requirem
     )
 
 
-def _instantiate_answer(template: QuestionTemplate, bank: QuestionBank, ns: dict) -> AnswerSpec:
+def _instantiate_answer(template: QuestionTemplate, bank: QuestionBank, ns: dict, fronts: dict) -> AnswerSpec:
     raw = template.answer_raw
     kind = raw.get("kind")
     if kind == "fact":
@@ -586,14 +586,19 @@ def _instantiate_answer(template: QuestionTemplate, bank: QuestionBank, ns: dict
             environment = bank.contexts[template.context_ref].environment
         else:
             environment = Environment()
+        grid, key = bank.grids[grid_id], (grid_id, mtow, environment, requirements)
+        reference_design = grid_design_from_bank(raw["reference_design"], defaults, grid)
+        if key not in fronts:
+            fronts[key] = reference_front(grid, mtow, environment, requirements)
         return DesignSynthesisSpec(
             requirements=requirements,
             grid_id=grid_id,
-            grid=bank.grids[grid_id],
+            grid=grid,
             environment=environment,
             defaults=defaults,
-            reference_design=grid_design_from_bank(raw["reference_design"], defaults, bank.grids[grid_id]),
+            reference_design=reference_design,
             mtow=mtow,
+            front=fronts[key],
         )
     if kind == "rubric":
         criteria = tuple(
@@ -604,17 +609,18 @@ def _instantiate_answer(template: QuestionTemplate, bank: QuestionBank, ns: dict
     raise BankError(f"unknown answer kind {kind!r}")
 
 
-def instantiate(template: QuestionTemplate, bank: QuestionBank) -> QuestionInstance:
+def instantiate(template: QuestionTemplate, bank: QuestionBank, fronts: Optional[dict] = None) -> QuestionInstance:
     """Ground a template: render the prompt and compute the answer spec.
 
-    Numeric ground truths are computed through the physics oracle here,
-    never copied from the bank file.  A template that does not ground
-    raises; :func:`load_bank` reports that as a ``BankError`` naming the
-    template.
+    Ground truths are computed through the physics oracle here, never
+    copied from the bank file; a design item's reference front is walked
+    once per (grid id, mtow, environment, requirements) key ``fronts``
+    lacks.  A template that does not ground raises; :func:`load_bank`
+    reports that as a ``BankError`` naming the template.
     """
     ns = _namespace(template, bank)
     prompt = template.pattern.format(**{k: _fmt(v) for k, v in ns.items()})
-    spec = _instantiate_answer(template, bank, ns)
+    spec = _instantiate_answer(template, bank, ns, {} if fronts is None else fronts)
     provenance = {
         "template_id": template.id,
         "context": template.context_ref,
@@ -648,20 +654,20 @@ def _line_of(raw_text: Optional[str], token: Any) -> Optional[int]:
 _RECORD_ERRORS = (LookupError, TypeError, ValueError, AttributeError, ArithmeticError)
 
 
-def _check_reference(spec: AnswerSpec, checked_grids: dict) -> AnswerSpec:
-    """Reject an item whose own reference answer would not pass; return the spec to keep.
+def _check_reference(spec: AnswerSpec) -> None:
+    """Reject an item whose own reference answer would not pass.
 
     A fix item's reference patch must flip the failing requirement and
     regress no other (two oracle calls).  A design item's reference design
-    must meet every requirement (one call), and its grid must evaluate at
-    its takeoff weight, so scoring cannot raise (``check_grid``, once per
-    grid, weight and environment, kept in ``checked_grids``).  It must
-    also weigh ``mtow_kg`` and be a grid point, and no requirement may bound
-    the footprint (grid designs declare none), so its grid point is feasible
-    and the reference front never empty.  Membership of the front is not
-    checked: that would evaluate the whole grid on every load.  The design
-    spec kept carries its grid's check as ``grid_check``, so the scorer's
-    walk reuses the hover figures instead of checking the grid again.
+    must meet every requirement (one call).  The walk that grounded its
+    front checked its grid at its takeoff weight, unless a cell-count,
+    weight or footprint bound left nothing to walk, a bound the reference
+    design then fails here.  It must also weigh ``mtow_kg`` and be a grid
+    point, and no requirement may bound the footprint (grid designs declare
+    none), so its grid point is feasible and the reference front never
+    empty.  Membership of the front is not checked yet: the bench's
+    ``design-grid`` generator loads dense grids with the shipped references,
+    which their fronts dominate, and sets front points only after that load.
     """
     if isinstance(spec, FixSpec):
         patched = propulsion.apply_patch(
@@ -677,9 +683,6 @@ def _check_reference(spec: AnswerSpec, checked_grids: dict) -> AnswerSpec:
             raise BankError(f"defaults.mtow_kg {design.mtow:g} differs from the item's mtow_kg {spec.mtow:g}")
         if any(r.kind is RequirementKind.FootprintMax for r in spec.requirements):
             raise BankError("a design item cannot bound FootprintMax: grid designs declare no footprint")
-        key = (spec.grid_id, spec.mtow, spec.environment)
-        if key not in checked_grids:
-            checked_grids[key] = (grid, spec.mtow, spec.environment, check_grid(grid, spec.mtow, spec.environment))
         report = propulsion.evaluate_design(design, spec.environment, spec.requirements)
         failing = [c.requirement_id for c in report.requirement_checks if not c.passed]
         if failing:
@@ -689,8 +692,6 @@ def _check_reference(spec: AnswerSpec, checked_grids: dict) -> AnswerSpec:
         off = [name for name, value in zip(grid.AXES, point) if value not in getattr(grid, name)]
         if off:
             raise BankError(f"reference design is not a point of grid {spec.grid_id!r}: off {', '.join(off)}")
-        return spec._replace(grid_check=checked_grids[key])
-    return spec
 
 
 def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
@@ -803,12 +804,12 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
 
     # The whole file is rejected on the first template that fails to ground
     # or whose reference answer fails its own item.
-    checked_grids: dict = {}
+    fronts: dict = {}  # each design item's reference front, walked once per key
     for template in bank.templates:
         with record(f"template {template.id!r}", template.id):
-            inst = instantiate(template, bank)
-            spec = _check_reference(inst.answer_spec, checked_grids)
-            instances[template.id] = inst if spec is inst.answer_spec else inst._replace(answer_spec=spec)
+            inst = instantiate(template, bank, fronts)
+            _check_reference(inst.answer_spec)
+            instances[template.id] = inst
     return bank
 
 

@@ -10,13 +10,17 @@ thrust margin over the hover requirement (maximize), and hover endurance
 (maximize).  The current axis uses the torque-route motor current so that
 the Kv choice trades off against thrust margin; see ``propulsion``.
 
-A grid is scored in one pruned walk, which reuses the grid check a bank ran at
-load or else checks the grid once, runs the stages that do not depend on Kv
-before its Kv loop, and compares each quantity, where it is first known, with
-the intersection of its requirements' intervals.  It groups the passing designs
-by (Kv, propeller, motor count, voltage): ``grid_evaluations`` expands every
-group, and ``reference_front`` sweeps only the members of highest endurance in
-each, and puts only the front in grid order.
+A bank grounds each design item's reference front at load, with one pruned
+walk per (grid id, mtow, environment, requirements); scoring an answer reads
+the front and walks nothing.  The walk checks the grid once, runs the stages
+that do not depend on Kv before its Kv loop, and compares each quantity, where
+it is first known, with the intersection of its requirements' intervals.  It
+groups the passing designs by (Kv, propeller, motor count, voltage):
+``grid_evaluations`` expands every group, and ``reference_front`` sweeps only
+the members of highest endurance in each, and puts only the front in grid
+order.  Whether an item's reference design is on its front is not checked yet:
+the bench's ``design-grid`` generator loads dense grids whose fronts dominate
+the shipped reference designs (see ``bank._check_reference``).
 """
 
 from __future__ import annotations
@@ -213,21 +217,19 @@ class ReferenceFront(NamedTuple):
         return cls(tuple(feasible[i] for i in front_indices(columns)), ranges)
 
 
-def _walk(grid: DesignGrid, mtow: float, env: Environment, requirements,
-          grid_check: tuple = ()) -> tuple[list[Design], list[tuple]]:
+def _walk(grid: DesignGrid, mtow: float, env: Environment, requirements) -> tuple[list[Design], list[tuple]]:
     """``enumerate_designs(grid, mtow)`` and its passing designs, grouped per
     (Kv, propeller, motor count, voltage) as ``(first, current, margin,
     (members, lowest, highest, tops))``: ``first`` is the grid index of the
     Kv's first design, a member is the ``(index past first, endurance)`` of a
     battery of that voltage, and ``tops`` index the members of highest endurance.
 
+    A bank runs it at load, once per design item key, for the item's front.
     Unless a failed cell-count, weight or footprint bound (a grid design has
-    none) leaves nothing to walk, the walk takes ``check_grid``'s hover
-    figures from ``grid_check``, a ``(grid, mtow, env, figures)`` made at
-    load, when it was made for this grid, weight and environment, and else
-    runs ``check_grid`` once, so a grid it rejects at ``mtow`` raises.  Each
-    other stage of ``evaluate_design`` runs once per distinct input through
-    the unchecked expression its checked formula calls, so every figure is
+    none) leaves nothing to walk, it runs ``check_grid`` once, so a grid that
+    check rejects at ``mtow`` raises, and takes its hover figures.  Each other
+    stage of ``evaluate_design`` runs once per distinct input through the
+    unchecked expression its checked formula calls, so every figure is
     ``evaluate_design``'s: endurance before the Kv loop, per battery and
     hover power; in the loop Kt per Kv, the current per Kv, diameter, Ct and
     motor count, and thrust per Kv, diameter, Ct and voltage.  Each quantity
@@ -248,7 +250,7 @@ def _walk(grid: DesignGrid, mtow: float, env: Environment, requirements,
                  for i, b in enumerate(grid.battery_options) if cells_lo <= b.cells <= cells_hi]
     if not (batteries and mtow_lo <= mtow <= mtow_hi and foot_lo <= math.inf <= foot_hi):
         return designs, []
-    hovers = grid_check[3] if grid_check[:3] == (grid, mtow, env) else check_grid(grid, mtow, env)
+    hovers = check_grid(grid, mtow, env)
     step = len(grid.battery_options) * len(grid.n_motors_options)  # designs per propeller and Kv
     endurances, templates = {}, []  # templates: per propeller, motor count and voltage, what the Kv loop needs
     current_ids, thrust_ids = {}, {}  # a slot per (diameter, Ct, motor count) and per (diameter, Ct, voltage)
@@ -296,15 +298,14 @@ def grid_evaluations(
 
 
 def reference_front(
-    grid: DesignGrid, mtow: float, env: Environment, requirements: RequirementSet | Sequence = (),
-    grid_check: tuple = (),
+    grid: DesignGrid, mtow: float, env: Environment, requirements: RequirementSet | Sequence = ()
 ) -> ReferenceFront:
     """``ReferenceFront.from_vectors`` of what ``grid_evaluations`` yields;
-    raises only where it does.  ``grid_check`` is passed to ``_walk``.  The
-    ranges come from the walk's group extremes, and the sweep gets only top
-    members, in group order: any other member has a top member's current and
-    margin and less endurance.  Only the kept points are put in grid order."""
-    groups = _walk(grid, mtow, env, requirements, grid_check)[1]
+    raises only where it does.  The ranges come from the walk's group
+    extremes, and the sweep gets only top members, in group order: any other
+    member has a top member's current and margin and less endurance.  Only
+    the kept points are put in grid order."""
+    groups = _walk(grid, mtow, env, requirements)[1]
     if not groups:
         return ReferenceFront.from_vectors(())
     _, currents, margins, memberships = zip(*groups)
@@ -326,8 +327,7 @@ def check_grid(grid: DesignGrid, mtow: float, env: Environment) -> dict:
     count), so they raise here whatever they raise there.  The thrust stage
     runs per propeller at the largest Kv and voltage, where the no-load RPM
     is largest, and the torque current at the largest Kv, where Kt is
-    smallest.  The grid walk calls this once, or reuses its figures from
-    load, then walks unchecked.
+    smallest.  The grid walk calls this once, then walks unchecked.
     """
     kv = max(grid.kv_values)
     battery = max(grid.battery_options, key=lambda b: b.voltage)

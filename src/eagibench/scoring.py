@@ -57,7 +57,6 @@ from .design_space import (
     ObjectiveVector,
     ReferenceFront,
     dominates,
-    reference_front,
     report_objectives,
 )
 from .propulsion import apply_patch, evaluate_design
@@ -502,8 +501,7 @@ def score_design(answer_text: str, spec: DesignSynthesisSpec) -> Score:
     satisfied = sum(c.passed for c in report.requirement_checks)
     fraction = satisfied / total if total else 1.0
 
-    reference = reference_front(spec.grid, spec.mtow, spec.environment, spec.requirements, spec.grid_check)
-    gap = _dominance_gap(report_objectives(report), reference)
+    gap = _dominance_gap(report_objectives(report), spec.front)
     pareto_component = 1.0 - gap
     if gap == 0.0:
         evidence.append(Evidence("pareto", "front", "non-dominated within the reference feasible set"))

@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eagibench import design_space
 from eagibench.bank import (
     BankError,
     NumericSpec,
@@ -583,6 +584,24 @@ class TestInstantiate:
         for item_id, value in expected.items():
             spec = instances[item_id].answer_spec
             assert spec.value == pytest.approx(value, rel=spec.rel_tol), item_id
+
+    def test_design_fronts_walked_once_per_key_per_load(self, raw_bank, bank, monkeypatch):
+        # Two clones of l5-quad-14kg share its (grid id, mtow, environment, requirements), so
+        # six design items take four walks, each counted at its one grid check.
+        template = _template(raw_bank, "l5-quad-14kg")
+        raw_bank["templates"] += [{**template, "id": f"l5-quad-14kg-{n}"} for n in (2, 3)]
+        walks = []
+        real = design_space.check_grid
+        monkeypatch.setattr(design_space, "check_grid", lambda *args: walks.append(args) or real(*args))
+        loaded = load_bank(raw_bank)
+        designs = [i for i in loaded.instances.values() if i.kind == "design"]
+        assert (len(designs), len(walks)) == (6, 4)
+        monkeypatch.undo()
+        for inst in designs:
+            spec = inst.answer_spec
+            assert spec.front == design_space.reference_front(spec.grid, spec.mtow, spec.environment, spec.requirements)
+            assert instantiate(next(t for t in loaded.templates if t.id == inst.id), loaded).answer_spec == spec
+            assert spec == (bank.instances.get(inst.id) or bank.instances["l5-quad-14kg"]).answer_spec
 
 
 class TestSample:

@@ -392,9 +392,9 @@ def test_run_instantiates_each_item_once(tmp_path, monkeypatch, bank):
     real = bank_module.instantiate
     calls = []
 
-    def counting(template, bank):
+    def counting(template, bank, fronts=None):
         calls.append(template.id)
-        return real(template, bank)
+        return real(template, bank, fronts)
 
     monkeypatch.setattr(bank_module, "instantiate", counting)
     code = main(["run", "--n", "24", "--agent", "oracle", "--out", str(tmp_path / "r.json")])

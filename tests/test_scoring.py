@@ -20,7 +20,7 @@ from eagibench.bank import (
 )
 from eagibench import design_space, scoring
 from eagibench.design_space import ObjectiveVector, ReferenceFront, dominates
-from eagibench.propulsion import Environment, evaluate_design
+from eagibench.propulsion import evaluate_design
 from eagibench.scoring import (
     Evidence,
     Score,
@@ -357,25 +357,12 @@ class TestScoreDesign:
         score = score_design(_fence({"design": design}), spec)
         assert score.verdict is Verdict.Unscorable
 
-    def test_grid_scored_in_one_factored_pass(self, bank, monkeypatch):
-        # A loaded spec carries the grid check its load ran, so scoring checks nothing again.
-        self._assert_scoring_calls(bank.instances["l5-quad-14kg"].answer_spec, 0, monkeypatch)
-
-    def test_spec_from_instantiate_alone_checks_its_grid_once(self, instances, monkeypatch):
-        self._assert_scoring_calls(instances["l5-quad-14kg"].answer_spec, 1, monkeypatch)
-
-    @staticmethod
-    def _assert_scoring_calls(spec, grid_checks, monkeypatch):
-        grid = spec.grid
-        # Thrust runs once per Kv, propeller and voltage that a design with passing motor
-        # current and cells reaches; this grid has one voltage and one motor count.
-        reached = set()
-        for d in design_space.enumerate_designs(grid, spec.mtow):
-            checks = evaluate_design(d, spec.environment, spec.requirements).requirement_checks
-            if all(c.passed for c in checks if c.requirement_id != "hover-thrust"):
-                reached.add((d.kv, d.prop_diameter, d.prop_pitch, d.battery_voltage_nominal))
-        assert 0 < len(reached) < grid.size
-        calls = {"evaluate": 0, "check_grid": 0, "thrust_stage": 0, "hover_stage": 0, "_static_thrust": 0}
+    @pytest.mark.parametrize("source", ["loaded", "instantiated"])
+    def test_scoring_reads_the_grounded_front(self, bank, instances, source, monkeypatch):
+        # The front is grounded with the item, at load or by a bare instantiate, so scoring an
+        # answer makes one oracle call and walks nothing: no grid check and no stage.
+        spec = (bank.instances if source == "loaded" else instances)["l5-quad-14kg"].answer_spec
+        calls = dict.fromkeys(("evaluate", "check_grid", "thrust_stage", "hover_stage", "_static_thrust"), 0)
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -389,28 +376,7 @@ class TestScoreDesign:
         for name in ("check_grid", "thrust_stage", "hover_stage", "_static_thrust"):
             monkeypatch.setattr(design_space, name, counting(name, getattr(design_space, name)))
         score_design(_fence({"design": {"kv_rpm_per_volt": 420, "prop_diameter_in": 16}}), spec)
-        props = len(grid.prop_diameters) * len(grid.prop_pitches)
-        # The answer gets one oracle call.  Unless the load checked the grid, the walk checks
-        # it once, which runs thrust per propeller and hover once per distinct (diameter, Ct,
-        # motor count); the walk reuses those hover figures, and runs thrust where it is reached.
-        hovers = len({(d, ct, n) for d, _, ct in grid.propellers() for n in grid.n_motors_options})
-        assert calls == {"evaluate": 1, "check_grid": grid_checks, "thrust_stage": grid_checks * props,
-                         "hover_stage": grid_checks * hovers, "_static_thrust": len(reached)}
-
-    @pytest.mark.parametrize("change", [{"mtow": 13.0}, {"grid_id": "l5-default"},
-                                        {"environment": Environment(1.0)}], ids=["mtow", "grid", "environment"])
-    def test_loaded_spec_replaced_scores_as_one_built_fresh(self, bank, instances, change):
-        # The load's grid check holds only for the grid, weight and environment it was run for.
-        change = {**change, "grid": bank.grids[change["grid_id"]]} if "grid_id" in change else change
-        loaded = bank.instances["l5-quad-14kg"].answer_spec._replace(**change)
-        fresh = instances["l5-quad-14kg"].answer_spec._replace(**change)
-        assert loaded.grid_check and not fresh.grid_check
-        fronts = [design_space.reference_front(s.grid, s.mtow, s.environment, s.requirements, s.grid_check)
-                  for s in (loaded, fresh)]
-        assert fronts[0] == fronts[1]
-        for design in ({"kv_rpm_per_volt": 420, "prop_diameter_in": 16}, {"kv_rpm_per_volt": 340}):
-            answer = _fence({"design": design})
-            assert score_design(answer, loaded) == score_design(answer, fresh)
+        assert calls == {"evaluate": 1, "check_grid": 0, "thrust_stage": 0, "hover_stage": 0, "_static_thrust": 0}
 
     @pytest.mark.parametrize(
         "grid_ct, design, verdict, value",
@@ -444,7 +410,7 @@ class TestScoreDesign:
     def test_empty_requirements_trivially_passes_on_front(self, instances):
         from eagibench.propulsion import RequirementSet
 
-        spec = instances["l5-quad-14kg"].answer_spec._replace(requirements=RequirementSet(()))
+        spec = _with_requirements(instances["l5-quad-14kg"].answer_spec, RequirementSet(()))
         score = score_design(
             _fence({"design": {"kv_rpm_per_volt": 340, "prop_diameter_in": 20}}), spec
         )
@@ -459,8 +425,9 @@ class TestScoreDesign:
         base_score = score_design(answer, base_spec)
 
         # adding a requirement the answer satisfies never lowers the value
-        satisfied = base_spec._replace(
-            requirements=RequirementSet(
+        satisfied = _with_requirements(
+            base_spec,
+            RequirementSet(
                 base_spec.requirements
                 + (Requirement("extra-class", RequirementKind.VoltageClass, 6),)
             ),
@@ -472,8 +439,9 @@ class TestScoreDesign:
         # requirement is one every feasible grid design already meets (a second
         # hover-thrust bound), which leaves the front as it was.
         hover = base_spec.requirements.get("hover-thrust")
-        violated = base_spec._replace(
-            requirements=RequirementSet(
+        violated = _with_requirements(
+            base_spec,
+            RequirementSet(
                 base_spec.requirements
                 + (Requirement("extra-thrust", hover.kind, hover.bound),)
             ),
@@ -484,6 +452,12 @@ class TestScoreDesign:
         ]
         assert fronts[0] == fronts[1]
         assert score_design(answer, violated).value <= base_score.value + 1e-12
+
+
+def _with_requirements(spec, requirements):
+    """The design spec under other requirements, with the front of those requirements."""
+    front = design_space.reference_front(spec.grid, spec.mtow, spec.environment, requirements)
+    return spec._replace(requirements=requirements, front=front)
 
 
 def _quadratic_gap(candidate, feasible):
