@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import random
 import sys
 from contextlib import contextmanager
@@ -240,6 +241,8 @@ class NumericSpec(NamedTuple):
 
     def _check(self):
         _check_rel_tol("Numeric", self.rel_tol)
+        if not math.isfinite(self.value):  # an overflowed oracle: no answer is within tolerance of it
+            raise ValueError(f"Numeric value must be finite, got {self.value}")
 
 
 @checked
@@ -301,10 +304,22 @@ class FixSpec(NamedTuple):
     loaded_rpm: Optional[float] = None
 
     def _check(self):
+        """Patchable fields are design fields, and the reference patch touches only
+        them and fixes the item: it flips the failing requirement and regresses no
+        other (two oracle calls, however the spec is built)."""
+        for key in self.patchable_fields:
+            if key not in DESIGN_FIELD_MAP:
+                raise ValueError(f"unknown patchable field {key!r}")
         self.requirements.get(self.failing_requirement_id)  # must resolve
         for key in self.reference_patch:
             if key not in self.patchable_fields:
                 raise ValueError(f"reference patch key {key!r} not in patchable fields")
+        fixed, rows = self.judge(
+            propulsion.apply_patch(self.base_design, fields_to_si(self.reference_patch), self.ct_overrides)
+        )
+        if not fixed:
+            outcomes = ", ".join(f"{req.id} {outcome}" for req, _, _, outcome in rows)
+            raise ValueError(f"reference patch does not fix the item ({outcomes})")
 
     def judge(
         self, patched: Design
@@ -336,6 +351,7 @@ class FixSpec(NamedTuple):
         return "flipped" in outcomes and "regressed" not in outcomes, rows
 
 
+@checked
 class DesignSynthesisSpec(NamedTuple):
     requirements: RequirementSet
     grid_id: str
@@ -345,6 +361,31 @@ class DesignSynthesisSpec(NamedTuple):
     reference_design: Design
     mtow: float
     front: ReferenceFront  # grounded by instantiate, as a numeric item's value is
+
+    def _check(self):
+        """The reference design must weigh ``mtow``, meet every requirement (one
+        oracle call) and be a grid point, and no requirement may bound the
+        footprint (grid designs declare none), so its grid point is feasible and
+        the front never empty.  The walk that grounded the front checked the grid
+        at its takeoff weight, unless a cell-count, weight or footprint bound left
+        nothing to walk, a bound the reference design then fails here.  Membership
+        of the front is not checked yet: the bench's ``design-grid`` generator
+        loads dense grids with the shipped references, which their fronts
+        dominate, and sets front points only after that load."""
+        design, grid = self.reference_design, self.grid
+        if design.mtow != self.mtow:
+            raise ValueError(f"defaults.mtow_kg {design.mtow:g} differs from the item's mtow_kg {self.mtow:g}")
+        if any(r.kind is RequirementKind.FootprintMax for r in self.requirements):
+            raise ValueError("a design item cannot bound FootprintMax: grid designs declare no footprint")
+        report = propulsion.evaluate_design(design, self.environment, self.requirements)
+        failing = [c.requirement_id for c in report.requirement_checks if not c.passed]
+        if failing:
+            raise ValueError(f"reference design fails requirement(s) {', '.join(failing)}")
+        battery = BatteryOption(design.battery_cells, design.battery_voltage_nominal, design.battery_capacity)
+        point = (design.kv, design.prop_diameter, design.prop_pitch, battery, design.n_motors)
+        off = [name for name, value in zip(grid.AXES, point) if value not in getattr(grid, name)]
+        if off:
+            raise ValueError(f"reference design is not a point of grid {self.grid_id!r}: off {', '.join(off)}")
 
 
 @checked
@@ -555,17 +596,13 @@ def _instantiate_answer(template: QuestionTemplate, bank: QuestionBank, ns: dict
         context = bank.contexts.get(template.context_ref or "")
         if context is None or context.design is None:
             raise BankError("fix answers need a context with a base design")
-        patchable = tuple(raw.get("patchable_fields", tuple(DESIGN_FIELD_MAP)))
-        for key in patchable:
-            if key not in DESIGN_FIELD_MAP:
-                raise BankError(f"unknown patchable field {key!r}")
         loaded_rpm = raw.get("loaded_rpm")
         return FixSpec(
             base_design=context.design,
             environment=context.environment,
             requirements=_requirements_from_raw(raw["requirements"], ns),
             failing_requirement_id=str(raw["failing_requirement"]),
-            patchable_fields=patchable,
+            patchable_fields=tuple(raw.get("patchable_fields", tuple(DESIGN_FIELD_MAP))),
             reference_patch=dict(raw["reference_patch"]),
             ct_overrides=dict(bank.ct_overrides),
             loaded_rpm=None if loaded_rpm is None else float(_resolve(loaded_rpm, ns)),
@@ -615,8 +652,11 @@ def instantiate(template: QuestionTemplate, bank: QuestionBank, fronts: Optional
     Ground truths are computed through the physics oracle here, never
     copied from the bank file; a design item's reference front is walked
     once per (grid id, mtow, environment, requirements) key ``fronts``
-    lacks.  A template that does not ground raises; :func:`load_bank`
-    reports that as a ``BankError`` naming the template.
+    lacks.  A template that does not ground raises, a spec failing its own
+    check included: as it is built, a fix or design spec checks that its
+    reference answer passes its item, and a numeric spec that its value is
+    finite.  :func:`load_bank` reports either as a ``BankError`` naming the
+    template.
     """
     ns = _namespace(template, bank)
     prompt = template.pattern.format(**{k: _fmt(v) for k, v in ns.items()})
@@ -652,46 +692,6 @@ def _line_of(raw_text: Optional[str], token: Any) -> Optional[int]:
 
 #: What reading a malformed bank record raises; PhysicsDomainError is a ValueError.
 _RECORD_ERRORS = (LookupError, TypeError, ValueError, AttributeError, ArithmeticError)
-
-
-def _check_reference(spec: AnswerSpec) -> None:
-    """Reject an item whose own reference answer would not pass.
-
-    A fix item's reference patch must flip the failing requirement and
-    regress no other (two oracle calls).  A design item's reference design
-    must meet every requirement (one call).  The walk that grounded its
-    front checked its grid at its takeoff weight, unless a cell-count,
-    weight or footprint bound left nothing to walk, a bound the reference
-    design then fails here.  It must also weigh ``mtow_kg`` and be a grid
-    point, and no requirement may bound the footprint (grid designs declare
-    none), so its grid point is feasible and the reference front never
-    empty.  Membership of the front is not checked yet: the bench's
-    ``design-grid`` generator loads dense grids with the shipped references,
-    which their fronts dominate, and sets front points only after that load.
-    """
-    if isinstance(spec, FixSpec):
-        patched = propulsion.apply_patch(
-            spec.base_design, fields_to_si(spec.reference_patch), spec.ct_overrides
-        )
-        fixed, rows = spec.judge(patched)
-        if not fixed:
-            outcomes = ", ".join(f"{req.id} {outcome}" for req, _, _, outcome in rows)
-            raise BankError(f"reference patch does not fix the item ({outcomes})")
-    elif isinstance(spec, DesignSynthesisSpec):
-        design, grid = spec.reference_design, spec.grid
-        if design.mtow != spec.mtow:
-            raise BankError(f"defaults.mtow_kg {design.mtow:g} differs from the item's mtow_kg {spec.mtow:g}")
-        if any(r.kind is RequirementKind.FootprintMax for r in spec.requirements):
-            raise BankError("a design item cannot bound FootprintMax: grid designs declare no footprint")
-        report = propulsion.evaluate_design(design, spec.environment, spec.requirements)
-        failing = [c.requirement_id for c in report.requirement_checks if not c.passed]
-        if failing:
-            raise BankError(f"reference design fails requirement(s) {', '.join(failing)}")
-        battery = BatteryOption(design.battery_cells, design.battery_voltage_nominal, design.battery_capacity)
-        point = (design.kv, design.prop_diameter, design.prop_pitch, battery, design.n_motors)
-        off = [name for name, value in zip(grid.AXES, point) if value not in getattr(grid, name)]
-        if off:
-            raise BankError(f"reference design is not a point of grid {spec.grid_id!r}: off {', '.join(off)}")
 
 
 def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
@@ -802,14 +802,12 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
         instances=instances,
     )
 
-    # The whole file is rejected on the first template that fails to ground
-    # or whose reference answer fails its own item.
+    # The whole file is rejected on the first template that fails to ground,
+    # a reference answer that fails its own item included.
     fronts: dict = {}  # each design item's reference front, walked once per key
     for template in bank.templates:
         with record(f"template {template.id!r}", template.id):
-            inst = instantiate(template, bank, fronts)
-            _check_reference(inst.answer_spec)
-            instances[template.id] = inst
+            instances[template.id] = instantiate(template, bank, fronts)
     return bank
 
 

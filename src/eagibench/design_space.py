@@ -20,7 +20,7 @@ groups the passing designs by (Kv, propeller, motor count, voltage):
 the members of highest endurance in each, and puts only the front in grid
 order.  Whether an item's reference design is on its front is not checked yet:
 the bench's ``design-grid`` generator loads dense grids whose fronts dominate
-the shipped reference designs (see ``bank._check_reference``).
+the shipped reference designs (see ``bank.DesignSynthesisSpec._check``).
 """
 
 from __future__ import annotations

@@ -234,10 +234,11 @@ def _collect_answers(
         except TransportError as exc:
             return exc
 
-    # Only the remote agent waits on I/O.  Local agents answer in order on
-    # this thread: a pool gains them nothing and costs about 2 ms of CPU per
-    # 24-item run, some 18% of a replay run.
-    if isinstance(agent, RemoteAgent) and config.max_in_flight > 1:
+    # Only the remote agent waits on I/O, and only two or more calls in
+    # flight overlap.  Otherwise items are answered in order on this thread:
+    # a pool gains nothing and costs about 2 ms of CPU per 24-item run, some
+    # 18% of a replay run.
+    if isinstance(agent, RemoteAgent) and min(config.max_in_flight, len(instances)) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
             return list(pool.map(ask, instances))

@@ -38,7 +38,6 @@ from typing import Callable, Mapping, NamedTuple, Optional
 
 from .bank import (
     AnswerSpec,
-    DESIGN_FIELD_MAP,
     DesignSynthesisSpec,
     DiagnosisSpec,
     FactSpec,
@@ -434,7 +433,7 @@ def score_fix(answer_text: str, spec: FixSpec) -> Score:
         return unscorable("no design patch found in answer")
     patch = dict(ans.envelope["patch"])
     for key in patch:
-        if key not in DESIGN_FIELD_MAP or key not in spec.patchable_fields:
+        if key not in spec.patchable_fields:  # each a design field, as the spec checks
             return unscorable(f"patch references unknown field {key!r}")
     try:
         patched = apply_patch(spec.base_design, fields_to_si(patch), spec.ct_overrides)

@@ -228,6 +228,13 @@ class TestLoadBank:
         with pytest.raises(BankError, match=f"template '{template_id}': reference"):
             load_bank(raw_bank)
 
+    def test_non_finite_oracle_value_rejected_at_load(self, raw_bank):
+        # The oracle overflows to inf, and no answer is within a tolerance of inf:
+        # the item's own reference answer scored Fail.
+        _template(raw_bank, "l3-no-load-rpm")["answer"]["oracle"]["args"] = {"kv": 1e200, "voltage": 1e200}
+        with pytest.raises(BankError, match="^template 'l3-no-load-rpm': Numeric value must be finite, got inf$"):
+            load_bank(raw_bank)
+
     @pytest.mark.parametrize("phrase", ["", "  ", "\t_{}$\\ "], ids=["empty", "spaces", "stripped"])
     @pytest.mark.parametrize("where", list(_BLANK_PHRASE_SITES))
     def test_blank_phrase_rejected_at_load(self, raw_bank, where, phrase):
@@ -485,6 +492,36 @@ def test_a_phrase_or_tolerance_edit_names_its_template_or_keeps_every_reference_
             assert score_answer(inst.answer_spec, _UNRELATED_REPLY).verdict is not Verdict.Pass, inst.id
 
 
+#: (template id, answer section, key) of each value of the fix item's reference patch, and of each L5 reference design.
+_PATCH_SITES = [("l4-thrust-fix", "reference_patch", key)
+                for key in _template(_SHIPPED, "l4-thrust-fix")["answer"]["reference_patch"]]
+_DESIGN_SITES = [(t["id"], "reference_design", key) for t in _SHIPPED["templates"]
+                 if t["answer"]["kind"] == "design" for key in t["answer"]["reference_design"]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_reference_value_edit_names_its_template_or_loads_a_passing_reference(data):
+    template_id, section, key = data.draw(st.sampled_from(_PATCH_SITES) | st.sampled_from(_DESIGN_SITES))
+    template = copy.deepcopy(_template(_SHIPPED, template_id))
+    answer = template["answer"]
+    # Values on the item's grid, near the patch's threshold, and of other JSON kinds.
+    on_grid = _SHIPPED["grids"].get(answer.get("grid"), {}).get(key) or [answer[section][key]]
+    answer[section][key] = data.draw(st.sampled_from(on_grid) | st.floats(0, 40) | st.sampled_from(
+        [None, -1, 0, "x", "19", True, [], {}, 1e308, math.inf, math.nan]))
+    try:  # the template alone, so each example grounds one item
+        edited = load_bank({**_SHIPPED, "templates": [template]})
+    except BankError as exc:
+        assert str(exc).startswith(f"template '{template_id}': "), str(exc)
+        return
+    spec = edited.instances[template_id].answer_spec
+    score = score_answer(spec, reference_answer(spec))
+    if section == "reference_patch":
+        assert score.verdict is Verdict.Pass, score
+    else:  # on the front or not: front membership is not checked yet
+        assert [e.outcome for e in score.evidence if e.check_id != "pareto"] == ["pass"] * len(spec.requirements), score
+
+
 @given(st.text(alphabet=" \t\n\u00a0\u2003_{}$\\x", max_size=6))
 def test_a_blank_phrase_is_one_that_normalizes_to_nothing(phrase):
     try:
@@ -584,6 +621,27 @@ class TestInstantiate:
         for item_id, value in expected.items():
             spec = instances[item_id].answer_spec
             assert spec.value == pytest.approx(value, rel=spec.rel_tol), item_id
+
+    @pytest.mark.parametrize(
+        "template_id, edit, reason",
+        [
+            ("l4-thrust-fix", lambda answer: answer.update(reference_patch={"prop_diameter_in": 9.5}),
+             r"reference patch does not fix the item \(hover-thrust still-failing"),
+            ("l5-quad-14kg", lambda answer: answer["reference_design"].update(kv_rpm_per_volt=50),
+             r"reference design fails requirement\(s\) hover-thrust"),
+            ("l3-no-load-rpm", lambda answer: answer["oracle"].update(args={"kv": 1e200, "voltage": 1e200}),
+             "Numeric value must be finite"),
+        ],
+        ids=["fix", "design", "numeric"],
+    )
+    def test_bare_instantiate_rejects_a_reference_failing_its_item(self, bank, template_id, edit, reason):
+        # The spec checks its own reference as it is built, so grounding a template
+        # outside a load raises as the load does.
+        template = next(t for t in bank.templates if t.id == template_id)
+        answer = copy.deepcopy(dict(template.answer_raw))
+        edit(answer)
+        with pytest.raises(ValueError, match=f"^{reason}"):
+            instantiate(template._replace(answer_raw=answer), bank)
 
     def test_design_fronts_walked_once_per_key_per_load(self, raw_bank, bank, monkeypatch):
         # Two clones of l5-quad-14kg share its (grid id, mtow, environment, requirements), so

@@ -515,12 +515,18 @@ def test_local_run_loads_no_transport_and_draws_a_fresh_run_id(tmp_path):
         "    main(['run', '--n', '2', '--agent', 'oracle', '--out', f'{sys.argv[1]}/r{k}.json'])\n"
         "print(json.dumps([m for m in ('http.client', 'urllib.request', 'ssl', 'email',\n"
         "    'concurrent.futures', 'uuid', 'hashlib', 'dataclasses', 'inspect') if m in sys.modules]))\n"
+        # A remote run with no item to ask has no calls to overlap, so it starts no thread pool.
+        "main(['run', '--n', '0', '--agent', 'remote', '--out', f'{sys.argv[1]}/r0.json'])\n"
+        "print(json.dumps('concurrent.futures' in sys.modules))\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)], env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", code, str(tmp_path)], env={**os.environ, "PYTHONPATH": src,
+                                                          "EAGI_REMOTE_URL": "http://127.0.0.1:9/v1"},
         capture_output=True, text=True, check=True,
     )
-    assert json.loads(done.stdout) == []
+    local, remote = done.stdout.splitlines()
+    assert json.loads(local) == []
+    assert json.loads(remote) is False
     run_ids = [json.loads((tmp_path / f"r{k}.json").read_text(encoding="utf-8"))["run_id"]
                for k in (1, 2)]
     assert all(re.fullmatch("[0-9a-f]{32}", run_id) for run_id in run_ids)

@@ -3,6 +3,7 @@ record raises the same error however it is built."""
 
 import copy
 import functools
+import math
 import pickle
 from typing import Mapping
 
@@ -10,6 +11,7 @@ import pytest
 
 from eagibench import bank, design_space, harness, propulsion, scoring, taxonomy
 from eagibench.bank import (
+    DesignSynthesisSpec,
     DiagnosisSpec,
     FieldExpectation,
     FixSpec,
@@ -38,13 +40,19 @@ DESIGN = Design(kv=380.0, current_limit_per_motor=30.0, battery_cells=6, battery
 THRUST = Requirement("thrust", RequirementKind.MinThrustPerMotor, 30.0)
 FIELD = FieldExpectation("kv", "number", 380.0)
 CRITERION = RubricCriterion("risk", ("thermal",))
+GRID = DesignGrid((380.0,), (18 * M_PER_IN,), (6 * M_PER_IN,), (BatteryOption(6, 22.2, 10.0),), (4,),
+                  ct_overrides={(18 * M_PER_IN, 6 * M_PER_IN): 0.03})
+#: DESIGN makes 33.4 N a motor: it misses this bound, and at 400 rpm/V (37.0 N) meets it.
+FIX = FixSpec(DESIGN, Environment(), RequirementSet((THRUST._replace(bound=35.0),)), "thrust",
+              ("kv_rpm_per_volt",), {"kv_rpm_per_volt": 400.0})
+SYNTHESIS = DesignSynthesisSpec(RequirementSet((THRUST,)), "one-point", GRID, Environment(), {}, DESIGN, 12.0,
+                                design_space.reference_front(GRID, 12.0, Environment(), RequirementSet((THRUST,))))
 
 #: One valid record of each checked type, a field, a value that breaks its check, and what it raises.
 CHECKED = [
     (Environment(), "air_density", 0.0, propulsion.PhysicsDomainError),
     (DESIGN, "mtow", 0.0, propulsion.PhysicsDomainError),
-    (DesignGrid((380.0,), (18 * M_PER_IN,), (6 * M_PER_IN,), (BatteryOption(6, 22.2, 10.0),), (4,),
-                ct_overrides={(18 * M_PER_IN, 6 * M_PER_IN): 0.03}), "kv_values", (), ValueError),
+    (GRID, "kv_values", (), ValueError),
     (Requirement("class", RequirementKind.VoltageClass, 6.0), "bound", 6.5, propulsion.PhysicsDomainError),
     (RunConfig(), "max_in_flight", 0, ValueError),
     (Score(1.0, Verdict.Pass, (Evidence("fact", "pass", "matched"),)), "value", 1.5, ValueError),
@@ -52,11 +60,16 @@ CHECKED = [
      ValueError),
     (TagFilter(levels=(1, 3)), "levels", (3, 1), ValueError),
     (NumericSpec(1.0, "N", 0.02), "rel_tol", 0.5, ValueError),
+    (NumericSpec(1.0, "N", 0.02), "value", math.inf, ValueError),
     (FIELD, "kind", "blob", ValueError),
     (StructuredSpec((FIELD,)), "fields", (), ValueError),
     (DiagnosisSpec(("heat",), {"heat": ("hot",)}), "accepted_causes", ("cold",), ValueError),
-    (FixSpec(DESIGN, Environment(), RequirementSet((THRUST,)), "thrust", ("kv_rpm_per_volt",),
-             {"kv_rpm_per_volt": 400.0}), "failing_requirement_id", "lift", KeyError),
+    (FIX, "failing_requirement_id", "lift", KeyError),
+    (FIX, "reference_patch", {"kv_rpm_per_volt": 385.0}, ValueError),
+    (FIX, "patchable_fields", ("kv_rpm_per_volt", "kv"), ValueError),
+    (SYNTHESIS, "mtow", 10.0, ValueError),
+    (SYNTHESIS, "requirements", RequirementSet((THRUST._replace(bound=35.0),)), ValueError),
+    (SYNTHESIS, "reference_design", DESIGN._replace(kv=400.0), ValueError),
     (CRITERION, "phrases", (), ValueError),
     (RubricSpec((CRITERION,), 0.5), "pass_threshold", 0.0, ValueError),
 ]
@@ -71,7 +84,13 @@ def _raised(build) -> tuple:
     raise AssertionError("nothing raised")
 
 
-@pytest.mark.parametrize("valid, field, bad, error", CHECKED, ids=[type(c[0]).__name__ for c in CHECKED])
+def _ids(rows) -> list:
+    """Each row's record type, followed by its field after the type's first row."""
+    names = [type(row[0]).__name__ for row in rows]
+    return [name if names.index(name) == i else f"{name}-{row[1]}" for i, (name, row) in enumerate(zip(names, rows))]
+
+
+@pytest.mark.parametrize("valid, field, bad, error", CHECKED, ids=_ids(CHECKED))
 def test_a_checked_record_raises_the_same_however_it_is_built(valid, field, bad, error):
     cls, values = type(valid), {**valid._asdict(), field: bad}
     raised = _raised(lambda: cls(**values))
