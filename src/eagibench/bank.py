@@ -224,6 +224,12 @@ def _check_rel_tol(where: str, rel_tol: float) -> None:
         raise ValueError(f"{where} rel_tol must be in (0, 0.1], got {rel_tol}")
 
 
+def _check_number(where: str, value: Any) -> None:
+    """A JSON number with a finite float value: an int or float, not a bool, NaN or infinity."""
+    if not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{where} must be a finite number, got {value!r}")
+
+
 @checked
 class FactSpec(NamedTuple):
     canonical: str
@@ -261,11 +267,10 @@ class FieldExpectation(NamedTuple):
         if self.match not in ("contains", "exact"):
             raise ValueError(f"field {self.name!r}: match must be 'contains' or 'exact', got {self.match!r}")
         _check_rel_tol(f"field {self.name!r}", self.rel_tol)
-        value = self.expected  # a JSON number with a finite float value: not a bool or NaN
-        if self.kind == "number" and not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
-            raise ValueError(f"field {self.name!r}: expected must be a finite number, got {value!r}")
+        if self.kind == "number":
+            _check_number(f"field {self.name!r}: expected", self.expected)
         if self.kind == "text":
-            _check_phrases(f"field {self.name!r}", (str(value), *self.aliases))
+            _check_phrases(f"field {self.name!r}", (str(self.expected), *self.aliases))
 
 
 @checked
@@ -304,16 +309,17 @@ class FixSpec(NamedTuple):
     loaded_rpm: Optional[float] = None
 
     def _check(self):
-        """Patchable fields are design fields, and the reference patch touches only
-        them and fixes the item: it flips the failing requirement and regresses no
-        other (two oracle calls, however the spec is built)."""
+        """Patchable fields are design fields, and the reference patch sets only
+        them, each to a finite JSON number, and fixes the item: it flips the failing
+        requirement and regresses no other (two oracle calls, however the spec is built)."""
         for key in self.patchable_fields:
             if key not in DESIGN_FIELD_MAP:
                 raise ValueError(f"unknown patchable field {key!r}")
         self.requirements.get(self.failing_requirement_id)  # must resolve
-        for key in self.reference_patch:
+        for key, value in self.reference_patch.items():
             if key not in self.patchable_fields:
                 raise ValueError(f"reference patch key {key!r} not in patchable fields")
+            _check_number(f"reference patch value {key!r}", value)
         fixed, rows = self.judge(
             propulsion.apply_patch(self.base_design, fields_to_si(self.reference_patch), self.ct_overrides)
         )

@@ -15,9 +15,9 @@ walk per (grid id, mtow, environment, requirements); scoring an answer reads
 the front and walks nothing.  The walk checks the grid once, runs the stages
 that do not depend on Kv before its Kv loop, and compares each quantity, where
 it is first known, with the intersection of its requirements' intervals.  It
-groups the passing designs by (Kv, propeller, motor count, voltage):
-``grid_evaluations`` expands every group, and ``reference_front`` sweeps only
-the members of highest endurance in each, and puts only the front in grid
+groups the passing designs by (Kv, propeller, motor count, voltage), each
+member with its grid index and endurance; ``reference_front`` sweeps only the
+members of highest endurance in each group, and puts only the front in grid
 order.  Whether an item's reference design is on its front is not checked yet:
 the bench's ``design-grid`` generator loads dense grids whose fronts dominate
 the shipped reference designs (see ``bank.DesignSynthesisSpec._check``).
@@ -30,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from itertools import count, product
 from operator import neg
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .propulsion import (
     BATTERY_EFFICIENCY_DEFAULT,
@@ -285,26 +285,14 @@ def _walk(grid: DesignGrid, mtow: float, env: Environment, requirements) -> tupl
     return designs, groups
 
 
-def grid_evaluations(
-    grid: DesignGrid, mtow: float, env: Environment, requirements: RequirementSet | Sequence = ()
-) -> Iterator[tuple[Design, ObjectiveVector]]:
-    """Each design of ``enumerate_designs(grid, mtow)`` that passes every
-    requirement, in order, with its objective vector: each member of each
-    group of ``_walk``.  The walk runs at the call, so a rejected grid raises there."""
-    designs, groups = _walk(grid, mtow, env, requirements)
-    evaluations = sorted((first + i, current, margin, endurance)
-                         for first, current, margin, (members, _, _, _) in groups for i, endurance in members)
-    return ((designs[i], tuple.__new__(ObjectiveVector, objectives)) for i, *objectives in evaluations)
-
-
 def reference_front(
     grid: DesignGrid, mtow: float, env: Environment, requirements: RequirementSet | Sequence = ()
 ) -> ReferenceFront:
-    """``ReferenceFront.from_vectors`` of what ``grid_evaluations`` yields;
-    raises only where it does.  The ranges come from the walk's group
-    extremes, and the sweep gets only top members, in group order: any other
-    member has a top member's current and margin and less endurance.  Only
-    the kept points are put in grid order."""
+    """``ReferenceFront.from_vectors`` of the objective vectors of the grid
+    designs that pass every requirement; raises only where ``_walk`` does.
+    The ranges come from the walk's group extremes, and the sweep gets only
+    top members, in group order: any other member has a top member's current
+    and margin and less endurance.  Only the kept points are put in grid order."""
     groups = _walk(grid, mtow, env, requirements)[1]
     if not groups:
         return ReferenceFront.from_vectors(())

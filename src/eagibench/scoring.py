@@ -118,10 +118,8 @@ _UNIT_TABLE = {
 _UNIT_LOOKUP = {tok: canon for canon, toks in _UNIT_TABLE.items() for tok in toks}
 
 
-def normalize_unit(token: Optional[str]) -> Optional[str]:
+def normalize_unit(token: str) -> Optional[str]:
     """Canonical unit key, or None when the token is unknown."""
-    if token is None:
-        return None
     cleaned = re.sub(r"[\s.·*/\-]", "", token.lower())
     return _UNIT_LOOKUP.get(cleaned)
 
@@ -168,7 +166,6 @@ def _to_float(token: str) -> float:
 
 
 class AgentAnswer(NamedTuple):
-    raw_text: str
     envelope: Optional[Mapping] = None
     extraction: str = "text"
 
@@ -201,37 +198,30 @@ def reference_answer(spec: AnswerSpec) -> str:
     return _fence(reference(spec))
 
 
-def extract(answer_text: str, expected_form: str, spec: Optional[AnswerSpec] = None) -> AgentAnswer:
-    """Pull a machine-readable payload out of an agent reply.
+def extract(answer_text: str, spec: AnswerSpec) -> AgentAnswer:
+    """Pull a machine-readable payload out of an agent reply to ``spec``.
 
     A well-formed fenced envelope wins over prose.  Otherwise the
-    documented plain-text extraction for the expected answer kind runs
-    (pass ``spec`` to enable the spec-aware paths).  The extraction path
-    taken is recorded on the result; an empty result downstream becomes an
-    Unscorable verdict, never a crash.
+    documented plain-text extraction for the spec's answer kind runs.  The
+    extraction path taken is recorded on the result; an empty result
+    downstream becomes an Unscorable verdict, never a crash.
     """
-    kind = _KINDS.get(expected_form)
-    if kind is None:
-        return AgentAnswer(raw_text=answer_text)
+    kind = _KINDS[answer_kind(spec)]
     envelope = _find_envelope(answer_text, kind.key)
     if envelope is not None:
-        return AgentAnswer(raw_text=answer_text, envelope=envelope, extraction="envelope")
+        return AgentAnswer(envelope=envelope, extraction="envelope")
     if kind.from_text is None:
-        return AgentAnswer(raw_text=answer_text)
+        return AgentAnswer()
     envelope, path = kind.from_text(answer_text, spec) or (None, "none")
-    return AgentAnswer(raw_text=answer_text, envelope=envelope, extraction=path)
+    return AgentAnswer(envelope=envelope, extraction=path)
 
 
 # Plain-text extractors: ``(text, spec) -> (stand-in envelope, path)``, or
-# None when the text holds no answer.  One that needs a spec and is given
-# none of its type returns ``(None, "text")``, as for a kind with no
-# extractor.
+# None when the text holds no answer.
 
 
-def _numeric_from_text(text: str, spec: Optional[AnswerSpec]) -> Optional[tuple[dict, str]]:
+def _numeric_from_text(text: str, spec: NumericSpec) -> Optional[tuple[dict, str]]:
     """Last number with the spec's unit; else the last bare number."""
-    if not isinstance(spec, NumericSpec):
-        return None, "text"
     canon = normalize_unit(spec.unit)
     with_unit = None
     for match in re.finditer(rf"({_NUMBER_RE})\s*([A-Za-z/·*\"%]+)", text):
@@ -245,10 +235,8 @@ def _numeric_from_text(text: str, spec: Optional[AnswerSpec]) -> Optional[tuple[
     return None
 
 
-def _cause_from_text(text: str, spec: Optional[AnswerSpec]) -> Optional[tuple[dict, str]]:
+def _cause_from_text(text: str, spec: DiagnosisSpec) -> Optional[tuple[dict, str]]:
     """The vocabulary cause with the most phrase hits."""
-    if not isinstance(spec, DiagnosisSpec):
-        return None, "text"
     lowered = text.lower()
     best: Optional[str] = None
     best_hits = 0
@@ -289,12 +277,12 @@ def _patch_fields(text: str) -> dict:
     return patch
 
 
-def _patch_from_text(text: str, spec: Optional[AnswerSpec]) -> Optional[tuple[dict, str]]:
+def _patch_from_text(text: str, spec: FixSpec) -> Optional[tuple[dict, str]]:
     patch = _patch_fields(text)
     return ({"patch": patch}, "text-patch") if patch else None
 
 
-def _design_from_text(text: str, spec: Optional[AnswerSpec]) -> Optional[tuple[dict, str]]:
+def _design_from_text(text: str, spec: DesignSynthesisSpec) -> Optional[tuple[dict, str]]:
     design = _patch_fields(text)
     cells = _CELLS_RE.search(text)
     if cells:
@@ -323,7 +311,7 @@ def _graded(value: float, evidence) -> Score:
 
 
 def score_numeric(answer_text: str, spec: NumericSpec) -> Score:
-    ans = extract(answer_text, "numeric", spec)
+    ans = extract(answer_text, spec)
     if ans.envelope is None:
         return unscorable("no numeric payload found")
     try:
@@ -343,8 +331,8 @@ def score_numeric(answer_text: str, spec: NumericSpec) -> Score:
 
 
 def score_fact(answer_text: str, spec: FactSpec) -> Score:
-    ans = extract(answer_text, "fact")
-    text = str(ans.envelope["text"]) if ans.envelope else ans.raw_text
+    ans = extract(answer_text, spec)
+    text = str(ans.envelope["text"]) if ans.envelope else answer_text
     if not text.strip():
         return unscorable("empty answer")
     normalized = normalize_phrase(text)
@@ -402,7 +390,7 @@ def _match_field(field: FieldExpectation, envelope_fields: Optional[Mapping], te
 
 
 def score_structured(answer_text: str, spec: StructuredSpec) -> Score:
-    ans = extract(answer_text, "structured")
+    ans = extract(answer_text, spec)
     envelope_fields = None
     if ans.envelope is not None and isinstance(ans.envelope.get("fields"), Mapping):
         envelope_fields = ans.envelope["fields"]
@@ -418,7 +406,7 @@ def score_structured(answer_text: str, spec: StructuredSpec) -> Score:
 
 
 def score_diagnosis(answer_text: str, spec: DiagnosisSpec) -> Score:
-    ans = extract(answer_text, "diagnosis", spec)
+    ans = extract(answer_text, spec)
     if ans.envelope is None:
         return unscorable("no cause identified in answer")
     cause = str(ans.envelope["cause"])
@@ -428,7 +416,7 @@ def score_diagnosis(answer_text: str, spec: DiagnosisSpec) -> Score:
 
 
 def score_fix(answer_text: str, spec: FixSpec) -> Score:
-    ans = extract(answer_text, "fix")
+    ans = extract(answer_text, spec)
     if ans.envelope is None or not isinstance(ans.envelope.get("patch"), Mapping):
         return unscorable("no design patch found in answer")
     patch = dict(ans.envelope["patch"])
@@ -477,7 +465,7 @@ def _dominance_gap(candidate: ObjectiveVector, reference: ReferenceFront) -> flo
 
 
 def score_design(answer_text: str, spec: DesignSynthesisSpec) -> Score:
-    ans = extract(answer_text, "design")
+    ans = extract(answer_text, spec)
     if ans.envelope is None or not isinstance(ans.envelope.get("design"), Mapping):
         return unscorable("no design found in answer")
     try:
@@ -524,8 +512,8 @@ def score_rubric(answer_text: str, spec: RubricSpec) -> Score:
     in the answer; the verdict is thresholded, so a Fail here can carry a
     non-zero value (the raw fraction is kept for reporting).
     """
-    ans = extract(answer_text, "rubric")
-    text = str(ans.envelope["text"]) if ans.envelope else ans.raw_text
+    ans = extract(answer_text, spec)
+    text = str(ans.envelope["text"]) if ans.envelope else answer_text
     if not text.strip():
         return unscorable("empty answer")
     lowered = text.lower()
@@ -549,7 +537,7 @@ class _Kind(NamedTuple):
     key: str
     score: Callable[[str, AnswerSpec], Score]
     #: The plain-text extractor; None where the whole reply is the answer.
-    from_text: Optional[Callable[[str, Optional[AnswerSpec]], Optional[tuple]]]
+    from_text: Optional[Callable[[str, AnswerSpec], Optional[tuple]]]
     #: The envelope payload that states the ground truth; None for a rubric.
     reference: Optional[Callable[[AnswerSpec], dict]]
 

@@ -228,6 +228,15 @@ class TestLoadBank:
         with pytest.raises(BankError, match=f"template '{template_id}': reference"):
             load_bank(raw_bank)
 
+    @pytest.mark.parametrize("value", ["19", True, math.nan], ids=["string", "bool", "nan"])
+    def test_reference_patch_value_not_a_finite_number_rejected_at_load(self, raw_bank, value):
+        # A string loaded before: the patch converted it with float(), and the spec kept the string.
+        _template(raw_bank, "l4-thrust-fix")["answer"]["reference_patch"] = {"prop_diameter_in": value}
+        message = ("template 'l4-thrust-fix': reference patch value 'prop_diameter_in' "
+                   f"must be a finite number, got {value!r}")
+        with pytest.raises(BankError, match=f"^{re.escape(message)}$"):
+            load_bank(raw_bank)
+
     def test_non_finite_oracle_value_rejected_at_load(self, raw_bank):
         # The oracle overflows to inf, and no answer is within a tolerance of inf:
         # the item's own reference answer scored Fail.

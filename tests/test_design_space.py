@@ -16,7 +16,6 @@ from eagibench.design_space import (
     dominates,
     enumerate_designs,
     front_indices,
-    grid_evaluations,
     objective_vector,
     pareto_front,
     reference_front,
@@ -40,6 +39,17 @@ def feasible_set(designs, env, requirements=()):
     """Brute-force reference for the grid walk: the designs whose evaluation
     passes every requirement, order preserved."""
     return [d for d in designs if evaluate_design(d, env, requirements).all_requirements_pass]
+
+
+def grid_evaluations(grid, mtow, env, requirements=()):
+    """Each design of ``enumerate_designs(grid, mtow)`` that passes every
+    requirement, in order, with its objective vector: each member of each
+    group of ``design_space._walk``.  The walk runs at the call, so a rejected
+    grid raises there."""
+    designs, groups = design_space._walk(grid, mtow, env, requirements)
+    evaluations = sorted((first + i, current, margin, endurance)
+                         for first, current, margin, (members, _, _, _) in groups for i, endurance in members)
+    return ((designs[i], ObjectiveVector(*objectives)) for i, *objectives in evaluations)
 
 
 def _grid(**overrides):

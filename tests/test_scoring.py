@@ -47,38 +47,38 @@ RPM_SPEC = NumericSpec(value=8436.0, unit="RPM", rel_tol=0.02)
 
 class TestExtract:
     def test_single_number_from_prose(self):
-        ans = extract("The RPM is 8436.", "numeric", RPM_SPEC)
+        ans = extract("The RPM is 8436.", RPM_SPEC)
         assert ans.envelope["value"] == 8436
         assert ans.extraction in ("text-number", "text-unit-number")
 
     def test_envelope_wins_over_prose(self):
         text = "I think it is 9999 RPM.\n" + _fence({"value": 8436, "unit": "RPM"})
-        ans = extract(text, "numeric", RPM_SPEC)
+        ans = extract(text, RPM_SPEC)
         assert ans.extraction == "envelope"
         assert ans.envelope["value"] == 8436
 
     def test_absence_is_unscorable_downstream(self):
-        ans = extract("no idea", "numeric", RPM_SPEC)
+        ans = extract("no idea", RPM_SPEC)
         assert ans.envelope is None
         assert score_numeric("no idea", RPM_SPEC).verdict is Verdict.Unscorable
 
     def test_unit_adjacent_number_preferred(self):
-        ans = extract("It weighs 12 kg and spins at 8436 RPM at best.", "numeric", RPM_SPEC)
+        ans = extract("It weighs 12 kg and spins at 8436 RPM at best.", RPM_SPEC)
         assert ans.envelope["value"] == 8436
         assert ans.extraction == "text-unit-number"
 
     def test_fence_nested_too_deep_falls_back_to_text(self):
         text = "8436 RPM\n```json\n" + '{"a": ' * 100_000 + "1" + "}" * 100_000 + "\n```"
-        ans = extract(text, "numeric", RPM_SPEC)
+        ans = extract(text, RPM_SPEC)
         assert ans.extraction == "text-unit-number"
 
     def test_malformed_fence_falls_back_to_text(self):
-        ans = extract("```json\n{not json}\n```\n8436 rpm", "numeric", RPM_SPEC)
+        ans = extract("```json\n{not json}\n```\n8436 rpm", RPM_SPEC)
         assert ans.envelope["value"] == 8436
 
     def test_later_block_without_the_key_leaves_the_envelope(self):
         text = _fence({"value": 8436, "unit": "RPM"}) + "\n" + _fence({"confidence": 1})
-        ans = extract(text, "numeric", RPM_SPEC)
+        ans = extract(text, RPM_SPEC)
         assert ans.extraction == "envelope"
         assert ans.envelope == {"value": 8436, "unit": "RPM"}
         assert score_numeric(text, RPM_SPEC).verdict is Verdict.Pass
@@ -229,27 +229,57 @@ class TestScoreDiagnosis:
 
 
 @pytest.mark.parametrize(
-    "text, form, spec, label",
+    "text, kind, spec, label",
     [
         ("8436 RPM", "numeric", RPM_SPEC, "text-unit-number"),
         ("8436", "numeric", RPM_SPEC, "text-number"),
         ("no idea", "numeric", RPM_SPEC, "none"),
-        ("8436 RPM", "numeric", None, "text"),
-        ("the motor Kv is too low", "diagnosis", RPM_SPEC, "text"),
         ("8436 RPM", "fact", None, "text"),
         ("8436 RPM", "structured", None, "text"),
         ("8436 RPM", "rubric", None, "text"),
-        ("it cannot lift off", "diagnosis", DIAG, "text-cause"),
-        ("no idea", "diagnosis", DIAG, "none"),
         ("use a 20x6 prop", "fix", None, "text-patch"),
         ("no idea", "fix", None, "none"),
+        ("it cannot lift off", "diagnosis", DIAG, "text-cause"),
+        ("no idea", "diagnosis", DIAG, "none"),
         ("340 Kv on 6S", "design", None, "text-design"),
         ("no idea", "design", None, "none"),
-        ("8436 RPM", "essay", None, "text"),
     ],
 )
-def test_extraction_labels(text, form, spec, label):
-    assert extract(text, form, spec).extraction == label
+def test_extraction_labels(text, kind, spec, label, instances):
+    if spec is None:  # the spec of the kind's first shipped item
+        spec = next(inst.answer_spec for inst in instances.values() if inst.kind == kind)
+    assert answer_kind(spec) == kind
+    assert extract(text, spec).extraction == label
+
+
+#: The extraction labels each answer kind can record (``docs/answer-format.md``).
+_EXTRACTION_LABELS = {
+    "numeric": {"envelope", "text-unit-number", "text-number", "none"},
+    "fact": {"envelope", "text"},
+    "structured": {"envelope", "text"},
+    "diagnosis": {"envelope", "text-cause", "none"},
+    "fix": {"envelope", "text-patch", "none"},
+    "design": {"envelope", "text-design", "none"},
+    "rubric": {"envelope", "text"},
+}
+
+#: Reply pieces that reach each extraction path: numbers with and without units, prop,
+#: Kv, cell, capacity and motor-count patterns, cause phrases, and fences with each key.
+_REPLY_PIECES = st.sampled_from([
+    "8436", "8436 RPM", "1,200.5 N", "20x6", "340 Kv", "6S", "12000 mAh", "12 Ah", "4 motors",
+    "diameter to 19 inches", "pitch to 7", "cannot lift", "voltage too low", "```json\n", "\n```",
+    *(json.dumps({key: value}) for key in ("value", "text", "fields", "cause", "patch", "design")
+      for value in (None, 1, "x", {"prop_diameter_in": 19})),
+]) | st.text(max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_REPLY_PIECES, max_size=8).map(" ".join))
+def test_extraction_of_any_reply_records_a_label_of_its_kind(instances, text):
+    for inst in instances.values():
+        ans = extract(text, inst.answer_spec)
+        assert ans.extraction in _EXTRACTION_LABELS[inst.kind], (inst.id, ans)
+        assert (ans.envelope is None) == (ans.extraction in ("text", "none")), (inst.id, ans)
 
 
 class TestScoreFix:
