@@ -41,7 +41,7 @@ from .propulsion import (
     RequirementSet,
 )
 from .records import checked
-from .taxonomy import CognitionLevel, TagFilter, TagSet, matches
+from .taxonomy import CognitionLevel, TagFilter, TagSet, _read, matches
 
 SCHEMA_VERSION = 1
 
@@ -212,9 +212,11 @@ def ct_overrides_from_bank(raw: Mapping, propellers: Optional[set] = None) -> di
 
 
 def _check_phrases(where: str, phrases: Sequence[str]) -> None:
-    """Reject a phrase of only whitespace and the characters ``scoring.normalize_phrase``
-    strips (``_{}$\\``): it names nothing, and an empty one is found in every answer."""
+    """Reject a phrase that is not a JSON string, and one of only whitespace and the characters
+    ``scoring.normalize_phrase`` strips (``_{}$\\``): that names nothing, and every answer contains it."""
     for phrase in phrases:
+        if not isinstance(phrase, str):
+            raise ValueError(f"{where}: phrase {phrase!r} is not a string")
         if not "".join(phrase.split()).strip("_{}$\\"):
             raise ValueError(f"{where}: blank phrase {phrase!r} would match any answer")
 
@@ -315,36 +317,34 @@ class FixSpec(NamedTuple):
         for key in self.patchable_fields:
             if key not in DESIGN_FIELD_MAP:
                 raise ValueError(f"unknown patchable field {key!r}")
-        self.requirements.get(self.failing_requirement_id)  # must resolve
+        if self.failing_requirement_id not in [req.id for req in self.requirements]:
+            raise KeyError(self.failing_requirement_id)
         for key, value in self.reference_patch.items():
             if key not in self.patchable_fields:
                 raise ValueError(f"reference patch key {key!r} not in patchable fields")
             _check_number(f"reference patch value {key!r}", value)
-        fixed, rows = self.judge(
-            propulsion.apply_patch(self.base_design, fields_to_si(self.reference_patch), self.ct_overrides)
-        )
+        fixed, rows = self.judge(self.reference_patch)
         if not fixed:
             outcomes = ", ".join(f"{req.id} {outcome}" for req, _, _, outcome in rows)
             raise ValueError(f"reference patch does not fix the item ({outcomes})")
 
     def judge(
-        self, patched: Design
+        self, patch: Mapping[str, Any]
     ) -> tuple[bool, list[tuple[Requirement, RequirementCheck, RequirementCheck, str]]]:
-        """Whether ``patched`` fixes the item, and each requirement with its
-        check on the base design, its check on ``patched`` and an outcome.
-        The failing requirement is "flipped", "still-failing" or
-        "not-failing-before"; another is "regressed" when the patch breaks
-        it, else "pass" or "fail".  The patch fixes the item when it flips
-        the failing requirement and regresses none."""
-        after = propulsion.evaluate_design(
-            patched, self.environment, self.requirements, loaded_rpm=self.loaded_rpm
-        )
-        before = propulsion.evaluate_design(
-            self.base_design, self.environment, self.requirements, loaded_rpm=self.loaded_rpm
+        """Whether ``patch``, in bank-file keys and units, fixes the item, and each requirement
+        with its checks on the base and the patched design, paired by position (an oracle
+        report holds one check per requirement, in order), and an outcome.  The patch goes
+        through :func:`fields_to_si` and ``propulsion.apply_patch``, and raises as they do.
+        The failing requirement is "flipped", "still-failing" or "not-failing-before"; another
+        is "regressed" when the patch breaks it, else "pass" or "fail".  The patch fixes the
+        item when it flips the failing requirement and regresses none."""
+        patched = propulsion.apply_patch(self.base_design, fields_to_si(patch), self.ct_overrides)
+        before, after = (
+            propulsion.evaluate_design(design, self.environment, self.requirements, loaded_rpm=self.loaded_rpm)
+            for design in (self.base_design, patched)
         )
         rows = []
-        for req in self.requirements:
-            b, a = before.check(req.id), after.check(req.id)
+        for req, b, a in zip(self.requirements, before.requirement_checks, after.requirement_checks):
             if req.id == self.failing_requirement_id:
                 flipped = not b.passed and a.passed
                 outcome = "flipped" if flipped else "still-failing" if not a.passed else "not-failing-before"
@@ -567,8 +567,8 @@ def _instantiate_answer(template: QuestionTemplate, bank: QuestionBank, ns: dict
     kind = raw.get("kind")
     if kind == "fact":
         return FactSpec(
-            canonical=str(raw["canonical"]),
-            accepted_aliases=tuple(str(a) for a in raw.get("accepted_aliases", ())),
+            canonical=raw["canonical"],
+            accepted_aliases=tuple(_read(raw.get("accepted_aliases", []))),
         )
     if kind == "numeric":
         oracle = raw["oracle"]
@@ -587,16 +587,16 @@ def _instantiate_answer(template: QuestionTemplate, bank: QuestionBank, ns: dict
                     expected=_resolve(f["expected"], ns),
                     unit=f.get("unit"),
                     rel_tol=float(f.get("rel_tol", 0.02)),
-                    aliases=tuple(str(a) for a in f.get("aliases", ())),
+                    aliases=tuple(_read(f.get("aliases", []))),
                     match=str(f.get("match", "contains")),
                 )
             )
         return StructuredSpec(fields=tuple(fields))
     if kind == "diagnosis":
         accepted = tuple(str(c) for c in raw["accepted_causes"])
-        vocabulary = {k: tuple(v) for k, v in bank.cause_vocabulary.items()}
+        vocabulary = dict(bank.cause_vocabulary)
         extra = raw.get("extra_causes", {})
-        vocabulary.update({str(k): tuple(str(p) for p in v) for k, v in extra.items()})
+        vocabulary.update({str(k): tuple(_read(v)) for k, v in extra.items()})
         return DiagnosisSpec(accepted_causes=accepted, vocabulary=vocabulary)
     if kind == "fix":
         context = bank.contexts.get(template.context_ref or "")
@@ -623,12 +623,10 @@ def _instantiate_answer(template: QuestionTemplate, bank: QuestionBank, ns: dict
         mtow = float(_resolve(defaults["mtow_kg"] if mtow is None else mtow, ns))
         defaults.setdefault("mtow_kg", mtow)
         env_raw = raw.get("environment")
-        if env_raw is not None:
-            environment = environment_from_bank(env_raw)
-        elif template.context_ref is not None:
+        if env_raw is None and template.context_ref is not None:
             environment = bank.contexts[template.context_ref].environment
         else:
-            environment = Environment()
+            environment = environment_from_bank(env_raw)
         grid, key = bank.grids[grid_id], (grid_id, mtow, environment, requirements)
         reference_design = grid_design_from_bank(raw["reference_design"], defaults, grid)
         if key not in fronts:
@@ -645,7 +643,7 @@ def _instantiate_answer(template: QuestionTemplate, bank: QuestionBank, ns: dict
         )
     if kind == "rubric":
         criteria = tuple(
-            RubricCriterion(key=str(c["key"]), phrases=tuple(str(p) for p in c["phrases"]))
+            RubricCriterion(key=str(c["key"]), phrases=tuple(_read(c["phrases"])))
             for c in raw["criteria"]
         )
         return RubricSpec(criteria=criteria, pass_threshold=float(raw["pass_threshold"]))
@@ -764,11 +762,7 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
         with record(f"grid {grid_id!r}", grid_id):
             grids[grid_id] = grid_from_bank(raw)
 
-    with record("cause_vocabulary", "cause_vocabulary"):
-        vocabulary = {
-            str(k): tuple(str(p) for p in v)
-            for k, v in dict(document.get("cause_vocabulary", {})).items()
-        }
+    vocabulary = {str(k): tuple(_read(v)) for k, v in section("cause_vocabulary", dict).items()}
     with record("ct_overrides", "ct_overrides"):
         ct_overrides = ct_overrides_from_bank(dict(document.get("ct_overrides", {})))
 

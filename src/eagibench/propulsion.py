@@ -122,8 +122,7 @@ def thrust_scale_factor(d1: float, d2: float) -> float:
 def required_thrust_per_motor(mtow: float, n_motors: int, gravity: float = GRAVITY_DEFAULT) -> float:
     """Hover thrust each motor must produce to lift the takeoff weight."""
     _require_positive(mtow=mtow, gravity=gravity)
-    if n_motors < 1:
-        raise PhysicsDomainError(f"n_motors must be >= 1, got {n_motors}")
+    _require_count(n_motors=n_motors)
     return mtow * gravity / n_motors
 
 
@@ -150,8 +149,7 @@ def hover_endurance(capacity: float, voltage: float, eta_batt: float, power: flo
 def disk_area_total(diameter: float, n_motors: int) -> float:
     """Total rotor disk area in m^2 for n identical propellers."""
     _require_positive(diameter=diameter)
-    if n_motors < 1:
-        raise PhysicsDomainError(f"n_motors must be >= 1, got {n_motors}")
+    _require_count(n_motors=n_motors)
     return n_motors * math.pi * (diameter / 2.0) ** 2
 
 
@@ -285,12 +283,6 @@ class RequirementSet(tuple):
             raise ValueError(f"duplicate requirement ids: {dupes}")
         return self
 
-    def get(self, req_id: str) -> Requirement:
-        for r in self:
-            if r.id == req_id:
-                return r
-        raise KeyError(req_id)
-
 
 class RequirementCheck(NamedTuple):
     requirement_id: str
@@ -312,12 +304,6 @@ class PerformanceReport(NamedTuple):
     @property
     def all_requirements_pass(self) -> bool:
         return all(c.passed for c in self.requirement_checks)
-
-    def check(self, req_id: str) -> RequirementCheck:
-        for c in self.requirement_checks:
-            if c.requirement_id == req_id:
-                return c
-        raise KeyError(req_id)
 
 
 def _measure(quantities: Mapping[str, float], req: Requirement) -> tuple[float, bool]:

@@ -48,7 +48,6 @@ from .bank import (
     StructuredSpec,
     answer_kind,
     design_to_bank,
-    fields_to_si,
     grid_design_from_bank,
 )
 from .design_space import (
@@ -58,7 +57,7 @@ from .design_space import (
     dominates,
     report_objectives,
 )
-from .propulsion import apply_patch, evaluate_design
+from .propulsion import evaluate_design
 from .records import checked
 
 # L5 grade weights: constraint satisfaction vs Pareto proximity.
@@ -424,8 +423,7 @@ def score_fix(answer_text: str, spec: FixSpec) -> Score:
         if key not in spec.patchable_fields:  # each a design field, as the spec checks
             return unscorable(f"patch references unknown field {key!r}")
     try:
-        patched = apply_patch(spec.base_design, fields_to_si(patch), spec.ct_overrides)
-        fixed, rows = spec.judge(patched)
+        fixed, rows = spec.judge(patch)
     except (TypeError, ValueError, ArithmeticError) as exc:
         return unscorable(f"patched design is invalid: {exc}")
     evidence = [

@@ -134,8 +134,9 @@ class ModelingRequirement(enum.Enum):
     Multiphysics = "Multiphysics"
 
 
-def _read(raw, parse) -> list:
-    """Parse each of a list of values; any other value, an object too, is a list of one."""
+def _read(raw, parse=lambda value: value) -> list:
+    """Parse each of a list of values, or keep it as written; any other value, an object too, is
+    a list of one.  Set-valued tags and filter fields are read through it, and a bank's phrase lists."""
     return [parse(v) for v in (raw if isinstance(raw, list) else [raw])]
 
 

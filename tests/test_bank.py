@@ -254,6 +254,17 @@ class TestLoadBank:
         with pytest.raises(BankError, match=f"^template '{template_id}': .*blank phrase"):
             load_bank(raw_bank)
 
+    @pytest.mark.parametrize("phrase", [None, 0, {"T": 1}], ids=["null", "zero", "object"])
+    @pytest.mark.parametrize("where", [where for where in _BLANK_PHRASE_SITES if where != "structured-expected"])
+    def test_a_phrase_that_is_not_a_json_string_rejected_at_load(self, raw_bank, where, phrase):
+        # Read through str(), null was the phrase "None" and {"T": 1} the phrase "{'T': 1}".
+        # A structured text field's expected value is left out: a $name may bind a number to it.
+        template_id, edit = _BLANK_PHRASE_SITES[where]
+        edit(raw_bank, phrase)
+        message = f"^template '{template_id}': .*phrase {re.escape(repr(phrase))} is not a string$"
+        with pytest.raises(BankError, match=message):
+            load_bank(raw_bank)
+
     @pytest.mark.parametrize("rel_tol", [-0.5, 0.0, 0.5, math.nan])
     def test_structured_rel_tol_follows_the_numeric_rule(self, raw_bank, rel_tol):
         # A structured field's -0.5 made the item's own oracle answer score Partial, and its 0.5
@@ -286,8 +297,8 @@ class TestLoadBank:
         current["bound"] = math.inf
         requirements.append({"id": "any-thrust", "kind": "MinThrustPerMotor", "bound": -math.inf})
         spec = load_bank(raw_bank).instances["l5-quad-14kg"].answer_spec
-        assert spec.requirements.get("motor-current").interval == (-math.inf, math.inf)
-        assert spec.requirements.get("any-thrust").interval == (-math.inf, math.inf)
+        assert next(r for r in spec.requirements if r.id == "motor-current").interval == (-math.inf, math.inf)
+        assert next(r for r in spec.requirements if r.id == "any-thrust").interval == (-math.inf, math.inf)
 
     @pytest.mark.parametrize(
         "section, edit, axis",
@@ -453,13 +464,17 @@ def test_single_node_replacement_loads_or_names_its_record(path, value):
 
 
 _UNRELATED_REPLY = "The sky is green and I like turtles."
-#: Phrases drawn from characters the unrelated reply lacks, besides those ``normalize_phrase`` strips.
-_PHRASES = st.text(alphabet=" \t\n\u00a0_{}$\\Qz*0", max_size=5)
+#: Phrases drawn from characters the unrelated reply lacks, besides those ``normalize_phrase`` strips; a
+#: word spelled with the reply's letters but absent from it, which a list site reads as one phrase, not
+#: one per letter; and values that are not JSON strings.
+_PHRASES = st.text(alphabet=" \t\n\u00a0_{}$\\Qz*0", max_size=5) | st.sampled_from(["thrust", None, 0, {"T": 1}])
 _TOLERANCES = st.floats() | st.sampled_from([0.0, 0.1, 0.5, -0.5, 5e-324])
+#: The answer keys that hold a phrase list.
+_PHRASE_LISTS = ("accepted_aliases", "aliases", "phrases")
 
 
 def _phrase_and_tolerance_sites(bank):
-    """(template id, document path, leaf kind) of every phrase and tolerance of a non-design item."""
+    """(template id, document path, leaf kind) of every phrase, phrase list and tolerance of a non-design item."""
     ids = [t["id"] for t in _SHIPPED["templates"]]
     sites = []
     for template in bank.templates:
@@ -473,11 +488,12 @@ def _phrase_and_tolerance_sites(bank):
             if path[-1] == "rel_tol":
                 sites.append((template.id, root + path, "tolerance"))
             elif (path[-1] == "canonical" or (path[-1] == "expected" and parent.get("kind") == "text")
-                  or (len(path) > 1 and path[-2] in ("accepted_aliases", "aliases", "phrases"))):
+                  or path[-1] in _PHRASE_LISTS or (len(path) > 1 and path[-2] in _PHRASE_LISTS)):
                 sites.append((template.id, root + path, "phrase"))
     diagnosis = next(t.id for t in bank.templates if t.answer_raw["kind"] == "diagnosis")
-    sites += [(diagnosis, ("cause_vocabulary", cause, i), "phrase")
-              for cause, phrases in _SHIPPED["cause_vocabulary"].items() for i in range(len(phrases))]
+    for cause, phrases in _SHIPPED["cause_vocabulary"].items():  # each list, and each phrase in it
+        sites.append((diagnosis, ("cause_vocabulary", cause), "phrase"))
+        sites += [(diagnosis, ("cause_vocabulary", cause, i), "phrase") for i in range(len(phrases))]
     return sites
 
 

@@ -218,14 +218,14 @@ MIN_THRUST_12KG = RequirementSet(
 class TestEvaluateDesign:
     def test_fails_thrust_at_loaded_rpm_7500(self):
         report = evaluate_design(_example_design(), Environment(), MIN_THRUST_12KG, loaded_rpm=7500)
-        check = report.check("hover-thrust")
+        check = report.requirement_checks[0]
         assert not check.passed
         assert check.measured == pytest.approx(26.4, abs=0.05)
         assert report.required_thrust_per_motor == pytest.approx(29.43, abs=0.05)
 
     def test_passes_thrust_at_no_load_rpm(self):
         report = evaluate_design(_example_design(), Environment(), MIN_THRUST_12KG)
-        check = report.check("hover-thrust")
+        check = report.requirement_checks[0]
         assert check.passed
         assert check.measured == pytest.approx(33.4, abs=0.5)
 
@@ -290,10 +290,10 @@ class TestEvaluateDesign:
             )
         )
         report = evaluate_design(_example_design(), Environment(), reqs)
-        assert not report.check("class").passed
-        assert not report.check("planform").passed  # undeclared footprint fails
+        assert not report.requirement_checks[0].passed
+        assert not report.requirement_checks[1].passed  # undeclared footprint fails
         ok = evaluate_design(_example_design(footprint=0.65), Environment(), reqs)
-        assert ok.check("planform").passed
+        assert ok.requirement_checks[1].passed
 
 
 class TestDesignInvariants:
@@ -385,8 +385,7 @@ def test_each_requirement_kind_measures_and_compares_as_documented(design, env, 
             bounds = st.just(float(measured)) | bounds  # a bound exactly at the measured value
         requirements.append(Requirement(kind.value, kind, data.draw(bounds, label=kind.value)))
     report = evaluate_design(design, env, requirements, loaded_rpm=loaded_rpm)
-    for req in requirements:
-        check = report.check(req.id)
+    for req, check in zip(requirements, report.requirement_checks, strict=True):
         assert (check.kind, check.bound) == (req.kind, req.bound)
         assert (check.measured, check.passed) == _documented_check(req.kind, design, plain, req.bound)
 

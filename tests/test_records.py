@@ -113,7 +113,7 @@ def test_a_requirement_set_checks_its_ids_however_it_is_built():
     assert _raised(lambda: pickle.loads(pickle.dumps(unchecked))) == raised
     requirements = RequirementSet((THRUST,))
     assert pickle.loads(pickle.dumps(requirements)) == requirements
-    assert requirements == (THRUST,) and requirements.get("thrust") is THRUST
+    assert requirements == (THRUST,)
 
 
 def test_a_grid_keeps_a_read_only_copy_of_its_ct_table():

@@ -468,7 +468,7 @@ class TestScoreDesign:
         # grid's feasible set under the spec's own requirements, so the added
         # requirement is one every feasible grid design already meets (a second
         # hover-thrust bound), which leaves the front as it was.
-        hover = base_spec.requirements.get("hover-thrust")
+        hover = next(r for r in base_spec.requirements if r.id == "hover-thrust")
         violated = _with_requirements(
             base_spec,
             RequirementSet(
