@@ -248,6 +248,8 @@ class NumericSpec(NamedTuple):
     rel_tol: float
 
     def _check(self):
+        if not isinstance(self.unit, str):
+            raise ValueError(f"Numeric unit must be a string, got {self.unit!r}")
         _check_rel_tol("Numeric", self.rel_tol)
         if not math.isfinite(self.value):  # an overflowed oracle: no answer is within tolerance of it
             raise ValueError(f"Numeric value must be finite, got {self.value}")
@@ -261,17 +263,18 @@ class FieldExpectation(NamedTuple):
     unit: Optional[str] = None
     rel_tol: float = 0.02
     aliases: tuple[str, ...] = ()
-    match: str = "contains"  # "contains" | "exact" (text fields)
 
     def _check(self):
         if self.kind not in ("number", "text"):
             raise ValueError(f"field {self.name!r}: kind must be 'number' or 'text', got {self.kind!r}")
-        if self.match not in ("contains", "exact"):
-            raise ValueError(f"field {self.name!r}: match must be 'contains' or 'exact', got {self.match!r}")
+        if not (self.unit is None or isinstance(self.unit, str)):
+            raise ValueError(f"field {self.name!r}: unit must be a string, got {self.unit!r}")
         _check_rel_tol(f"field {self.name!r}", self.rel_tol)
         if self.kind == "number":
             _check_number(f"field {self.name!r}: expected", self.expected)
         if self.kind == "text":
+            if not (isinstance(self.expected, str) or type(self.expected) in (int, float)):
+                raise ValueError(f"field {self.name!r}: expected {self.expected!r} is not a string or a number")
             _check_phrases(f"field {self.name!r}", (str(self.expected), *self.aliases))
 
 
@@ -293,7 +296,7 @@ class DiagnosisSpec(NamedTuple):
         if not self.accepted_causes:
             raise ValueError("Diagnosis accepted_causes must be non-empty")
         for cause in self.accepted_causes:
-            if cause not in self.vocabulary:
+            if not isinstance(cause, str) or cause not in self.vocabulary:
                 raise ValueError(f"accepted cause {cause!r} missing from cause vocabulary")
         for cause, phrases in self.vocabulary.items():
             _check_phrases(f"cause {cause!r}", phrases)
@@ -575,11 +578,14 @@ def _instantiate_answer(template: QuestionTemplate, bank: QuestionBank, ns: dict
         fn = _ORACLE_FUNCTIONS[oracle["fn"]]
         args = {name: float(_resolve(value, ns)) for name, value in oracle.get("args", {}).items()}
         return NumericSpec(
-            value=float(fn(**args)), unit=str(raw["unit"]), rel_tol=float(raw.get("rel_tol", 0.02))
+            value=float(fn(**args)), unit=raw["unit"], rel_tol=float(raw.get("rel_tol", 0.02))
         )
     if kind == "structured":
         fields = []
         for f in raw["fields"]:
+            unknown = [key for key in f if key not in FieldExpectation._fields]
+            if unknown:
+                raise KeyError(unknown[0])
             fields.append(
                 FieldExpectation(
                     name=str(f["name"]),
@@ -588,12 +594,11 @@ def _instantiate_answer(template: QuestionTemplate, bank: QuestionBank, ns: dict
                     unit=f.get("unit"),
                     rel_tol=float(f.get("rel_tol", 0.02)),
                     aliases=tuple(_read(f.get("aliases", []))),
-                    match=str(f.get("match", "contains")),
                 )
             )
         return StructuredSpec(fields=tuple(fields))
     if kind == "diagnosis":
-        accepted = tuple(str(c) for c in raw["accepted_causes"])
+        accepted = tuple(_read(raw["accepted_causes"]))
         vocabulary = dict(bank.cause_vocabulary)
         extra = raw.get("extra_causes", {})
         vocabulary.update({str(k): tuple(_read(v)) for k, v in extra.items()})

@@ -210,12 +210,6 @@ class ReferenceFront(NamedTuple):
     front: tuple[ObjectiveVector, ...]
     ranges: Mapping[str, float]
 
-    @classmethod
-    def from_vectors(cls, feasible: Sequence[ObjectiveVector]) -> ReferenceFront:
-        columns = list(zip(*feasible))  # empty, and every range 0.0, when nothing is feasible
-        ranges = {name: max(c) - min(c) for (name, _), c in zip(OBJECTIVE_AXES, columns or [(0.0,)] * 3)}
-        return cls(tuple(feasible[i] for i in front_indices(columns)), ranges)
-
 
 def _walk(grid: DesignGrid, mtow: float, env: Environment, requirements) -> tuple[list[Design], list[tuple]]:
     """``enumerate_designs(grid, mtow)`` and its passing designs, grouped per
@@ -288,14 +282,14 @@ def _walk(grid: DesignGrid, mtow: float, env: Environment, requirements) -> tupl
 def reference_front(
     grid: DesignGrid, mtow: float, env: Environment, requirements: RequirementSet | Sequence = ()
 ) -> ReferenceFront:
-    """``ReferenceFront.from_vectors`` of the objective vectors of the grid
-    designs that pass every requirement; raises only where ``_walk`` does.
-    The ranges come from the walk's group extremes, and the sweep gets only
-    top members, in group order: any other member has a top member's current
+    """The Pareto front, in grid order, of the objective vectors of the grid designs that pass
+    every requirement, and each objective's range over them (every range 0.0 when none passes);
+    raises only where ``_walk`` does.  The ranges come from the walk's group extremes, and the
+    sweep gets only top members, in group order: any other member has a top member's current
     and margin and less endurance.  Only the kept points are put in grid order."""
     groups = _walk(grid, mtow, env, requirements)[1]
     if not groups:
-        return ReferenceFront.from_vectors(())
+        return ReferenceFront((), dict.fromkeys(ObjectiveVector._fields, 0.0))
     _, currents, margins, memberships = zip(*groups)
     _, lows, highs, _ = zip(*memberships)
     spans = (max(currents) - min(currents), max(margins) - min(margins), max(highs) - min(lows))

@@ -111,6 +111,7 @@ _UNIT_TABLE = {
     "m": {"m", "meter", "meters", "metre", "metres"},
     "in": {"in", "inch", "inches", '"'},
     "ah": {"ah", "amphour", "amphours", "amperehour", "amperehours"},
+    **{unit: {unit} for unit in ("cm", "mm", "mv", "ma", "mah")},  # no other spelling
     "ratio": {"ratio", "x", "factor", "dimensionless", ""},
 }
 
@@ -154,10 +155,23 @@ def normalize_phrase(text: str) -> str:
 
 
 _NUMBER_RE = r"[-+]?\d+(?:,\d{3})*(?:\.\d+)?(?:[eE][-+]?\d+)?"
+#: The unit token after a number, read by the numeric and the structured plain-text paths.
+_UNIT_TOKEN = r"\s*([A-Za-z/·*\"%]+)"
 
 
 def _to_float(token: str) -> float:
     return float(token.replace(",", ""))
+
+
+def _within(value: float, expected: float, rel_tol: float) -> bool:
+    """Whether ``value`` is within ``rel_tol`` of ``expected``, relative to ``expected``."""
+    return abs(value - expected) <= rel_tol * abs(expected)
+
+
+def _unit_fits(token: Optional[str], unit: Optional[str]) -> bool:
+    """A number is read in ``unit`` unless the token after it names another unit ``normalize_unit``
+    knows.  An absent token is tested first, since ``normalize_unit("")`` is "ratio"."""
+    return token is None or unit is None or normalize_unit(token) in (None, normalize_unit(unit))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +237,7 @@ def _numeric_from_text(text: str, spec: NumericSpec) -> Optional[tuple[dict, str
     """Last number with the spec's unit; else the last bare number."""
     canon = normalize_unit(spec.unit)
     with_unit = None
-    for match in re.finditer(rf"({_NUMBER_RE})\s*([A-Za-z/·*\"%]+)", text):
+    for match in re.finditer(rf"({_NUMBER_RE}){_UNIT_TOKEN}", text):
         if normalize_unit(match.group(2)) == canon:
             with_unit = _to_float(match.group(1))
     if with_unit is not None:
@@ -321,7 +335,7 @@ def score_numeric(answer_text: str, spec: NumericSpec) -> Score:
     if normalize_unit(str(unit)) != normalize_unit(spec.unit):
         detail = f"answer unit {unit!r} does not match {spec.unit!r}"
         return _graded(0.0, [Evidence("unit", "fail", detail)])
-    ok = abs(value - spec.value) <= spec.rel_tol * abs(spec.value)
+    ok = _within(value, spec.value, spec.rel_tol)
     detail = (
         f"measured {value:g} {spec.unit} vs expected {spec.value:g} {spec.unit} "
         f"(rel_tol {spec.rel_tol:g}, via {ans.extraction})"
@@ -342,6 +356,12 @@ def score_fact(answer_text: str, spec: FactSpec) -> Score:
     return _graded(0.0, [Evidence("fact", "fail", f"no match for canonical {spec.canonical!r}")])
 
 
+def _phrase_found(field: FieldExpectation, text: str) -> bool:
+    """Whether the text field's expected value or an alias is a normalized substring of ``text``."""
+    normalized = normalize_phrase(text)
+    return any(normalize_phrase(phrase) in normalized for phrase in (str(field.expected), *field.aliases))
+
+
 def _match_field(field: FieldExpectation, envelope_fields: Optional[Mapping], text: str) -> tuple[bool, str]:
     """Check one field against the envelope's fields or, without an
     envelope, against the prose.  A field the envelope omits fails: a
@@ -355,36 +375,26 @@ def _match_field(field: FieldExpectation, envelope_fields: Optional[Mapping], te
                 value = float(got)
             except (TypeError, ValueError, OverflowError):
                 return False, f"{field.name}: {got!r} is not a number"
-            expected = float(field.expected)
-            ok = abs(value - expected) <= field.rel_tol * abs(expected)
-            return ok, f"{field.name}: {value:g} vs {expected:g}"
-        accepted = (str(field.expected), *field.aliases)
-        got_norm = normalize_phrase(str(got))
-        if field.match == "exact":
-            ok = any(normalize_phrase(a) == got_norm for a in accepted)
-        else:
-            ok = any(normalize_phrase(a) in got_norm for a in accepted)
-        return ok, f"{field.name}: {got!r} vs {field.expected!r}"
+            ok = _within(value, field.expected, field.rel_tol)
+            return ok, f"{field.name}: {value:g} vs {field.expected:g}"
+        return _phrase_found(field, str(got)), f"{field.name}: {got!r} vs {field.expected!r}"
     # plain-text path
     if field.kind == "number":
-        expected = float(field.expected)
-        pattern = re.compile(
-            rf"{re.escape(field.name)}\W{{0,3}}(?:\w+\W{{0,3}}){{0,4}}?({_NUMBER_RE})",
-            re.IGNORECASE,
-        )
-        match = pattern.search(text)
-        if match:
-            value = _to_float(match.group(1))
-            ok = abs(value - expected) <= field.rel_tol * abs(expected)
-            return ok, f"{field.name}: {value:g} vs {expected:g} (text)"
-        # name not mentioned: accept the expected value appearing anywhere
-        for token in re.findall(_NUMBER_RE, text):
-            if abs(_to_float(token) - expected) <= field.rel_tol * abs(expected):
-                return True, f"{field.name}: {expected:g} present in text"
+        number = rf"({_NUMBER_RE})(?:{_UNIT_TOKEN})?"
+        named = re.search(rf"{re.escape(field.name)}\W{{0,3}}(?:\w+\W{{0,3}}){{0,4}}?" + number, text, re.I)
+        if named:
+            value, token = _to_float(named.group(1)), named.group(2)
+            if not _unit_fits(token, field.unit):
+                return False, f"{field.name}: unit {token!r} does not match {field.unit!r} (text)"
+            ok = _within(value, field.expected, field.rel_tol)
+            return ok, f"{field.name}: {value:g} vs {field.expected:g} (text)"
+        # name not mentioned: accept the expected value appearing anywhere, in the field's unit
+        for found in re.finditer(number, text):
+            value, token = _to_float(found.group(1)), found.group(2)
+            if _within(value, field.expected, field.rel_tol) and _unit_fits(token, field.unit):
+                return True, f"{field.name}: {field.expected:g} present in text"
         return False, f"{field.name}: no value found in text"
-    lowered = normalize_phrase(text)
-    accepted = (str(field.expected), *field.aliases)
-    ok = any(normalize_phrase(a) in lowered for a in accepted)
+    ok = _phrase_found(field, text)
     return ok, f"{field.name}: {'found' if ok else 'missing'} {field.expected!r} (text)"
 
 

@@ -265,6 +265,50 @@ class TestLoadBank:
         with pytest.raises(BankError, match=message):
             load_bank(raw_bank)
 
+    @pytest.mark.parametrize("key", ["match", "rel_tl", "units"])
+    def test_a_structured_field_key_it_does_not_list_rejected_at_load(self, raw_bank, key):
+        # "match" is gone, and a misspelt "rel_tl" left the field graded at the default 0.02.
+        _template(raw_bank, "l2-prop-parameters")["answer"]["fields"][0][key] = "contains"
+        with pytest.raises(BankError, match=f"^template 'l2-prop-parameters': missing or unknown key '{key}'$"):
+            load_bank(raw_bank)
+
+    @pytest.mark.parametrize("expected", [None, ["kv"], {"kv": 1}], ids=["null", "list", "object"])
+    def test_a_text_field_expecting_neither_a_string_nor_a_number_rejected_at_load(self, raw_bank, bank, expected):
+        # Read through str(), null was the phrase "None", and "None of these, sorry." passed the field.
+        _text_field(raw_bank, "l2-max-torque-params")["expected"] = expected
+        message = f"template 'l2-max-torque-params': field 'kv': expected {expected!r} is not a string or a number"
+        with pytest.raises(BankError, match=f"^{re.escape(message)}$"):
+            load_bank(raw_bank)
+        field = bank.instances["l2-max-torque-params"].answer_spec.fields[0]
+        with pytest.raises(ValueError, match=re.escape(message.split(": ", 1)[1])):
+            field._replace(expected=expected)
+        assert field._replace(expected=340).expected == 340  # a $name may bind a number
+
+    @pytest.mark.parametrize(
+        "template_id, record, unit",
+        [("l1-6s-voltage", "Numeric", None), ("l1-6s-voltage", "Numeric", 5),
+         ("l2-voltage-range", "field 'minimum':", 5), ("l2-voltage-range", "field 'minimum':", ["V"])],
+        ids=["numeric-null", "numeric-number", "field-number", "field-list"],
+    )
+    def test_a_unit_that_is_not_a_json_string_rejected_at_load(self, raw_bank, template_id, record, unit):
+        # A numeric "unit": null loaded as the unit "None": the oracle answer passed, and the
+        # correct envelope {"value": 22.2, "unit": "V"} scored Fail.  A field may omit its unit.
+        answer = _template(raw_bank, template_id)["answer"]
+        (answer["fields"][0] if "fields" in answer else answer)["unit"] = unit
+        message = f"template '{template_id}': {record} unit must be a string, got {unit!r}"
+        with pytest.raises(BankError, match=f"^{re.escape(message)}$"):
+            load_bank(raw_bank)
+
+    def test_accepted_causes_are_a_phrase_list(self, raw_bank):
+        # A bare string split into characters, and was rejected naming the cause 'i'; null was "None".
+        answer = _template(raw_bank, "l4-insufficient-thrust")["answer"]
+        answer["accepted_causes"] = "insufficient-rpm-thrust"
+        spec = load_bank(raw_bank).instances["l4-insufficient-thrust"].answer_spec
+        assert spec.accepted_causes == ("insufficient-rpm-thrust",)
+        answer["accepted_causes"] = [None]
+        with pytest.raises(BankError, match="^template 'l4-insufficient-thrust': accepted cause None missing"):
+            load_bank(raw_bank)
+
     @pytest.mark.parametrize("rel_tol", [-0.5, 0.0, 0.5, math.nan])
     def test_structured_rel_tol_follows_the_numeric_rule(self, raw_bank, rel_tol):
         # A structured field's -0.5 made the item's own oracle answer score Partial, and its 0.5

@@ -178,6 +178,14 @@ def _brute_force_front(vectors):
     ]
 
 
+def _front_of(vectors) -> ReferenceFront:
+    """The reference front of a feasible set by brute force: its non-dominated
+    vectors in input order, and each objective's range (all 0.0 when it is empty)."""
+    columns = list(zip(*vectors)) or [(0.0,)] * 3
+    return ReferenceFront(tuple(vectors[i] for i in _brute_force_front(vectors)),
+                          {name: max(c) - min(c) for name, c in zip(ObjectiveVector._fields, columns)})
+
+
 def _random_grid(rng: random.Random) -> DesignGrid:
     def axis(lo, hi, max_len):
         return tuple(sorted(rng.uniform(lo, hi) for _ in range(rng.randint(1, max_len))))
@@ -363,7 +371,7 @@ def test_factored_pass_matches_per_design_evaluation(case):
     feasible = feasible_set(enumerate_designs(grid, mtow), env, requirements)
     vectors = [report_objectives(evaluate_design(design, env)) for design in feasible]
     assert list(grid_evaluations(grid, mtow, env, requirements)) == list(zip(feasible, vectors))
-    assert reference_front(grid, mtow, env, requirements) == ReferenceFront.from_vectors(vectors)
+    assert reference_front(grid, mtow, env, requirements) == _front_of(vectors)
 
 
 def test_each_requirement_checked_once_per_distinct_quantity(monkeypatch):
@@ -520,7 +528,7 @@ def test_reference_front_sweeps_only_the_top_endurance_members(monkeypatch):
     front = reference_front(grid, 12, Environment(), requirements)
     tops = [vector for design, vector in evaluations if design.battery_capacity == 14.0]
     assert inputs == [list(zip(*tops))] and 3 * len(tops) == len(evaluations) > 0
-    assert front == ReferenceFront.from_vectors([vector for _, vector in evaluations])
+    assert front == _front_of([vector for _, vector in evaluations])
 
 
 def test_equal_vectors_of_a_repeated_battery_are_both_on_the_front():
@@ -528,6 +536,6 @@ def test_equal_vectors_of_a_repeated_battery_are_both_on_the_front():
     grid = _grid(battery_options=batteries)
     feasible = [vector for _, vector in grid_evaluations(grid, 12, Environment())]
     front = reference_front(grid, 12, Environment())
-    assert front == ReferenceFront.from_vectors(feasible) and len(feasible) == 18
+    assert front == _front_of(feasible) and len(feasible) == 18
     counts = collections.Counter(front.front)
     assert counts and set(counts.values()) == {2}

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,9 +146,7 @@ PROP_FIELDS = StructuredSpec(
     fields=(
         FieldExpectation(name="diameter", kind="number", expected=18, unit="in", rel_tol=0.01),
         FieldExpectation(name="pitch", kind="number", expected=6, unit="in", rel_tol=0.01),
-        FieldExpectation(
-            name="type", kind="text", expected="fixed", aliases=("fixed-pitch",), match="contains"
-        ),
+        FieldExpectation(name="type", kind="text", expected="fixed", aliases=("fixed-pitch",)),
     )
 )
 
@@ -190,6 +189,50 @@ class TestScoreStructured:
         assert score_answer(spec, "diameter 18\n" + envelope) == score
         assert score.verdict is Verdict.Partial
         assert score.evidence[0] == Evidence("diameter", "fail", "diameter: missing from envelope")
+
+    @pytest.mark.parametrize(
+        "template_id, reply, value, detail",
+        [
+            ("l2-prop-parameters", "diameter: 18.0 cm; pitch: 6 cm; type: fixed", 1 / 3,
+             "diameter: unit 'cm' does not match 'in' (text)"),
+            ("l2-voltage-range", "minimum: 19.8 mV; maximum: 25.2 mV; nominal: 22.2 mV", 0.0,
+             "minimum: unit 'mV' does not match 'V' (text)"),
+            ("l2-prop-parameters", "The prop is 18 cm by 6 cm, fixed.", 1 / 3, "diameter: no value found in text"),
+            ("l2-prop-parameters", "diameter: 18.0 in; pitch: 6 in; type: fixed", 1.0, "diameter: 18 vs 18 (text)"),
+            ("l2-voltage-range", "minimum: 19.8 V; maximum: 25.2 V; nominal: 22.2 V", 1.0,
+             "minimum: 19.8 vs 19.8 (text)"),
+            ("l2-prop-parameters", "The prop is 18 in by 6 in, fixed.", 1.0, "diameter: 18 present in text"),
+            ("l2-prop-parameters", "the diameter is 18 and the pitch is 6, type fixed", 1.0,
+             "diameter: 18 vs 18 (text)"),
+            ("l2-voltage-range", "minimum 19.8, maximum 25.2, nominal 22.2", 1.0, "minimum: 19.8 vs 19.8 (text)"),
+        ],
+        ids=["cm", "mV", "cm-unnamed", "in", "V", "in-unnamed", "unknown-token", "bare"],
+    )
+    def test_a_number_in_another_known_unit_fails_its_field(self, bank, template_id, reply, value, detail):
+        # The field's unit was never read: the "cm" and "mV" replies scored Pass 1.0.
+        score = score_structured(reply, bank.instances[template_id].answer_spec)
+        assert score.value == pytest.approx(value)
+        assert score.evidence[0].detail == detail
+
+    def test_a_field_with_no_unit_reads_any_unit_token(self):
+        spec = StructuredSpec((FieldExpectation(name="motors", kind="number", expected=4),))
+        for reply in ("motors: 4 V", "motors: 4", "There are 4 rotors."):
+            assert score_structured(reply, spec).verdict is Verdict.Pass, reply
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["up", "down"])
+    @pytest.mark.parametrize(
+        "reply",
+        [lambda v: _fence({"fields": {"thrust": v}}), lambda v: f"thrust: {v!r} N", lambda v: f"It gives {v!r} N."],
+        ids=["envelope", "named", "unnamed"],
+    )
+    def test_tolerance_boundary(self, sign, reply):
+        # Each path reads a value exactly on the bound as inside it, and the next float out as outside.
+        field = FieldExpectation(name="thrust", kind="number", expected=100.0, unit="N", rel_tol=0.02)
+        spec = StructuredSpec((field,))
+        value = field.expected * (1 + sign * field.rel_tol)
+        assert abs(value - field.expected) == field.rel_tol * abs(field.expected)
+        assert score_structured(reply(value), spec).verdict is Verdict.Pass
+        assert score_structured(reply(math.nextafter(value, sign * math.inf)), spec).verdict is Verdict.Fail
 
 
 DIAG = DiagnosisSpec(
@@ -532,7 +575,9 @@ _gap_vectors = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(_gap_vectors, st.lists(_gap_vectors, max_size=40))
 def test_dominance_gap_matches_quadratic_reference(candidate, feasible):
-    reference = ReferenceFront.from_vectors(feasible)
+    columns = list(zip(*feasible))
+    ranges = {name: max(c) - min(c) for name, c in zip(ObjectiveVector._fields, columns or [(0.0,)] * 3)}
+    reference = ReferenceFront(tuple(feasible[i] for i in design_space.front_indices(columns)), ranges)
     assert scoring._dominance_gap(candidate, reference) == _quadratic_gap(candidate, feasible)
 
 
