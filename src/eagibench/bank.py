@@ -116,6 +116,13 @@ def to_si(key: str, value) -> float:
     return float(value) * M_PER_IN if key.endswith("_in") else float(value)
 
 
+def _reject_unknown(raw: Mapping, keys) -> None:
+    """Raise KeyError naming the first key of ``raw`` that ``keys`` lacks."""
+    unknown = [k for k in raw if k not in keys]
+    if unknown:
+        raise KeyError(unknown[0])
+
+
 def fields_to_si(raw: Mapping, fields: Mapping[str, str] = DESIGN_FIELD_MAP) -> dict:
     """Bank-file keys and values -> the attribute names ``fields`` maps them
     to (a design's by default), each value through :func:`to_si`.
@@ -124,9 +131,7 @@ def fields_to_si(raw: Mapping, fields: Mapping[str, str] = DESIGN_FIELD_MAP) -> 
     any value; a value that does not convert, or a fractional count, raises
     TypeError, ValueError or OverflowError.
     """
-    unknown = [k for k in raw if k not in fields]
-    if unknown:
-        raise KeyError(unknown[0])
+    _reject_unknown(raw, fields)
     return {fields[key]: to_si(key, value) for key, value in raw.items()}
 
 
@@ -583,9 +588,7 @@ def _instantiate_answer(template: QuestionTemplate, bank: QuestionBank, ns: dict
     if kind == "structured":
         fields = []
         for f in raw["fields"]:
-            unknown = [key for key in f if key not in FieldExpectation._fields]
-            if unknown:
-                raise KeyError(unknown[0])
+            _reject_unknown(f, FieldExpectation._fields)
             fields.append(
                 FieldExpectation(
                     name=str(f["name"]),

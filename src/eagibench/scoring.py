@@ -22,9 +22,9 @@ wins over prose.  Required keys per answer kind:
 Design/patch fields use the bank-file names (``kv_rpm_per_volt``,
 ``prop_diameter_in``, ...).  Without an envelope, a documented plain-text
 extraction runs: last number with a matching unit (falling back to the
-last bare number) for numerics, cause-keyword matching for diagnoses, and
-pattern matching ("340 Kv", "20x6", "6S", "12000 mAh") for patches and
-designs.
+last number in no other unit) for numerics, cause-keyword matching for
+diagnoses, and pattern matching ("340 Kv", "20x6", "6S", "12000 mAh") for
+patches and designs.
 
 All scorers are pure and deterministic; items may be graded concurrently.
 """
@@ -155,8 +155,9 @@ def normalize_phrase(text: str) -> str:
 
 
 _NUMBER_RE = r"[-+]?\d+(?:,\d{3})*(?:\.\d+)?(?:[eE][-+]?\d+)?"
-#: The unit token after a number, read by the numeric and the structured plain-text paths.
-_UNIT_TOKEN = r"\s*([A-Za-z/·*\"%]+)"
+#: A number and the unit token after it, if any, as the numeric and structured plain-text paths read them.
+#: A token starts with a letter or ": the "/" of "19.8/25.2" or "8436/min" is no unit.
+_NUMBER_UNIT = rf"({_NUMBER_RE})(?:\s*([A-Za-z\"][A-Za-z/·*\"%]*))?"
 
 
 def _to_float(token: str) -> float:
@@ -168,10 +169,19 @@ def _within(value: float, expected: float, rel_tol: float) -> bool:
     return abs(value - expected) <= rel_tol * abs(expected)
 
 
+#: Unit tokens that are also words ("25.2 in a full pack", "19.8 min"), each with the other
+#: units of its dimension: the only expected units beside which it names a wrong unit.
+_WORD_UNITS = {"in": {"cm", "mm", "m"}, "a": {"ma"}, "s": {"min"}, "min": {"s"}}
+
+
 def _unit_fits(token: Optional[str], unit: Optional[str]) -> bool:
-    """A number is read in ``unit`` unless the token after it names another unit ``normalize_unit``
-    knows.  An absent token is tested first, since ``normalize_unit("")`` is "ratio"."""
-    return token is None or unit is None or normalize_unit(token) in (None, normalize_unit(unit))
+    """Whether a number followed by ``token`` (None when nothing follows it) is read in ``unit``.
+    It is, unless the token names another unit: one ``normalize_unit`` knows, other than "ratio"
+    (the "x" of "18x6"), and for a ``_WORD_UNITS`` word one of its dimension."""
+    if token is None or unit is None:  # before normalizing: normalize_unit("") is "ratio"
+        return True
+    canon, word = normalize_unit(unit), token.lower()
+    return normalize_unit(token) in (None, "ratio", canon) or canon not in _WORD_UNITS.get(word, {canon})
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +244,17 @@ def extract(answer_text: str, spec: AnswerSpec) -> AgentAnswer:
 
 
 def _numeric_from_text(text: str, spec: NumericSpec) -> Optional[tuple[dict, str]]:
-    """Last number with the spec's unit; else the last bare number."""
+    """Last number with the spec's unit; else the last number whose unit token fits it
+    (``_unit_fits``); else the last number, in the unit it names, which the scorer fails."""
     canon = normalize_unit(spec.unit)
-    with_unit = None
-    for match in re.finditer(rf"({_NUMBER_RE}){_UNIT_TOKEN}", text):
-        if normalize_unit(match.group(2)) == canon:
-            with_unit = _to_float(match.group(1))
-    if with_unit is not None:
-        return {"value": with_unit, "unit": spec.unit}, "text-unit-number"
-    numbers = re.findall(_NUMBER_RE, text)
-    if numbers:
-        return {"value": _to_float(numbers[-1]), "unit": spec.unit}, "text-number"
-    return None
+    found = [(_to_float(m.group(1)), m.group(2)) for m in re.finditer(_NUMBER_UNIT, text)]
+    with_unit = [value for value, token in found if token is not None and normalize_unit(token) == canon]
+    if with_unit:
+        return {"value": with_unit[-1], "unit": spec.unit}, "text-unit-number"
+    fitting = [value for value, token in found if _unit_fits(token, spec.unit)]
+    if fitting:
+        return {"value": fitting[-1], "unit": spec.unit}, "text-number"
+    return ({"value": found[-1][0], "unit": found[-1][1]}, "text-number") if found else None
 
 
 def _cause_from_text(text: str, spec: DiagnosisSpec) -> Optional[tuple[dict, str]]:
@@ -380,8 +389,7 @@ def _match_field(field: FieldExpectation, envelope_fields: Optional[Mapping], te
         return _phrase_found(field, str(got)), f"{field.name}: {got!r} vs {field.expected!r}"
     # plain-text path
     if field.kind == "number":
-        number = rf"({_NUMBER_RE})(?:{_UNIT_TOKEN})?"
-        named = re.search(rf"{re.escape(field.name)}\W{{0,3}}(?:\w+\W{{0,3}}){{0,4}}?" + number, text, re.I)
+        named = re.search(rf"{re.escape(field.name)}\W{{0,3}}(?:\w+\W{{0,3}}){{0,4}}?" + _NUMBER_UNIT, text, re.I)
         if named:
             value, token = _to_float(named.group(1)), named.group(2)
             if not _unit_fits(token, field.unit):
@@ -389,7 +397,7 @@ def _match_field(field: FieldExpectation, envelope_fields: Optional[Mapping], te
             ok = _within(value, field.expected, field.rel_tol)
             return ok, f"{field.name}: {value:g} vs {field.expected:g} (text)"
         # name not mentioned: accept the expected value appearing anywhere, in the field's unit
-        for found in re.finditer(number, text):
+        for found in re.finditer(_NUMBER_UNIT, text):
             value, token = _to_float(found.group(1)), found.group(2)
             if _within(value, field.expected, field.rel_tol) and _unit_fits(token, field.unit):
                 return True, f"{field.name}: {field.expected:g} present in text"

@@ -7,12 +7,12 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import brute_force_front, front_of
 from eagibench import design_space
 from eagibench.design_space import (
     BatteryOption,
     DesignGrid,
     ObjectiveVector,
-    ReferenceFront,
     dominates,
     enumerate_designs,
     front_indices,
@@ -162,30 +162,6 @@ class TestFeasibleSet:
         assert 19 <= vec.hover_current_per_motor <= 21
 
 
-def _brute_force_front(vectors):
-    """Independent O(n^2) pairwise filter over raw objective tuples."""
-
-    def dom(a, b):
-        ge = a[0] <= b[0] and a[1] >= b[1] and a[2] >= b[2]
-        st_ = a[0] < b[0] or a[1] > b[1] or a[2] > b[2]
-        return ge and st_
-
-    tuples = [(v.hover_current_per_motor, v.thrust_margin, v.endurance) for v in vectors]
-    return [
-        i
-        for i, v in enumerate(tuples)
-        if not any(j != i and dom(w, v) for j, w in enumerate(tuples))
-    ]
-
-
-def _front_of(vectors) -> ReferenceFront:
-    """The reference front of a feasible set by brute force: its non-dominated
-    vectors in input order, and each objective's range (all 0.0 when it is empty)."""
-    columns = list(zip(*vectors)) or [(0.0,)] * 3
-    return ReferenceFront(tuple(vectors[i] for i in _brute_force_front(vectors)),
-                          {name: max(c) - min(c) for name, c in zip(ObjectiveVector._fields, columns)})
-
-
 def _random_grid(rng: random.Random) -> DesignGrid:
     def axis(lo, hi, max_len):
         return tuple(sorted(rng.uniform(lo, hi) for _ in range(rng.randint(1, max_len))))
@@ -242,7 +218,7 @@ class TestParetoFront:
             grid = _random_grid(rng)
             designs = enumerate_designs(grid, rng.uniform(4, 20))
             vectors = [objective_vector(d, env) for d in designs]
-            expected = [designs[i] for i in _brute_force_front(vectors)]
+            expected = [designs[i] for i in brute_force_front(vectors)]
             assert pareto_front(designs, env) == expected
 
     def test_front_is_mutually_non_dominated_and_covers_exclusions(self):
@@ -298,7 +274,7 @@ def _seeded_tied_vectors(seed: int, n: int) -> list:
     )
 )
 def test_sorted_front_matches_brute_force(vectors):
-    assert front_indices(list(zip(*vectors))) == _brute_force_front(vectors)
+    assert front_indices(list(zip(*vectors))) == brute_force_front(vectors)
 
 
 @given(_vectors)
@@ -371,7 +347,7 @@ def test_factored_pass_matches_per_design_evaluation(case):
     feasible = feasible_set(enumerate_designs(grid, mtow), env, requirements)
     vectors = [report_objectives(evaluate_design(design, env)) for design in feasible]
     assert list(grid_evaluations(grid, mtow, env, requirements)) == list(zip(feasible, vectors))
-    assert reference_front(grid, mtow, env, requirements) == _front_of(vectors)
+    assert reference_front(grid, mtow, env, requirements) == front_of(vectors)
 
 
 def test_each_requirement_checked_once_per_distinct_quantity(monkeypatch):
@@ -528,7 +504,7 @@ def test_reference_front_sweeps_only_the_top_endurance_members(monkeypatch):
     front = reference_front(grid, 12, Environment(), requirements)
     tops = [vector for design, vector in evaluations if design.battery_capacity == 14.0]
     assert inputs == [list(zip(*tops))] and 3 * len(tops) == len(evaluations) > 0
-    assert front == _front_of([vector for _, vector in evaluations])
+    assert front == front_of([vector for _, vector in evaluations])
 
 
 def test_equal_vectors_of_a_repeated_battery_are_both_on_the_front():
@@ -536,6 +512,6 @@ def test_equal_vectors_of_a_repeated_battery_are_both_on_the_front():
     grid = _grid(battery_options=batteries)
     feasible = [vector for _, vector in grid_evaluations(grid, 12, Environment())]
     front = reference_front(grid, 12, Environment())
-    assert front == _front_of(feasible) and len(feasible) == 18
+    assert front == front_of(feasible) and len(feasible) == 18
     counts = collections.Counter(front.front)
     assert counts and set(counts.values()) == {2}

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import front_of
 from eagibench.bank import (
     ANSWER_KINDS,
     DESIGN_FIELD_MAP,
@@ -20,7 +21,7 @@ from eagibench.bank import (
     shipped_bank_path,
 )
 from eagibench import design_space, scoring
-from eagibench.design_space import ObjectiveVector, ReferenceFront, dominates
+from eagibench.design_space import ObjectiveVector, dominates
 from eagibench.propulsion import evaluate_design
 from eagibench.scoring import (
     Evidence,
@@ -103,6 +104,15 @@ class TestScoreNumeric:
         score = score_numeric(_fence({"value": 8436, "unit": "W"}), RPM_SPEC)
         assert score.verdict is Verdict.Fail
         assert score.evidence[0].check_id == "unit"
+
+    def test_a_plain_text_number_in_another_known_unit_fails_like_its_envelope(self):
+        # The number was read in the spec's unit whatever followed it, and passed.
+        score = score_numeric("It spins at 8436 W.", RPM_SPEC)
+        assert score == score_numeric(_fence({"value": 8436, "unit": "W"}), RPM_SPEC)
+
+    @pytest.mark.parametrize("reply", ["8436 RPM at 22.2 V", "8436 in a hover", "8436x", "8436", "about 8436/min"])
+    def test_plain_text_reads_the_last_number_in_no_other_unit(self, reply):
+        assert score_numeric(reply, RPM_SPEC).verdict is Verdict.Pass
 
     def test_unit_synonyms_accepted(self):
         score = score_numeric(_fence({"value": 8436, "unit": "rev/min"}), RPM_SPEC)
@@ -205,8 +215,15 @@ class TestScoreStructured:
             ("l2-prop-parameters", "the diameter is 18 and the pitch is 6, type fixed", 1.0,
              "diameter: 18 vs 18 (text)"),
             ("l2-voltage-range", "minimum 19.8, maximum 25.2, nominal 22.2", 1.0, "minimum: 19.8 vs 19.8 (text)"),
+            # "x" is the "ratio" unit, "/" starts no token, and "min" and "in" are also words: none is a wrong unit.
+            ("l2-prop-parameters", "18x6 fixed-pitch", 1.0, "diameter: 18 present in text"),
+            ("l2-voltage-range", "The range is 19.8/25.2 V, 22.2 V nominal", 1.0, "minimum: 19.8 present in text"),
+            ("l2-voltage-range", "19.8 min, 25.2 max, nominal 22.2", 1.0, "minimum: 19.8 present in text"),
+            ("l2-voltage-range", "minimum 19.8 in a full 6S pack, maximum 25.2, nominal 22.2", 1.0,
+             "minimum: 19.8 vs 19.8 (text)"),
         ],
-        ids=["cm", "mV", "cm-unnamed", "in", "V", "in-unnamed", "unknown-token", "bare"],
+        ids=["cm", "mV", "cm-unnamed", "in", "V", "in-unnamed", "unknown-token", "bare",
+             "x", "slash", "min", "in-a"],
     )
     def test_a_number_in_another_known_unit_fails_its_field(self, bank, template_id, reply, value, detail):
         # The field's unit was never read: the "cm" and "mV" replies scored Pass 1.0.
@@ -218,6 +235,14 @@ class TestScoreStructured:
         spec = StructuredSpec((FieldExpectation(name="motors", kind="number", expected=4),))
         for reply in ("motors: 4 V", "motors: 4", "There are 4 rotors."):
             assert score_structured(reply, spec).verdict is Verdict.Pass, reply
+
+    def test_a_unit_that_is_also_a_word_fails_only_a_field_of_its_dimension(self):
+        cases = [("min", "20 s", Verdict.Fail), ("min", "20 mins", Verdict.Pass), ("s", "20 min", Verdict.Fail),
+                 ("min", "20 in a hover", Verdict.Pass), ("min", "20 W", Verdict.Fail),
+                 ("cm", "20 in", Verdict.Fail), ("mA", "20 A", Verdict.Fail), ("V", "20 a side", Verdict.Pass)]
+        for unit, reply, verdict in cases:
+            spec = StructuredSpec((FieldExpectation(name="x", kind="number", expected=20, unit=unit),))
+            assert score_structured(f"x: {reply}", spec).verdict is verdict, (unit, reply)
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["up", "down"])
     @pytest.mark.parametrize(
@@ -575,10 +600,7 @@ _gap_vectors = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(_gap_vectors, st.lists(_gap_vectors, max_size=40))
 def test_dominance_gap_matches_quadratic_reference(candidate, feasible):
-    columns = list(zip(*feasible))
-    ranges = {name: max(c) - min(c) for name, c in zip(ObjectiveVector._fields, columns or [(0.0,)] * 3)}
-    reference = ReferenceFront(tuple(feasible[i] for i in design_space.front_indices(columns)), ranges)
-    assert scoring._dominance_gap(candidate, reference) == _quadratic_gap(candidate, feasible)
+    assert scoring._dominance_gap(candidate, front_of(feasible)) == _quadratic_gap(candidate, feasible)
 
 
 RUBRIC = RubricSpec(
