@@ -25,7 +25,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import propulsion
 from .design_space import BatteryOption, DesignGrid, ReferenceFront, reference_front
@@ -41,7 +41,7 @@ from .propulsion import (
     RequirementSet,
 )
 from .records import checked
-from .taxonomy import CognitionLevel, TagFilter, TagSet, _read, matches
+from .taxonomy import _TAG_FIELDS, CognitionLevel, TagFilter, TagSet, _read, matches
 
 SCHEMA_VERSION = 1
 
@@ -123,6 +123,37 @@ def _reject_unknown(raw: Mapping, keys) -> None:
         raise KeyError(unknown[0])
 
 
+#: JSON types of a record table's values; ``_NAME`` in a tuple also admits a "$name" string.
+_NAME, _NULL = "$name", type(None)
+_TEXT, _NUMBER, _NUMBER_OR_NAME, _LIST, _OBJECT = (str,), (int, float), (int, float, _NAME), (list,), (dict,)
+_PHRASES = (list, str)  # a phrase list, or one bare phrase
+_ANY = (str, int, float, bool, list, dict, _NULL)
+_JSON_NAMES = {str: "a string", int: "a number", float: "a number", bool: "a bool", list: "a list",
+               dict: "an object", _NULL: "null", _NAME: "a $name"}
+_REQUIRED = object()
+
+
+def _read_keys(raw: Any, table: Mapping[str, tuple]) -> dict:
+    """One bank record by its table, ``{key: (JSON types, default or _REQUIRED)}``: every key
+    of the table, with its default, of one of its types, for each absent optional one.  A key
+    the table lacks, or a required one absent, raises KeyError; a record that is not a JSON
+    object, or a value of another JSON type (a bool is never a number, and null is no value
+    unless listed, as it is for an optional key whose default is null), TypeError."""
+    if type(raw) is not dict:
+        raise TypeError(f"a record must be a JSON object, got {raw!r}")
+    if not raw.keys() <= table.keys():
+        _reject_unknown(raw, table)
+    out = {}
+    for key, (types, default) in table.items():
+        value = out[key] = raw.get(key, default)
+        if type(value) not in types and not (_NAME in types and type(value) is str and value[:1] == "$"):
+            if value is _REQUIRED:
+                raise KeyError(key)
+            names = " or ".join(dict.fromkeys(_JSON_NAMES[t] for t in types))
+            raise TypeError(f"key {key!r} must be {names}, got {value!r}")
+    return out
+
+
 def fields_to_si(raw: Mapping, fields: Mapping[str, str] = DESIGN_FIELD_MAP) -> dict:
     """Bank-file keys and values -> the attribute names ``fields`` maps them
     to (a design's by default), each value through :func:`to_si`.
@@ -137,9 +168,7 @@ def fields_to_si(raw: Mapping, fields: Mapping[str, str] = DESIGN_FIELD_MAP) -> 
 
 def design_from_bank(raw: Mapping, defaults: Optional[Mapping] = None) -> Design:
     """Build a Design from bank-file keys, completing from defaults."""
-    merged: dict = dict(defaults or {})
-    merged.update({k: v for k, v in raw.items() if v is not None})
-    kwargs = fields_to_si(merged)
+    kwargs = fields_to_si({**(defaults or {}), **{k: v for k, v in raw.items() if v is not None}})
     missing = [k for k in Design._fields if k not in Design._field_defaults and k not in kwargs]
     if missing:
         raise ValueError(f"design is missing required field(s): {', '.join(missing)}")
@@ -181,7 +210,7 @@ def grid_from_bank(raw: Mapping) -> DesignGrid:
     :func:`to_si`, each battery option through ``BATTERY_FIELD_MAP``, and an
     optional ``current_limit_a`` and ``ct_overrides`` (of the grid's propellers,
     :func:`ct_overrides_from_bank`).  An unknown key raises KeyError."""
-    rest = dict(raw)
+    rest = {**raw}
     batteries = tuple(BatteryOption(**fields_to_si(raw_battery, BATTERY_FIELD_MAP))
                       for raw_battery in rest.pop("battery_options"))
     axes = {axis: tuple(to_si(key, v) for v in rest.pop(key)) for key, axis in GRID_FIELD_MAP.items()}
@@ -200,7 +229,7 @@ def ct_overrides_from_bank(raw: Mapping, propellers: Optional[set] = None) -> di
     of a grid's ``propellers``."""
     table, written = {}, {}  # per propeller: its Ct, and its key as written
     for key, value in raw.items():
-        diameter, _, pitch = str(key).partition("x")
+        diameter, _, pitch = key.partition("x")
         prop, ct = (to_si("prop_diameter_in", diameter), to_si("prop_pitch_in", pitch)), float(value)
         where = f"ct_overrides[{key!r}]"
         propulsion._require_positive(**{f"{where} diameter": prop[0], f"{where} pitch": prop[1], where: ct})
@@ -253,8 +282,6 @@ class NumericSpec(NamedTuple):
     rel_tol: float
 
     def _check(self):
-        if not isinstance(self.unit, str):
-            raise ValueError(f"Numeric unit must be a string, got {self.unit!r}")
         _check_rel_tol("Numeric", self.rel_tol)
         if not math.isfinite(self.value):  # an overflowed oracle: no answer is within tolerance of it
             raise ValueError(f"Numeric value must be finite, got {self.value}")
@@ -272,8 +299,6 @@ class FieldExpectation(NamedTuple):
     def _check(self):
         if self.kind not in ("number", "text"):
             raise ValueError(f"field {self.name!r}: kind must be 'number' or 'text', got {self.kind!r}")
-        if not (self.unit is None or isinstance(self.unit, str)):
-            raise ValueError(f"field {self.name!r}: unit must be a string, got {self.unit!r}")
         _check_rel_tol(f"field {self.name!r}", self.rel_tol)
         if self.kind == "number":
             _check_number(f"field {self.name!r}: expected", self.expected)
@@ -429,16 +454,6 @@ AnswerSpec = Union[
     FactSpec, NumericSpec, StructuredSpec, DiagnosisSpec, FixSpec, DesignSynthesisSpec, RubricSpec
 ]
 
-ANSWER_KINDS = {
-    FactSpec: "fact",
-    NumericSpec: "numeric",
-    StructuredSpec: "structured",
-    DiagnosisSpec: "diagnosis",
-    FixSpec: "fix",
-    DesignSynthesisSpec: "design",
-    RubricSpec: "rubric",
-}
-
 
 def answer_kind(spec: AnswerSpec) -> str:
     return ANSWER_KINDS[type(spec)]
@@ -559,103 +574,113 @@ def _resolve(value: Any, ns: Mapping) -> Any:
     return value
 
 
-def _fmt(value: Any) -> str:
-    return f"{value:g}" if isinstance(value, float) else str(value)
+class _Prompt(dict):
+    """A namespace as ``str.format_map`` reads it: each placeholder a pattern names, a float by ``g``."""
+
+    def __getitem__(self, key):
+        value = dict.__getitem__(self, key)
+        return f"{value:g}" if isinstance(value, float) else value
 
 
-def _requirements_from_raw(raw_reqs: Sequence[Mapping], ns: Mapping) -> RequirementSet:
+#: The tables of the records an answer holds.
+_REQUIREMENT = {"id": (_TEXT, _REQUIRED), "kind": (_TEXT, _REQUIRED), "bound": (_NUMBER_OR_NAME, _REQUIRED)}
+_ORACLE = {"fn": (_TEXT, _REQUIRED), "args": (_OBJECT, {})}
+_FIELD = {"name": (_TEXT, _REQUIRED), "kind": (_TEXT, "text"), "expected": (_ANY, _REQUIRED),
+          "unit": ((str, _NULL), None), "rel_tol": (_NUMBER, 0.02), "aliases": (_PHRASES, [])}
+_CRITERION = {"key": (_TEXT, _REQUIRED), "phrases": (_PHRASES, _REQUIRED)}
+
+
+def _requirements(raws: Sequence, ns: Mapping) -> RequirementSet:
     return RequirementSet(
-        Requirement(str(raw["id"]), RequirementKind(raw["kind"]), float(_resolve(raw["bound"], ns)))
-        for raw in raw_reqs
+        Requirement(r["id"], RequirementKind(r["kind"]), float(_resolve(r["bound"], ns)))
+        for r in (_read_keys(raw, _REQUIREMENT) for raw in raws)
     )
 
 
+def _numeric(a: dict, ns: dict, *_) -> NumericSpec:
+    oracle = _read_keys(a["oracle"], _ORACLE)
+    args = {name: float(_resolve(value, ns)) for name, value in oracle["args"].items()}
+    return NumericSpec(float(_ORACLE_FUNCTIONS[oracle["fn"]](**args)), a["unit"], a["rel_tol"])
+
+
+def _structured(a: dict, ns: dict, *_) -> StructuredSpec:
+    return StructuredSpec(tuple(
+        FieldExpectation(**{**f, "expected": _resolve(f["expected"], ns), "aliases": _read(f["aliases"])})
+        for f in (_read_keys(raw, _FIELD) for raw in a["fields"])
+    ))
+
+
+def _fix(a: dict, ns: dict, template: QuestionTemplate, bank: QuestionBank, _) -> FixSpec:
+    context = bank.contexts.get(template.context_ref)
+    if context is None or context.design is None:
+        raise BankError("fix answers need a context with a base design")
+    return FixSpec(context.design, context.environment, _requirements(a["requirements"], ns),
+                   a["failing_requirement"], _read(a["patchable_fields"]), a["reference_patch"],
+                   bank.ct_overrides, None if a["loaded_rpm"] is None else float(_resolve(a["loaded_rpm"], ns)))
+
+
+def _design(a: dict, ns: dict, template: QuestionTemplate, bank: QuestionBank,
+            fronts: dict) -> DesignSynthesisSpec:
+    """A design item's takeoff weight is its ``mtow_kg``; its environment is its own, else its context's."""
+    grid_id = a["grid"]
+    if grid_id not in bank.grids:
+        raise BankError(f"unknown grid {grid_id!r}")
+    requirements, mtow = _requirements(a["requirements"], ns), float(_resolve(a["mtow_kg"], ns))
+    defaults = {**a["defaults"], "mtow_kg": a["defaults"].get("mtow_kg", mtow)}
+    if a["environment"] is None and template.context_ref is not None:
+        environment = bank.contexts[template.context_ref].environment
+    else:
+        environment = environment_from_bank(a["environment"])
+    grid, key = bank.grids[grid_id], (grid_id, mtow, environment, requirements)
+    reference_design = grid_design_from_bank(a["reference_design"], defaults, grid)
+    if key not in fronts:
+        fronts[key] = reference_front(grid, mtow, environment, requirements)
+    return DesignSynthesisSpec(requirements, grid_id, grid, environment, defaults, reference_design, mtow,
+                               fronts[key])
+
+
+def _rubric(a: dict, *_) -> RubricSpec:
+    criteria = (_read_keys(raw, _CRITERION) for raw in a["criteria"])
+    return RubricSpec(tuple(RubricCriterion(c["key"], _read(c["phrases"])) for c in criteria), a["pass_threshold"])
+
+
+class _AnswerKind(NamedTuple):
+    spec: type
+    keys: Mapping[str, tuple]  # the answer record's table
+    build: Callable[..., AnswerSpec]  # (the answer read by ``keys``, namespace, template, bank, fronts) -> spec
+
+
+_KIND = {"kind": (_TEXT, _REQUIRED)}
+#: One row per answer kind, keyed by its ``kind``.
+_ANSWERS = {
+    "fact": _AnswerKind(FactSpec, {**_KIND, "canonical": (_TEXT, _REQUIRED), "accepted_aliases": (_PHRASES, [])},
+                        lambda a, *_: FactSpec(a["canonical"], _read(a["accepted_aliases"]))),
+    "numeric": _AnswerKind(NumericSpec, {**_KIND, "unit": (_TEXT, _REQUIRED), "rel_tol": (_NUMBER, 0.02),
+                                         "oracle": (_OBJECT, _REQUIRED)}, _numeric),
+    "structured": _AnswerKind(StructuredSpec, {**_KIND, "fields": (_LIST, _REQUIRED)}, _structured),
+    "diagnosis": _AnswerKind(
+        DiagnosisSpec, {**_KIND, "accepted_causes": (_PHRASES, _REQUIRED)},
+        lambda a, ns, template, bank, _: DiagnosisSpec(_read(a["accepted_causes"]), bank.cause_vocabulary)),
+    "fix": _AnswerKind(FixSpec, {
+        **_KIND, "requirements": (_LIST, _REQUIRED), "failing_requirement": (_TEXT, _REQUIRED),
+        "loaded_rpm": ((int, float, _NAME, _NULL), None), "patchable_fields": (_PHRASES, list(DESIGN_FIELD_MAP)),
+        "reference_patch": (_OBJECT, _REQUIRED)}, _fix),
+    "design": _AnswerKind(DesignSynthesisSpec, {
+        **_KIND, "grid": (_TEXT, _REQUIRED), "mtow_kg": (_NUMBER_OR_NAME, _REQUIRED),
+        "requirements": (_LIST, _REQUIRED), "environment": ((dict, _NULL), None), "defaults": (_OBJECT, {}),
+        "reference_design": (_OBJECT, _REQUIRED)}, _design),
+    "rubric": _AnswerKind(RubricSpec, {
+        **_KIND, "criteria": (_LIST, _REQUIRED), "pass_threshold": (_NUMBER, _REQUIRED)}, _rubric),
+}
+ANSWER_KINDS = {row.spec: kind for kind, row in _ANSWERS.items()}
+
+
 def _instantiate_answer(template: QuestionTemplate, bank: QuestionBank, ns: dict, fronts: dict) -> AnswerSpec:
-    raw = template.answer_raw
-    kind = raw.get("kind")
-    if kind == "fact":
-        return FactSpec(
-            canonical=raw["canonical"],
-            accepted_aliases=tuple(_read(raw.get("accepted_aliases", []))),
-        )
-    if kind == "numeric":
-        oracle = raw["oracle"]
-        fn = _ORACLE_FUNCTIONS[oracle["fn"]]
-        args = {name: float(_resolve(value, ns)) for name, value in oracle.get("args", {}).items()}
-        return NumericSpec(
-            value=float(fn(**args)), unit=raw["unit"], rel_tol=float(raw.get("rel_tol", 0.02))
-        )
-    if kind == "structured":
-        fields = []
-        for f in raw["fields"]:
-            _reject_unknown(f, FieldExpectation._fields)
-            fields.append(
-                FieldExpectation(
-                    name=str(f["name"]),
-                    kind=str(f.get("kind", "text")),
-                    expected=_resolve(f["expected"], ns),
-                    unit=f.get("unit"),
-                    rel_tol=float(f.get("rel_tol", 0.02)),
-                    aliases=tuple(_read(f.get("aliases", []))),
-                )
-            )
-        return StructuredSpec(fields=tuple(fields))
-    if kind == "diagnosis":
-        accepted = tuple(_read(raw["accepted_causes"]))
-        vocabulary = dict(bank.cause_vocabulary)
-        extra = raw.get("extra_causes", {})
-        vocabulary.update({str(k): tuple(_read(v)) for k, v in extra.items()})
-        return DiagnosisSpec(accepted_causes=accepted, vocabulary=vocabulary)
-    if kind == "fix":
-        context = bank.contexts.get(template.context_ref or "")
-        if context is None or context.design is None:
-            raise BankError("fix answers need a context with a base design")
-        loaded_rpm = raw.get("loaded_rpm")
-        return FixSpec(
-            base_design=context.design,
-            environment=context.environment,
-            requirements=_requirements_from_raw(raw["requirements"], ns),
-            failing_requirement_id=str(raw["failing_requirement"]),
-            patchable_fields=tuple(raw.get("patchable_fields", tuple(DESIGN_FIELD_MAP))),
-            reference_patch=dict(raw["reference_patch"]),
-            ct_overrides=dict(bank.ct_overrides),
-            loaded_rpm=None if loaded_rpm is None else float(_resolve(loaded_rpm, ns)),
-        )
-    if kind == "design":
-        grid_id = str(raw["grid"])
-        if grid_id not in bank.grids:
-            raise BankError(f"unknown grid {grid_id!r}")
-        requirements = _requirements_from_raw(raw["requirements"], ns)
-        defaults = dict(raw.get("defaults", {}))
-        mtow = raw.get("mtow_kg")
-        mtow = float(_resolve(defaults["mtow_kg"] if mtow is None else mtow, ns))
-        defaults.setdefault("mtow_kg", mtow)
-        env_raw = raw.get("environment")
-        if env_raw is None and template.context_ref is not None:
-            environment = bank.contexts[template.context_ref].environment
-        else:
-            environment = environment_from_bank(env_raw)
-        grid, key = bank.grids[grid_id], (grid_id, mtow, environment, requirements)
-        reference_design = grid_design_from_bank(raw["reference_design"], defaults, grid)
-        if key not in fronts:
-            fronts[key] = reference_front(grid, mtow, environment, requirements)
-        return DesignSynthesisSpec(
-            requirements=requirements,
-            grid_id=grid_id,
-            grid=grid,
-            environment=environment,
-            defaults=defaults,
-            reference_design=reference_design,
-            mtow=mtow,
-            front=fronts[key],
-        )
-    if kind == "rubric":
-        criteria = tuple(
-            RubricCriterion(key=str(c["key"]), phrases=tuple(_read(c["phrases"])))
-            for c in raw["criteria"]
-        )
-        return RubricSpec(criteria=criteria, pass_threshold=float(raw["pass_threshold"]))
-    raise BankError(f"unknown answer kind {kind!r}")
+    kind = template.answer_raw.get("kind")
+    if not (type(kind) is str and kind in _ANSWERS):
+        raise BankError(f"unknown answer kind {kind!r}")
+    row = _ANSWERS[kind]
+    return row.build(_read_keys(template.answer_raw, row.keys), ns, template, bank, fronts)
 
 
 def instantiate(template: QuestionTemplate, bank: QuestionBank, fronts: Optional[dict] = None) -> QuestionInstance:
@@ -671,7 +696,7 @@ def instantiate(template: QuestionTemplate, bank: QuestionBank, fronts: Optional
     template.
     """
     ns = _namespace(template, bank)
-    prompt = template.pattern.format(**{k: _fmt(v) for k, v in ns.items()})
+    prompt = template.pattern.format_map(_Prompt(ns))
     spec = _instantiate_answer(template, bank, ns, {} if fronts is None else fronts)
     provenance = {
         "template_id": template.id,
@@ -701,6 +726,15 @@ def _line_of(raw_text: Optional[str], token: Any) -> Optional[int]:
             return lineno
     return None
 
+
+#: The tables of the records ``load_bank`` reads; a template's ``notes`` may be of any type.
+_DOCUMENT = {"schema_version": (_NUMBER, _REQUIRED), "contexts": (_OBJECT, {}), "grids": (_OBJECT, {}),
+             "ct_overrides": (_OBJECT, {}), "cause_vocabulary": (_OBJECT, {}), "templates": (_LIST, [])}
+_CONTEXT = {"summary": (_TEXT, ""), "design": ((dict, _NULL), None), "environment": ((dict, _NULL), None)}
+_TEMPLATE = {"id": (_TEXT, _REQUIRED), "level": ((str, int), _REQUIRED), "tags": (_OBJECT, _REQUIRED),
+             "pattern": (_TEXT, _REQUIRED), "answer": (_OBJECT, _REQUIRED), "params": (_OBJECT, {}),
+             "context": ((str, _NULL), None), "notes": (_ANY, None)}
+_TAGS = {f.key: (_ANY, [] if f.key in TagSet._field_defaults else _REQUIRED) for f in _TAG_FIELDS}
 
 #: What reading a malformed bank record raises; PhysicsDomainError is a ValueError.
 _RECORD_ERRORS = (LookupError, TypeError, ValueError, AttributeError, ArithmeticError)
@@ -741,64 +775,44 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
             reason = f"missing or unknown key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
             raise BankError(f"{where}: {reason}", path=path, line=_line_of(raw_text, token)) from None
 
-    def section(key: str, kind: type):
-        with record(key, key):
-            return kind(document.get(key, kind()))
-
-    if not isinstance(document, Mapping):
-        raise BankError("bank document must be a JSON object", path=path)
-    version = document.get("schema_version")
-    if version is None:
-        raise BankError("missing mandatory schema_version", path=path)
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
-        raise BankError(
-            f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})", path=path
-        )
+    with record("bank document"):
+        doc = _read_keys(document, _DOCUMENT)
+    version = doc["schema_version"]
+    if version != SCHEMA_VERSION:
+        raise BankError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})", path=path)
 
     contexts: dict[str, DesignContext] = {}
-    for ctx_id, raw in section("contexts", dict).items():
+    for ctx_id, raw in doc["contexts"].items():
         with record(f"context {ctx_id!r}", ctx_id):
-            design = raw.get("design")
-            contexts[ctx_id] = DesignContext(
-                summary=str(raw.get("summary", "")),
-                environment=environment_from_bank(raw.get("environment")),
-                design=None if design is None else design_from_bank(design),
-            )
+            context = _read_keys(raw, _CONTEXT)
+            design = None if context["design"] is None else design_from_bank(context["design"])
+            environment = environment_from_bank(context["environment"])
+            contexts[ctx_id] = DesignContext(context["summary"], design, environment)
 
     grids: dict[str, DesignGrid] = {}
-    for grid_id, raw in section("grids", dict).items():
+    for grid_id, raw in doc["grids"].items():
         with record(f"grid {grid_id!r}", grid_id):
             grids[grid_id] = grid_from_bank(raw)
 
-    vocabulary = {str(k): tuple(_read(v)) for k, v in section("cause_vocabulary", dict).items()}
+    vocabulary = {cause: _read(phrases) for cause, phrases in doc["cause_vocabulary"].items()}
     with record("ct_overrides", "ct_overrides"):
-        ct_overrides = ct_overrides_from_bank(dict(document.get("ct_overrides", {})))
+        ct_overrides = ct_overrides_from_bank(doc["ct_overrides"])
 
     templates: list[QuestionTemplate] = []
     seen_ids: set[str] = set()
-    for index, raw in enumerate(section("templates", list)):
-        if not isinstance(raw, Mapping):
-            raise BankError(f"templates[{index}]: must be a JSON object", path=path)
-        tid = raw.get("id")
+    for index, raw in enumerate(doc["templates"]):
+        tid = raw.get("id") if type(raw) is dict else None
         with record(f"templates[{index}]" + (f" (id {tid!r})" if tid else ""), tid):
+            template = _read_keys(raw, _TEMPLATE)
             if not tid:
                 raise BankError("missing id")
             if tid in seen_ids:
                 raise BankError("duplicate id")
             seen_ids.add(tid)
-            if not isinstance(raw.get("answer"), Mapping):
-                raise BankError("missing answer object")
-            templates.append(
-                QuestionTemplate(
-                    id=str(tid),
-                    level=CognitionLevel.parse(raw["level"]),
-                    tags=TagSet.from_dict(raw["tags"]),
-                    pattern=str(raw["pattern"]),
-                    answer_raw=dict(raw["answer"]),
-                    params=dict(raw.get("params", {})),
-                    context_ref=raw.get("context"),
-                )
-            )
+            level = CognitionLevel.parse(template["level"])
+            tags = TagSet.from_dict(_read_keys(template["tags"], _TAGS))
+            templates.append(QuestionTemplate(tid, level, tags, template["pattern"], template["answer"],
+                                              template["params"], template["context"]))
 
     instances: dict[str, QuestionInstance] = {}
     bank = QuestionBank(

@@ -134,10 +134,10 @@ class ModelingRequirement(enum.Enum):
     Multiphysics = "Multiphysics"
 
 
-def _read(raw, parse=lambda value: value) -> list:
-    """Parse each of a list of values, or keep it as written; any other value, an object too, is
-    a list of one.  Set-valued tags and filter fields are read through it, and a bank's phrase lists."""
-    return [parse(v) for v in (raw if isinstance(raw, list) else [raw])]
+def _read(raw, parse=lambda value: value) -> tuple:
+    """Parse each of a list of values, or keep it as written, into a tuple; any other value, an object
+    too, is a list of one.  Set-valued tags and filter fields are read through it, and a bank's phrase lists."""
+    return tuple([parse(v) for v in (raw if isinstance(raw, list) else [raw])])
 
 
 class _TagField(NamedTuple):
@@ -191,9 +191,10 @@ class TagSet(NamedTuple):
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "TagSet":
+        """From a document holding every tag key, as ``to_dict`` writes it and a bank reads it."""
         return cls(**{
             f.key: frozenset(_read(raw[f.key], f.parse)) if f.many else f.parse(raw[f.key])
-            for f in _TAG_FIELDS if f.key in raw
+            for f in _TAG_FIELDS
         })
 
     def to_dict(self) -> dict:

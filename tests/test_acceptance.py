@@ -12,6 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from conftest import brute_force_front
 from eagibench.bank import SampleMode, sample, shipped_bank_path
 from eagibench.design_space import (
     BatteryOption,
@@ -117,19 +118,6 @@ def test_criterion_3_patch_and_simulate(instances):
         assert grade({}).verdict is Verdict.Fail
 
 
-def _brute_force_front_indices(tuples):
-    def dom(a, b):
-        ge = a[0] <= b[0] and a[1] >= b[1] and a[2] >= b[2]
-        st = a[0] < b[0] or a[1] > b[1] or a[2] > b[2]
-        return ge and st
-
-    return [
-        i
-        for i, v in enumerate(tuples)
-        if not any(j != i and dom(w, v) for j, w in enumerate(tuples))
-    ]
-
-
 def test_criterion_4_pareto_property_suite():
     with criterion("4. pareto front vs brute force on 200 seeded grids"):
         env = Environment()
@@ -159,10 +147,7 @@ def test_criterion_4_pareto_property_suite():
                     break
             designs = enumerate_designs(grid, rng.uniform(4, 20))
             vectors = [objective_vector(d, env) for d in designs]
-            tuples = [
-                (v.hover_current_per_motor, v.thrust_margin, v.endurance) for v in vectors
-            ]
-            expected = [designs[k] for k in _brute_force_front_indices(tuples)]
+            expected = [designs[k] for k in brute_force_front(vectors)]
             assert pareto_front(designs, env) == expected, f"grid seed {20_000 + i}"
             # dominance sanity on all sampled pairs
             for a in vectors[:10]:

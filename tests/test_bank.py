@@ -8,6 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from eagibench import design_space
 from eagibench.bank import (
+    BATTERY_FIELD_MAP,
+    DESIGN_FIELD_MAP,
+    ENVIRONMENT_FIELD_MAP,
+    GRID_FIELD_MAP,
     BankError,
     NumericSpec,
     SampleError,
@@ -25,6 +29,9 @@ from eagibench.bank import (
 )
 from eagibench.scoring import Verdict, normalize_phrase, reference_answer, score_answer, score_fix
 from eagibench.taxonomy import CognitionLevel, TagFilter, matches
+
+
+_SHIPPED = json.loads(shipped_bank_path().read_text(encoding="utf-8"))
 
 
 def _template(doc, template_id):
@@ -56,8 +63,67 @@ _BLANK_PHRASE_SITES = {
                lambda doc, p: _template(doc, "l6-highalt-reflect")["answer"]["criteria"][0]["phrases"].append(p)),
     # The first diagnosis item reads the bank's vocabulary.
     "cause-vocabulary": ("l4-insufficient-thrust", lambda doc, p: doc["cause_vocabulary"]["high-kv-motor"].append(p)),
-    "extra-cause": ("l4-vibration",
-                    lambda doc, p: _template(doc, "l4-vibration")["answer"].update(extra_causes={"loose-arm": [p]})),
+}
+
+
+def _answer(doc, template_id):
+    return _template(doc, template_id)["answer"]
+
+
+def _copied(record, key, typo):
+    """A required key written a second time, misspelt."""
+    record[typo] = record[key]
+
+
+def _listed(record, key):
+    """An object written as a list of [key, value] pairs."""
+    record[key] = [list(pair) for pair in record[key].items()]
+
+
+def _templates_record(template_id):
+    index = [t["id"] for t in _SHIPPED["templates"]].index(template_id)
+    return re.escape(f"templates[{index}] (id {template_id!r})")
+
+
+_CONTEXT = "urban-logistics-quad"
+#: A misspelt key (an optional one renamed, a required one copied), a value of another JSON type,
+#: or an object written as pairs: (the edit, the record it is named by, as a regex, and the reason).
+_REPROS = {
+    "template-levle": (lambda doc: _copied(_template(doc, "l1-kv-meaning"), "level", "levle"),
+                       _templates_record("l1-kv-meaning"), "missing or unknown key 'levle'"),
+    "document-tempaltes": (lambda doc: _rename(doc, "templates", "tempaltes"), "bank document",
+                           "missing or unknown key 'tempaltes'"),
+    "numeric-rel_tl": (lambda doc: _rename(_answer(doc, "l3-no-load-rpm"), "rel_tol", "rel_tl"),
+                       "template 'l3-no-load-rpm'", "missing or unknown key 'rel_tl'"),
+    "design-requirments": (lambda doc: _copied(_answer(doc, "l5-quad-14kg"), "requirements", "requirments"),
+                           "template 'l5-quad-14kg'", "missing or unknown key 'requirments'"),
+    "tags-domian": (lambda doc: _copied(_template(doc, "l1-kv-meaning")["tags"], "domains", "domian"),
+                    _templates_record("l1-kv-meaning"), "missing or unknown key 'domian'"),
+    "rubric-pass_treshold": (lambda doc: _copied(_answer(doc, "l6-highalt-reflect"), "pass_threshold", "pass_treshold"),
+                             "template 'l6-highalt-reflect'", "missing or unknown key 'pass_treshold'"),
+    "context-sumary": (lambda doc: _rename(doc["contexts"][_CONTEXT], "summary", "sumary"),
+                       f"context '{_CONTEXT}'", "missing or unknown key 'sumary'"),
+    "field-name-null": (lambda doc: _answer(doc, "l2-prop-parameters")["fields"][0].update(name=None),
+                        "template 'l2-prop-parameters'", "key 'name' must be a string, got None"),
+    "requirement-id-7": (lambda doc: _answer(doc, "l4-thrust-fix")["requirements"][1].update(id=7),
+                         "template 'l4-thrust-fix'", "key 'id' must be a string, got 7"),
+    "rel_tol-text": (lambda doc: _answer(doc, "l3-no-load-rpm").update(rel_tol="0.05"),
+                     "template 'l3-no-load-rpm'", "key 'rel_tol' must be a number, got '0.05'"),
+    "pass_threshold-text": (lambda doc: _answer(doc, "l6-highalt-reflect").update(pass_threshold="0.5"),
+                            "template 'l6-highalt-reflect'", "key 'pass_threshold' must be a number, got '0.5'"),
+    "pattern-number": (lambda doc: _template(doc, "l1-kv-meaning").update(pattern=5),
+                       _templates_record("l1-kv-meaning"), "key 'pattern' must be a string, got 5"),
+    "context-summary-null": (lambda doc: doc["contexts"][_CONTEXT].update(summary=None),
+                             f"context '{_CONTEXT}'", "key 'summary' must be a string, got None"),
+    "criterion-key-null": (lambda doc: _answer(doc, "l6-highalt-reflect")["criteria"][0].update(key=None),
+                           "template 'l6-highalt-reflect'", "key 'key' must be a string, got None"),
+    "contexts-pairs": (lambda doc: _listed(doc, "contexts"), "bank document",
+                       f"key 'contexts' must be an object, got [['{_CONTEXT}', "),
+    "params-pairs": (lambda doc: _listed(_template(doc, "l3-rpm-400kv"), "params"),
+                     _templates_record("l3-rpm-400kv"), "key 'params' must be an object, got [['kv_new', 400]]"),
+    "reference_patch-pairs": (lambda doc: _listed(_answer(doc, "l4-thrust-fix"), "reference_patch"),
+                              "template 'l4-thrust-fix'",
+                              "key 'reference_patch' must be an object, got [['prop_diameter_in', 19]]"),
 }
 
 
@@ -259,9 +325,12 @@ class TestLoadBank:
     def test_a_phrase_that_is_not_a_json_string_rejected_at_load(self, raw_bank, where, phrase):
         # Read through str(), null was the phrase "None" and {"T": 1} the phrase "{'T': 1}".
         # A structured text field's expected value is left out: a $name may bind a number to it.
+        # A fact's canonical phrase is one JSON string, not a list, so its record's table names it.
         template_id, edit = _BLANK_PHRASE_SITES[where]
         edit(raw_bank, phrase)
         message = f"^template '{template_id}': .*phrase {re.escape(repr(phrase))} is not a string$"
+        if where == "fact-canonical":
+            message = f"^template '{template_id}': key 'canonical' must be a string, got {re.escape(repr(phrase))}$"
         with pytest.raises(BankError, match=message):
             load_bank(raw_bank)
 
@@ -285,18 +354,41 @@ class TestLoadBank:
         assert field._replace(expected=340).expected == 340  # a $name may bind a number
 
     @pytest.mark.parametrize(
-        "template_id, record, unit",
-        [("l1-6s-voltage", "Numeric", None), ("l1-6s-voltage", "Numeric", 5),
-         ("l2-voltage-range", "field 'minimum':", 5), ("l2-voltage-range", "field 'minimum':", ["V"])],
+        "template_id, unit, allowed",
+        [("l1-6s-voltage", None, "a string"), ("l1-6s-voltage", 5, "a string"),
+         ("l2-voltage-range", 5, "a string or null"), ("l2-voltage-range", ["V"], "a string or null")],
         ids=["numeric-null", "numeric-number", "field-number", "field-list"],
     )
-    def test_a_unit_that_is_not_a_json_string_rejected_at_load(self, raw_bank, template_id, record, unit):
+    def test_a_unit_that_is_not_a_json_string_rejected_at_load(self, raw_bank, template_id, unit, allowed):
         # A numeric "unit": null loaded as the unit "None": the oracle answer passed, and the
         # correct envelope {"value": 22.2, "unit": "V"} scored Fail.  A field may omit its unit.
         answer = _template(raw_bank, template_id)["answer"]
         (answer["fields"][0] if "fields" in answer else answer)["unit"] = unit
-        message = f"template '{template_id}': {record} unit must be a string, got {unit!r}"
+        message = f"template '{template_id}': key 'unit' must be {allowed}, got {unit!r}"
         with pytest.raises(BankError, match=f"^{re.escape(message)}$"):
+            load_bank(raw_bank)
+
+    def test_patchable_fields_are_a_phrase_list(self, raw_bank):
+        # A bare string split into characters, and was rejected naming the field 'p'.
+        _template(raw_bank, "l4-thrust-fix")["answer"]["patchable_fields"] = "prop_diameter_in"
+        spec = load_bank(raw_bank).instances["l4-thrust-fix"].answer_spec
+        assert spec.patchable_fields == ("prop_diameter_in",)
+        assert score_answer(spec, reference_answer(spec)).verdict is Verdict.Pass
+
+    def test_a_design_item_without_its_own_mtow_rejected_at_load(self, raw_bank):
+        # It fell back to defaults.mtow_kg, which the schema never documented.
+        answer = _template(raw_bank, "l5-quad-14kg")["answer"]
+        answer["defaults"]["mtow_kg"] = answer.pop("mtow_kg")
+        with pytest.raises(BankError, match="^template 'l5-quad-14kg': missing or unknown key 'mtow_kg'$"):
+            load_bank(raw_bank)
+
+    @pytest.mark.parametrize("where", list(_REPROS))
+    def test_a_misspelt_key_or_a_value_of_another_json_type_names_its_record_and_key(self, raw_bank, where):
+        # Each loaded: a misspelt key was ignored, so a default took its place, and a value of
+        # another JSON type, or a list of pairs, was coerced by str(), float() or dict().
+        edit, record, reason = _REPROS[where]
+        edit(raw_bank)
+        with pytest.raises(BankError, match=f"^{record}: {re.escape(reason)}"):
             load_bank(raw_bank)
 
     def test_accepted_causes_are_a_phrase_list(self, raw_bank):
@@ -477,10 +569,9 @@ def _nodes(node, prefix=()):
         yield from _nodes(child, prefix + (key,))
 
 
-_SHIPPED = json.loads(shipped_bank_path().read_text(encoding="utf-8"))
 _RECORD = re.compile(
     r"(context '[^']*'|grid '[^']*'|templates\[\d+\]( \(id [^)]*\))?|template '[^']*'"
-    r"|contexts|grids|templates|cause_vocabulary|ct_overrides): "
+    r"|bank document|ct_overrides): "
 )
 
 
@@ -505,6 +596,85 @@ def test_single_node_replacement_loads_or_names_its_record(path, value):
         record = _RECORD.match(message)
         assert record, message
         assert not _RECORD.match(message[record.end():]), message
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _record_of(path) -> str:
+    """A regex of the record a load names for an edit at ``path`` of the shipped bank."""
+    if path[:1] == ("templates",) and len(path) > 1:
+        tid = re.escape(repr(_SHIPPED["templates"][path[1]]["id"]))
+        return rf"(templates\[{path[1]}\]( \(id [^)]*\))?|template {tid})"  # as read, the id may be the edited one
+    if path[:1] in (("contexts",), ("grids",)) and len(path) > 1:
+        return re.escape(f"{path[0][:-1]} {path[1]!r}")
+    if path[:1] == ("cause_vocabulary",) and len(path) > 1:  # read by the first diagnosis item
+        return f"template {re.escape(repr(next(t['id'] for t in _SHIPPED['templates'] if t['answer']['kind'] == 'diagnosis')))}"
+    return "ct_overrides" if path[:1] == ("ct_overrides",) else "bank document"
+
+
+#: Maps keyed by ids or by free names: every other object of a bank is a record with fixed keys.
+_FREE_MAPS = ("contexts", "grids", "cause_vocabulary", "ct_overrides", "params", "args")
+_FIXED_KEY_RECORDS = [path for path in [(), *_nodes(_SHIPPED)]
+                      if isinstance(_at(_SHIPPED, path), dict) and path[-1:] not in [(m,) for m in _FREE_MAPS]]
+#: Every key some record may hold, but ``notes``, which only a template may hold.
+_KNOWN_KEYS = ({key for path in _FIXED_KEY_RECORDS for key in _at(_SHIPPED, path)}
+               | {*DESIGN_FIELD_MAP, *ENVIRONMENT_FIELD_MAP, *BATTERY_FIELD_MAP, *GRID_FIELD_MAP}) - {"notes"}
+
+
+def _misspellings(word):
+    """Each deletion, doubling and swap of adjacent characters in ``word``."""
+    return ({word[:i] + word[i + 1:] for i in range(len(word))} | {word[:i] + word[i] + word[i:] for i in range(len(word))}
+            | {word[:i] + word[i + 1] + word[i] + word[i + 2:] for i in range(len(word) - 1)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_key_no_record_lists_names_its_record_and_the_key(data):
+    path = data.draw(st.sampled_from(_FIXED_KEY_RECORDS))
+    record = _at(_SHIPPED, path)
+    typos = sorted({typo for key in record for typo in _misspellings(key)} - _KNOWN_KEYS)
+    key = data.draw(st.sampled_from(typos) | st.text(max_size=8).filter(lambda k: k not in _KNOWN_KEYS)
+                    | st.just("notes"))
+    doc = copy.deepcopy(_SHIPPED)
+    _at(doc, path)[key] = 0
+    if key == "notes" and path[:1] == ("templates",) and len(path) == 2:
+        load_bank(doc)
+        return
+    with pytest.raises(BankError, match=f"^{_record_of(path)}: .*{re.escape(repr(key))}"):
+        load_bank(doc)
+
+
+_LEAVES = [path for path in _nodes(_SHIPPED) if not isinstance(_at(_SHIPPED, path), (dict, list))]
+_JSON_TYPE = {bool: "bool", int: "number", float: "number", str: "string", type(None): "null", list: "list",
+              dict: "object"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_leaf_of_another_json_type_names_its_record_or_keeps_every_reference_passing(data):
+    path = data.draw(st.sampled_from(_LEAVES))
+    kind = _JSON_TYPE[type(_at(_SHIPPED, path))]
+    doc = copy.deepcopy(_SHIPPED)
+    _at(doc, path[:-1])[path[-1]] = data.draw(st.sampled_from(
+        [v for v in (None, True, 0, 2.5, "x", "$kv", [], {}, ["x"], {"x": 1}) if _JSON_TYPE[type(v)] != kind]))
+    try:
+        edited = load_bank(doc)
+    except BankError as exc:  # a leaf outside the templates may fail a template that reads it
+        named = f"({_record_of(path)}{'' if path[0] == 'templates' else '|template .*'}): "
+        if path == ("schema_version",):
+            named = "unsupported schema_version|bank document: key 'schema_version'"
+        assert re.match(named, str(exc)), exc
+        return
+    for inst in edited.instances.values():
+        score = score_answer(inst.answer_spec, reference_answer(inst.answer_spec))
+        if inst.kind == "design":  # on the front or not: front membership is not checked yet
+            assert {e.outcome for e in score.evidence if e.check_id != "pareto"} == {"pass"}, (inst.id, score)
+        else:
+            assert score.verdict is Verdict.Pass, (inst.id, score)
 
 
 _UNRELATED_REPLY = "The sky is green and I like turtles."

@@ -152,6 +152,7 @@ def _one_of_each() -> dict:
     found: dict = {}
     for value in (shipped, report, RunConfig(), TagFilter(), taxonomy.level_profile(3), taxonomy._TAG_FIELDS,
                   tuple(propulsion.REQUIREMENT_RULES.values()), tuple(scoring._KINDS.values()),
+                  tuple(bank._ANSWERS.values()),
                   scoring.extract("8 N", NumericSpec(8.0, "N", 0.02)),
                   evaluate_design(DESIGN, Environment(), (THRUST,)),
                   design_space.reference_front(l5.grid, l5.mtow, l5.environment, l5.requirements)):
