@@ -743,8 +743,8 @@ _RECORD_ERRORS = (LookupError, TypeError, ValueError, AttributeError, Arithmetic
 def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
     """Parse and validate a bank document; reject the whole file on first error.
 
-    ``source`` is the path of a UTF-8 JSON file or an already-parsed
-    mapping.  Every template is instantiated here, once, into
+    ``source`` is the path of a UTF-8 JSON file or a document already
+    parsed by ``json.loads``.  Every template is instantiated here, once, into
     ``bank.instances``, so unknown tags, unbound placeholders, and oracle
     binding errors are caught at load time.  Every rejection is a
     ``BankError`` whose message names the failing record.

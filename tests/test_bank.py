@@ -121,6 +121,8 @@ _REPROS = {
                        f"key 'contexts' must be an object, got [['{_CONTEXT}', "),
     "params-pairs": (lambda doc: _listed(_template(doc, "l3-rpm-400kv"), "params"),
                      _templates_record("l3-rpm-400kv"), "key 'params' must be an object, got [['kv_new', 400]]"),
+    "grid-pairs": (lambda doc: _listed(doc["grids"], "quad-14kg"), "grid 'quad-14kg'",
+                   "'list' object is not a mapping"),
     "reference_patch-pairs": (lambda doc: _listed(_answer(doc, "l4-thrust-fix"), "reference_patch"),
                               "template 'l4-thrust-fix'",
                               "key 'reference_patch' must be an object, got [['prop_diameter_in', 19]]"),
@@ -612,14 +614,15 @@ def _record_of(path) -> str:
     if path[:1] in (("contexts",), ("grids",)) and len(path) > 1:
         return re.escape(f"{path[0][:-1]} {path[1]!r}")
     if path[:1] == ("cause_vocabulary",) and len(path) > 1:  # read by the first diagnosis item
-        return f"template {re.escape(repr(next(t['id'] for t in _SHIPPED['templates'] if t['answer']['kind'] == 'diagnosis')))}"
+        diagnosis = next(t["id"] for t in _SHIPPED["templates"] if t["answer"]["kind"] == "diagnosis")
+        return f"template {re.escape(repr(diagnosis))}"
     return "ct_overrides" if path[:1] == ("ct_overrides",) else "bank document"
 
 
 #: Maps keyed by ids or by free names: every other object of a bank is a record with fixed keys.
 _FREE_MAPS = ("contexts", "grids", "cause_vocabulary", "ct_overrides", "params", "args")
 _FIXED_KEY_RECORDS = [path for path in [(), *_nodes(_SHIPPED)]
-                      if isinstance(_at(_SHIPPED, path), dict) and path[-1:] not in [(m,) for m in _FREE_MAPS]]
+                      if isinstance(_at(_SHIPPED, path), dict) and not (path and path[-1] in _FREE_MAPS)]
 #: Every key some record may hold, but ``notes``, which only a template may hold.
 _KNOWN_KEYS = ({key for path in _FIXED_KEY_RECORDS for key in _at(_SHIPPED, path)}
                | {*DESIGN_FIELD_MAP, *ENVIRONMENT_FIELD_MAP, *BATTERY_FIELD_MAP, *GRID_FIELD_MAP}) - {"notes"}
@@ -627,7 +630,8 @@ _KNOWN_KEYS = ({key for path in _FIXED_KEY_RECORDS for key in _at(_SHIPPED, path
 
 def _misspellings(word):
     """Each deletion, doubling and swap of adjacent characters in ``word``."""
-    return ({word[:i] + word[i + 1:] for i in range(len(word))} | {word[:i] + word[i] + word[i:] for i in range(len(word))}
+    return ({word[:i] + word[i + 1:] for i in range(len(word))}
+            | {word[:i] + word[i] + word[i:] for i in range(len(word))}
             | {word[:i] + word[i + 1] + word[i] + word[i + 2:] for i in range(len(word) - 1)})
 
 
