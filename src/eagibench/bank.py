@@ -108,19 +108,22 @@ class SampleMode(enum.Enum):
 
 
 def to_si(key: str, value) -> float:
-    """One bank-file value in SI: a ``*_in`` length at exactly 0.0254 m/in, a
-    count (``battery_cells``, ``n_motors``, a battery's ``cells``) as an int,
-    never truncated (4.7 raises), and any other value as a float."""
+    """One bank-file value in SI: a JSON number (a bool, a numeric string or null raises TypeError naming
+    ``key``), a ``*_in`` length at exactly 0.0254 m/in, a count (``battery_cells``, ``n_motors``, a
+    battery's ``cells``) as an int, never truncated (4.7 raises), and any other number as a float."""
+    if type(value) not in _NUMBER:
+        raise TypeError(f"key {key!r} must be a number, got {value!r}")
     if key in _COUNT_KEYS:
         return _as_count(key, value)
     return float(value) * M_PER_IN if key.endswith("_in") else float(value)
 
 
-def _reject_unknown(raw: Mapping, keys) -> None:
-    """Raise KeyError naming the first key of ``raw`` that ``keys`` lacks."""
-    unknown = [k for k in raw if k not in keys]
-    if unknown:
-        raise KeyError(unknown[0])
+def _reject_unknown(raw: Any, keys) -> None:
+    """Raise TypeError if ``raw`` is not a JSON object, and KeyError naming its first key ``keys`` lacks."""
+    if type(raw) is not dict:
+        raise TypeError(f"a record must be a JSON object, got {raw!r}")
+    if not raw.keys() <= keys:
+        raise KeyError(next(k for k in raw if k not in keys))
 
 
 #: JSON types of a record table's values; ``_NAME`` in a tuple also admits a "$name" string.
@@ -139,10 +142,7 @@ def _read_keys(raw: Any, table: Mapping[str, tuple]) -> dict:
     the table lacks, or a required one absent, raises KeyError; a record that is not a JSON
     object, or a value of another JSON type (a bool is never a number, and null is no value
     unless listed, as it is for an optional key whose default is null), TypeError."""
-    if type(raw) is not dict:
-        raise TypeError(f"a record must be a JSON object, got {raw!r}")
-    if not raw.keys() <= table.keys():
-        _reject_unknown(raw, table)
+    _reject_unknown(raw, table.keys())
     out = {}
     for key, (types, default) in table.items():
         value = out[key] = raw.get(key, default)
@@ -155,20 +155,15 @@ def _read_keys(raw: Any, table: Mapping[str, tuple]) -> dict:
 
 
 def fields_to_si(raw: Mapping, fields: Mapping[str, str] = DESIGN_FIELD_MAP) -> dict:
-    """Bank-file keys and values -> the attribute names ``fields`` maps them
-    to (a design's by default), each value through :func:`to_si`.
-
-    Raises KeyError naming the first key ``fields`` lacks before converting
-    any value; a value that does not convert, or a fractional count, raises
-    TypeError, ValueError or OverflowError.
-    """
-    _reject_unknown(raw, fields)
+    """Bank-file keys and values -> the attribute names ``fields`` maps them to (a design's by
+    default): the record read as :func:`_reject_unknown` reads it, then each value by :func:`to_si`."""
+    _reject_unknown(raw, fields.keys())
     return {fields[key]: to_si(key, value) for key, value in raw.items()}
 
 
 def design_from_bank(raw: Mapping, defaults: Optional[Mapping] = None) -> Design:
-    """Build a Design from bank-file keys, completing from defaults."""
-    kwargs = fields_to_si({**(defaults or {}), **{k: v for k, v in raw.items() if v is not None}})
+    """Build a Design from bank-file keys over ``defaults``, each record read by :func:`fields_to_si`."""
+    kwargs = {**fields_to_si(defaults or {}), **fields_to_si(raw)}
     missing = [k for k in Design._fields if k not in Design._field_defaults and k not in kwargs]
     if missing:
         raise ValueError(f"design is missing required field(s): {', '.join(missing)}")
@@ -205,32 +200,34 @@ def environment_from_bank(raw: Optional[Mapping]) -> Environment:
     return Environment(**fields_to_si(raw or {}, ENVIRONMENT_FIELD_MAP))
 
 
+#: A grid record's table: each axis, and the battery options, a list.
+_GRID = {**dict.fromkeys([*GRID_FIELD_MAP, "battery_options"], (_LIST, _REQUIRED)), "ct_overrides": (_OBJECT, {}),
+         "current_limit_a": (_NUMBER, DesignGrid._field_defaults["current_limit_per_motor"])}
+
+
 def grid_from_bank(raw: Mapping) -> DesignGrid:
-    """Build a grid from its bank-file form: each axis value through
-    :func:`to_si`, each battery option through ``BATTERY_FIELD_MAP``, and an
-    optional ``current_limit_a`` and ``ct_overrides`` (of the grid's propellers,
-    :func:`ct_overrides_from_bank`).  An unknown key raises KeyError."""
-    rest = {**raw}
-    batteries = tuple(BatteryOption(**fields_to_si(raw_battery, BATTERY_FIELD_MAP))
-                      for raw_battery in rest.pop("battery_options"))
-    axes = {axis: tuple(to_si(key, v) for v in rest.pop(key)) for key, axis in GRID_FIELD_MAP.items()}
+    """Build a grid from its bank-file record, read through ``_GRID``; its
+    ``ct_overrides`` name the grid's propellers (:func:`ct_overrides_from_bank`)."""
+    grid = _read_keys(raw, _GRID)
+    axes = {axis: tuple(to_si(key, v) for v in grid[key]) for key, axis in GRID_FIELD_MAP.items()}
     propellers = {(d, p) for d in axes["prop_diameters"] for p in axes["prop_pitches"]}
-    ct_overrides = ct_overrides_from_bank(rest.pop("ct_overrides", {}), propellers)
-    return DesignGrid(**axes, battery_options=batteries, ct_overrides=ct_overrides,
-                      **fields_to_si(rest, {"current_limit_a": "current_limit_per_motor"}))
+    batteries = tuple(BatteryOption(**fields_to_si(b, BATTERY_FIELD_MAP)) for b in grid["battery_options"])
+    limit = to_si("current_limit_a", grid["current_limit_a"])
+    return DesignGrid(**axes, battery_options=batteries, current_limit_per_motor=limit,
+                      ct_overrides=ct_overrides_from_bank(grid["ct_overrides"], propellers))
 
 
 def ct_overrides_from_bank(raw: Mapping, propellers: Optional[set] = None) -> dict:
     """Ct overrides keyed by propeller geometry, ``{(diameter_m, pitch_m): Ct}``:
-    both halves of a "<diameter>x<pitch>" key are read in inches through
-    :func:`to_si`, so "18x6", "18.0x6" and "18 x 6" name one propeller.  Raises
-    ValueError, naming the key as written, for a length or Ct that is not
-    positive and finite, a second key of one propeller, or a key naming none
-    of a grid's ``propellers``."""
+    each Ct and both halves of its "<diameter>x<pitch>" key, in inches, go through :func:`to_si`,
+    so "18x6", "18.0x6" and "18 x 6" name one propeller.  Raises ValueError, naming the key as
+    written, for a length or Ct that is not positive and finite, a second key of one propeller,
+    or a key naming none of a grid's ``propellers``."""
     table, written = {}, {}  # per propeller: its Ct, and its key as written
     for key, value in raw.items():
         diameter, _, pitch = key.partition("x")
-        prop, ct = (to_si("prop_diameter_in", diameter), to_si("prop_pitch_in", pitch)), float(value)
+        prop = (to_si("prop_diameter_in", float(diameter)), to_si("prop_pitch_in", float(pitch)))
+        ct = to_si(key, value)
         where = f"ct_overrides[{key!r}]"
         propulsion._require_positive(**{f"{where} diameter": prop[0], f"{where} pitch": prop[1], where: ct})
         if prop in written:

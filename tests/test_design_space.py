@@ -493,6 +493,22 @@ def _front_inputs(monkeypatch) -> list:
     return inputs
 
 
+@pytest.mark.parametrize("kind", [RequirementKind.MinEndurance, RequirementKind.MaxCurrentPerMotor,
+                                  RequirementKind.MinThrustPerMotor])
+def test_a_bound_at_a_grid_design_s_measured_value_keeps_that_design_on_the_walk(kind):
+    # Each bound is met at equality, as REQUIREMENT_RULES meets it, so a design whose measured
+    # value is the bound passes and is walked: it sets an end of its quantity's range.
+    grid, env = _grid(), Environment()
+    designs = enumerate_designs(grid, 12)
+    for design in designs:
+        bound = evaluate_design(design, env, [Requirement("probe", kind, 0.0)]).requirement_checks[0].measured
+        requirements = [Requirement("at-equality", kind, bound)]
+        feasible = feasible_set(designs, env, requirements)
+        assert design in feasible
+        vectors = [report_objectives(evaluate_design(d, env)) for d in feasible]
+        assert reference_front(grid, 12, env, requirements) == front_of(vectors)
+
+
 def test_reference_front_sweeps_only_the_top_endurance_members(monkeypatch):
     # Three capacities at one voltage share each point's current and margin, so only the
     # largest can be on the front.

@@ -193,6 +193,13 @@ class TestHoverPowerAndEndurance:
         with pytest.raises(PhysicsDomainError):
             hover_endurance(10, 22.2, 0.95, 0)
 
+    def test_zero_efficiency_is_outside_the_domain(self):
+        # Each efficiency's open lower end: 0 is a domain error, not a division by zero or a 0-minute endurance.
+        with pytest.raises(PhysicsDomainError, match="eta must be"):
+            ideal_hover_power(88.29, 0.9, 0.636, 0.0)
+        with pytest.raises(PhysicsDomainError, match="eta_batt must be"):
+            hover_endurance(10, 22.2, 0.0, 500)
+
 
 def _example_design(**overrides):
     base = dict(
@@ -300,6 +307,14 @@ class TestDesignInvariants:
     def test_voltage_must_match_cell_count(self):
         with pytest.raises(PhysicsDomainError):
             _example_design(battery_voltage_nominal=14.8)  # 4S voltage on a 6S pack
+
+    @pytest.mark.parametrize("voltage, beyond", [(87.875, 0.0), (97.125, math.inf)])
+    def test_a_pack_exactly_5_percent_from_nominal_is_allowed(self, voltage, beyond):
+        # 25 x 3.7 V = 92.5 V, and 5% of it, 4.625 V, is exact in binary, so the bound is met at equality.
+        assert abs(voltage - 3.7 * 25) == 0.05 * (3.7 * 25)
+        assert _example_design(battery_cells=25, battery_voltage_nominal=voltage).battery_voltage_nominal == voltage
+        with pytest.raises(PhysicsDomainError, match="not within 5%"):
+            _example_design(battery_cells=25, battery_voltage_nominal=math.nextafter(voltage, beyond))
 
     def test_positive_fields(self):
         with pytest.raises(PhysicsDomainError):

@@ -384,11 +384,24 @@ class TestScoreFix:
         score = score_fix("Increase the diameter to 19 inches if structurally feasible.", spec)
         assert score.verdict is Verdict.Pass
 
+    def test_a_pitch_alone_in_prose_patches_the_pitch(self, instances):
+        spec = instances["l4-thrust-fix"].answer_spec
+        assert extract("Set the pitch to 7.", spec).envelope == {"patch": {"prop_pitch_in": 7.0}}
+        assert score_fix("Set the pitch to 7.", spec).verdict is Verdict.Pass
+
     @pytest.mark.parametrize("value", [None, [19], 10**400])
     def test_malformed_patch_value_unscorable(self, instances, value):
         spec = instances["l4-thrust-fix"].answer_spec
         score = score_fix(_fence({"patch": {"prop_diameter_in": value}}), spec)
         assert score.verdict is Verdict.Unscorable
+
+    @pytest.mark.parametrize("value", [True, "19"])
+    def test_a_patch_value_that_is_not_a_json_number_is_unscorable_naming_the_key(self, instances, value):
+        # "19" is the diameter that fixes the item: a patch value is a JSON number, as in a bank.
+        spec = instances["l4-thrust-fix"].answer_spec
+        score = score_fix(_fence({"patch": {"prop_diameter_in": value}}), spec)
+        assert score.verdict is Verdict.Unscorable
+        assert f"key 'prop_diameter_in' must be a number, got {value!r}" in score.evidence[0].detail
 
     @pytest.mark.parametrize("diameter", [1e-300, 7.5e-153])
     def test_patch_outside_the_oracle_domain_unscorable(self, instances, diameter):
@@ -439,6 +452,14 @@ class TestScoreDesign:
         spec = instances["l5-quad-14kg"].answer_spec
         score = score_design(_fence({"design": {"kv_rpm_per_volt": value}}), spec)
         assert score.verdict is Verdict.Unscorable
+
+    @pytest.mark.parametrize("key, value", [("kv_rpm_per_volt", "340"), ("n_motors", True)])
+    def test_a_design_value_that_is_not_a_json_number_is_unscorable_naming_the_key(self, instances, key, value):
+        # "340" names the reference Kv, and a true motor count was graded as a one-motor design.
+        spec = instances["l5-quad-14kg"].answer_spec
+        score = score_design(_fence({"design": {"kv_rpm_per_volt": 340, "prop_diameter_in": 20, key: value}}), spec)
+        assert score.verdict is Verdict.Unscorable
+        assert f"key {key!r} must be a number, got {value!r}" in score.evidence[0].detail
 
     def test_fractional_motor_count_unscorable(self, instances):
         spec = instances["l5-quad-14kg"].answer_spec
@@ -624,6 +645,11 @@ class TestScoreRubric:
         score = score_rubric(text, RUBRIC)
         assert score.value == 1.0
         assert score.verdict is Verdict.Pass
+
+    def test_a_value_at_the_threshold_passes(self):
+        spec = RUBRIC._replace(pass_threshold=0.5)
+        score = score_rubric("It assumed sea level air density.", spec)
+        assert (score.value, score.verdict) == (0.5, Verdict.Pass)
 
     def test_density_only_quarter_fail(self):
         score = score_rubric("Maybe the air density was different.", RUBRIC)
