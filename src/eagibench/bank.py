@@ -108,11 +108,9 @@ class SampleMode(enum.Enum):
 
 
 def to_si(key: str, value) -> float:
-    """One bank-file value in SI: a JSON number (a bool, a numeric string or null raises TypeError naming
-    ``key``), a ``*_in`` length at exactly 0.0254 m/in, a count (``battery_cells``, ``n_motors``, a
-    battery's ``cells``) as an int, never truncated (4.7 raises), and any other number as a float."""
-    if type(value) not in _NUMBER:
-        raise TypeError(f"key {key!r} must be a number, got {value!r}")
+    """One bank-file value in SI, a JSON number by :func:`_typed`: a ``*_in`` length at exactly 0.0254 m/in, a
+    count (``battery_cells``, ``n_motors``, a battery's ``cells``) as an int, never truncated, else a float."""
+    _typed(key, value, _NUMBER)
     if key in _COUNT_KEYS:
         return _as_count(key, value)
     return float(value) * M_PER_IN if key.endswith("_in") else float(value)
@@ -136,22 +134,23 @@ _JSON_NAMES = {str: "a string", int: "a number", float: "a number", bool: "a boo
 _REQUIRED = object()
 
 
+def _typed(key: str, value: Any, types: tuple) -> Any:
+    """The one JSON-type test: ``value``, of ``key`` in a bank record or an answer, if of one of ``types`` (a
+    bool is never a number; ``_NAME`` admits a "$name"), else TypeError naming the key, KeyError if _REQUIRED."""
+    if type(value) not in types and not (_NAME in types and type(value) is str and value[:1] == "$"):
+        if value is _REQUIRED:
+            raise KeyError(key)
+        names = " or ".join(dict.fromkeys(_JSON_NAMES[t] for t in types))
+        raise TypeError(f"key {key!r} must be {names}, got {value!r}")
+    return value
+
+
 def _read_keys(raw: Any, table: Mapping[str, tuple]) -> dict:
     """One bank record by its table, ``{key: (JSON types, default or _REQUIRED)}``: every key
-    of the table, with its default, of one of its types, for each absent optional one.  A key
-    the table lacks, or a required one absent, raises KeyError; a record that is not a JSON
-    object, or a value of another JSON type (a bool is never a number, and null is no value
-    unless listed, as it is for an optional key whose default is null), TypeError."""
+    of the table, read by :func:`_typed`, with its default for each absent optional one.  A key
+    the table lacks raises KeyError, and a record that is not a JSON object TypeError."""
     _reject_unknown(raw, table.keys())
-    out = {}
-    for key, (types, default) in table.items():
-        value = out[key] = raw.get(key, default)
-        if type(value) not in types and not (_NAME in types and type(value) is str and value[:1] == "$"):
-            if value is _REQUIRED:
-                raise KeyError(key)
-            names = " or ".join(dict.fromkeys(_JSON_NAMES[t] for t in types))
-            raise TypeError(f"key {key!r} must be {names}, got {value!r}")
-    return out
+    return {key: _typed(key, raw.get(key, default), types) for key, (types, default) in table.items()}
 
 
 def fields_to_si(raw: Mapping, fields: Mapping[str, str] = DESIGN_FIELD_MAP) -> dict:
@@ -510,51 +509,43 @@ _ORACLE_FUNCTIONS = {
 }
 
 
-def _context_namespace(context: DesignContext) -> dict:
-    ns: dict = {
-        "rho": context.environment.air_density,
-        "g": context.environment.gravity,
-    }
-    design = context.design
-    if design is not None:
-        bank_units = design_to_bank(design)
-        ns.update(
-            kv=design.kv,
-            current_limit_a=design.current_limit_per_motor,
-            cells=design.battery_cells,
-            voltage_v=design.battery_voltage_nominal,
-            capacity_ah=design.battery_capacity,
-            diameter_in=bank_units["prop_diameter_in"],
-            diameter_m=design.prop_diameter,
-            pitch_in=bank_units["prop_pitch_in"],
-            pitch_m=design.prop_pitch,
-            n_motors=design.n_motors,
-            mtow_kg=design.mtow,
-            ct=design.thrust_coefficient_ct,
-        )
-    return ns
-
-
 def _derive(ns: dict) -> None:
+    """Add the values derived from others of the namespace, reading each input by :func:`to_si`."""
+    number = lambda key: to_si(key, ns[key])
     if "kv" in ns and "voltage_v" in ns:
-        ns.setdefault("no_load_rpm", propulsion.no_load_rpm(ns["kv"], ns["voltage_v"]))
+        ns.setdefault("no_load_rpm", propulsion.no_load_rpm(number("kv"), number("voltage_v")))
     if "mtow_kg" in ns and "n_motors" in ns:
-        args = (ns["mtow_kg"], _as_count("n_motors", ns["n_motors"]), ns["g"])
+        args = (number("mtow_kg"), number("n_motors"), number("g"))
         ns.setdefault("required_thrust_n", propulsion.required_thrust_per_motor(*args))
     if "diameter_m" in ns and "n_motors" in ns:
-        n_motors = _as_count("n_motors", ns["n_motors"])
-        ns.setdefault("disk_area_m2", propulsion.disk_area_total(ns["diameter_m"], n_motors))
+        ns.setdefault("disk_area_m2", propulsion.disk_area_total(number("diameter_m"), number("n_motors")))
 
 
 def _namespace(template: QuestionTemplate, bank: QuestionBank) -> dict:
     ns: dict = {"rho": propulsion.AIR_DENSITY_SEA_LEVEL, "g": propulsion.GRAVITY_DEFAULT}
     if template.context_ref is not None:
         context = bank.contexts[template.context_ref]
-        ns.update(_context_namespace(context))
-        ns["context_summary"] = context.summary
+        ns.update(rho=context.environment.air_density, g=context.environment.gravity,
+                  context_summary=context.summary)
+        if (design := context.design) is not None:
+            bank_units = design_to_bank(design)
+            ns.update(
+                kv=design.kv,
+                current_limit_a=design.current_limit_per_motor,
+                cells=design.battery_cells,
+                voltage_v=design.battery_voltage_nominal,
+                capacity_ah=design.battery_capacity,
+                diameter_in=bank_units["prop_diameter_in"],
+                diameter_m=design.prop_diameter,
+                pitch_in=bank_units["prop_pitch_in"],
+                pitch_m=design.prop_pitch,
+                n_motors=design.n_motors,
+                mtow_kg=design.mtow,
+                ct=design.thrust_coefficient_ct,
+            )
     for key, value in template.params.items():
         ns[key] = value
-        if isinstance(value, (int, float)) and key.endswith("_in"):
+        if key.endswith("_in"):
             ns[key[: -len("_in")] + "_m"] = to_si(key, value)
     _derive(ns)
     ns.setdefault("ct", CT_DEFAULT)
@@ -589,14 +580,14 @@ _CRITERION = {"key": (_TEXT, _REQUIRED), "phrases": (_PHRASES, _REQUIRED)}
 
 def _requirements(raws: Sequence, ns: Mapping) -> RequirementSet:
     return RequirementSet(
-        Requirement(r["id"], RequirementKind(r["kind"]), float(_resolve(r["bound"], ns)))
+        Requirement(r["id"], RequirementKind(r["kind"]), to_si("bound", _resolve(r["bound"], ns)))
         for r in (_read_keys(raw, _REQUIREMENT) for raw in raws)
     )
 
 
 def _numeric(a: dict, ns: dict, *_) -> NumericSpec:
     oracle = _read_keys(a["oracle"], _ORACLE)
-    args = {name: float(_resolve(value, ns)) for name, value in oracle["args"].items()}
+    args = {name: to_si(name, _resolve(value, ns)) for name, value in oracle["args"].items()}
     return NumericSpec(float(_ORACLE_FUNCTIONS[oracle["fn"]](**args)), a["unit"], a["rel_tol"])
 
 
@@ -611,9 +602,10 @@ def _fix(a: dict, ns: dict, template: QuestionTemplate, bank: QuestionBank, _) -
     context = bank.contexts.get(template.context_ref)
     if context is None or context.design is None:
         raise BankError("fix answers need a context with a base design")
+    loaded_rpm = None if a["loaded_rpm"] is None else to_si("loaded_rpm", _resolve(a["loaded_rpm"], ns))
     return FixSpec(context.design, context.environment, _requirements(a["requirements"], ns),
                    a["failing_requirement"], _read(a["patchable_fields"]), a["reference_patch"],
-                   bank.ct_overrides, None if a["loaded_rpm"] is None else float(_resolve(a["loaded_rpm"], ns)))
+                   bank.ct_overrides, loaded_rpm)
 
 
 def _design(a: dict, ns: dict, template: QuestionTemplate, bank: QuestionBank,
@@ -622,7 +614,7 @@ def _design(a: dict, ns: dict, template: QuestionTemplate, bank: QuestionBank,
     grid_id = a["grid"]
     if grid_id not in bank.grids:
         raise BankError(f"unknown grid {grid_id!r}")
-    requirements, mtow = _requirements(a["requirements"], ns), float(_resolve(a["mtow_kg"], ns))
+    requirements, mtow = _requirements(a["requirements"], ns), to_si("mtow_kg", _resolve(a["mtow_kg"], ns))
     defaults = {**a["defaults"], "mtow_kg": a["defaults"].get("mtow_kg", mtow)}
     if a["environment"] is None and template.context_ref is not None:
         environment = bank.contexts[template.context_ref].environment

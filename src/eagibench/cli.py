@@ -129,7 +129,7 @@ def _cmd_generate(args) -> int:
 def _cmd_score(args) -> int:
     bank, bank_path = _load_bank_arg(args.bank)
     instances_doc = _read_json_object(args.instances, "instances file")
-    answers = _read_json_object(args.answers, "answers file")
+    agent = ReplayAgent(_read_json_object(args.answers, "answers file"))
     recorded = instances_doc.get("bank_fingerprint")
     if recorded and recorded != bank_fingerprint(bank_path):
         print(
@@ -145,7 +145,7 @@ def _cmd_score(args) -> int:
         raise UsageError(f"instances file {args.instances}: bad instance record ({exc!r})") from None
     config = RunConfig(threshold=args.threshold)
     record = {"mode": instances_doc.get("mode"), "seed": instances_doc.get("seed"), "agent": "replay-file"}
-    answered = [str(answers.get(inst.id, "")) for inst in instances]
+    answered = [agent.answer(inst.prompt, {"instance_id": inst.id}) for inst in instances]
     _write_out(emit_report(grade(instances, answered, config, record), "json"), args.out)
     return EXIT_OK
 

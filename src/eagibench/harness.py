@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .bank import QuestionInstance
+from .bank import _TEXT, QuestionInstance, _typed
 from .records import checked
 from .scoring import Evidence, Score, Verdict, reference_answer, score_answer, unscorable
 from .taxonomy import CognitionLevel
@@ -67,7 +67,7 @@ class AgentAdapter(Protocol):
 
 
 class ReplayAgent:
-    """Answers from a keyed file: {"<instance id>": "<answer text>", ...}."""
+    """Answers from a keyed file: {"<instance id>": "<answer text>", ...}, each a JSON string."""
 
     name = "replay"
 
@@ -76,7 +76,10 @@ class ReplayAgent:
             answers = json.loads(Path(answers).read_text(encoding="utf-8"))
         if not isinstance(answers, Mapping):
             raise ValueError(f"replay answers must be a JSON object, got {type(answers).__name__}")
-        self._answers = {str(k): str(v) for k, v in answers.items()}
+        try:
+            self._answers = {key: _typed(key, text, _TEXT) for key, text in answers.items()}
+        except TypeError as exc:  # bad input, as a usage error: the CLI exits 1
+            raise ValueError(f"replay answers: {exc}") from None
 
     def answer(self, prompt: str, metadata: Mapping) -> str:
         return self._answers.get(metadata["instance_id"], "")

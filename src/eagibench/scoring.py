@@ -46,6 +46,10 @@ from .bank import (
     NumericSpec,
     RubricSpec,
     StructuredSpec,
+    _NUMBER,
+    _OBJECT,
+    _TEXT,
+    _typed,
     answer_kind,
     design_to_bank,
     grid_design_from_bank,
@@ -202,7 +206,7 @@ def _find_envelope(text: str, key: str) -> Optional[Mapping]:
     for block in _FENCE_RE.findall(text):
         try:
             candidate = json.loads(block)
-        except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deep
+        except (ValueError, RecursionError):  # not JSON, an integer too long to read, or nested too deep
             continue
         if isinstance(candidate, Mapping) and key in candidate:
             envelope = candidate
@@ -337,14 +341,14 @@ def score_numeric(answer_text: str, spec: NumericSpec) -> Score:
     if ans.envelope is None:
         return unscorable("no numeric payload found")
     try:
-        value = float(ans.envelope["value"])
-    except (TypeError, ValueError, OverflowError):
-        return unscorable(f"envelope value {ans.envelope.get('value')!r} is not a number")
-    unit = ans.envelope.get("unit", spec.unit)
-    if normalize_unit(str(unit)) != normalize_unit(spec.unit):
+        value = _typed("value", ans.envelope["value"], _NUMBER)
+        unit = _typed("unit", ans.envelope.get("unit", spec.unit), _TEXT)
+        ok = _within(value, spec.value, spec.rel_tol)
+    except (TypeError, OverflowError) as exc:  # OverflowError: an int beyond float range
+        return unscorable(f"envelope {exc}")
+    if normalize_unit(unit) != normalize_unit(spec.unit):
         detail = f"answer unit {unit!r} does not match {spec.unit!r}"
         return _graded(0.0, [Evidence("unit", "fail", detail)])
-    ok = _within(value, spec.value, spec.rel_tol)
     detail = (
         f"measured {value:g} {spec.unit} vs expected {spec.value:g} {spec.unit} "
         f"(rel_tol {spec.rel_tol:g}, via {ans.extraction})"
@@ -354,7 +358,10 @@ def score_numeric(answer_text: str, spec: NumericSpec) -> Score:
 
 def score_fact(answer_text: str, spec: FactSpec) -> Score:
     ans = extract(answer_text, spec)
-    text = str(ans.envelope["text"]) if ans.envelope else answer_text
+    try:
+        text = _typed("text", ans.envelope["text"], _TEXT) if ans.envelope else answer_text
+    except TypeError as exc:
+        return unscorable(f"envelope {exc}")
     if not text.strip():
         return unscorable("empty answer")
     normalized = normalize_phrase(text)
@@ -365,9 +372,9 @@ def score_fact(answer_text: str, spec: FactSpec) -> Score:
     return _graded(0.0, [Evidence("fact", "fail", f"no match for canonical {spec.canonical!r}")])
 
 
-def _phrase_found(field: FieldExpectation, text: str) -> bool:
-    """Whether the text field's expected value or an alias is a normalized substring of ``text``."""
-    normalized = normalize_phrase(text)
+def _phrase_found(field: FieldExpectation, said) -> bool:
+    """Whether the field's expected value or an alias is a normalized substring of ``said`` (text or a number)."""
+    normalized = normalize_phrase(str(said))
     return any(normalize_phrase(phrase) in normalized for phrase in (str(field.expected), *field.aliases))
 
 
@@ -380,13 +387,16 @@ def _match_field(field: FieldExpectation, envelope_fields: Optional[Mapping], te
             return False, f"{field.name}: missing from envelope"
         got = envelope_fields[field.name]
         if field.kind == "number":
-            try:
-                value = float(got)
-            except (TypeError, ValueError, OverflowError):
+            try:  # :g raises OverflowError for an int beyond float range
+                detail = f"{field.name}: {_typed(field.name, got, _NUMBER):g} vs {field.expected:g}"
+            except (TypeError, OverflowError):
                 return False, f"{field.name}: {got!r} is not a number"
-            ok = _within(value, field.expected, field.rel_tol)
-            return ok, f"{field.name}: {value:g} vs {field.expected:g}"
-        return _phrase_found(field, str(got)), f"{field.name}: {got!r} vs {field.expected!r}"
+            return _within(got, field.expected, field.rel_tol), detail
+        try:
+            ok = _phrase_found(field, _typed(field.name, got, _TEXT + _NUMBER))
+        except TypeError:
+            return False, f"{field.name}: {got!r} is not a string or a number"
+        return ok, f"{field.name}: {got!r} vs {field.expected!r}"
     # plain-text path
     if field.kind == "number":
         named = re.search(rf"{re.escape(field.name)}\W{{0,3}}(?:\w+\W{{0,3}}){{0,4}}?" + _NUMBER_UNIT, text, re.I)
@@ -408,9 +418,10 @@ def _match_field(field: FieldExpectation, envelope_fields: Optional[Mapping], te
 
 def score_structured(answer_text: str, spec: StructuredSpec) -> Score:
     ans = extract(answer_text, spec)
-    envelope_fields = None
-    if ans.envelope is not None and isinstance(ans.envelope.get("fields"), Mapping):
-        envelope_fields = ans.envelope["fields"]
+    try:
+        envelope_fields = None if ans.envelope is None else _typed("fields", ans.envelope["fields"], _OBJECT)
+    except TypeError as exc:
+        return unscorable(f"envelope {exc}")
     if envelope_fields is None and not answer_text.strip():
         return unscorable("empty answer")
     evidence = []
@@ -426,7 +437,10 @@ def score_diagnosis(answer_text: str, spec: DiagnosisSpec) -> Score:
     ans = extract(answer_text, spec)
     if ans.envelope is None:
         return unscorable("no cause identified in answer")
-    cause = str(ans.envelope["cause"])
+    try:
+        cause = _typed("cause", ans.envelope["cause"], _TEXT)
+    except TypeError as exc:
+        return unscorable(f"envelope {exc}")
     ok = cause in spec.accepted_causes
     detail = f"cause {cause!r} vs accepted {list(spec.accepted_causes)} (via {ans.extraction})"
     return _graded(float(ok), [Evidence("diagnosis", "pass" if ok else "fail", detail)])
@@ -529,7 +543,10 @@ def score_rubric(answer_text: str, spec: RubricSpec) -> Score:
     non-zero value (the raw fraction is kept for reporting).
     """
     ans = extract(answer_text, spec)
-    text = str(ans.envelope["text"]) if ans.envelope else answer_text
+    try:
+        text = _typed("text", ans.envelope["text"], _TEXT) if ans.envelope else answer_text
+    except TypeError as exc:
+        return unscorable(f"envelope {exc}")
     if not text.strip():
         return unscorable("empty answer")
     lowered = text.lower()

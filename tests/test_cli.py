@@ -435,6 +435,23 @@ def test_score_and_replay_run_grade_alike(tmp_path, instances):
     assert {"Pass", "Fail", "Unscorable"} <= verdicts
 
 
+@pytest.mark.parametrize("answer", [None, ["T = Ct * rho * n^2 * D^4"], 5], ids=["null", "list", "number"])
+@pytest.mark.parametrize("verb", ["score", "run"])
+def test_an_answer_that_is_not_a_json_string_exits_1_naming_its_id(tmp_path, capsys, verb, answer):
+    # Read with str(), null was the reply "None", which fails where a missing answer is Unscorable, and
+    # the formula in a list passed l1-thrust-equation, through both verbs.
+    answers = _write(tmp_path / "answers.json", {"l1-kv-meaning": "RPM per volt", "l1-thrust-equation": answer})
+    instances, common = tmp_path / "instances.json", ["--n", "24", "--mode", "Curriculum"]
+    assert main(["generate", *common, "--out", str(instances)]) == EXIT_OK
+    argv = {"score": ["score", "--instances", str(instances), "--answers", answers],
+            "run": ["run", *common, "--agent", f"replay:{answers}"]}[verb]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "report.json")]) == EXIT_USAGE
+    message = f"error: replay answers: key 'l1-thrust-equation' must be a string, got {answer!r}\n"
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "report.json").exists()
+
+
 _TEMPLATE_IDS = st.sampled_from(sorted(i.id for i in load_shipped_bank().instances.values()))
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
 _INSTANCE_RECORDS = st.fixed_dictionaries(

@@ -107,9 +107,11 @@ def test_a_checked_record_raises_the_same_however_it_is_built(valid, field, bad,
 
 
 def test_a_requirement_set_checks_its_ids_however_it_is_built():
-    raised = _raised(lambda: RequirementSet((THRUST, THRUST)))
+    # A second, distinct id: the message lists only the repeated one.
+    current = Requirement("current", RequirementKind.MaxCurrentPerMotor, 30.0)
+    raised = _raised(lambda: RequirementSet((THRUST, current, THRUST)))
     assert raised == (ValueError, "duplicate requirement ids: ['thrust']")
-    unchecked = tuple.__new__(RequirementSet, (THRUST, THRUST))
+    unchecked = tuple.__new__(RequirementSet, (THRUST, current, THRUST))
     assert _raised(lambda: pickle.loads(pickle.dumps(unchecked))) == raised
     requirements = RequirementSet((THRUST,))
     assert pickle.loads(pickle.dumps(requirements)) == requirements

@@ -74,6 +74,11 @@ class TestExtract:
         ans = extract(text, RPM_SPEC)
         assert ans.extraction == "text-unit-number"
 
+    def test_an_integer_too_long_to_read_skips_its_block(self):
+        # Python reads no integer of more than 4,300 digits: the ValueError escaped the scorer.
+        text = '```json\n{"value": ' + "1" * 5000 + ', "unit": "RPM"}\n```'
+        assert score_numeric(text, RPM_SPEC).verdict in (Verdict.Fail, Verdict.Unscorable)
+
     def test_malformed_fence_falls_back_to_text(self):
         ans = extract("```json\n{not json}\n```\n8436 rpm", RPM_SPEC)
         assert ans.envelope["value"] == 8436
@@ -818,6 +823,72 @@ def test_prose_before_a_partial_envelope_leaves_the_score_unchanged(instances, k
     payloads, prose = _partial_envelopes(spec, kind)
     envelope = _fence(data.draw(payloads))
     assert score_answer(spec, data.draw(prose) + "\n" + envelope) == score_answer(spec, envelope)
+
+
+# An envelope value is read by the bank's one JSON-type test, never coerced.
+
+
+@pytest.mark.parametrize("template_id, envelope, key", [
+    ("l3-no-load-rpm", {"value": "8436", "unit": "RPM"}, "value"),
+    ("l3-no-load-rpm", {"value": True}, "value"),
+    ("l3-no-load-rpm", {"value": 8436, "unit": None}, "unit"),
+    ("l1-kv-meaning", {"text": ["RPM per volt under no-load conditions"]}, "text"),
+    ("l1-kv-meaning", {"text": None}, "text"),
+    ("l4-vibration", {"cause": ["prop-imbalance"]}, "cause"),
+    ("l6-highalt-reflect", {"text": None}, "text"),
+    ("l2-prop-parameters", {"fields": [{"diameter": 18, "pitch": 6, "type": "fixed"}]}, "fields"),
+], ids=["value-text", "value-true", "unit-null", "fact-list", "fact-null", "cause-list", "rubric-null", "fields-list"])
+def test_an_envelope_value_of_another_json_type_is_unscorable_naming_its_key(instances, template_id, envelope, key):
+    # Read through float() or str(), "8436" and the text in a list passed, true was 1 RPM, null was the reply
+    # "None", the cause in a list was "['prop-imbalance']", and fields in a list were read as prose, and passed.
+    score = score_answer(instances[template_id].answer_spec, _fence(envelope))
+    assert score.verdict is Verdict.Unscorable
+    assert score.evidence[0].detail.startswith(f"envelope key {key!r} must be "), score
+
+
+def test_a_structured_field_of_another_json_type_fails_naming_the_field(instances):
+    # Read through float() and str(), this envelope passed every field.
+    score = score_answer(instances["l2-prop-parameters"].answer_spec,
+                         _fence({"fields": {"diameter": "18", "pitch": "6", "type": ["fixed"]}}))
+    assert score.verdict is Verdict.Fail
+    assert [e.detail for e in score.evidence] == [
+        "diameter: '18' is not a number", "pitch: '6' is not a number", "type: ['fixed'] is not a string or a number"]
+
+
+@pytest.mark.parametrize("said, verdict", [(6, Verdict.Pass), ("6S", Verdict.Pass), (5, Verdict.Fail),
+                                           (True, Verdict.Fail), (None, Verdict.Fail)])
+def test_a_text_field_reads_a_string_or_a_number_by_its_text(said, verdict):
+    # The rule a bank's text field follows for its own expected value.
+    spec = StructuredSpec((FieldExpectation(name="cells", kind="text", expected=6),))
+    assert score_structured(_fence({"fields": {"cells": said}}), spec).verdict is verdict
+
+
+def _paths(node, prefix=()):
+    """Every path below the root of a JSON object's objects."""
+    for key, child in node.items() if isinstance(node, dict) else ():
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_JSON_TYPE = {bool: "bool", int: "number", float: "number", str: "string", type(None): "null", list: "list",
+              dict: "object"}
+
+
+@pytest.mark.parametrize("kind", sorted(ANSWER_KINDS.values()))
+@settings(deadline=None)
+@given(data=st.data())
+def test_an_envelope_value_replaced_by_one_of_another_json_type_never_passes(instances, kind, data):
+    specs = [i.answer_spec for i in instances.values() if answer_kind(i.answer_spec) == kind]
+    spec = data.draw(st.sampled_from(specs))
+    envelope = {"text": scoring.reference_answer(spec)} if kind == "rubric" else scoring._KINDS[kind].reference(spec)
+    *parents, key = data.draw(st.sampled_from(list(_paths(envelope))))
+    record = envelope
+    for parent in parents:
+        record = record[parent]
+    value = record[key]  # replaced by a fixed value, or by the same value as text, in a list or in an object
+    others = (None, True, 0, 2.5, "x", [], {}, str(value), [value], {key: value})
+    record[key] = data.draw(st.sampled_from([v for v in others if _JSON_TYPE[type(v)] != _JSON_TYPE[type(value)]]))
+    assert score_answer(spec, _fence(envelope)).verdict is not Verdict.Pass, envelope
 
 
 _SHIPPED = json.loads(shipped_bank_path().read_text(encoding="utf-8"))
