@@ -1,9 +1,10 @@
 """Design-space enumeration, feasibility filtering, and Pareto fronts.
 
 A design grid spans discrete axes (Kv, propeller diameter and pitch,
-battery option, motor count).  Enumeration walks the Cartesian product in
-the axis order listed on the grid, so output order is deterministic and
-byte-identical across runs.
+battery option, motor count).  Enumeration is a read-only sequence over the
+Cartesian product in the axis order listed on the grid, so output order is
+deterministic and byte-identical across runs.  It checks the takeoff weight
+once per call and builds each design only when it is read.
 
 The trade-off objectives are fixed: per-motor hover current (minimize),
 thrust margin over the hover requirement (maximize), and hover endurance
@@ -15,10 +16,10 @@ walk per (grid id, mtow, environment, requirements); scoring an answer reads
 the front and walks nothing.  The walk checks the grid once, runs the stages
 that do not depend on Kv before its Kv loop, and compares each quantity, where
 it is first known, with the intersection of its requirements' intervals.  It
-groups the passing designs by (Kv, propeller, motor count, voltage), each
-member with its grid index and endurance; ``reference_front`` sweeps only the
-members of highest endurance in each group, and puts only the front in grid
-order.  Whether an item's reference design is on its front is not checked yet:
+builds no design: it groups the passing grid indices by (Kv, propeller, motor
+count, voltage), each member with its endurance; ``reference_front`` sweeps
+only the members of highest endurance in each group, and puts only the front
+in grid order.  Whether an item's reference design is on its front is not checked yet:
 the bench's ``design-grid`` generator loads dense grids whose fronts dominate
 the shipped reference designs (see ``bank.DesignSynthesisSpec._check``).
 """
@@ -27,10 +28,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Mapping, Sequence
 from itertools import count, product
-from operator import neg
+from operator import eq, neg
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .propulsion import (
     BATTERY_EFFICIENCY_DEFAULT,
@@ -103,15 +105,15 @@ class DesignGrid(NamedTuple):
         return [(d, p, ct((d, p), CT_DEFAULT)) for d in self.prop_diameters for p in self.prop_pitches]
 
 
-def enumerate_designs(grid: DesignGrid, mtow: float) -> list[Design]:
-    """Cartesian product of the grid axes, in lexicographic axis order.
+def enumerate_designs(grid: DesignGrid, mtow: float) -> Sequence[Design]:
+    """Cartesian product of the grid axes, in lexicographic axis order, each design built when it is read.
 
     Each design is ``tuple.__new__(Design, (kv,) + template)``, one template
     of the fields after Kv per (propeller, battery, motor count), so
     ``Design._check`` does not run.  What it checks holds: the grid checked
     each axis value by the same rules when it was built, each Ct is a
     checked override or the default, ``footprint`` is None, and ``mtow`` is
-    checked here, once.
+    checked here, once per call.
     """
     _require_positive(mtow=mtow)
     templates = [
@@ -120,7 +122,29 @@ def enumerate_designs(grid: DesignGrid, mtow: float) -> list[Design]:
         for diameter, pitch, ct in grid.propellers()
         for battery in grid.battery_options for n_motors in grid.n_motors_options
     ]
-    return [tuple.__new__(Design, (kv,) + template) for kv in grid.kv_values for template in templates]
+    return _Designs(grid.kv_values, templates)
+
+
+class _Designs(Sequence):
+    """Read-only design list: item ``i`` is ``kvs[i // t]`` before ``templates[i % t]``, ``t = len(templates)``."""
+
+    def __init__(self, kvs: Sequence[float], templates: list[tuple]):
+        self._kvs, self._templates = kvs, templates
+
+    def __len__(self) -> int:
+        return len(self._kvs) * len(self._templates)
+
+    def __getitem__(self, i: int) -> Design:
+        kv, template = divmod(range(len(self))[i], len(self._templates))  # IndexError past either end
+        return tuple.__new__(Design, (self._kvs[kv],) + self._templates[template])
+
+    def __iter__(self) -> Iterator[Design]:
+        return (tuple.__new__(Design, (kv,) + template) for kv in self._kvs for template in self._templates)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (_Designs, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 class ObjectiveVector(NamedTuple):
@@ -211,9 +235,9 @@ class ReferenceFront(NamedTuple):
     ranges: Mapping[str, float]
 
 
-def _walk(grid: DesignGrid, mtow: float, env: Environment, requirements) -> tuple[list[Design], list[tuple]]:
-    """``enumerate_designs(grid, mtow)`` and its passing designs, grouped per
-    (Kv, propeller, motor count, voltage) as ``(first, current, margin,
+def _walk(grid: DesignGrid, mtow: float, env: Environment, requirements) -> tuple[Sequence[Design], list[tuple]]:
+    """``enumerate_designs(grid, mtow)``, whose length alone it reads, so it builds no design, and
+    its passing designs, grouped per (Kv, propeller, motor count, voltage) as ``(first, current, margin,
     (members, lowest, highest, tops))``: ``first`` is the grid index of the
     Kv's first design, a member is the ``(index past first, endurance)`` of a
     battery of that voltage, and ``tops`` index the members of highest endurance.

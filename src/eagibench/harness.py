@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .bank import _TEXT, QuestionInstance, _typed
+from .bank import _NULL, _TEXT, QuestionInstance, _typed
 from .records import checked
 from .scoring import Evidence, Score, Verdict, reference_answer, score_answer, unscorable
 from .taxonomy import CognitionLevel
@@ -148,11 +148,13 @@ class RemoteAgent:
 
 
 def _chat_content(body: object) -> str:
-    """The first choice's message content (or completion text) of a chat reply."""
+    """The first choice's message content (or completion text) of a chat reply, a JSON string by
+    :func:`bank._typed`; a null one (a refusal, a tool call) is an empty reply."""
     try:
         choice = body["choices"][0]
         message = choice.get("message")
-        return str(choice["text"] if message is None else message["content"])
+        key, value = ("text", choice["text"]) if message is None else ("content", message["content"])
+        return _typed(key, value, (*_TEXT, _NULL)) or ""
     except (LookupError, TypeError, AttributeError):
         raise ValueError(f"not a chat completion: {body!r:.200}") from None
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,6 +23,7 @@ from eagibench.design_space import (
     report_objectives,
 )
 from eagibench.propulsion import (
+    CT_DEFAULT,
     Design,
     Environment,
     M_PER_IN,
@@ -97,6 +99,68 @@ class TestEnumerate:
         with pytest.raises(TypeError):
             grid.ct_overrides[prop] = -1.0
         assert enumerate_designs(grid, 12)[0].thrust_coefficient_ct == 0.05
+
+
+@st.composite
+def _enumerable_grids(draw):
+    """A grid of 1-3 values on each axis (values may repeat), every battery a valid pack, Ct
+    overrides on some of its propellers, and a takeoff weight."""
+    def axis(values):
+        return tuple(draw(st.lists(values, min_size=1, max_size=3)))
+
+    packs = st.builds(lambda cells, ratio, capacity: BatteryOption(cells, 3.7 * cells * ratio, capacity),
+                      st.integers(1, 14), st.floats(0.96, 1.04), st.floats(1, 30))
+    diameters, pitches = axis(st.floats(0.1, 1.0)), axis(st.floats(0.05, 0.5))
+    grid = DesignGrid(
+        kv_values=axis(st.floats(100, 3000)), prop_diameters=diameters, prop_pitches=pitches,
+        battery_options=axis(packs), n_motors_options=axis(st.integers(1, 12)),
+        current_limit_per_motor=draw(st.floats(1, 100)),
+        ct_overrides=draw(st.dictionaries(st.sampled_from([(d, p) for d in diameters for p in pitches]),
+                                          st.floats(0.02, 0.08))),
+    )
+    return grid, draw(st.floats(0.5, 50))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_enumerable_grids())
+def test_enumeration_reads_as_the_list_of_checked_product_designs(case):
+    # The view reads as the list the checked constructor builds over the axes, in AXES order.
+    grid, mtow = case
+    expected = [
+        Design(kv=kv, current_limit_per_motor=grid.current_limit_per_motor, battery_cells=b.cells,
+               battery_voltage_nominal=b.voltage, battery_capacity=b.capacity, prop_diameter=d, prop_pitch=p,
+               n_motors=n, mtow=mtow, thrust_coefficient_ct=grid.ct_overrides.get((d, p), CT_DEFAULT))
+        for kv, d, p, b, n in itertools.product(*(getattr(grid, axis) for axis in DesignGrid.AXES))
+    ]
+    designs, n = enumerate_designs(grid, mtow), len(expected)
+    assert len(designs) == n
+    assert list(designs) == expected
+    assert [designs[i] for i in range(-n, n)] == expected + expected
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            designs[i]
+
+
+def test_enumerating_a_million_point_grid_builds_no_design():
+    # A list of 10^6 designs needs well over 100 MB; the view holds one template per non-Kv point.
+    grid = DesignGrid(
+        kv_values=tuple(100.0 + i for i in range(100)),
+        prop_diameters=tuple(0.2 + 0.005 * i for i in range(100)),
+        prop_pitches=tuple(0.05 + 0.01 * i for i in range(10)),
+        battery_options=tuple(BatteryOption(6, 22.2, 1.0 + i) for i in range(10)),
+        n_motors_options=(4,),
+    )
+    tracemalloc.start()
+    try:
+        designs = enumerate_designs(grid, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(designs) == 10**6
+    assert designs[-1] == Design(kv=199.0, current_limit_per_motor=25.0, battery_cells=6, battery_voltage_nominal=22.2,
+                                 battery_capacity=10.0, prop_diameter=0.2 + 0.005 * 99, prop_pitch=0.05 + 0.01 * 9,
+                                 n_motors=4, mtow=12)
+    assert peak < 8 * 2**20
 
 
 class TestDominates:

@@ -418,6 +418,35 @@ class TestRemoteAgent:
         with pytest.raises(TransportError, match=f"HTTP.*{status}"):
             agent.answer("whatever", {})
 
+    @pytest.mark.parametrize("choice", [{"message": {"content": None}}, {"text": None}], ids=["content", "text"])
+    def test_null_content_is_an_empty_reply_and_not_retried(self, instances, chat_server, choice):
+        # A refusal or a tool call sends null content: no reply, so Unscorable, and a retry would not change it.
+        url, handler = chat_server
+        handler.behavior = "body:" + json.dumps({"choices": [choice]})
+        config = RunConfig(remote_retries=2, remote_backoff_s=0.01)
+        agent = RemoteAgent(url=url, config=config)
+        assert agent.answer("whatever", {}) == ""
+        assert handler.calls == 1
+        report = run_evaluation([instances["l1-thrust-equation"]], agent, config)
+        assert [i.score.verdict for i in report.items] == [Verdict.Unscorable]
+        assert handler.calls == 2
+
+    @pytest.mark.parametrize("wrap", [lambda reply: [{"type": "text", "text": reply}], lambda reply: {"text": reply},
+                                      lambda reply: 5, lambda reply: True], ids=["parts", "object", "number", "bool"])
+    def test_content_that_is_not_a_string_is_a_failed_attempt(self, instances, oracle_agent, chat_server, wrap):
+        # Content parts around the reference reply would pass through their Python repr; any
+        # content but a string or null is not a chat completion, so the attempt fails.
+        url, handler = chat_server
+        reply = oracle_agent.answer("", {"instance_id": "l1-thrust-equation"})
+        handler.behavior = "body:" + json.dumps({"choices": [{"message": {"content": wrap(reply)}}]})
+        config = RunConfig(remote_retries=1, remote_backoff_s=0.01)
+        agent = RemoteAgent(url=url, config=config)
+        with pytest.raises(TransportError, match="not a chat completion"):
+            agent.answer("whatever", {})
+        assert handler.calls == 2
+        report = run_evaluation([instances["l1-thrust-equation"]], agent, config)
+        assert [i.score.verdict for i in report.items] == [Verdict.Unscorable]
+
 
 class TestAdapters:
     def test_adapters_receive_only_public_metadata(self, bank, instances):
