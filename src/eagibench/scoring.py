@@ -26,6 +26,10 @@ last number in no other unit) for numerics, cause-keyword matching for
 diagnoses, and pattern matching ("340 Kv", "20x6", "6S", "12000 mAh") for
 patches and designs.
 
+``score_answer`` extracts a reply once, reads each envelope value its
+kind's ``_KINDS`` row lists by its JSON type (``bank._typed``), and hands
+the typed payload to the kind's scorer.
+
 All scorers are pure and deterministic; items may be graded concurrently.
 """
 
@@ -336,38 +340,27 @@ def _graded(value: float, evidence) -> Score:
     return Score(value, verdict, tuple(evidence))
 
 
-def score_numeric(answer_text: str, spec: NumericSpec) -> Score:
-    ans = extract(answer_text, spec)
-    if ans.envelope is None:
-        return unscorable("no numeric payload found")
+def _score_numeric(payload: Mapping, via: str, text: str, spec: NumericSpec) -> Score:
+    value, unit = payload["value"], payload.get("unit", spec.unit)
     try:
-        value = _typed("value", ans.envelope["value"], _NUMBER)
-        unit = _typed("unit", ans.envelope.get("unit", spec.unit), _TEXT)
         ok = _within(value, spec.value, spec.rel_tol)
-    except (TypeError, OverflowError) as exc:  # OverflowError: an int beyond float range
+    except OverflowError as exc:  # an int beyond float range
         return unscorable(f"envelope {exc}")
     if normalize_unit(unit) != normalize_unit(spec.unit):
         detail = f"answer unit {unit!r} does not match {spec.unit!r}"
         return _graded(0.0, [Evidence("unit", "fail", detail)])
     detail = (
         f"measured {value:g} {spec.unit} vs expected {spec.value:g} {spec.unit} "
-        f"(rel_tol {spec.rel_tol:g}, via {ans.extraction})"
+        f"(rel_tol {spec.rel_tol:g}, via {via})"
     )
     return _graded(float(ok), [Evidence("numeric", "pass" if ok else "fail", detail)])
 
 
-def score_fact(answer_text: str, spec: FactSpec) -> Score:
-    ans = extract(answer_text, spec)
-    try:
-        text = _typed("text", ans.envelope["text"], _TEXT) if ans.envelope else answer_text
-    except TypeError as exc:
-        return unscorable(f"envelope {exc}")
-    if not text.strip():
-        return unscorable("empty answer")
+def _score_fact(payload: Optional[Mapping], via: str, text: str, spec: FactSpec) -> Score:
     normalized = normalize_phrase(text)
     for accepted in (spec.canonical, *spec.accepted_aliases):
         if normalize_phrase(accepted) in normalized:
-            detail = f"matched {accepted!r} (via {ans.extraction})"
+            detail = f"matched {accepted!r} (via {via})"
             return _graded(1.0, [Evidence("fact", "pass", detail)])
     return _graded(0.0, [Evidence("fact", "fail", f"no match for canonical {spec.canonical!r}")])
 
@@ -416,41 +409,26 @@ def _match_field(field: FieldExpectation, envelope_fields: Optional[Mapping], te
     return ok, f"{field.name}: {'found' if ok else 'missing'} {field.expected!r} (text)"
 
 
-def score_structured(answer_text: str, spec: StructuredSpec) -> Score:
-    ans = extract(answer_text, spec)
-    try:
-        envelope_fields = None if ans.envelope is None else _typed("fields", ans.envelope["fields"], _OBJECT)
-    except TypeError as exc:
-        return unscorable(f"envelope {exc}")
-    if envelope_fields is None and not answer_text.strip():
-        return unscorable("empty answer")
+def _score_structured(payload: Optional[Mapping], via: str, text: str, spec: StructuredSpec) -> Score:
+    envelope_fields = None if payload is None else payload["fields"]
     evidence = []
     correct = 0
     for field in spec.fields:
-        ok, detail = _match_field(field, envelope_fields, answer_text)
+        ok, detail = _match_field(field, envelope_fields, text)
         correct += ok
         evidence.append(Evidence(field.name, "pass" if ok else "fail", detail))
     return _graded(correct / len(spec.fields), evidence)
 
 
-def score_diagnosis(answer_text: str, spec: DiagnosisSpec) -> Score:
-    ans = extract(answer_text, spec)
-    if ans.envelope is None:
-        return unscorable("no cause identified in answer")
-    try:
-        cause = _typed("cause", ans.envelope["cause"], _TEXT)
-    except TypeError as exc:
-        return unscorable(f"envelope {exc}")
+def _score_diagnosis(payload: Mapping, via: str, text: str, spec: DiagnosisSpec) -> Score:
+    cause = payload["cause"]
     ok = cause in spec.accepted_causes
-    detail = f"cause {cause!r} vs accepted {list(spec.accepted_causes)} (via {ans.extraction})"
+    detail = f"cause {cause!r} vs accepted {list(spec.accepted_causes)} (via {via})"
     return _graded(float(ok), [Evidence("diagnosis", "pass" if ok else "fail", detail)])
 
 
-def score_fix(answer_text: str, spec: FixSpec) -> Score:
-    ans = extract(answer_text, spec)
-    if ans.envelope is None or not isinstance(ans.envelope.get("patch"), Mapping):
-        return unscorable("no design patch found in answer")
-    patch = dict(ans.envelope["patch"])
+def _score_fix(payload: Mapping, via: str, text: str, spec: FixSpec) -> Score:
+    patch = payload["patch"]
     for key in patch:
         if key not in spec.patchable_fields:  # each a design field, as the spec checks
             return unscorable(f"patch references unknown field {key!r}")
@@ -494,12 +472,9 @@ def _dominance_gap(candidate: ObjectiveVector, reference: ReferenceFront) -> flo
     return min(shortfall(f) for f in reference.front)
 
 
-def score_design(answer_text: str, spec: DesignSynthesisSpec) -> Score:
-    ans = extract(answer_text, spec)
-    if ans.envelope is None or not isinstance(ans.envelope.get("design"), Mapping):
-        return unscorable("no design found in answer")
+def _score_design(payload: Mapping, via: str, text: str, spec: DesignSynthesisSpec) -> Score:
     try:
-        design = grid_design_from_bank(ans.envelope["design"], spec.defaults, spec.grid)
+        design = grid_design_from_bank(payload["design"], spec.defaults, spec.grid)
         report = evaluate_design(design, spec.environment, spec.requirements)
     except KeyError as exc:
         return unscorable(f"design references unknown field {exc.args[0]!r}")
@@ -534,7 +509,7 @@ def score_design(answer_text: str, spec: DesignSynthesisSpec) -> Score:
 RubricJudge = Callable[[str, RubricSpec], Score]
 
 
-def score_rubric(answer_text: str, spec: RubricSpec) -> Score:
+def _score_rubric(payload: Optional[Mapping], via: str, text: str, spec: RubricSpec) -> Score:
     """Keyword-checklist heuristic; ``score_answer(rubric_judge=)`` replaces it
     with an external judge.
 
@@ -542,13 +517,6 @@ def score_rubric(answer_text: str, spec: RubricSpec) -> Score:
     in the answer; the verdict is thresholded, so a Fail here can carry a
     non-zero value (the raw fraction is kept for reporting).
     """
-    ans = extract(answer_text, spec)
-    try:
-        text = _typed("text", ans.envelope["text"], _TEXT) if ans.envelope else answer_text
-    except TypeError as exc:
-        return unscorable(f"envelope {exc}")
-    if not text.strip():
-        return unscorable("empty answer")
     lowered = text.lower()
     evidence = [Evidence("method", "heuristic", "keyword-rubric heuristic scorer")]
     hits = 0
@@ -566,45 +534,69 @@ def score_rubric(answer_text: str, spec: RubricSpec) -> Score:
 class _Kind(NamedTuple):
     """Everything the scorer knows about one answer kind."""
 
-    #: The envelope key an answer of this kind must hold.
-    key: str
-    score: Callable[[str, AnswerSpec], Score]
+    #: The JSON types of each envelope value the kind reads, its key's own first: the key an
+    #: envelope of this kind must hold.
+    types: Mapping[str, tuple]
+    #: The Unscorable reason when nothing is found; None where the whole reply is the answer.
+    missing: Optional[str]
+    #: The scorer: ``(typed payload or None, extraction label, text to read, spec) -> Score``.
+    score: Callable[[Optional[Mapping], str, str, AnswerSpec], Score]
     #: The plain-text extractor; None where the whole reply is the answer.
     from_text: Optional[Callable[[str, AnswerSpec], Optional[tuple]]]
     #: The envelope payload that states the ground truth; None for a rubric.
     reference: Optional[Callable[[AnswerSpec], dict]]
 
+    @property
+    def key(self) -> str:
+        return next(iter(self.types))
+
 
 _KINDS = {
     "numeric": _Kind(
-        "value", score_numeric, _numeric_from_text,
+        {"value": _NUMBER, "unit": _TEXT}, "no numeric payload found", _score_numeric, _numeric_from_text,
         lambda spec: {"value": spec.value, "unit": spec.unit},
     ),
-    "fact": _Kind("text", score_fact, None, lambda spec: {"text": spec.canonical}),
+    "fact": _Kind({"text": _TEXT}, None, _score_fact, None, lambda spec: {"text": spec.canonical}),
     "structured": _Kind(
-        "fields", score_structured, None,
+        {"fields": _OBJECT}, None, _score_structured, None,
         lambda spec: {"fields": {f.name: f.expected for f in spec.fields}},
     ),
     "diagnosis": _Kind(
-        "cause", score_diagnosis, _cause_from_text,
+        {"cause": _TEXT}, "no cause identified in answer", _score_diagnosis, _cause_from_text,
         lambda spec: {"cause": spec.accepted_causes[0]},
     ),
     "fix": _Kind(
-        "patch", score_fix, _patch_from_text,
+        {"patch": _OBJECT}, "no design patch found in answer", _score_fix, _patch_from_text,
         lambda spec: {"patch": dict(spec.reference_patch)},
     ),
     "design": _Kind(
-        "design", score_design, _design_from_text,
+        {"design": _OBJECT}, "no design found in answer", _score_design, _design_from_text,
         lambda spec: {"design": design_to_bank(spec.reference_design)},
     ),
-    "rubric": _Kind("text", score_rubric, None, None),
+    "rubric": _Kind({"text": _TEXT}, None, _score_rubric, None, None),
 }
 
 
 def score_answer(spec: AnswerSpec, answer_text: str, *, rubric_judge: Optional[RubricJudge] = None) -> Score:
-    """Score with the scorer for the spec's answer kind; ``rubric_judge``, when
-    given, grades rubric answers in place of the keyword heuristic."""
-    kind = answer_kind(spec)
-    if kind == "rubric" and rubric_judge is not None:
+    """Score a reply to ``spec``: extract it once, read each envelope value the kind's row lists by
+    its JSON type, and grade the payload with the kind's scorer.  A value of another type, and an
+    answer with nothing to read, is Unscorable.  ``rubric_judge``, when given, grades the raw reply
+    to a rubric in place of the keyword heuristic, and nothing is extracted."""
+    name = answer_kind(spec)
+    if name == "rubric" and rubric_judge is not None:
         return rubric_judge(answer_text, spec)
-    return _KINDS[kind].score(answer_text, spec)
+    kind = _KINDS[name]
+    ans = extract(answer_text, spec)
+    payload = None
+    if ans.envelope is not None:
+        try:
+            payload = {key: _typed(key, ans.envelope[key], types) for key, types in kind.types.items()
+                       if key in ans.envelope}
+        except TypeError as exc:
+            return unscorable(f"envelope {exc}")
+    elif kind.missing is not None:
+        return unscorable(kind.missing)
+    text = (payload or {}).get("text", answer_text)  # a fact's or a rubric's envelope states the text to read
+    if kind.missing is None and not text.strip():
+        return unscorable("empty answer")
+    return kind.score(payload, ans.extraction, text, spec)

@@ -36,7 +36,7 @@ from eagibench.propulsion import (
     thrust_scale_factor,
     torque_constant,
 )
-from eagibench.scoring import Verdict, score_answer, score_fix
+from eagibench.scoring import Verdict, score_answer
 from eagibench.taxonomy import TagFilter
 
 
@@ -111,7 +111,7 @@ def test_criterion_3_patch_and_simulate(instances):
         spec = instances["l4-thrust-fix"].answer_spec
 
         def grade(patch):
-            return score_fix("```json\n" + json.dumps({"patch": patch}) + "\n```", spec)
+            return score_answer(spec, "```json\n" + json.dumps({"patch": patch}) + "\n```")
 
         assert grade({"prop_diameter_in": 19}).verdict is Verdict.Pass
         assert grade({"prop_pitch_in": 7}).verdict is Verdict.Pass  # bank-declared Ct override

@@ -27,7 +27,7 @@ from eagibench.bank import (
     sample,
     shipped_bank_path,
 )
-from eagibench.scoring import Verdict, normalize_phrase, reference_answer, score_answer, score_fix
+from eagibench.scoring import Verdict, normalize_phrase, reference_answer, score_answer
 from eagibench.taxonomy import CognitionLevel, TagFilter, matches
 
 
@@ -593,7 +593,7 @@ class TestLoadBank:
             assert grid_design_from_bank(answer, spec.defaults, spec.grid).thrust_coefficient_ct == 0.05
         else:
             spec = bank.instances["l4-thrust-fix"].answer_spec
-            score = score_fix('```json\n{"patch": {"prop_pitch_in": 7}}\n```', spec)
+            score = score_answer(spec, '```json\n{"patch": {"prop_pitch_in": 7}}\n```')
             assert score.verdict is Verdict.Pass
 
     @pytest.mark.parametrize("kv, volts", [(-380, 22.2), ("3", 2)], ids=["negative-kv", "text-kv"])

@@ -4,7 +4,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eagibench.bank import SampleMode, instantiate, load_shipped_bank, sample
 from eagibench.harness import (
@@ -21,7 +21,7 @@ from eagibench.harness import (
     report_from_json,
     run_evaluation,
 )
-from eagibench.scoring import Evidence, Score, Verdict
+from eagibench.scoring import Evidence, Score, Verdict, score_answer
 from eagibench.taxonomy import TagFilter
 
 EMPTY = TagFilter.empty()
@@ -446,6 +446,47 @@ class TestRemoteAgent:
         assert handler.calls == 2
         report = run_evaluation([instances["l1-thrust-equation"]], agent, config)
         assert [i.score.verdict for i in report.items] == [Verdict.Unscorable]
+
+
+def _stated_reply(body):
+    """The reply a chat body states, as docs/answer-format.md reads it: the first choice's message
+    content, or its text when it has no message; None unless that is a JSON string."""
+    choices = body.get("choices") if isinstance(body, dict) else None
+    if not (isinstance(choices, list) and choices and isinstance(choices[0], dict)):
+        return None
+    message = choices[0].get("message")
+    reply = choices[0].get("text") if message is None else message.get("content") if isinstance(message, dict) else None
+    return reply if isinstance(reply, str) else None
+
+
+_REMOTE_ITEMS = ("l1-thrust-equation", "l3-no-load-rpm", "l4-vibration")
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), fail_fast=st.booleans())
+def test_any_chat_body_ends_every_item_scored_or_unscorable(instances, oracle_agent, chat_server, data, fail_fast):
+    # Each item's reply is the body's content only when that is a string; any other body is an attempt that
+    # failed, so the item is Unscorable, or under fail_fast the run raises TransportError.
+    url, handler = chat_server
+    items = [instances[i] for i in _REMOTE_ITEMS]
+    content = st.sampled_from([oracle_agent.answer("", {"instance_id": i}) for i in _REMOTE_ITEMS]) | _json_values
+    choice = (st.fixed_dictionaries({"message": st.fixed_dictionaries({"content": content})})
+              | st.fixed_dictionaries({"text": content}) | st.fixed_dictionaries({"message": content}) | _json_values)
+    body = data.draw(st.fixed_dictionaries({"choices": st.lists(choice, max_size=2)}) | _json_values)
+    handler.behavior = "body:" + json.dumps(body)
+    config = RunConfig(remote_retries=0, fail_fast=fail_fast)
+    reply = _stated_reply(body)
+    try:
+        report = run_evaluation(items, RemoteAgent(url=url, config=config), config)
+    except TransportError:
+        assert fail_fast and reply is None
+        return
+    assert [i.instance_id for i in report.items] == list(_REMOTE_ITEMS)
+    for item, instance in zip(report.items, items):
+        if reply is None:
+            assert item.score.verdict is Verdict.Unscorable
+        else:
+            assert item.score == score_answer(instance.answer_spec, reply)
 
 
 class TestAdapters:

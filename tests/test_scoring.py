@@ -30,13 +30,6 @@ from eagibench.scoring import (
     answer_kind,
     extract,
     score_answer,
-    score_design,
-    score_diagnosis,
-    score_fact,
-    score_fix,
-    score_numeric,
-    score_rubric,
-    score_structured,
 )
 
 
@@ -62,7 +55,7 @@ class TestExtract:
     def test_absence_is_unscorable_downstream(self):
         ans = extract("no idea", RPM_SPEC)
         assert ans.envelope is None
-        assert score_numeric("no idea", RPM_SPEC).verdict is Verdict.Unscorable
+        assert score_answer(RPM_SPEC, "no idea").verdict is Verdict.Unscorable
 
     def test_unit_adjacent_number_preferred(self):
         ans = extract("It weighs 12 kg and spins at 8436 RPM at best.", RPM_SPEC)
@@ -77,7 +70,7 @@ class TestExtract:
     def test_an_integer_too_long_to_read_skips_its_block(self):
         # Python reads no integer of more than 4,300 digits: the ValueError escaped the scorer.
         text = '```json\n{"value": ' + "1" * 5000 + ', "unit": "RPM"}\n```'
-        assert score_numeric(text, RPM_SPEC).verdict in (Verdict.Fail, Verdict.Unscorable)
+        assert score_answer(RPM_SPEC, text).verdict in (Verdict.Fail, Verdict.Unscorable)
 
     def test_malformed_fence_falls_back_to_text(self):
         ans = extract("```json\n{not json}\n```\n8436 rpm", RPM_SPEC)
@@ -88,49 +81,49 @@ class TestExtract:
         ans = extract(text, RPM_SPEC)
         assert ans.extraction == "envelope"
         assert ans.envelope == {"value": 8436, "unit": "RPM"}
-        assert score_numeric(text, RPM_SPEC).verdict is Verdict.Pass
+        assert score_answer(RPM_SPEC, text).verdict is Verdict.Pass
 
 
 class TestScoreNumeric:
     def test_exact_pass(self):
-        assert score_numeric("8436 RPM", RPM_SPEC).verdict is Verdict.Pass
+        assert score_answer(RPM_SPEC, "8436 RPM").verdict is Verdict.Pass
 
     def test_thrust_value_pass(self):
         spec = NumericSpec(value=26.4, unit="N", rel_tol=0.02)
-        assert score_numeric("about 26.4 N of thrust", spec).verdict is Verdict.Pass
+        assert score_answer(spec, "about 26.4 N of thrust").verdict is Verdict.Pass
 
     def test_outside_band_fails(self):
         spec = NumericSpec(value=26.4, unit="N", rel_tol=0.02)
-        score = score_numeric("30.0 N", spec)
+        score = score_answer(spec, "30.0 N")
         assert score.verdict is Verdict.Fail
         assert score.value == 0.0
 
     def test_unit_mismatch_fails_with_unit_evidence(self):
-        score = score_numeric(_fence({"value": 8436, "unit": "W"}), RPM_SPEC)
+        score = score_answer(RPM_SPEC, _fence({"value": 8436, "unit": "W"}))
         assert score.verdict is Verdict.Fail
         assert score.evidence[0].check_id == "unit"
 
     def test_a_plain_text_number_in_another_known_unit_fails_like_its_envelope(self):
         # The number was read in the spec's unit whatever followed it, and passed.
-        score = score_numeric("It spins at 8436 W.", RPM_SPEC)
-        assert score == score_numeric(_fence({"value": 8436, "unit": "W"}), RPM_SPEC)
+        score = score_answer(RPM_SPEC, "It spins at 8436 W.")
+        assert score == score_answer(RPM_SPEC, _fence({"value": 8436, "unit": "W"}))
 
     @pytest.mark.parametrize("reply", ["8436 RPM at 22.2 V", "8436 in a hover", "8436x", "8436", "about 8436/min"])
     def test_plain_text_reads_the_last_number_in_no_other_unit(self, reply):
-        assert score_numeric(reply, RPM_SPEC).verdict is Verdict.Pass
+        assert score_answer(RPM_SPEC, reply).verdict is Verdict.Pass
 
     def test_unit_synonyms_accepted(self):
-        score = score_numeric(_fence({"value": 8436, "unit": "rev/min"}), RPM_SPEC)
+        score = score_answer(RPM_SPEC, _fence({"value": 8436, "unit": "rev/min"}))
         assert score.verdict is Verdict.Pass
 
     def test_integer_beyond_float_range_unscorable(self):
-        score = score_numeric(_fence({"value": 10**400, "unit": "RPM"}), RPM_SPEC)
+        score = score_answer(RPM_SPEC, _fence({"value": 10**400, "unit": "RPM"}))
         assert score.verdict is Verdict.Unscorable
 
     def test_tolerance_boundary(self):
         spec = NumericSpec(value=100.0, unit="N", rel_tol=0.02)
-        assert score_numeric("102 N", spec).verdict is Verdict.Pass
-        assert score_numeric("102.1 N", spec).verdict is Verdict.Fail
+        assert score_answer(spec, "102 N").verdict is Verdict.Pass
+        assert score_answer(spec, "102.1 N").verdict is Verdict.Fail
 
 
 THRUST_EQUATION = FactSpec(
@@ -141,20 +134,20 @@ THRUST_EQUATION = FactSpec(
 
 class TestScoreFact:
     def test_ascii_form_passes(self):
-        assert score_fact("T = Ct * rho * n^2 * D^4", THRUST_EQUATION).verdict is Verdict.Pass
+        assert score_answer(THRUST_EQUATION, "T = Ct * rho * n^2 * D^4").verdict is Verdict.Pass
 
     def test_unicode_symbol_form_passes(self):
-        assert score_fact("T = C_T · ρ · n² · D⁴", THRUST_EQUATION).verdict is Verdict.Pass
+        assert score_answer(THRUST_EQUATION, "T = C_T · ρ · n² · D⁴").verdict is Verdict.Pass
 
     def test_embedded_in_prose_passes(self):
         text = "The static thrust equation is T = Ct * rho * n^2 * D^4 for a propeller."
-        assert score_fact(text, THRUST_EQUATION).verdict is Verdict.Pass
+        assert score_answer(THRUST_EQUATION, text).verdict is Verdict.Pass
 
     def test_wrong_formula_fails(self):
-        assert score_fact("T = Ct * rho * n^3 * D^2", THRUST_EQUATION).verdict is Verdict.Fail
+        assert score_answer(THRUST_EQUATION, "T = Ct * rho * n^3 * D^2").verdict is Verdict.Fail
 
     def test_empty_unscorable(self):
-        assert score_fact("   ", THRUST_EQUATION).verdict is Verdict.Unscorable
+        assert score_answer(THRUST_EQUATION, "   ").verdict is Verdict.Unscorable
 
 
 PROP_FIELDS = StructuredSpec(
@@ -169,30 +162,30 @@ PROP_FIELDS = StructuredSpec(
 class TestScoreStructured:
     def test_all_fields_from_prose(self):
         text = "The propeller diameter is 18 inches, the pitch is 6 inches, and the type is fixed pitch."
-        score = score_structured(text, PROP_FIELDS)
+        score = score_answer(PROP_FIELDS, text)
         assert score.verdict is Verdict.Pass
         assert score.value == 1.0
 
     def test_two_of_three_partial(self):
-        score = score_structured(
-            _fence({"fields": {"diameter": 18, "pitch": 5, "type": "fixed"}}), PROP_FIELDS
+        score = score_answer(
+            PROP_FIELDS, _fence({"fields": {"diameter": 18, "pitch": 5, "type": "fixed"}})
         )
         assert score.verdict is Verdict.Partial
         assert score.value == pytest.approx(2 / 3, abs=1e-9)
 
     def test_envelope_all_correct(self):
-        score = score_structured(
-            _fence({"fields": {"diameter": 18, "pitch": 6, "type": "fixed-pitch"}}), PROP_FIELDS
+        score = score_answer(
+            PROP_FIELDS, _fence({"fields": {"diameter": 18, "pitch": 6, "type": "fixed-pitch"}})
         )
         assert score.value == 1.0
 
     def test_nothing_found_fails(self):
-        score = score_structured("it has propellers", PROP_FIELDS)
+        score = score_answer(PROP_FIELDS, "it has propellers")
         assert score.verdict is Verdict.Fail
 
     def test_integer_beyond_float_range_fails_its_field(self):
-        score = score_structured(
-            _fence({"fields": {"diameter": 10**400, "pitch": 6, "type": "fixed"}}), PROP_FIELDS
+        score = score_answer(
+            PROP_FIELDS, _fence({"fields": {"diameter": 10**400, "pitch": 6, "type": "fixed"}})
         )
         assert score.verdict is Verdict.Partial
         assert "not a number" in score.evidence[0].detail
@@ -232,14 +225,14 @@ class TestScoreStructured:
     )
     def test_a_number_in_another_known_unit_fails_its_field(self, bank, template_id, reply, value, detail):
         # The field's unit was never read: the "cm" and "mV" replies scored Pass 1.0.
-        score = score_structured(reply, bank.instances[template_id].answer_spec)
+        score = score_answer(bank.instances[template_id].answer_spec, reply)
         assert score.value == pytest.approx(value)
         assert score.evidence[0].detail == detail
 
     def test_a_field_with_no_unit_reads_any_unit_token(self):
         spec = StructuredSpec((FieldExpectation(name="motors", kind="number", expected=4),))
         for reply in ("motors: 4 V", "motors: 4", "There are 4 rotors."):
-            assert score_structured(reply, spec).verdict is Verdict.Pass, reply
+            assert score_answer(spec, reply).verdict is Verdict.Pass, reply
 
     def test_a_unit_that_is_also_a_word_fails_only_a_field_of_its_dimension(self):
         cases = [("min", "20 s", Verdict.Fail), ("min", "20 mins", Verdict.Pass), ("s", "20 min", Verdict.Fail),
@@ -247,7 +240,7 @@ class TestScoreStructured:
                  ("cm", "20 in", Verdict.Fail), ("mA", "20 A", Verdict.Fail), ("V", "20 a side", Verdict.Pass)]
         for unit, reply, verdict in cases:
             spec = StructuredSpec((FieldExpectation(name="x", kind="number", expected=20, unit=unit),))
-            assert score_structured(f"x: {reply}", spec).verdict is verdict, (unit, reply)
+            assert score_answer(spec, f"x: {reply}").verdict is verdict, (unit, reply)
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["up", "down"])
     @pytest.mark.parametrize(
@@ -261,8 +254,8 @@ class TestScoreStructured:
         spec = StructuredSpec((field,))
         value = field.expected * (1 + sign * field.rel_tol)
         assert abs(value - field.expected) == field.rel_tol * abs(field.expected)
-        assert score_structured(reply(value), spec).verdict is Verdict.Pass
-        assert score_structured(reply(math.nextafter(value, sign * math.inf)), spec).verdict is Verdict.Fail
+        assert score_answer(spec, reply(value)).verdict is Verdict.Pass
+        assert score_answer(spec, reply(math.nextafter(value, sign * math.inf))).verdict is Verdict.Fail
 
 
 DIAG = DiagnosisSpec(
@@ -276,29 +269,29 @@ DIAG = DiagnosisSpec(
 
 class TestScoreDiagnosis:
     def test_prose_maps_to_accepted_cause(self):
-        score = score_diagnosis("The props cannot lift 12 kg at 7500 RPM.", DIAG)
+        score = score_answer(DIAG, "The props cannot lift 12 kg at 7500 RPM.")
         assert score.verdict is Verdict.Pass
 
     def test_non_accepted_cause_fails(self):
-        score = score_diagnosis("The battery voltage is too low.", DIAG)
+        score = score_answer(DIAG, "The battery voltage is too low.")
         assert score.verdict is Verdict.Fail
 
     def test_envelope_cause_id(self):
         assert (
-            score_diagnosis(_fence({"cause": "insufficient-rpm-thrust"}), DIAG).verdict
+            score_answer(DIAG, _fence({"cause": "insufficient-rpm-thrust"})).verdict
             is Verdict.Pass
         )
 
     def test_no_cause_unscorable(self):
-        assert score_diagnosis("hmm, hard to say", DIAG).verdict is Verdict.Unscorable
+        assert score_answer(DIAG, "hmm, hard to say").verdict is Verdict.Unscorable
 
     def test_multiple_accepted_causes_all_full_credit(self):
         spec = DiagnosisSpec(
             accepted_causes=("a", "b"),
             vocabulary={"a": ("alpha",), "b": ("beta",)},
         )
-        assert score_diagnosis("clearly alpha", spec).value == 1.0
-        assert score_diagnosis("clearly beta", spec).value == 1.0
+        assert score_answer(spec, "clearly alpha").value == 1.0
+        assert score_answer(spec, "clearly beta").value == 1.0
 
 
 @pytest.mark.parametrize(
@@ -358,53 +351,53 @@ def test_extraction_of_any_reply_records_a_label_of_its_kind(instances, text):
 class TestScoreFix:
     def test_diameter_patch_flips_thrust(self, instances):
         spec = instances["l4-thrust-fix"].answer_spec
-        score = score_fix(_fence({"patch": {"prop_diameter_in": 19}}), spec)
+        score = score_answer(spec, _fence({"patch": {"prop_diameter_in": 19}}))
         assert score.verdict is Verdict.Pass
         assert any(e.outcome == "flipped" for e in score.evidence)
 
     def test_pitch_patch_with_ct_override_flips_thrust(self, instances):
         spec = instances["l4-thrust-fix"].answer_spec
-        score = score_fix(_fence({"patch": {"prop_pitch_in": 7}}), spec)
+        score = score_answer(spec, _fence({"patch": {"prop_pitch_in": 7}}))
         assert score.verdict is Verdict.Pass
 
     def test_identity_patch_fails(self, instances):
         spec = instances["l4-thrust-fix"].answer_spec
-        score = score_fix(_fence({"patch": {}}), spec)
+        score = score_answer(spec, _fence({"patch": {}}))
         assert score.verdict is Verdict.Fail
 
     def test_kv_patch_flips_overcurrent(self, instances):
         spec = instances["l4-overcurrent-fix"].answer_spec
         for kv in (340, 360):
-            score = score_fix(_fence({"patch": {"kv_rpm_per_volt": kv}}), spec)
+            score = score_answer(spec, _fence({"patch": {"kv_rpm_per_volt": kv}}))
             assert score.verdict is Verdict.Pass, kv
 
     def test_unknown_field_unscorable_with_name(self, instances):
         spec = instances["l4-thrust-fix"].answer_spec
-        score = score_fix(_fence({"patch": {"warp_drive": 9}}), spec)
+        score = score_answer(spec, _fence({"patch": {"warp_drive": 9}}))
         assert score.verdict is Verdict.Unscorable
         assert "warp_drive" in score.evidence[0].detail
 
     def test_plain_text_patch(self, instances):
         spec = instances["l4-thrust-fix"].answer_spec
-        score = score_fix("Increase the diameter to 19 inches if structurally feasible.", spec)
+        score = score_answer(spec, "Increase the diameter to 19 inches if structurally feasible.")
         assert score.verdict is Verdict.Pass
 
     def test_a_pitch_alone_in_prose_patches_the_pitch(self, instances):
         spec = instances["l4-thrust-fix"].answer_spec
         assert extract("Set the pitch to 7.", spec).envelope == {"patch": {"prop_pitch_in": 7.0}}
-        assert score_fix("Set the pitch to 7.", spec).verdict is Verdict.Pass
+        assert score_answer(spec, "Set the pitch to 7.").verdict is Verdict.Pass
 
     @pytest.mark.parametrize("value", [None, [19], 10**400])
     def test_malformed_patch_value_unscorable(self, instances, value):
         spec = instances["l4-thrust-fix"].answer_spec
-        score = score_fix(_fence({"patch": {"prop_diameter_in": value}}), spec)
+        score = score_answer(spec, _fence({"patch": {"prop_diameter_in": value}}))
         assert score.verdict is Verdict.Unscorable
 
     @pytest.mark.parametrize("value", [True, "19"])
     def test_a_patch_value_that_is_not_a_json_number_is_unscorable_naming_the_key(self, instances, value):
         # "19" is the diameter that fixes the item: a patch value is a JSON number, as in a bank.
         spec = instances["l4-thrust-fix"].answer_spec
-        score = score_fix(_fence({"patch": {"prop_diameter_in": value}}), spec)
+        score = score_answer(spec, _fence({"patch": {"prop_diameter_in": value}}))
         assert score.verdict is Verdict.Unscorable
         assert f"key 'prop_diameter_in' must be a number, got {value!r}" in score.evidence[0].detail
 
@@ -413,14 +406,14 @@ class TestScoreFix:
         # The patched design is valid, but the oracle's disk area or
         # diameter**4 underflows to 0.
         spec = instances["l4-thrust-fix"].answer_spec
-        score = score_fix(_fence({"patch": {"prop_diameter_in": diameter}}), spec)
+        score = score_answer(spec, _fence({"patch": {"prop_diameter_in": diameter}}))
         assert score.verdict is Verdict.Unscorable
 
     def test_regression_detected(self, instances):
         # Dropping Kv on the climb item regresses nothing already passing;
         # craft a patch that fixes thrust but blows the current cap instead.
         spec = instances["l4-thrust-fix"].answer_spec
-        score = score_fix(_fence({"patch": {"thrust_coefficient_ct": 0.2}}), spec)
+        score = score_answer(spec, _fence({"patch": {"thrust_coefficient_ct": 0.2}}))
         flipped = any(e.outcome == "flipped" for e in score.evidence)
         regressed = any(e.outcome == "regressed" for e in score.evidence)
         assert flipped and regressed
@@ -430,16 +423,16 @@ class TestScoreFix:
 class TestScoreDesign:
     def test_reference_design_passes(self, instances):
         spec = instances["l5-quad-14kg"].answer_spec
-        score = score_design(
-            _fence({"design": {"kv_rpm_per_volt": 340, "prop_diameter_in": 20}}), spec
+        score = score_answer(
+            spec, _fence({"design": {"kv_rpm_per_volt": 340, "prop_diameter_in": 20}})
         )
         assert score.verdict is Verdict.Pass
         assert score.value == 1.0
 
     def test_infeasible_design_partial_below_0_7(self, instances):
         spec = instances["l5-quad-14kg"].answer_spec
-        score = score_design(
-            _fence({"design": {"kv_rpm_per_volt": 420, "prop_diameter_in": 16}}), spec
+        score = score_answer(
+            spec, _fence({"design": {"kv_rpm_per_volt": 420, "prop_diameter_in": 16}})
         )
         assert score.verdict is Verdict.Partial
         assert 0.0 < score.value <= 0.7
@@ -447,38 +440,38 @@ class TestScoreDesign:
 
     def test_invalid_design_unscorable(self, instances):
         spec = instances["l5-quad-14kg"].answer_spec
-        score = score_design(
-            _fence({"design": {"kv_rpm_per_volt": -5, "prop_diameter_in": 20}}), spec
+        score = score_answer(
+            spec, _fence({"design": {"kv_rpm_per_volt": -5, "prop_diameter_in": 20}})
         )
         assert score.verdict is Verdict.Unscorable
 
     @pytest.mark.parametrize("value", [[340], 10**400])
     def test_malformed_design_value_unscorable(self, instances, value):
         spec = instances["l5-quad-14kg"].answer_spec
-        score = score_design(_fence({"design": {"kv_rpm_per_volt": value}}), spec)
+        score = score_answer(spec, _fence({"design": {"kv_rpm_per_volt": value}}))
         assert score.verdict is Verdict.Unscorable
 
     @pytest.mark.parametrize("key, value", [("kv_rpm_per_volt", "340"), ("n_motors", True)])
     def test_a_design_value_that_is_not_a_json_number_is_unscorable_naming_the_key(self, instances, key, value):
         # "340" names the reference Kv, and a true motor count was graded as a one-motor design.
         spec = instances["l5-quad-14kg"].answer_spec
-        score = score_design(_fence({"design": {"kv_rpm_per_volt": 340, "prop_diameter_in": 20, key: value}}), spec)
+        score = score_answer(spec, _fence({"design": {"kv_rpm_per_volt": 340, "prop_diameter_in": 20, key: value}}))
         assert score.verdict is Verdict.Unscorable
         assert f"key {key!r} must be a number, got {value!r}" in score.evidence[0].detail
 
     def test_fractional_motor_count_unscorable(self, instances):
         spec = instances["l5-quad-14kg"].answer_spec
         design = design_to_bank(spec.reference_design)
-        whole = score_design(_fence({"design": {**design, "n_motors": 4.0}}), spec)
+        whole = score_answer(spec, _fence({"design": {**design, "n_motors": 4.0}}))
         assert whole.verdict is Verdict.Pass
-        score = score_design(_fence({"design": {**design, "n_motors": 4.7}}), spec)
+        score = score_answer(spec, _fence({"design": {**design, "n_motors": 4.7}}))
         assert score.verdict is Verdict.Unscorable
         assert "whole number" in score.evidence[0].detail
 
     def test_design_overflowing_the_oracle_unscorable(self, instances):
         spec = instances["l5-quad-14kg"].answer_spec
         design = {**design_to_bank(spec.reference_design), "prop_diameter_in": 1e300}
-        score = score_design(_fence({"design": design}), spec)
+        score = score_answer(spec, _fence({"design": design}))
         assert score.verdict is Verdict.Unscorable
 
     @pytest.mark.parametrize("source", ["loaded", "instantiated"])
@@ -499,7 +492,7 @@ class TestScoreDesign:
         monkeypatch.setattr(design_space, "evaluate_design", counting("evaluate", evaluate_design))
         for name in ("check_grid", "thrust_stage", "hover_stage", "_static_thrust"):
             monkeypatch.setattr(design_space, name, counting(name, getattr(design_space, name)))
-        score_design(_fence({"design": {"kv_rpm_per_volt": 420, "prop_diameter_in": 16}}), spec)
+        score_answer(spec, _fence({"design": {"kv_rpm_per_volt": 420, "prop_diameter_in": 16}}))
         assert calls == {"evaluate": 1, "check_grid": 0, "thrust_stage": 0, "hover_stage": 0, "_static_thrust": 0}
 
     @pytest.mark.parametrize(
@@ -521,22 +514,22 @@ class TestScoreDesign:
         doc = json.loads(json.dumps(_SHIPPED))
         doc["grids"]["l5-default"]["ct_overrides"] = grid_ct
         spec = load_bank(doc).instances["l5-quad-10kg-min-current"].answer_spec
-        score = score_design(_fence({"design": design}), spec)
+        score = score_answer(spec, _fence({"design": design}))
         assert score.verdict is verdict
         assert score.value == pytest.approx(value, abs=1e-3)
 
     def test_plain_text_design(self, instances):
         spec = instances["l5-quad-14kg"].answer_spec
         text = "Motor: 340 Kv (high-torque), Propeller: 20x6 inch fixed-pitch, Voltage: 6S (22.2V)."
-        score = score_design(text, spec)
+        score = score_answer(spec, text)
         assert score.verdict is Verdict.Pass
 
     def test_empty_requirements_trivially_passes_on_front(self, instances):
         from eagibench.propulsion import RequirementSet
 
         spec = _with_requirements(instances["l5-quad-14kg"].answer_spec, RequirementSet(()))
-        score = score_design(
-            _fence({"design": {"kv_rpm_per_volt": 340, "prop_diameter_in": 20}}), spec
+        score = score_answer(
+            spec, _fence({"design": {"kv_rpm_per_volt": 340, "prop_diameter_in": 20}})
         )
         # pareto component alone decides; the reference is on the front
         assert score.value == 1.0
@@ -546,7 +539,7 @@ class TestScoreDesign:
 
         base_spec = instances["l5-quad-14kg"].answer_spec
         answer = _fence({"design": {"kv_rpm_per_volt": 420, "prop_diameter_in": 16}})
-        base_score = score_design(answer, base_spec)
+        base_score = score_answer(base_spec, answer)
 
         # adding a requirement the answer satisfies never lowers the value
         satisfied = _with_requirements(
@@ -556,7 +549,7 @@ class TestScoreDesign:
                 + (Requirement("extra-class", RequirementKind.VoltageClass, 6),)
             ),
         )
-        assert score_design(answer, satisfied).value >= base_score.value - 1e-12
+        assert score_answer(satisfied, answer).value >= base_score.value - 1e-12
 
         # adding a violated one never raises it.  The reference front is the
         # grid's feasible set under the spec's own requirements, so the added
@@ -575,7 +568,7 @@ class TestScoreDesign:
             for s in (base_spec, violated)
         ]
         assert fronts[0] == fronts[1]
-        assert score_design(answer, violated).value <= base_score.value + 1e-12
+        assert score_answer(violated, answer).value <= base_score.value + 1e-12
 
 
 def _with_requirements(spec, requirements):
@@ -647,32 +640,39 @@ class TestScoreRubric:
             "I did not simulate the full flight envelope, and should have used "
             "altitude-adjusted thrust."
         )
-        score = score_rubric(text, RUBRIC)
+        score = score_answer(RUBRIC, text)
         assert score.value == 1.0
         assert score.verdict is Verdict.Pass
 
     def test_a_value_at_the_threshold_passes(self):
         spec = RUBRIC._replace(pass_threshold=0.5)
-        score = score_rubric("It assumed sea level air density.", spec)
+        score = score_answer(spec, "It assumed sea level air density.")
         assert (score.value, score.verdict) == (0.5, Verdict.Pass)
 
     def test_density_only_quarter_fail(self):
-        score = score_rubric("Maybe the air density was different.", RUBRIC)
+        score = score_answer(RUBRIC, "Maybe the air density was different.")
         assert score.value == 0.25
         assert score.verdict is Verdict.Fail
 
     def test_empty_unscorable(self):
-        assert score_rubric("", RUBRIC).verdict is Verdict.Unscorable
+        assert score_answer(RUBRIC, "").verdict is Verdict.Unscorable
 
     def test_marked_heuristic(self):
-        score = score_rubric("air density sea-level flight envelope derate", RUBRIC)
+        score = score_answer(RUBRIC, "air density sea-level flight envelope derate")
         assert any(e.outcome == "heuristic" for e in score.evidence)
 
-    def test_score_answer_hands_only_rubrics_to_the_judge(self):
+    def test_score_answer_hands_only_rubrics_to_the_judge(self, monkeypatch):
+        judged = []
+
         def judge(text, spec):
+            judged.append(text)
             return Score(1.0, Verdict.Pass, (Evidence("judge", "pass", "external"),))
 
-        assert score_answer(RUBRIC, "anything", rubric_judge=judge).evidence[0].check_id == "judge"
+        reply = "anything\n" + _fence({"text": "air density"})
+        with monkeypatch.context() as patched:  # a judged rubric is never extracted: the judge reads the raw reply
+            patched.setattr(scoring, "extract", None)
+            assert score_answer(RUBRIC, reply, rubric_judge=judge).evidence[0].check_id == "judge"
+        assert judged == [reply]
         assert score_answer(RPM_SPEC, "1 RPM", rubric_judge=judge).verdict is Verdict.Fail
 
 
@@ -680,18 +680,27 @@ class TestScoreInvariants:
     def test_the_kind_table_has_one_entry_per_answer_kind(self):
         assert set(scoring._KINDS) == set(ANSWER_KINDS.values())
 
+    def test_score_answer_extracts_each_answer_once_through_the_module_name(self, instances, monkeypatch):
+        # The documented extraction count, and what a wrapper of scoring.extract (as the bench's tracer) sees.
+        calls = []
+        monkeypatch.setattr(scoring, "extract", lambda text, spec: calls.append(spec) or extract(text, spec))
+        specs = [i.answer_spec for i in instances.values()]
+        for spec in specs:
+            assert score_answer(spec, scoring.reference_answer(spec)).verdict is Verdict.Pass
+        assert calls == specs
+
     def test_objective_scorers_verdict_value_coupling(self, instances):
         # Pass => 1, Fail => 0, Partial strictly inside, for the objective
         # scorers (rubric is threshold-gated and exempt).
         cases = [
-            score_numeric("8436 RPM", RPM_SPEC),
-            score_numeric("1 RPM", RPM_SPEC),
-            score_fact("T = Ct * rho * n^2 * D^4", THRUST_EQUATION),
-            score_structured(
-                _fence({"fields": {"diameter": 18, "pitch": 5, "type": "fixed"}}), PROP_FIELDS
+            score_answer(RPM_SPEC, "8436 RPM"),
+            score_answer(RPM_SPEC, "1 RPM"),
+            score_answer(THRUST_EQUATION, "T = Ct * rho * n^2 * D^4"),
+            score_answer(
+                PROP_FIELDS, _fence({"fields": {"diameter": 18, "pitch": 5, "type": "fixed"}})
             ),
-            score_diagnosis(_fence({"cause": "insufficient-rpm-thrust"}), DIAG),
-            score_fix(_fence({"patch": {"prop_diameter_in": 19}}), instances["l4-thrust-fix"].answer_spec),
+            score_answer(DIAG, _fence({"cause": "insufficient-rpm-thrust"})),
+            score_answer(instances["l4-thrust-fix"].answer_spec, _fence({"patch": {"prop_diameter_in": 19}})),
         ]
         for score in cases:
             if score.verdict is Verdict.Pass:
@@ -706,7 +715,7 @@ class TestScoreInvariants:
     def test_scorers_are_deterministic(self, instances):
         spec = instances["l5-quad-14kg"].answer_spec
         answer = _fence({"design": {"kv_rpm_per_volt": 420, "prop_diameter_in": 16}})
-        assert score_design(answer, spec) == score_design(answer, spec)
+        assert score_answer(spec, answer) == score_answer(spec, answer)
 
     def test_bank_ground_truth_self_consistency_l1_to_l4(self, bank, instances):
         # Scoring each shipped L1-L4 item's own ground truth answer passes.
@@ -763,7 +772,7 @@ def test_oracle_numeric_scaled_by_tolerance(instances, sign, factor, verdict):
     assert specs
     for spec in specs:
         value = spec.value * (1 + sign * factor * spec.rel_tol)
-        score = score_numeric(_fence({"value": value, "unit": spec.unit}), spec)
+        score = score_answer(spec, _fence({"value": value, "unit": spec.unit}))
         assert score.verdict is verdict, (spec, value)
 
 
@@ -837,10 +846,14 @@ def test_prose_before_a_partial_envelope_leaves_the_score_unchanged(instances, k
     ("l4-vibration", {"cause": ["prop-imbalance"]}, "cause"),
     ("l6-highalt-reflect", {"text": None}, "text"),
     ("l2-prop-parameters", {"fields": [{"diameter": 18, "pitch": 6, "type": "fixed"}]}, "fields"),
-], ids=["value-text", "value-true", "unit-null", "fact-list", "fact-null", "cause-list", "rubric-null", "fields-list"])
+    ("l4-thrust-fix", {"patch": [["prop_diameter_in", 19]]}, "patch"),
+    ("l5-quad-14kg", {"design": "340 Kv"}, "design"),
+], ids=["value-text", "value-true", "unit-null", "fact-list", "fact-null", "cause-list", "rubric-null", "fields-list",
+        "patch-pairs", "design-text"])
 def test_an_envelope_value_of_another_json_type_is_unscorable_naming_its_key(instances, template_id, envelope, key):
     # Read through float() or str(), "8436" and the text in a list passed, true was 1 RPM, null was the reply
     # "None", the cause in a list was "['prop-imbalance']", and fields in a list were read as prose, and passed.
+    # A patch or design found but of another type was reported as none found.
     score = score_answer(instances[template_id].answer_spec, _fence(envelope))
     assert score.verdict is Verdict.Unscorable
     assert score.evidence[0].detail.startswith(f"envelope key {key!r} must be "), score
@@ -860,7 +873,7 @@ def test_a_structured_field_of_another_json_type_fails_naming_the_field(instance
 def test_a_text_field_reads_a_string_or_a_number_by_its_text(said, verdict):
     # The rule a bank's text field follows for its own expected value.
     spec = StructuredSpec((FieldExpectation(name="cells", kind="text", expected=6),))
-    assert score_structured(_fence({"fields": {"cells": said}}), spec).verdict is verdict
+    assert score_answer(spec, _fence({"fields": {"cells": said}})).verdict is verdict
 
 
 def _paths(node, prefix=()):
