@@ -10,9 +10,9 @@ the question context; the value is computed at instantiation time so the
 bank can never drift from the oracle.
 
 Sampling is reproducible: selection uses a seeded Mersenne Twister
-(``random.Random``) driving an explicit Fisher-Yates shuffle over
-id-sorted candidates, so identical (bank, filter, n, mode, seed) inputs
-always give identical output.
+(``random.Random``) whose ``shuffle`` orders the id-sorted candidates,
+so identical (bank, filter, n, mode, seed) inputs always give identical
+output.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import propulsion
-from .design_space import BatteryOption, DesignGrid, ReferenceFront, reference_front
+from .design_space import BatteryOption, DesignGrid, ReferenceFront, reference_front, report_objectives
 from .propulsion import (
     CT_DEFAULT,
     _as_count,
@@ -362,15 +362,19 @@ class FixSpec(NamedTuple):
     ) -> tuple[bool, list[tuple[Requirement, RequirementCheck, RequirementCheck, str]]]:
         """Whether ``patch``, in bank-file keys and units, fixes the item, and each requirement
         with its checks on the base and the patched design, paired by position (an oracle
-        report holds one check per requirement, in order), and an outcome.  The patch goes
-        through :func:`fields_to_si` and ``propulsion.apply_patch``, and raises as they do.
+        report holds one check per requirement, in order), and an outcome.  The patch is read by
+        :func:`fields_to_si` and raises as it and the oracle do.  A patch that sets Ct keeps it;
+        else the patched propeller takes its ``ct_overrides`` entry, else the base design's Ct.
         The failing requirement is "flipped", "still-failing" or "not-failing-before"; another
         is "regressed" when the patch breaks it, else "pass" or "fail".  The patch fixes the
         item when it flips the failing requirement and regresses none."""
-        patched = propulsion.apply_patch(self.base_design, fields_to_si(patch), self.ct_overrides)
+        fields, base = fields_to_si(patch), self.base_design
+        prop = (fields.get("prop_diameter", base.prop_diameter), fields.get("prop_pitch", base.prop_pitch))
+        ct = self.ct_overrides.get(prop, base.thrust_coefficient_ct)
+        patched = base._replace(**{"thrust_coefficient_ct": ct, **fields})
         before, after = (
             propulsion.evaluate_design(design, self.environment, self.requirements, loaded_rpm=self.loaded_rpm)
-            for design in (self.base_design, patched)
+            for design in (base, patched)
         )
         rows = []
         for req, b, a in zip(self.requirements, before.requirement_checks, after.requirement_checks):
@@ -421,6 +425,14 @@ class DesignSynthesisSpec(NamedTuple):
         off = [name for name, value in zip(grid.AXES, point) if value not in getattr(grid, name)]
         if off:
             raise ValueError(f"reference design is not a point of grid {self.grid_id!r}: off {', '.join(off)}")
+
+    def judge(self, raw: Mapping[str, Any]) -> tuple[propulsion.PerformanceReport, float]:
+        """The oracle report of the design ``raw`` names, in bank-file keys and units, and its
+        dominance gap to ``self.front``.  The design is read by :func:`grid_design_from_bank`,
+        and raises as it and the oracle do."""
+        design = grid_design_from_bank(raw, self.defaults, self.grid)
+        report = propulsion.evaluate_design(design, self.environment, self.requirements)
+        return report, self.front.gap(report_objectives(report))
 
 
 @checked
@@ -835,14 +847,6 @@ def load_shipped_bank() -> QuestionBank:
 # Sampling
 
 
-def _fisher_yates(items: list, rng: random.Random) -> list:
-    out = list(items)
-    for i in range(len(out) - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        out[i], out[j] = out[j], out[i]
-    return out
-
-
 def _stratified_quotas(levels: Sequence[int], populations: Mapping[int, int], n: int) -> dict:
     """Per-level quotas, as equal as possible: round after round, one item
     for each level that has items left, low levels first, until ``n`` are
@@ -883,7 +887,8 @@ def sample(
         return sorted(candidates, key=lambda i: (int(i.level), i.id))[:n]
     rng = random.Random(seed)
     if mode is SampleMode.Targeted:
-        return _fisher_yates(candidates, rng)[:n]
+        rng.shuffle(candidates)
+        return candidates[:n]
     by_level: dict[int, list[QuestionInstance]] = {}
     for inst in candidates:
         by_level.setdefault(int(inst.level), []).append(inst)
@@ -891,5 +896,6 @@ def sample(
     quotas = _stratified_quotas(levels, {lvl: len(by_level[lvl]) for lvl in levels}, n)
     chosen = []
     for lvl in levels:
-        chosen.extend(_fisher_yates(by_level[lvl], rng)[: quotas[lvl]])
+        rng.shuffle(by_level[lvl])
+        chosen.extend(by_level[lvl][: quotas[lvl]])
     return chosen

@@ -34,6 +34,7 @@ from .harness import (
     ReplayAgent,
     RunConfig,
     TransportError,
+    _collect_answers,
     bank_fingerprint,
     emit_report,
     grade,
@@ -145,8 +146,8 @@ def _cmd_score(args) -> int:
         raise UsageError(f"instances file {args.instances}: bad instance record ({exc!r})") from None
     config = RunConfig(threshold=args.threshold)
     record = {"mode": instances_doc.get("mode"), "seed": instances_doc.get("seed"), "agent": "replay-file"}
-    answered = [agent.answer(inst.prompt, {"instance_id": inst.id}) for inst in instances]
-    _write_out(emit_report(grade(instances, answered, config, record), "json"), args.out)
+    answers = _collect_answers(instances, agent, config)
+    _write_out(emit_report(grade(instances, answers, config, record), "json"), args.out)
     return EXIT_OK
 
 

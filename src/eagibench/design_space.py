@@ -19,9 +19,11 @@ it is first known, with the intersection of its requirements' intervals.  It
 builds no design: it groups the passing grid indices by (Kv, propeller, motor
 count, voltage), each member with its endurance; ``reference_front`` sweeps
 only the members of highest endurance in each group, and puts only the front
-in grid order.  Whether an item's reference design is on its front is not checked yet:
-the bench's ``design-grid`` generator loads dense grids whose fronts dominate
-the shipped reference designs (see ``bank.DesignSynthesisSpec._check``).
+in grid order.  ``ReferenceFront.gap`` measures how far a candidate falls
+short of the front; it grades an L5 answer (``bank.DesignSynthesisSpec.judge``).
+Whether an item's reference design is on its front is not checked yet: the
+bench's ``design-grid`` generator loads dense grids whose fronts dominate the
+shipped reference designs (see ``bank.DesignSynthesisSpec._check``).
 """
 
 from __future__ import annotations
@@ -233,6 +235,29 @@ class ReferenceFront(NamedTuple):
 
     front: tuple[ObjectiveVector, ...]
     ranges: Mapping[str, float]
+
+    def gap(self, candidate: ObjectiveVector) -> float:
+        """Normalized distance from the candidate to the reference Pareto front.
+
+        0 means on (or beyond) the front, 1 means maximally dominated on some
+        axis relative to the spread of the feasible set.  Invented metric:
+        min over front members of the worst per-axis shortfall, each axis
+        normalized by its range over the feasible set.
+        """
+        if not any(dominates(f, candidate) for f in self.front):
+            return 0.0
+
+        def shortfall(f: ObjectiveVector) -> float:
+            worst = 0.0
+            for name, sign in OBJECTIVE_AXES:
+                delta = sign * (getattr(f, name) - getattr(candidate, name))
+                if delta <= 0:
+                    continue
+                span = self.ranges[name]
+                worst = max(worst, 1.0 if span <= 0 else min(1.0, delta / span))
+            return worst
+
+        return min(shortfall(f) for f in self.front)
 
 
 def _walk(grid: DesignGrid, mtow: float, env: Environment, requirements) -> tuple[Sequence[Design], list[tuple]]:

@@ -20,7 +20,9 @@ checked against per-motor current limits and used for design trade-offs,
 because it responds to the Kv choice the way motor sizing actually does.
 
 All functions are pure; all types are immutable.  Internal computation is
-SI throughout; inch inputs convert at exactly 0.0254 m/in.
+SI throughout; inch inputs convert at exactly 0.0254 m/in.  The module
+knows nothing of bank files or answers: the bank reads a design, a fix
+patch and its Ct override into a ``Design`` before the oracle sees it.
 """
 
 from __future__ import annotations
@@ -409,17 +411,3 @@ def evaluate_design(
         ),
     )
 
-
-def apply_patch(design: Design, patch: dict, ct_overrides: Optional[Mapping] = None) -> Design:
-    """Return a new design with SI-unit field values replaced.
-
-    ``patch`` keys are Design field names.  Unless the patch sets Ct, the
-    patched propeller's override in ``ct_overrides`` applies; it is keyed by
-    (diameter, pitch) in meters, as ``bank.ct_overrides_from_bank`` reads it.
-    """
-    unknown = [k for k in patch if k not in Design._fields]
-    if unknown:
-        raise KeyError(unknown[0])
-    prop = (patch.get("prop_diameter", design.prop_diameter), patch.get("prop_pitch", design.prop_pitch))
-    ct = (ct_overrides or {}).get(prop, design.thrust_coefficient_ct)
-    return design._replace(**{"thrust_coefficient_ct": ct, **patch})

@@ -1,11 +1,13 @@
 """Tiered answer scoring.
 
 Levels 1-3 use exact / tolerance checks against oracle-derived ground
-truth.  Level 4 fixes are validated by patching the design and re-running
-the physics evaluation.  Level 5 designs are graded on constraint
-satisfaction plus Pareto membership against a reference grid.  Level 6
-uses a keyword-rubric heuristic behind a seam where an external judge can
-be plugged in.
+truth.  A level 4 fix and a level 5 design are judged by their specs,
+which run the physics: ``FixSpec.judge`` patches the design and re-runs
+the evaluation, and ``DesignSynthesisSpec.judge`` evaluates the named grid
+design and measures its dominance gap to the item's reference front.  This
+module imports no physics; it grades what they return, a design on
+constraint satisfaction plus that gap.  Level 6 uses a keyword-rubric
+heuristic behind a seam where an external judge can be plugged in.
 
 Answer envelopes: an agent may end its reply with a fenced code block
 containing a single JSON object.  The last block holding the kind's key
@@ -56,16 +58,7 @@ from .bank import (
     _typed,
     answer_kind,
     design_to_bank,
-    grid_design_from_bank,
 )
-from .design_space import (
-    OBJECTIVE_AXES,
-    ObjectiveVector,
-    ReferenceFront,
-    dominates,
-    report_objectives,
-)
-from .propulsion import evaluate_design
 from .records import checked
 
 # L5 grade weights: constraint satisfaction vs Pareto proximity.
@@ -448,34 +441,9 @@ def _score_fix(payload: Mapping, via: str, text: str, spec: FixSpec) -> Score:
     return _graded(float(fixed), evidence)
 
 
-def _dominance_gap(candidate: ObjectiveVector, reference: ReferenceFront) -> float:
-    """Normalized distance from the candidate to the reference Pareto front.
-
-    0 means on (or beyond) the front, 1 means maximally dominated on some
-    axis relative to the spread of the feasible set.  Invented metric:
-    min over front members of the worst per-axis shortfall, each axis
-    normalized by its range over the feasible set.
-    """
-    if not any(dominates(f, candidate) for f in reference.front):
-        return 0.0
-
-    def shortfall(f: ObjectiveVector) -> float:
-        worst = 0.0
-        for name, sign in OBJECTIVE_AXES:
-            delta = sign * (getattr(f, name) - getattr(candidate, name))
-            if delta <= 0:
-                continue
-            span = reference.ranges[name]
-            worst = max(worst, 1.0 if span <= 0 else min(1.0, delta / span))
-        return worst
-
-    return min(shortfall(f) for f in reference.front)
-
-
 def _score_design(payload: Mapping, via: str, text: str, spec: DesignSynthesisSpec) -> Score:
     try:
-        design = grid_design_from_bank(payload["design"], spec.defaults, spec.grid)
-        report = evaluate_design(design, spec.environment, spec.requirements)
+        report, gap = spec.judge(payload["design"])
     except KeyError as exc:
         return unscorable(f"design references unknown field {exc.args[0]!r}")
     except (TypeError, ValueError, ArithmeticError) as exc:
@@ -493,7 +461,6 @@ def _score_design(payload: Mapping, via: str, text: str, spec: DesignSynthesisSp
     satisfied = sum(c.passed for c in report.requirement_checks)
     fraction = satisfied / total if total else 1.0
 
-    gap = _dominance_gap(report_objectives(report), spec.front)
     pareto_component = 1.0 - gap
     if gap == 0.0:
         evidence.append(Evidence("pareto", "front", "non-dominated within the reference feasible set"))

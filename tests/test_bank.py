@@ -6,7 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eagibench import design_space
+from eagibench import design_space, propulsion
 from eagibench.bank import (
     BATTERY_FIELD_MAP,
     DESIGN_FIELD_MAP,
@@ -27,6 +27,7 @@ from eagibench.bank import (
     sample,
     shipped_bank_path,
 )
+from eagibench.propulsion import CT_DEFAULT, M_PER_IN
 from eagibench.scoring import Verdict, normalize_phrase, reference_answer, score_answer
 from eagibench.taxonomy import CognitionLevel, TagFilter, matches
 
@@ -982,6 +983,45 @@ class TestInstantiate:
             assert spec.front == design_space.reference_front(spec.grid, spec.mtow, spec.environment, spec.requirements)
             assert instantiate(next(t for t in loaded.templates if t.id == inst.id), loaded).answer_spec == spec
             assert spec == (bank.instances.get(inst.id) or bank.instances["l5-quad-14kg"]).answer_spec
+
+
+class TestFixSpecJudge:
+    """The patched design ``FixSpec.judge`` hands the oracle, on the shipped l4-thrust-fix item:
+    an 18x6 base design, in a bank with an 18x7 Ct override."""
+
+    @pytest.fixture
+    def spec(self, bank):
+        return bank.instances["l4-thrust-fix"].answer_spec
+
+    @staticmethod
+    def _patched(monkeypatch, spec, patch):
+        seen, real = [], propulsion.evaluate_design
+        with monkeypatch.context() as patched:
+            patched.setattr(propulsion, "evaluate_design",
+                            lambda design, *args, **kwargs: seen.append(design) or real(design, *args, **kwargs))
+            spec.judge(patch)
+        assert seen[0] == spec.base_design
+        return seen[1]
+
+    def test_an_unknown_key_raises_key_error(self, spec):
+        with pytest.raises(KeyError, match="nonexistent"):
+            spec.judge({"nonexistent": 1})
+
+    def test_a_patched_propeller_takes_its_override(self, spec, monkeypatch):
+        patched = self._patched(monkeypatch, spec, {"prop_pitch_in": 7})
+        assert patched.prop_pitch == 7 * M_PER_IN
+        assert patched.thrust_coefficient_ct == pytest.approx(CT_DEFAULT * 7 / 6, rel=1e-9)
+
+    def test_a_patch_that_sets_ct_keeps_it_over_the_override(self, spec, monkeypatch):
+        patched = self._patched(monkeypatch, spec, {"prop_pitch_in": 7, "thrust_coefficient_ct": 0.04})
+        assert patched.thrust_coefficient_ct == 0.04
+
+    def test_a_propeller_with_no_override_keeps_the_base_ct(self, spec, monkeypatch):
+        # 19x6 has no override, and the base Ct is not the default, so the two fallbacks differ.
+        spec = spec._replace(base_design=spec.base_design._replace(thrust_coefficient_ct=CT_DEFAULT * 0.99))
+        patched = self._patched(monkeypatch, spec, {"prop_diameter_in": 19})
+        assert patched.prop_diameter == 19 * M_PER_IN
+        assert patched.thrust_coefficient_ct == CT_DEFAULT * 0.99
 
 
 class TestSample:

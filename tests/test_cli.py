@@ -13,7 +13,8 @@ import eagibench
 import eagibench.cli as cli
 from eagibench.bank import load_shipped_bank, shipped_bank_path
 from eagibench.cli import EXIT_BANK, EXIT_OK, EXIT_TRANSPORT, EXIT_USAGE, main
-from eagibench.harness import OracleAgent
+from eagibench.harness import OracleAgent, ReplayAgent
+from eagibench.taxonomy import CognitionLevel
 
 
 def test_generate_writes_instances(tmp_path, capsys):
@@ -433,6 +434,20 @@ def test_score_and_replay_run_grade_alike(tmp_path, instances):
     assert items == json.loads(ran.read_text(encoding="utf-8"))["items"]
     verdicts = {item["verdict"] for item in items}
     assert {"Pass", "Fail", "Unscorable"} <= verdicts
+
+
+def test_score_asks_the_replay_agent_with_the_public_metadata(tmp_path, monkeypatch, shipped_loads):
+    # score asks its agent through the harness loop, as run does: the instance id, level and tags.
+    asked, real = [], ReplayAgent.answer
+    monkeypatch.setattr(ReplayAgent, "answer", lambda self, prompt, metadata: asked.append(metadata)
+                        or real(self, prompt, metadata))
+    instances, answers = tmp_path / "i.json", _write(tmp_path / "a.json", {})
+    assert main(["generate", "--n", "3", "--mode", "Curriculum", "--out", str(instances)]) == EXIT_OK
+    records = json.loads(instances.read_text(encoding="utf-8"))["instances"]
+    assert main(["score", "--instances", str(instances), "--answers", answers,
+                 "--out", str(tmp_path / "s.json")]) == EXIT_OK
+    assert asked == [{"instance_id": r["id"], "level": int(CognitionLevel[r["level"]]), "tags": r["tags"]}
+                     for r in records]
 
 
 @pytest.mark.parametrize("answer", [None, ["T = Ct * rho * n^2 * D^4"], 5], ids=["null", "list", "number"])

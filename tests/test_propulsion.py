@@ -21,7 +21,6 @@ from eagibench.propulsion import (
     Requirement,
     RequirementKind,
     RequirementSet,
-    apply_patch,
     calibrate_ct,
     disk_area_total,
     evaluate_design,
@@ -321,26 +320,6 @@ class TestDesignInvariants:
             _example_design(mtow=-1)
         with pytest.raises(PhysicsDomainError):
             _example_design(n_motors=0)
-
-
-class TestApplyPatch:
-    def test_unknown_field(self):
-        with pytest.raises(KeyError):
-            apply_patch(_example_design(), {"nonexistent": 1})
-
-    def test_ct_override_applies_on_matching_prop(self):
-        overrides = {(18 * M_PER_IN, 7 * M_PER_IN): CT_STAR * 7 / 6}
-        patched = apply_patch(_example_design(), {"prop_pitch": 7 * M_PER_IN}, overrides)
-        assert patched.thrust_coefficient_ct == pytest.approx(CT_STAR * 7 / 6, rel=1e-9)
-
-    def test_explicit_ct_wins_over_override(self):
-        overrides = {(18 * M_PER_IN, 7 * M_PER_IN): 0.05}
-        patched = apply_patch(
-            _example_design(),
-            {"prop_pitch": 7 * M_PER_IN, "thrust_coefficient_ct": 0.04},
-            overrides,
-        )
-        assert patched.thrust_coefficient_ct == 0.04
 
 
 def _documented_check(kind, design, report, bound):

@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ from eagibench.bank import (
     load_bank,
     shipped_bank_path,
 )
-from eagibench import design_space, scoring
+from eagibench import design_space, propulsion, scoring
 from eagibench.design_space import ObjectiveVector, dominates
 from eagibench.propulsion import evaluate_design
 from eagibench.scoring import (
@@ -488,7 +490,7 @@ class TestScoreDesign:
 
             return wrapped
 
-        monkeypatch.setattr(scoring, "evaluate_design", counting("evaluate", evaluate_design))
+        monkeypatch.setattr(propulsion, "evaluate_design", counting("evaluate", evaluate_design))
         monkeypatch.setattr(design_space, "evaluate_design", counting("evaluate", evaluate_design))
         for name in ("check_grid", "thrust_stage", "hover_stage", "_static_thrust"):
             monkeypatch.setattr(design_space, name, counting(name, getattr(design_space, name)))
@@ -619,7 +621,19 @@ _gap_vectors = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(_gap_vectors, st.lists(_gap_vectors, max_size=40))
 def test_dominance_gap_matches_quadratic_reference(candidate, feasible):
-    assert scoring._dominance_gap(candidate, front_of(feasible)) == _quadratic_gap(candidate, feasible)
+    assert front_of(feasible).gap(candidate) == _quadratic_gap(candidate, feasible)
+
+
+def test_scoring_imports_no_physics():
+    # A fix or design answer is judged by its spec; the scorer only grades and formats the result.
+    # Each dotted part of every import, absolute or relative, so "from . import propulsion" counts too.
+    names = []
+    for node in ast.walk(ast.parse(Path(scoring.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert not {"design_space", "propulsion"} & {part for name in names for part in name.split(".")}, names
 
 
 RUBRIC = RubricSpec(
