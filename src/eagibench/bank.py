@@ -21,6 +21,7 @@ import enum
 import json
 import math
 import random
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -67,6 +68,8 @@ BATTERY_FIELD_MAP = {"cells": "cells", "voltage_v": "voltage", "capacity_ah": "c
 ENVIRONMENT_FIELD_MAP = {"air_density_kg_m3": "air_density", "gravity_m_s2": "gravity"}
 
 _COUNT_KEYS = frozenset(("battery_cells", "n_motors", "cells"))
+#: What phrase matching ignores (``scoring.normalize_phrase`` strips it): whitespace and ``_{}$\\``.
+_PHRASE_BLANKS = re.compile(r"[\s_{}$\\]")
 
 
 class BankError(ValueError):
@@ -242,12 +245,11 @@ def ct_overrides_from_bank(raw: Mapping, propellers: Optional[set] = None) -> di
 
 
 def _check_phrases(where: str, phrases: Sequence[str]) -> None:
-    """Reject a phrase that is not a JSON string, and one of only whitespace and the characters
-    ``scoring.normalize_phrase`` strips (``_{}$\\``): that names nothing, and every answer contains it."""
+    """Reject a phrase that is not a JSON string, and one of only ``_PHRASE_BLANKS``: it names nothing."""
     for phrase in phrases:
         if not isinstance(phrase, str):
             raise ValueError(f"{where}: phrase {phrase!r} is not a string")
-        if not "".join(phrase.split()).strip("_{}$\\"):
+        if not _PHRASE_BLANKS.sub("", phrase):
             raise ValueError(f"{where}: blank phrase {phrase!r} would match any answer")
 
 
@@ -363,14 +365,15 @@ class FixSpec(NamedTuple):
         """Whether ``patch``, in bank-file keys and units, fixes the item, and each requirement
         with its checks on the base and the patched design, paired by position (an oracle
         report holds one check per requirement, in order), and an outcome.  The patch is read by
-        :func:`fields_to_si` and raises as it and the oracle do.  A patch that sets Ct keeps it;
-        else the patched propeller takes its ``ct_overrides`` entry, else the base design's Ct.
+        :func:`fields_to_si` and raises as it and the oracle do.  A patch that sets Ct keeps it; else
+        a patch that moves to another propeller takes its ``ct_overrides`` entry, else the base design's Ct.
         The failing requirement is "flipped", "still-failing" or "not-failing-before"; another
         is "regressed" when the patch breaks it, else "pass" or "fail".  The patch fixes the
         item when it flips the failing requirement and regresses none."""
         fields, base = fields_to_si(patch), self.base_design
         prop = (fields.get("prop_diameter", base.prop_diameter), fields.get("prop_pitch", base.prop_pitch))
-        ct = self.ct_overrides.get(prop, base.thrust_coefficient_ct)
+        overrides = self.ct_overrides if prop != (base.prop_diameter, base.prop_pitch) else {}
+        ct = overrides.get(prop, base.thrust_coefficient_ct)
         patched = base._replace(**{"thrust_coefficient_ct": ct, **fields})
         before, after = (
             propulsion.evaluate_design(design, self.environment, self.requirements, loaded_rpm=self.loaded_rpm)

@@ -16,10 +16,11 @@ walk per (grid id, mtow, environment, requirements); scoring an answer reads
 the front and walks nothing.  The walk checks the grid once, runs the stages
 that do not depend on Kv before its Kv loop, and compares each quantity, where
 it is first known, with the intersection of its requirements' intervals.  It
-builds no design: it groups the passing grid indices by (Kv, propeller, motor
-count, voltage), each member with its endurance; ``reference_front`` sweeps
-only the members of highest endurance in each group, and puts only the front
-in grid order.  ``ReferenceFront.gap`` measures how far a candidate falls
+builds no design and returns only its groups: the passing grid indices by (Kv,
+propeller, motor count, voltage), each member with its endurance.
+``reference_front`` sweeps only the members of highest endurance in each group,
+puts only the front in grid order, and keeps each objective's span as one
+``ObjectiveVector``.  ``ReferenceFront.gap`` measures how far a candidate falls
 short of the front; it grades an L5 answer (``bank.DesignSynthesisSpec.judge``).
 Whether an item's reference design is on its front is not checked yet: the
 bench's ``design-grid`` generator loads dense grids whose fronts dominate the
@@ -157,8 +158,8 @@ class ObjectiveVector(NamedTuple):
     endurance: float
 
 
-#: Objective fields, in field order, each with the sign that makes larger better.
-OBJECTIVE_AXES = (("hover_current_per_motor", -1.0), ("thrust_margin", 1.0), ("endurance", 1.0))
+#: Per objective field, in field order, the sign that makes larger better.
+OBJECTIVE_SIGNS = (-1.0, 1.0, 1.0)
 
 
 def report_objectives(report: PerformanceReport) -> ObjectiveVector:
@@ -168,10 +169,6 @@ def report_objectives(report: PerformanceReport) -> ObjectiveVector:
         thrust_margin=report.static_thrust_per_motor - report.required_thrust_per_motor,
         endurance=report.endurance,
     )
-
-
-def objective_vector(design: Design, env: Environment) -> ObjectiveVector:
-    return report_objectives(evaluate_design(design, env))
 
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
@@ -225,16 +222,16 @@ def pareto_front(designs: Sequence[Design], env: Environment) -> list[Design]:
     """Non-dominated subset under the objective vector, order preserved."""
     if not designs:
         raise ValueError("pareto_front requires a non-empty design list")
-    vectors = [objective_vector(d, env) for d in designs]
+    vectors = [report_objectives(evaluate_design(d, env)) for d in designs]
     return [designs[i] for i in front_indices(list(zip(*vectors)))]
 
 
 class ReferenceFront(NamedTuple):
     """Pareto front of a feasible set, and each objective's range (max - min)
-    over the whole feasible set, keyed by ``OBJECTIVE_AXES`` name."""
+    over the whole feasible set, as one vector of spans."""
 
     front: tuple[ObjectiveVector, ...]
-    ranges: Mapping[str, float]
+    ranges: ObjectiveVector
 
     def gap(self, candidate: ObjectiveVector) -> float:
         """Normalized distance from the candidate to the reference Pareto front.
@@ -249,23 +246,22 @@ class ReferenceFront(NamedTuple):
 
         def shortfall(f: ObjectiveVector) -> float:
             worst = 0.0
-            for name, sign in OBJECTIVE_AXES:
-                delta = sign * (getattr(f, name) - getattr(candidate, name))
+            for value, own, span, sign in zip(f, candidate, self.ranges, OBJECTIVE_SIGNS):
+                delta = sign * (value - own)
                 if delta <= 0:
                     continue
-                span = self.ranges[name]
                 worst = max(worst, 1.0 if span <= 0 else min(1.0, delta / span))
             return worst
 
         return min(shortfall(f) for f in self.front)
 
 
-def _walk(grid: DesignGrid, mtow: float, env: Environment, requirements) -> tuple[Sequence[Design], list[tuple]]:
-    """``enumerate_designs(grid, mtow)``, whose length alone it reads, so it builds no design, and
-    its passing designs, grouped per (Kv, propeller, motor count, voltage) as ``(first, current, margin,
-    (members, lowest, highest, tops))``: ``first`` is the grid index of the
-    Kv's first design, a member is the ``(index past first, endurance)`` of a
-    battery of that voltage, and ``tops`` index the members of highest endurance.
+def _walk(grid: DesignGrid, mtow: float, env: Environment, requirements) -> list[tuple]:
+    """The passing designs of ``enumerate_designs(grid, mtow)``, grouped per (Kv, propeller, motor count,
+    voltage) as ``(first, current, margin, (members, lowest, highest, tops))``: ``first`` is the grid index
+    of the Kv's first design, a member is the ``(index past first, endurance)`` of a battery of that
+    voltage, and ``tops`` index the members of highest endurance.  Of the enumeration it reads only the
+    length, so it builds no design; the call checks ``mtow``.
 
     A bank runs it at load, once per design item key, for the item's front.
     Unless a failed cell-count, weight or footprint bound (a grid design has
@@ -292,7 +288,7 @@ def _walk(grid: DesignGrid, mtow: float, env: Environment, requirements) -> tupl
     batteries = [(i * len(grid.n_motors_options), b.voltage, b.capacity)
                  for i, b in enumerate(grid.battery_options) if cells_lo <= b.cells <= cells_hi]
     if not (batteries and mtow_lo <= mtow <= mtow_hi and foot_lo <= math.inf <= foot_hi):
-        return designs, []
+        return []
     hovers = check_grid(grid, mtow, env)
     step = len(grid.battery_options) * len(grid.n_motors_options)  # designs per propeller and Kv
     endurances, templates = {}, []  # templates: per propeller, motor count and voltage, what the Kv loop needs
@@ -325,28 +321,27 @@ def _walk(grid: DesignGrid, mtow: float, env: Environment, requirements) -> tupl
                 thrusts[thrust_slot] = thrust if thrust_lo <= thrust <= thrust_hi else None
             if (thrust := thrusts[thrust_slot]) is not None:
                 groups.append((first, current, thrust - required, membership))
-    return designs, groups
+    return groups
 
 
 def reference_front(
     grid: DesignGrid, mtow: float, env: Environment, requirements: RequirementSet | Sequence = ()
 ) -> ReferenceFront:
     """The Pareto front, in grid order, of the objective vectors of the grid designs that pass
-    every requirement, and each objective's range over them (every range 0.0 when none passes);
-    raises only where ``_walk`` does.  The ranges come from the walk's group extremes, and the
-    sweep gets only top members, in group order: any other member has a top member's current
-    and margin and less endurance.  Only the kept points are put in grid order."""
-    groups = _walk(grid, mtow, env, requirements)[1]
+    every requirement, and each objective's range over them as an ``ObjectiveVector`` of spans
+    (every span 0.0 when none passes); raises only where ``_walk`` does.  The spans come from the walk's
+    group extremes, and the sweep gets only top members, in group order: any other member has a top
+    member's current and margin and less endurance.  Only the kept points are put in grid order."""
+    groups = _walk(grid, mtow, env, requirements)
     if not groups:
-        return ReferenceFront((), dict.fromkeys(ObjectiveVector._fields, 0.0))
+        return ReferenceFront((), ObjectiveVector(0.0, 0.0, 0.0))
     _, currents, margins, memberships = zip(*groups)
     _, lows, highs, _ = zip(*memberships)
-    spans = (max(currents) - min(currents), max(margins) - min(margins), max(highs) - min(lows))
+    spans = ObjectiveVector(max(currents) - min(currents), max(margins) - min(margins), max(highs) - min(lows))
     tops = [(first + i, current, margin, high)
             for first, current, margin, (_, _, high, indices) in groups for i in indices]
     front = sorted(tops[k] for k in front_indices(list(zip(*tops))[1:]))
-    return ReferenceFront(tuple(tuple.__new__(ObjectiveVector, top[1:]) for top in front),
-                          {name: span for (name, _), span in zip(OBJECTIVE_AXES, spans)})
+    return ReferenceFront(tuple(tuple.__new__(ObjectiveVector, top[1:]) for top in front), spans)
 
 
 def check_grid(grid: DesignGrid, mtow: float, env: Environment) -> dict:

@@ -54,6 +54,7 @@ from .bank import (
     StructuredSpec,
     _NUMBER,
     _OBJECT,
+    _PHRASE_BLANKS,
     _TEXT,
     _typed,
     answer_kind,
@@ -152,7 +153,7 @@ def normalize_phrase(text: str) -> str:
     out = text.lower()
     for old, new in _SYMBOL_REPLACEMENTS:
         out = out.replace(old, new)
-    return re.sub(r"[\s_{}$\\]", "", out)
+    return _PHRASE_BLANKS.sub("", out)
 
 
 _NUMBER_RE = r"[-+]?\d+(?:,\d{3})*(?:\.\d+)?(?:[eE][-+]?\d+)?"

@@ -1,7 +1,8 @@
 import pytest
 
 from eagibench.bank import instantiate, load_shipped_bank
-from eagibench.design_space import ObjectiveVector, ReferenceFront
+from eagibench.design_space import ObjectiveVector, ReferenceFront, report_objectives
+from eagibench.propulsion import evaluate_design
 
 
 @pytest.fixture(scope="session")
@@ -12,6 +13,10 @@ def bank():
 @pytest.fixture(scope="session")
 def instances(bank):
     return {t.id: instantiate(t, bank) for t in bank.templates}
+
+
+def objective_vector(design, env):
+    return report_objectives(evaluate_design(design, env))
 
 
 def brute_force_front(vectors):
@@ -35,4 +40,4 @@ def front_of(vectors) -> ReferenceFront:
     vectors in input order, and each objective's range (all 0.0 when it is empty)."""
     columns = list(zip(*vectors)) or [(0.0,)] * 3
     return ReferenceFront(tuple(vectors[i] for i in brute_force_front(vectors)),
-                          {name: max(c) - min(c) for name, c in zip(ObjectiveVector._fields, columns)})
+                          ObjectiveVector(*(max(c) - min(c) for c in columns)))

@@ -12,14 +12,13 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import brute_force_front
+from conftest import brute_force_front, objective_vector
 from eagibench.bank import SampleMode, sample, shipped_bank_path
 from eagibench.design_space import (
     BatteryOption,
     DesignGrid,
     dominates,
     enumerate_designs,
-    objective_vector,
     pareto_front,
 )
 from eagibench.harness import OracleAgent, ReplayAgent, run_evaluation

@@ -20,6 +20,7 @@ from eagibench.bank import (
     _stratified_quotas,
     design_from_bank,
     design_to_bank,
+    fields_to_si,
     grid_design_from_bank,
     grid_from_bank,
     instantiate,
@@ -27,7 +28,7 @@ from eagibench.bank import (
     sample,
     shipped_bank_path,
 )
-from eagibench.propulsion import CT_DEFAULT, M_PER_IN
+from eagibench.propulsion import CT_DEFAULT, M_PER_IN, Environment
 from eagibench.scoring import Verdict, normalize_phrase, reference_answer, score_answer
 from eagibench.taxonomy import CognitionLevel, TagFilter, matches
 
@@ -267,6 +268,16 @@ class TestLoadBank:
         assert str(path) in str(err.value)
         assert err.value.line is not None
 
+    def test_error_in_a_record_whose_id_the_file_escapes_names_the_file_alone(self, tmp_path, raw_bank):
+        # json.dumps writes "é" as "\u00e9", so no line of the file holds the quoted id.
+        template = _template(raw_bank, "l4-thrust-fix")
+        template["id"], template["level"] = "l4-thrust-fixé", "Analyse"
+        path = tmp_path / "escaped.json"
+        path.write_text(json.dumps(raw_bank, indent=2), encoding="utf-8")
+        with pytest.raises(BankError, match="unknown cognition level: 'Analyse'") as err:
+            load_bank(path)
+        assert err.value.line is None and str(err.value).startswith(f"{path}: ")
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"schema_version": 1,\n  "templates": [,]}', encoding="utf-8")
@@ -281,9 +292,11 @@ class TestLoadBank:
             (lambda doc: doc["templates"].insert(2, "l1-kv-meaning"), r"templates\[2\]"),
             (lambda doc: doc["contexts"].update(broken=[1]), "context 'broken'"),
             (lambda doc: doc.update(ct_overrides={"18x7": 0}), "ct_overrides"),
+            (lambda doc: doc["templates"][0].update(id=""), r"templates\[0\]: missing id"),
+            (lambda doc: doc.update(schema_version=2), r"unsupported schema_version 2 \(expected 1\)"),
         ],
         ids=["schema-version-true", "ct-override-not-a-number", "template-not-an-object",
-             "context-not-an-object", "ct-override-zero"],
+             "context-not-an-object", "ct-override-zero", "template-id-empty", "schema-version-2"],
     )
     def test_malformed_document_raises_bank_error_with_location(self, raw_bank, mutate, location):
         mutate(raw_bank)
@@ -509,6 +522,21 @@ class TestLoadBank:
                                             f"of grid 'quad-14kg': off {axis}$"):
             load_bank(raw_bank)
 
+    def test_a_fix_item_whose_context_has_no_design_rejected_at_load(self, raw_bank):
+        raw_bank["contexts"]["bare"] = {"summary": "A drone."}
+        template = _template(raw_bank, "l4-thrust-fix")
+        template["context"] = "bare"
+        template["params"].update(mtow_kg=12, n_motors=4)  # bind the thrust bound, as the context's design did
+        with pytest.raises(BankError, match="template 'l4-thrust-fix': fix answers need a context with a base design"):
+            load_bank(raw_bank)
+
+    def test_a_design_item_without_an_environment_takes_its_context_s(self, raw_bank):
+        raw_bank["contexts"]["thin-air"] = {"summary": "Thin air.", "environment": {"air_density_kg_m3": 1.2}}
+        _template(raw_bank, "l5-quad-14kg")["context"] = "thin-air"
+        spec = load_bank(raw_bank).instances["l5-quad-14kg"].answer_spec
+        assert spec.environment == Environment(air_density=1.2)
+        assert spec.front == design_space.reference_front(spec.grid, spec.mtow, spec.environment, spec.requirements)
+
     def test_design_defaults_weighing_other_than_the_item_rejected_at_load(self, raw_bank):
         # Answers would be evaluated at 7 kg and the reference front at 10 kg.
         answer = next(t for t in raw_bank["templates"] if t["id"] == "l5-quad-10kg-min-current")["answer"]
@@ -525,9 +553,11 @@ class TestLoadBank:
             ("l2-prop-parameters", lambda answer: answer["fields"][0].update(expected="eighteen"),
              "expected"),
             ("l5-quad-14kg", lambda answer: answer["requirements"][3].update(bound=6.9), "whole number"),
+            ("l6-highalt-reflect", lambda answer: answer.update(criteria=[]), "Rubric needs at least one criterion"),
+            ("l5-quad-14kg", lambda answer: answer.update(grid="no-such-grid"), "unknown grid 'no-such-grid'"),
         ],
         ids=["field-kind-unknown", "field-match-unknown", "number-field-expects-text",
-             "voltage-class-fractional"],
+             "voltage-class-fractional", "rubric-no-criteria", "design-grid-unknown"],
     )
     def test_malformed_answer_value_rejected_at_load(self, raw_bank, template_id, edit, reason):
         edit(next(t for t in raw_bank["templates"] if t["id"] == template_id)["answer"])
@@ -1023,6 +1053,46 @@ class TestFixSpecJudge:
         assert patched.prop_diameter == 19 * M_PER_IN
         assert patched.thrust_coefficient_ct == CT_DEFAULT * 0.99
 
+    @pytest.mark.parametrize("patch", [{}, {"kv_rpm_per_volt": 380}, {"prop_pitch_in": 7}],
+                             ids=["empty", "same-kv", "same-pitch"])
+    def test_a_patch_that_stays_on_an_overridden_propeller_keeps_the_base_ct(self, spec, monkeypatch, patch):
+        # An 18x7 base design that states no Ct runs at the default.  A patch that leaves it on 18x7
+        # moves to no propeller, so it does not take the 18x7 override, which would lift the hover
+        # thrust from 26.4 to 30.8 N, past the 29.43 N bound, with nothing changed.
+        spec = spec._replace(base_design=spec.base_design._replace(prop_pitch=7 * M_PER_IN))
+        assert self._patched(monkeypatch, spec, patch).thrust_coefficient_ct == CT_DEFAULT
+        fixed, rows = spec.judge(patch)
+        assert (fixed, rows[0][3]) == (False, "still-failing")
+        fence = "```json\n" + json.dumps({"patch": patch}) + "\n```"
+        assert score_answer(spec, fence).verdict is Verdict.Fail
+        assert spec.judge({"prop_diameter_in": 19})[1][0][3] == "flipped"
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_patch_restating_the_base_design_never_fixes_the_item(self, fix_specs, data):
+        spec = data.draw(st.sampled_from(fix_specs))
+        own = design_to_bank(spec.base_design)
+        keys = data.draw(st.sets(st.sampled_from([key for key in spec.patchable_fields if key in own])))
+        patch = {key: round(own[key], 9) if key.endswith("_in") else own[key] for key in keys}
+        fields = [DESIGN_FIELD_MAP[key] for key in keys]
+        assert fields_to_si(patch) == {field: getattr(spec.base_design, field) for field in fields}
+        assert not spec.judge(patch)[0]
+
+
+@pytest.fixture(scope="module")
+def fix_specs(bank):
+    """Every shipped fix spec, and each rebuilt on a propeller of its ``ct_overrides`` wherever it
+    still loads (its reference patch still fixes it)."""
+    specs = [inst.answer_spec for inst in bank.instances.values() if inst.kind == "fix"]
+    for spec in list(specs):
+        for diameter, pitch in spec.ct_overrides:
+            try:
+                specs.append(spec._replace(
+                    base_design=spec.base_design._replace(prop_diameter=diameter, prop_pitch=pitch)))
+            except ValueError:
+                pass
+    return specs
+
 
 class TestSample:
     def test_every_sampled_instance_matches_filter(self, bank):
@@ -1081,6 +1151,13 @@ class TestSample:
             sample(bank, TagFilter.empty(), 1000, SampleMode.Targeted, 0)
         assert err.value.population == len(bank.templates)
         assert "24" in str(err.value)
+
+    @pytest.mark.parametrize("n, mode, message", [(-1, SampleMode.Targeted, "n must be >= 0, got -1"),
+                                                  (1, "Random", "unknown sample mode: 'Random'")],
+                             ids=["negative-n", "unknown-mode"])
+    def test_a_negative_n_or_an_unknown_mode_rejected(self, bank, n, mode, message):
+        with pytest.raises(ValueError, match=message):
+            sample(bank, TagFilter.empty(), n, mode, 0)
 
     def test_n_zero_is_empty(self, bank):
         assert sample(bank, TagFilter.empty(), 0, SampleMode.Targeted, 0) == []

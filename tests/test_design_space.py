@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import brute_force_front, front_of
+from conftest import brute_force_front, front_of, objective_vector
 from eagibench import design_space
 from eagibench.design_space import (
     BatteryOption,
@@ -17,7 +17,6 @@ from eagibench.design_space import (
     dominates,
     enumerate_designs,
     front_indices,
-    objective_vector,
     pareto_front,
     reference_front,
     report_objectives,
@@ -48,7 +47,8 @@ def grid_evaluations(grid, mtow, env, requirements=()):
     requirement, in order, with its objective vector: each member of each
     group of ``design_space._walk``.  The walk runs at the call, so a rejected
     grid raises there."""
-    designs, groups = design_space._walk(grid, mtow, env, requirements)
+    groups = design_space._walk(grid, mtow, env, requirements)
+    designs = enumerate_designs(grid, mtow)
     evaluations = sorted((first + i, current, margin, endurance)
                          for first, current, margin, (members, _, _, _) in groups for i, endurance in members)
     return ((designs[i], ObjectiveVector(*objectives)) for i, *objectives in evaluations)

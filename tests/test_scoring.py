@@ -461,6 +461,11 @@ class TestScoreDesign:
         assert score.verdict is Verdict.Unscorable
         assert f"key {key!r} must be a number, got {value!r}" in score.evidence[0].detail
 
+    @pytest.mark.parametrize("capacity", ["12000 mAh", "12 Ah"])
+    def test_a_capacity_in_prose_is_read_in_amp_hours(self, instances, capacity):
+        spec = instances["l5-quad-14kg"].answer_spec
+        assert extract(f"340 Kv on 6S, {capacity}", spec).envelope["design"]["battery_capacity_ah"] == 12.0
+
     def test_fractional_motor_count_unscorable(self, instances):
         spec = instances["l5-quad-14kg"].answer_spec
         design = design_to_bank(spec.reference_design)

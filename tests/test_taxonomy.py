@@ -190,8 +190,9 @@ def test_matches_agrees_with_the_field_by_field_reference(tags, level, flt):
         ({"standards": [["UL"]]}, "unknown standard: ['UL'] (expected text)"),
         ({"standards": 1999}, "unknown standard: 1999 (expected text)"),
         ({"domains": {"Thermal": 0}}, "unknown domain: {'Thermal': 0} (expected one of: "),
+        ({"levels": [1, 2, 3]}, "levels must be [lo, hi], got [1, 2, 3]"),
     ],
-    ids=["null", "nested-list", "number", "object"],
+    ids=["null", "nested-list", "number", "object", "three-levels"],
 )
 def test_filter_takes_only_the_json_values_of_its_field(document, message):
     with pytest.raises(ValueError, match=re.escape(message)):
