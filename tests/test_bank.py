@@ -72,6 +72,21 @@ def _answer(doc, template_id):
     return _template(doc, template_id)["answer"]
 
 
+#: A phrase list of each kind: (the template that reads it, the edit setting the whole list, its phrases on the spec).
+_PHRASE_LIST_SITES = {
+    "fact-aliases": ("l1-thrust-equation",
+                     lambda doc, p: _answer(doc, "l1-thrust-equation").update(accepted_aliases=p),
+                     lambda spec: spec.accepted_aliases),
+    "field-aliases": ("l2-prop-parameters", lambda doc, p: _text_field(doc, "l2-prop-parameters").update(aliases=p),
+                      lambda spec: spec.fields[2].aliases),
+    "rubric-phrases": ("l6-highalt-reflect",
+                       lambda doc, p: _answer(doc, "l6-highalt-reflect")["criteria"][0].update(phrases=p),
+                       lambda spec: spec.criteria[0].phrases),
+    "cause-vocabulary": ("l4-insufficient-thrust", lambda doc, p: doc["cause_vocabulary"].update({"high-kv-motor": p}),
+                         lambda spec: spec.vocabulary["high-kv-motor"]),
+}
+
+
 def _copied(record, key, typo):
     """A required key written a second time, misspelt."""
     record[typo] = record[key]
@@ -442,6 +457,15 @@ class TestLoadBank:
         spec = load_bank(raw_bank).instances["l4-thrust-fix"].answer_spec
         assert spec.patchable_fields == ("prop_diameter_in",)
         assert score_answer(spec, reference_answer(spec)).verdict is Verdict.Pass
+
+    @pytest.mark.parametrize("where", list(_PHRASE_LIST_SITES))
+    def test_a_phrase_list_written_as_one_string_is_one_phrase(self, raw_bank, where):
+        # Not one phrase per letter: every letter of "thrust" is in the unrelated reply.
+        template_id, edit, phrases = _PHRASE_LIST_SITES[where]
+        edit(raw_bank, "thrust")
+        spec = load_bank(raw_bank).instances[template_id].answer_spec
+        assert phrases(spec) == ("thrust",)
+        assert score_answer(spec, _UNRELATED_REPLY).verdict is not Verdict.Pass
 
     def test_a_design_item_without_its_own_mtow_rejected_at_load(self, raw_bank):
         # It fell back to defaults.mtow_kg, which the schema never documented.

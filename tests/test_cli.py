@@ -77,20 +77,43 @@ def test_run_oracle_end_to_end(tmp_path):
     assert report["competence_level"] == 6
 
 
-def test_run_replay_determinism(tmp_path, bank, instances):
+def _dense_kv(doc):
+    """quad-14kg's Kv axis widened to 5 RPM/V steps, 40 past each end: 37 values, not 6."""
+    grid = doc["grids"]["quad-14kg"]
+    kv = grid["kv_rpm_per_volt"]
+    grid["kv_rpm_per_volt"] = list(range(min(kv) - 40, max(kv) + 41, 5))
+
+
+@pytest.mark.parametrize(
+    "edit, sampling",
+    [
+        (None, ["--n", "12", "--mode", "Targeted", "--seed", "5"]),
+        # Every L5 item, quad-14kg's front grounded at load from the lazily enumerated dense grid.
+        (_dense_kv, ["--n", "4", "--mode", "Targeted", "--filter", '{"levels": [5, 5]}', "--seed", "7"]),
+    ],
+    ids=["shipped", "dense-kv"],
+)
+def test_run_replay_determinism(tmp_path, bank, instances, edit, sampling):
     agent = OracleAgent(list(instances.values()))
     answers = {
         i.id: agent.answer(i.prompt, {"instance_id": i.id}) for i in instances.values()
     }
     ans_path = tmp_path / "answers.json"
     ans_path.write_text(json.dumps(answers), encoding="utf-8")
+    bank_args = []
+    if edit:
+        doc = json.loads(shipped_bank_path().read_text(encoding="utf-8"))
+        edit(doc)
+        bank_args = ["--bank", _write(tmp_path / "bank.json", doc)]
 
     reports = []
     for name in ("a.json", "b.json"):
         path = tmp_path / name
-        assert main(["run", "--n", "12", "--mode", "Targeted", "--seed", "5",
+        assert main(["run", *bank_args, *sampling,
                      "--agent", f"replay:{ans_path}", "--out", str(path)]) == EXIT_OK
         doc = json.loads(path.read_text(encoding="utf-8"))
+        verdicts = [item["verdict"] for item in doc["items"]]
+        assert len(verdicts) == int(sampling[1]) and "Unscorable" not in verdicts, verdicts
         doc.pop("run_id")
         doc.pop("started_at")
         doc.pop("duration_s")
@@ -254,6 +277,26 @@ def test_remote_url_must_be_http_or_https(monkeypatch, capsys):
     monkeypatch.setenv("EAGI_REMOTE_URL", "file:///etc/passwd")
     assert main(["run", "--n", "1", "--agent", "remote"]) == EXIT_USAGE
     assert "http or https" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["generate", "--n", "1", "--out", "i.json"], EXIT_OK),
+        (["generate", "--n", "1", "--filter", '{"level": [6, 6]}'], EXIT_USAGE),
+        (["generate", "--n", "1", "--bank", "missing.json"], EXIT_BANK),
+    ],
+    ids=["ok", "usage", "bank"],
+)
+def test_the_process_exits_with_main_s_code_outside_the_checkout(tmp_path, argv, code):
+    # What the console script runs, sys.exit(main()), in a directory that holds no sources.
+    src = str(Path(eagibench.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "eagibench.cli", *argv], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr, done.stderr
 
 
 def test_cli_imports_no_third_party_http_client():
