@@ -177,15 +177,22 @@ GRID_AXIS_KEYS = frozenset(("kv_rpm_per_volt", "prop_diameter_in", "prop_pitch_i
                             "battery_voltage_v", "battery_capacity_ah", "n_motors"))
 
 
+def with_table_ct(design: Design, stated: Mapping, table: Mapping) -> Design:
+    """The one Ct rule: ``design`` runs at the Ct its keys ``stated`` set, else at its propeller's entry in
+    the bank's ``table``, else at ``CT_DEFAULT``, as a grid walk's designs do (``DesignGrid.propellers``)."""
+    if "thrust_coefficient_ct" in stated:
+        return design
+    return design._replace(thrust_coefficient_ct=table.get((design.prop_diameter, design.prop_pitch), CT_DEFAULT))
+
+
 def grid_design_from_bank(raw: Mapping, defaults: Mapping, grid: DesignGrid) -> Design:
     """The design an L5 answer names: its grid-axis keys over the item's
-    ``defaults``, with the Ct ``grid`` gives its propeller.  Any other
+    ``defaults``, at the Ct :func:`with_table_ct` gives its propeller.  Any other
     design key it sets is ignored, so it cannot change what the item fixes,
     but an unknown key or a malformed value raises as in :func:`fields_to_si`."""
     fields_to_si(raw)
-    design = design_from_bank({k: v for k, v in raw.items() if k in GRID_AXIS_KEYS}, defaults)
-    ct = grid.ct_overrides.get((design.prop_diameter, design.prop_pitch), CT_DEFAULT)
-    return design._replace(thrust_coefficient_ct=ct)
+    axes = {k: v for k, v in raw.items() if k in GRID_AXIS_KEYS}
+    return with_table_ct(design_from_bank(axes, defaults), axes, grid.ct_overrides)
 
 
 def design_to_bank(design: Design) -> dict:
@@ -203,28 +210,24 @@ def environment_from_bank(raw: Optional[Mapping]) -> Environment:
 
 
 #: A grid record's table: each axis, and the battery options, a list.
-_GRID = {**dict.fromkeys([*GRID_FIELD_MAP, "battery_options"], (_LIST, _REQUIRED)), "ct_overrides": (_OBJECT, {}),
+_GRID = {**dict.fromkeys([*GRID_FIELD_MAP, "battery_options"], (_LIST, _REQUIRED)),
          "current_limit_a": (_NUMBER, DesignGrid._field_defaults["current_limit_per_motor"])}
 
 
-def grid_from_bank(raw: Mapping) -> DesignGrid:
-    """Build a grid from its bank-file record, read through ``_GRID``; its
-    ``ct_overrides`` name the grid's propellers (:func:`ct_overrides_from_bank`)."""
+def grid_from_bank(raw: Mapping, ct_overrides: Mapping) -> DesignGrid:
+    """Build a grid from its bank-file record, read through ``_GRID``, over the bank's Ct table."""
     grid = _read_keys(raw, _GRID)
     axes = {axis: tuple(to_si(key, v) for v in grid[key]) for key, axis in GRID_FIELD_MAP.items()}
-    propellers = {(d, p) for d in axes["prop_diameters"] for p in axes["prop_pitches"]}
     batteries = tuple(BatteryOption(**fields_to_si(b, BATTERY_FIELD_MAP)) for b in grid["battery_options"])
     limit = to_si("current_limit_a", grid["current_limit_a"])
-    return DesignGrid(**axes, battery_options=batteries, current_limit_per_motor=limit,
-                      ct_overrides=ct_overrides_from_bank(grid["ct_overrides"], propellers))
+    return DesignGrid(**axes, battery_options=batteries, current_limit_per_motor=limit, ct_overrides=ct_overrides)
 
 
-def ct_overrides_from_bank(raw: Mapping, propellers: Optional[set] = None) -> dict:
+def ct_overrides_from_bank(raw: Mapping) -> dict:
     """Ct overrides keyed by propeller geometry, ``{(diameter_m, pitch_m): Ct}``:
     each Ct and both halves of its "<diameter>x<pitch>" key, in inches, go through :func:`to_si`,
     so "18x6", "18.0x6" and "18 x 6" name one propeller.  Raises ValueError, naming the key as
-    written, for a length or Ct that is not positive and finite, a second key of one propeller,
-    or a key naming none of a grid's ``propellers``."""
+    written, for a length or Ct that is not positive and finite, or a second key of one propeller."""
     table, written = {}, {}  # per propeller: its Ct, and its key as written
     for key, value in raw.items():
         diameter, _, pitch = key.partition("x")
@@ -234,8 +237,6 @@ def ct_overrides_from_bank(raw: Mapping, propellers: Optional[set] = None) -> di
         propulsion._require_positive(**{f"{where} diameter": prop[0], f"{where} pitch": prop[1], where: ct})
         if prop in written:
             raise ValueError(f"{where} names the propeller of ct_overrides[{written[prop]!r}]")
-        if propellers is not None and prop not in propellers:
-            raise ValueError(f"{where} names no propeller of the grid")
         written[prop], table[prop] = key, ct
     return table
 
@@ -365,16 +366,15 @@ class FixSpec(NamedTuple):
         """Whether ``patch``, in bank-file keys and units, fixes the item, and each requirement
         with its checks on the base and the patched design, paired by position (an oracle
         report holds one check per requirement, in order), and an outcome.  The patch is read by
-        :func:`fields_to_si` and raises as it and the oracle do.  A patch that sets Ct keeps it; else
-        a patch that moves to another propeller takes its ``ct_overrides`` entry, else the base design's Ct.
+        :func:`fields_to_si` and raises as it and the oracle do.  A patch that keeps the base design's
+        propeller keeps its Ct unless it sets one; a patch that moves runs at :func:`with_table_ct`'s.
         The failing requirement is "flipped", "still-failing" or "not-failing-before"; another
         is "regressed" when the patch breaks it, else "pass" or "fail".  The patch fixes the
         item when it flips the failing requirement and regresses none."""
         fields, base = fields_to_si(patch), self.base_design
-        prop = (fields.get("prop_diameter", base.prop_diameter), fields.get("prop_pitch", base.prop_pitch))
-        overrides = self.ct_overrides if prop != (base.prop_diameter, base.prop_pitch) else {}
-        ct = overrides.get(prop, base.thrust_coefficient_ct)
-        patched = base._replace(**{"thrust_coefficient_ct": ct, **fields})
+        patched = base._replace(**fields)
+        if (patched.prop_diameter, patched.prop_pitch) != (base.prop_diameter, base.prop_pitch):
+            patched = with_table_ct(patched, fields, self.ct_overrides)
         before, after = (
             propulsion.evaluate_design(design, self.environment, self.requirements, loaded_rpm=self.loaded_rpm)
             for design in (base, patched)
@@ -784,23 +784,23 @@ def load_bank(source: Union[str, Path, Mapping]) -> QuestionBank:
     version = doc["schema_version"]
     if version != SCHEMA_VERSION:
         raise BankError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})", path=path)
+    with record("ct_overrides", "ct_overrides"):
+        ct_overrides = ct_overrides_from_bank(doc["ct_overrides"])
 
     contexts: dict[str, DesignContext] = {}
     for ctx_id, raw in doc["contexts"].items():
         with record(f"context {ctx_id!r}", ctx_id):
-            context = _read_keys(raw, _CONTEXT)
-            design = None if context["design"] is None else design_from_bank(context["design"])
-            environment = environment_from_bank(context["environment"])
-            contexts[ctx_id] = DesignContext(context["summary"], design, environment)
+            ctx = _read_keys(raw, _CONTEXT)
+            design = ctx["design"]
+            design = None if design is None else with_table_ct(design_from_bank(design), design, ct_overrides)
+            contexts[ctx_id] = DesignContext(ctx["summary"], design, environment_from_bank(ctx["environment"]))
 
     grids: dict[str, DesignGrid] = {}
     for grid_id, raw in doc["grids"].items():
         with record(f"grid {grid_id!r}", grid_id):
-            grids[grid_id] = grid_from_bank(raw)
+            grids[grid_id] = grid_from_bank(raw, ct_overrides)
 
     vocabulary = {cause: _read(phrases) for cause, phrases in doc["cause_vocabulary"].items()}
-    with record("ct_overrides", "ct_overrides"):
-        ct_overrides = ct_overrides_from_bank(doc["ct_overrides"])
 
     templates: list[QuestionTemplate] = []
     seen_ids: set[str] = set()

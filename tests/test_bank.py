@@ -4,7 +4,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eagibench import design_space, propulsion
 from eagibench.bank import (
@@ -27,6 +27,7 @@ from eagibench.bank import (
     load_bank,
     sample,
     shipped_bank_path,
+    with_table_ct,
 )
 from eagibench.propulsion import CT_DEFAULT, M_PER_IN, Environment
 from eagibench.scoring import Verdict, normalize_phrase, reference_answer, score_answer
@@ -622,26 +623,33 @@ class TestLoadBank:
     @pytest.mark.parametrize(
         "section, overrides, error",
         [
-            ("grid", {"18.0x6": 0.05}, None),
-            ("grid", {"18x6.0": 0.05}, None),
-            ("grid", {"18 x 6": 0.05}, None),
-            ("grid", {"22x8": 0.05}, r"grid 'quad-14kg': .*'22x8'"),
-            ("grid", {"18x6": 0.05, "18.0x6": 0.04}, r"'18\.0x6'.*'18x6'"),
+            ("l5", {"18.0x6": 0.05}, None),
+            ("l5", {"18x6.0": 0.05}, None),
+            ("l5", {"18 x 6": 0.05}, None),
+            ("grid", {"22x8": 0.05}, r"grid 'quad-14kg': .*'ct_overrides'"),
+            ("l5", {"18x6": 0.05, "18.0x6": 0.04}, r"ct_overrides: .*'18\.0x6'.*'18x6'"),
             ("top", {"18.0x7": 0.036827286029}, None),
         ],
         ids=["grid-18.0x6", "grid-18x6.0", "grid-18-x-6", "grid-off-grid", "grid-two-keys", "top-18.0x7"],
     )
     def test_ct_override_key_names_a_propeller_however_spelt(self, raw_bank, section, overrides, error):
         # A key's two lengths are read in inches, so every spelling of a
-        # propeller reaches the designs that use it; a key that names no
-        # propeller of its grid, or a second key of one, is an error.
-        (raw_bank["grids"]["quad-14kg"] if section == "grid" else raw_bank)["ct_overrides"] = overrides
+        # propeller reaches the designs that use it, a grid's included; a
+        # second key of one propeller is an error, and so is a grid's own
+        # table: the bank has one.  An "l5" document holds only l5-quad-14kg,
+        # as an 18x6 Ct of 0.05 would also reach the context's fix items.
+        if section == "grid":
+            raw_bank["grids"]["quad-14kg"]["ct_overrides"] = overrides
+        else:
+            raw_bank["ct_overrides"] = overrides
+        if section == "l5":
+            raw_bank["templates"] = [_template(raw_bank, "l5-quad-14kg")]
         if error:
             with pytest.raises(BankError, match=error):
                 load_bank(raw_bank)
             return
         bank = load_bank(raw_bank)
-        if section == "grid":
+        if section == "l5":
             spec = bank.instances["l5-quad-14kg"].answer_spec
             assert (18 * 0.0254, 6 * 0.0254, 0.05) in spec.grid.propellers()
             answer = {"kv_rpm_per_volt": 340, "prop_diameter_in": 18, "prop_pitch_in": 6}
@@ -650,6 +658,16 @@ class TestLoadBank:
             spec = bank.instances["l4-thrust-fix"].answer_spec
             score = score_answer(spec, '```json\n{"patch": {"prop_pitch_in": 7}}\n```')
             assert score.verdict is Verdict.Pass
+
+    def test_a_context_on_a_propeller_of_the_table_runs_at_its_ct(self, raw_bank):
+        # A context on 18x7 runs at the table's 18x7 Ct, not the default: its hover thrust then
+        # meets l4-thrust-fix's bound, so that item's reference patch has nothing left to fix.
+        raw_bank["contexts"]["urban-logistics-quad"]["design"]["prop_pitch_in"] = 7
+        with pytest.raises(BankError, match="template 'l4-thrust-fix': reference patch does not fix the item"):
+            load_bank(raw_bank)
+        raw_bank["templates"] = [t for t in raw_bank["templates"] if t["answer"]["kind"] != "fix"]
+        design = load_bank(raw_bank).contexts["urban-logistics-quad"].design
+        assert design.thrust_coefficient_ct == 0.036827286029
 
     @pytest.mark.parametrize("kv, volts", [(-380, 22.2), ("3", 2)], ids=["negative-kv", "text-kv"])
     def test_no_load_rpm_param_derived_through_the_oracle(self, raw_bank, kv, volts):
@@ -757,6 +775,26 @@ def test_a_key_no_record_lists_names_its_record_and_the_key(data):
         return
     with pytest.raises(BankError, match=f"^{_record_of(path)}: .*{re.escape(repr(key))}"):
         load_bank(doc)
+
+
+_FIX_IDS = [t["id"] for t in _SHIPPED["templates"] if t["answer"]["kind"] == "fix"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(ct=st.floats(0.02, 0.08))
+@example(ct=0.031)  # inside the narrow band where every fix item still loads
+def test_a_table_ct_for_the_context_s_propeller_reaches_its_design_and_every_fix_base(ct):
+    # The drawn Ct either lifts or sinks the context design past a fix item's bound, and the load names
+    # that item, or every design grounded on the context runs at it.
+    doc = {**_SHIPPED, "ct_overrides": {**_SHIPPED["ct_overrides"], "18x6": ct}}
+    try:
+        bank = load_bank(doc)
+    except BankError as exc:
+        assert re.match(f"template '({'|'.join(_FIX_IDS)})': ", str(exc)), exc
+        return
+    assert bank.contexts["urban-logistics-quad"].design.thrust_coefficient_ct == ct
+    bases = [bank.instances[tid].answer_spec.base_design for tid in _FIX_IDS]
+    assert [base.thrust_coefficient_ct for base in bases] == [ct] * len(_FIX_IDS)
 
 
 _LEAVES = [path for path in _nodes(_SHIPPED) if not isinstance(_at(_SHIPPED, path), (dict, list))]
@@ -948,14 +986,14 @@ _GRID_RECORD = {
 
 
 def test_grid_from_bank_units():
-    grid = grid_from_bank(_GRID_RECORD)
+    grid = grid_from_bank(_GRID_RECORD, {})
     assert grid.prop_diameters[0] == pytest.approx(18 * 0.0254)
 
 
 def test_a_grid_axis_written_as_digits_is_not_split_into_values():
     # "34" was iterated into the Kv values 3 and 4.
     with pytest.raises(TypeError, match="^key 'kv_rpm_per_volt' must be a list, got '34'$"):
-        grid_from_bank({**_GRID_RECORD, "kv_rpm_per_volt": "34"})
+        grid_from_bank({**_GRID_RECORD, "kv_rpm_per_volt": "34"}, {})
 
 
 class TestInstantiate:
@@ -1070,19 +1108,20 @@ class TestFixSpecJudge:
         patched = self._patched(monkeypatch, spec, {"prop_pitch_in": 7, "thrust_coefficient_ct": 0.04})
         assert patched.thrust_coefficient_ct == 0.04
 
-    def test_a_propeller_with_no_override_keeps_the_base_ct(self, spec, monkeypatch):
-        # 19x6 has no override, and the base Ct is not the default, so the two fallbacks differ.
+    def test_a_propeller_with_no_override_takes_the_default_ct(self, spec, monkeypatch):
+        # 19x6 has no override, and the base Ct is not the default, so keeping it would show.
         spec = spec._replace(base_design=spec.base_design._replace(thrust_coefficient_ct=CT_DEFAULT * 0.99))
         patched = self._patched(monkeypatch, spec, {"prop_diameter_in": 19})
         assert patched.prop_diameter == 19 * M_PER_IN
-        assert patched.thrust_coefficient_ct == CT_DEFAULT * 0.99
+        assert patched.thrust_coefficient_ct == CT_DEFAULT
 
     @pytest.mark.parametrize("patch", [{}, {"kv_rpm_per_volt": 380}, {"prop_pitch_in": 7}],
                              ids=["empty", "same-kv", "same-pitch"])
     def test_a_patch_that_stays_on_an_overridden_propeller_keeps_the_base_ct(self, spec, monkeypatch, patch):
-        # An 18x7 base design that states no Ct runs at the default.  A patch that leaves it on 18x7
-        # moves to no propeller, so it does not take the 18x7 override, which would lift the hover
-        # thrust from 26.4 to 30.8 N, past the 29.43 N bound, with nothing changed.
+        # An 18x7 base design built here by hand runs at the default Ct (a context on 18x7 would load
+        # at the table's).  A patch that leaves it on 18x7 moves to no propeller, so it does not take
+        # the 18x7 override, which would lift the hover thrust from 26.4 to 30.8 N, past the 29.43 N
+        # bound, with nothing changed.
         spec = spec._replace(base_design=spec.base_design._replace(prop_pitch=7 * M_PER_IN))
         assert self._patched(monkeypatch, spec, patch).thrust_coefficient_ct == CT_DEFAULT
         fixed, rows = spec.judge(patch)
@@ -1105,14 +1144,14 @@ class TestFixSpecJudge:
 
 @pytest.fixture(scope="module")
 def fix_specs(bank):
-    """Every shipped fix spec, and each rebuilt on a propeller of its ``ct_overrides`` wherever it
-    still loads (its reference patch still fixes it)."""
+    """Every shipped fix spec, and each rebuilt on a propeller of its ``ct_overrides``, at that
+    propeller's Ct as a load gives it, wherever it still loads (its reference patch still fixes it)."""
     specs = [inst.answer_spec for inst in bank.instances.values() if inst.kind == "fix"]
     for spec in list(specs):
         for diameter, pitch in spec.ct_overrides:
+            base = spec.base_design._replace(prop_diameter=diameter, prop_pitch=pitch)
             try:
-                specs.append(spec._replace(
-                    base_design=spec.base_design._replace(prop_diameter=diameter, prop_pitch=pitch)))
+                specs.append(spec._replace(base_design=with_table_ct(base, {}, spec.ct_overrides)))
             except ValueError:
                 pass
     return specs

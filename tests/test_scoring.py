@@ -503,7 +503,7 @@ class TestScoreDesign:
         assert calls == {"evaluate": 1, "check_grid": 0, "thrust_stage": 0, "hover_stage": 0, "_static_thrust": 0}
 
     @pytest.mark.parametrize(
-        "grid_ct, design, verdict, value",
+        "table, design, verdict, value",
         [
             ({}, {"kv_rpm_per_volt": 320, "prop_diameter_in": 18, "prop_pitch_in": 6,
                   "thrust_coefficient_ct": 0.035}, Verdict.Partial, 0.825),
@@ -514,12 +514,14 @@ class TestScoreDesign:
         ],
         ids=["answer-sets-ct", "answer-sets-mtow", "grid-ct-override"],
     )
-    def test_answer_chooses_only_the_grid_axes(self, grid_ct, design, verdict, value):
-        # Ct comes from the grid, the takeoff weight from the item: an answer
-        # that declares either is graded as if it had not, and a grid's Ct
-        # override reaches the design an answer names.
-        doc = json.loads(json.dumps(_SHIPPED))
-        doc["grids"]["l5-default"]["ct_overrides"] = grid_ct
+    def test_answer_chooses_only_the_grid_axes(self, table, design, verdict, value):
+        # Ct comes from the bank's table, the takeoff weight from the item: an
+        # answer that declares either is graded as if it had not, and the table's
+        # Ct for its propeller reaches the design an answer names.  The document
+        # holds only this item: a 20x6 Ct of 0.02 would also reach l4-climb-fix's
+        # patched design and l5-quad-14kg's reference, which then fail.
+        item = next(t for t in _SHIPPED["templates"] if t["id"] == "l5-quad-10kg-min-current")
+        doc = {**_SHIPPED, "ct_overrides": table, "templates": [item]}
         spec = load_bank(doc).instances["l5-quad-10kg-min-current"].answer_spec
         score = score_answer(spec, _fence({"design": design}))
         assert score.verdict is verdict
